@@ -15,14 +15,8 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The obs registry, the scan-trace ring buffer, the HTTP middleware, and
-# the resilience layer (retry/breaker/hedge and their fake clock) are all
-# written for concurrent use; keep them honest under the race detector,
-# along with the pipeline and workers that call them. The tsdb is included
-# for its zero-copy QueryView snapshots, which concurrent appends must
-# never disturb.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/distributed/... ./internal/core/... ./internal/resilience/... ./internal/tsdb/... ./internal/wal/... ./internal/evalharness/... ./internal/controlplane/...
+	$(GO) test -race ./...
 
 # Static analysis. The tools are not vendored; when missing locally the
 # target degrades to a notice (CI installs and enforces them).

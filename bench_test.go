@@ -294,10 +294,10 @@ func BenchmarkScanManyMetrics(b *testing.B) {
 }
 
 // BenchmarkScanThroughput measures repeated scans by one long-lived
-// detector over an unchanged fleet — the steady-state re-run cost that the
-// zero-copy reads and the versioned decomposition cache optimize. Contrast
-// with BenchmarkPipeline and BenchmarkScanManyMetrics, which rebuild the
-// detector every iteration and therefore always scan cold.
+// detector over an unchanged fleet at an unchanged scan time — the re-run
+// cost the detector checkpoints remove. Contrast with BenchmarkPipeline
+// and BenchmarkScanManyMetrics, which rebuild the detector every iteration
+// and therefore always scan cold.
 func BenchmarkScanThroughput(b *testing.B) {
 	const nMetrics = 500
 	db := NewDB(time.Minute)
@@ -335,11 +335,6 @@ func BenchmarkScanThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	hits, misses, _ := det.STLCacheStats()
-	if hits+misses > 0 {
-		b.ReportMetric(float64(hits)/float64(hits+misses)*100, "stl-cache-hit-%")
-	}
 	b.ReportMetric(nMetrics, "metrics-per-scan")
 }
 
@@ -372,9 +367,8 @@ func warmFleet(b *testing.B, cfg Config) (*Detector, time.Time) {
 // BenchmarkScanThroughputNoCheckpoint is the in-run control for the
 // detector-checkpoint speedup gate: the same fleet, config, and warm
 // schedule as BenchmarkScanThroughput, but with checkpointing disabled so
-// every warm scan re-reads and re-detects each series (the pre-checkpoint
-// warm path — decomposition cache still on). The bench gate requires
-// BenchmarkScanThroughput to beat this by at least 5x.
+// every warm scan re-reads, re-detects and re-decomposes each series. The
+// bench gate requires BenchmarkScanThroughput to beat this by at least 5x.
 func BenchmarkScanThroughputNoCheckpoint(b *testing.B) {
 	cfg := Config{
 		Threshold: 0.0001,
@@ -385,7 +379,7 @@ func BenchmarkScanThroughputNoCheckpoint(b *testing.B) {
 		CheckpointCacheSize: -1,
 	}
 	det, end := warmFleet(b, cfg)
-	if _, err := det.Scan("warm", end); err != nil { // warm the stl cache
+	if _, err := det.Scan("warm", end); err != nil { // same schedule as the gated benchmark
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -400,8 +394,7 @@ func BenchmarkScanThroughputNoCheckpoint(b *testing.B) {
 // state: each iteration appends one new point per metric and re-scans one
 // step later, so every window slides by a single point. Checkpoints miss
 // by design (the window changed); the cost under measurement is the
-// incremental re-read plus re-detection, with the STL seasonal-extension
-// path enabled as it would be on a live deployment.
+// re-read plus full re-detection of every series.
 func BenchmarkWarmScanIncremental(b *testing.B) {
 	const nMetrics = 100
 	db := NewDB(time.Minute)
@@ -431,13 +424,12 @@ func BenchmarkWarmScanIncremental(b *testing.B) {
 		Windows: WindowConfig{
 			Historic: 5 * time.Hour, Analysis: 3 * time.Hour, Extended: time.Hour,
 		},
-		STLExtend: true,
 	}
 	det, err := NewDetector(cfg, db, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := det.Scan("warm", start.Add(9*time.Hour)); err != nil { // cold scan anchors
+	if _, err := det.Scan("warm", start.Add(9*time.Hour)); err != nil { // cold scan
 		b.Fatal(err)
 	}
 	b.ResetTimer()

@@ -144,8 +144,8 @@ func run(opts options, out io.Writer) error {
 		experiments.RunDetectionDelay(opts.seed))
 	if !opts.skipTiming {
 		section("steady-state re-scan cost: repeated scans over unchanged "+
-			"series hit the versioned decomposition cache instead of re-running "+
-			"STL; wall times are machine-dependent, the speedup is the signal",
+			"series hit the detector checkpoint instead of re-running "+
+			"detection; wall times are machine-dependent, the speedup is the signal",
 			experiments.RunScanThroughput(opts.seed))
 	}
 

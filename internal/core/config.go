@@ -55,12 +55,6 @@ type Config struct {
 	// setting.
 	SweepConcurrency int
 
-	// STLCacheSize bounds the pipeline's decomposition cache in entries
-	// (default 1024). The cache memoizes per-(metric, series epoch,
-	// window) seasonality decompositions, so re-scanning unchanged
-	// windows skips the STL cost entirely. Negative disables caching.
-	STLCacheSize int
-
 	// CheckpointCacheSize bounds the per-series detector-checkpoint cache
 	// in entries (default 8192, one entry per metric). Checkpoints memoize
 	// the full per-metric detection outcome keyed by the exact window
@@ -69,15 +63,6 @@ type Config struct {
 	// unchanged ones. Results are byte-identical to a cold scan. Negative
 	// disables checkpointing.
 	CheckpointCacheSize int
-
-	// STLExtend enables incremental seasonal extension: when a scan
-	// window slides forward by at most one period over an unchanged
-	// series, the cached seasonal component is shifted and extended
-	// periodically and only the trend is refit, instead of redetecting
-	// the period and redecomposing. Approximate by design (bounded by one
-	// period per full re-anchor); off by default, which keeps detection
-	// outputs bit-identical to the cold path.
-	STLExtend bool
 
 	// WentAway tunes the went-away detector.
 	WentAway WentAwayConfig

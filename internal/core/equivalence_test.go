@@ -11,8 +11,8 @@ import (
 	"fbdetect/internal/tsdb"
 )
 
-// The scan hot path has three behavior-preserving optimizations: zero-copy
-// QueryView reads, the versioned decomposition cache, and the parallel
+// The scan hot path has three behavior-preserving optimizations: scratch
+// QueryViewStamped reads, the detector-checkpoint cache, and the parallel
 // service sweep. Each must be invisible in the detection output. These
 // tests build the same seeded multi-service fleet twice, run monitors with
 // the optimization toggled, and require byte-identical reports and funnels.
@@ -155,20 +155,16 @@ func TestScanEquivalenceCachedVsUncached(t *testing.T) {
 	base := pipelineConfig()
 
 	uncachedCfg := base
-	uncachedCfg.STLCacheSize = -1        // disabled: every scan recomputes
 	uncachedCfg.CheckpointCacheSize = -1 // disabled: every scan redetects
 	pu, services, start, end := equivalenceFixture(t, uncachedCfg)
 	mu := runSweeps(t, pu, services, start, end)
 
-	cachedCfg := base // default cache sizes
+	cachedCfg := base // default cache size
 	pc, _, _, _ := equivalenceFixture(t, cachedCfg)
 	mc := runSweeps(t, pc, services, start, end)
 
 	compareMonitors(t, mc, mu, "cached vs uncached")
 
-	if hits, _, _ := pu.STLCacheStats(); hits != 0 {
-		t.Errorf("disabled stl cache recorded %d hits", hits)
-	}
 	if hits, _, _ := pu.CheckpointStats(); hits != 0 {
 		t.Errorf("disabled checkpoint cache recorded %d hits", hits)
 	}
@@ -178,25 +174,19 @@ func TestScanEquivalenceCachedVsUncached(t *testing.T) {
 	if cpHits == 0 {
 		t.Errorf("checkpoints never hit (misses=%d): repeated scan of unchanged series should hit", cpMisses)
 	}
-	if _, _, entries := pc.STLCacheStats(); entries == 0 {
-		t.Error("stl cache empty after sweeps")
-	}
 }
 
-// TestScanEquivalenceCheckpointsOnly pins the checkpoint layer alone
-// (STL cache disabled in both pipelines) against the fully cold path,
-// with appends interleaved between sweeps so warm scans mix hits
-// (unchanged series) and misses (appended series).
+// TestScanEquivalenceCheckpointsOnly pins the checkpoint layer against
+// the fully cold path, with appends interleaved between sweeps so warm
+// scans mix hits (unchanged series) and misses (appended series).
 func TestScanEquivalenceCheckpointsOnly(t *testing.T) {
 	base := pipelineConfig()
 
 	coldCfg := base
-	coldCfg.STLCacheSize = -1
 	coldCfg.CheckpointCacheSize = -1
 	pcold, services, start, end := equivalenceFixture(t, coldCfg)
 
 	warmCfg := base
-	warmCfg.STLCacheSize = -1
 	pwarm, _, _, _ := equivalenceFixture(t, warmCfg)
 
 	mcold := runSweeps(t, pcold, services, start, end)
@@ -229,16 +219,17 @@ func TestScanEquivalenceParallelVsSerial(t *testing.T) {
 }
 
 func TestQueryViewScanMatchesQueryScan(t *testing.T) {
-	// The pipeline reads through QueryView; re-reading every scanned
-	// window through the copying Query must yield identical series. This
-	// pins the zero-copy read path to the copying one on live fleet data.
+	// The pipeline reads through QueryViewStamped; re-reading every
+	// scanned window through the copying Query must yield identical
+	// series. This pins the view read path to the copying one on live
+	// fleet data.
 	cfg := pipelineConfig()
 	p, services, _, end := equivalenceFixture(t, cfg)
 	from := end.Add(-cfg.Windows.Total())
 	checked := 0
 	for _, svc := range services {
 		for _, id := range p.db.Metrics(svc) {
-			view, _, err := p.db.QueryView(id, from, end)
+			view, _, err := p.db.QueryViewStamped(id, from, end, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,8 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"fbdetect/internal/stats"
-	"fbdetect/internal/stl"
 	"fbdetect/internal/timeseries"
 	"fbdetect/internal/tsdb"
 )
@@ -15,9 +13,8 @@ import (
 // These tests pin the tentpole soundness claims of the incremental scan
 // path: detector checkpoints and compressed chunk storage must be
 // byte-identical to the cold, raw-storage path even as series grow
-// between scans, and the opt-in STL seasonal extension must track a full
-// redecomposition closely. Run under -race they also prove the scratch
-// and cache sharing discipline.
+// between scans, at any checkpoint-cache size. Run under -race they also
+// prove the scratch and cache sharing discipline.
 
 // seedIncrementalDB appends the first `points` steps of a deterministic
 // 40-metric workload (some seasonal, one with a step regression) to db.
@@ -115,26 +112,26 @@ func compareScanResults(t *testing.T, got, want []*ScanResult, label string) {
 	}
 }
 
+// incrementalPipeline builds a pipeline with the given checkpoint-cache
+// size (0 = default, -1 = disabled) over a freshly seeded chunked store.
+func incrementalPipeline(t *testing.T, checkpointCacheSize int) (*Pipeline, *tsdb.DB) {
+	t.Helper()
+	cfg := incrementalConfig()
+	cfg.CheckpointCacheSize = checkpointCacheSize
+	db := tsdb.New(time.Minute)
+	seedIncrementalDB(db, 540)
+	p, err := NewPipeline(cfg, db, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, db
+}
+
 // TestIncrementalVsFullByteIdentical: checkpoints on vs fully disabled,
 // same chunked store contents, appends interleaved between scans.
 func TestIncrementalVsFullByteIdentical(t *testing.T) {
-	coldCfg := incrementalConfig()
-	coldCfg.CheckpointCacheSize = -1
-	coldCfg.STLCacheSize = -1
-	dbCold := tsdb.New(time.Minute)
-	seedIncrementalDB(dbCold, 540)
-	pCold, err := NewPipeline(coldCfg, dbCold, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	warmCfg := incrementalConfig() // default caches on
-	dbWarm := tsdb.New(time.Minute)
-	seedIncrementalDB(dbWarm, 540)
-	pWarm, err := NewPipeline(warmCfg, dbWarm, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pCold, dbCold := incrementalPipeline(t, -1)
+	pWarm, dbWarm := incrementalPipeline(t, 0)
 
 	cold := scanSequence(t, pCold, dbCold, "cold")
 	warm := scanSequence(t, pWarm, dbWarm, "warm")
@@ -151,6 +148,65 @@ func TestIncrementalVsFullByteIdentical(t *testing.T) {
 	}
 	if len(cold[0].Reported) == 0 {
 		t.Error("no regression reported; equivalence is vacuous")
+	}
+}
+
+// TestCheckpointEvictionByteIdentical: a checkpoint cache far smaller
+// than the metric count (8 entries, 40 metrics) evicts on almost every
+// put. A thrashing LRU must cost time, never correctness: results stay
+// byte-identical to the checkpoint-free path, the cache stays within its
+// bound, and the repeat scans miss instead of being served stale entries.
+func TestCheckpointEvictionByteIdentical(t *testing.T) {
+	const size = 8
+	pCold, dbCold := incrementalPipeline(t, -1)
+	pTiny, dbTiny := incrementalPipeline(t, size)
+
+	cold := scanSequence(t, pCold, dbCold, "cold")
+	tiny := scanSequence(t, pTiny, dbTiny, "tiny")
+	compareScanResults(t, tiny, cold, "evicting vs full")
+
+	hits, misses, entries := pTiny.CheckpointStats()
+	if entries > size {
+		t.Errorf("checkpoint cache holds %d entries, bound is %d", entries, size)
+	}
+	if hits+misses != 160 {
+		t.Errorf("checkpoint lookups = %d, want 160 (4 scans x 40 metrics)", hits+misses)
+	}
+	// A scan looks each metric up once, so only the <= 8 entries alive
+	// when a repeat scan starts can hit: the two repeat scans (1 and 2)
+	// must record at least 2*(40-8) misses on top of the 80 that scans 0
+	// and 3 always take.
+	if hits > 2*size {
+		t.Errorf("checkpoint hits/misses = %d/%d with %d entries: eviction is not happening", hits, misses, size)
+	}
+	if len(cold[0].Reported) == 0 {
+		t.Error("no regression reported; equivalence is vacuous")
+	}
+
+	// Same-order scans through a thrashing LRU evict every survivor before
+	// looking it up, so probe the survivors directly: each answers for the
+	// window it was computed from (the last scan's) and for no other.
+	last := t0.Add(600 * time.Minute)
+	from := last.Add(-pTiny.cfg.Windows.Total())
+	resident := 0
+	for _, id := range dbTiny.Metrics("inc") {
+		start, n, st, err := dbTiny.ViewBounds(id, from, last)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := pTiny.checkpoints.get(id, st.Epoch, start.UnixNano(), n); !ok {
+			continue
+		}
+		resident++
+		if _, ok := pTiny.checkpoints.get(id, st.Epoch, start.Add(-time.Minute).UnixNano(), n); ok {
+			t.Errorf("%s: checkpoint served for a window it was not computed from", id)
+		}
+		if _, ok := pTiny.checkpoints.get(id, st.Epoch+1, start.UnixNano(), n); ok {
+			t.Errorf("%s: checkpoint served across an epoch change", id)
+		}
+	}
+	if resident != entries {
+		t.Errorf("%d metrics answer for the last window, cache holds %d entries", resident, entries)
 	}
 }
 
@@ -176,121 +232,4 @@ func TestCompressedVsRawByteIdentical(t *testing.T) {
 	chunked := scanSequence(t, pChunked, dbChunked, "chunked")
 	raw := scanSequence(t, pRaw, dbRaw, "raw")
 	compareScanResults(t, chunked, raw, "compressed vs raw")
-}
-
-// TestSTLExtendTracksFullDecomposition unit-tests the seasonal extension
-// against a full redecomposition of the slid window.
-func TestSTLExtendTracksFullDecomposition(t *testing.T) {
-	const n, period, k = 480, 120, 10
-	rng := rand.New(rand.NewSource(41))
-	// Both windows slice the same underlying sequence so they share their
-	// overlap exactly, as slid windows over one stored series do.
-	seq := make([]float64, n+k)
-	for i := range seq {
-		seq[i] = 10 + 2*math.Sin(2*math.Pi*float64(i)/period) + rng.NormFloat64()*0.05
-	}
-	base := timeseries.New(t0, time.Minute, seq)
-	fullA := base.SliceIndex(0, n)
-	fullB := base.SliceIndex(k, n+k)
-
-	// Anchor at the true period (detection may lock onto a neighboring
-	// lag on noisy data; that wobble is a property of the detector, not
-	// of the extension under test here).
-	ad, err := stl.Decompose(fullA.Values, period, stl.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	anchorRes := &stlResult{
-		period: period, seasonal: true,
-		decomp: ad, des: ad.Deseasonalized(), resSD: stats.StdDev(ad.Residual),
-	}
-	a := stlAnchor{epoch: 1, start: fullA.Start.UnixNano(), n: n, res: anchorRes}
-
-	ext := extendSTL(a, 1, fullB)
-	if ext == nil {
-		t.Fatalf("extension refused a valid slide (anchor period=%d, start delta=%v, step=%v)",
-			anchorRes.period, fullB.Start.Sub(fullA.Start), fullB.Step)
-	}
-	if ext.period != anchorRes.period {
-		t.Fatalf("extension changed the period: %d != %d", ext.period, anchorRes.period)
-	}
-	// Reference: a full decomposition of the slid window pinned to the
-	// anchor's period. (An unpinned redecomposition may detect a
-	// neighboring lag — that drift is re-anchored away within one period
-	// and is not what the extension itself introduces.)
-	refDecomp, err := stl.Decompose(fullB.Values, ext.period, stl.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refDes := refDecomp.Deseasonalized()
-	// The extension must track the full redecomposition tightly over the
-	// interior. At the window edges STL's Loess smoothing lets the
-	// seasonal drift off strict periodicity (a property of STL itself,
-	// visible within a single decomposition), so the boundary bound is a
-	// loose sanity check rather than a tracking guarantee.
-	var maxInterior, maxEdge float64
-	for i := 0; i < n; i++ {
-		d := math.Abs(ext.decomp.Seasonal[i] - refDecomp.Seasonal[i])
-		if dd := math.Abs(ext.des[i] - refDes[i]); dd > d {
-			d = dd
-		}
-		if i >= period && i < n-period {
-			if d > maxInterior {
-				maxInterior = d
-			}
-		} else if d > maxEdge {
-			maxEdge = d
-		}
-	}
-	if maxInterior > 0.15 { // amplitude is 2.0: within 7.5%
-		t.Errorf("interior divergence %.4f exceeds tolerance", maxInterior)
-	}
-	if maxEdge > 1.0 { // half the amplitude
-		t.Errorf("edge divergence %.4f exceeds tolerance", maxEdge)
-	}
-	refSD := stats.StdDev(refDecomp.Residual)
-	if math.Abs(ext.resSD-refSD) > 0.05 {
-		t.Errorf("residual sd %.4f vs %.4f", ext.resSD, refSD)
-	}
-
-	// Refusals: wrong epoch, excessive slide, mismatched length.
-	if extendSTL(a, 2, fullB) != nil {
-		t.Error("extension accepted a different epoch")
-	}
-	far := base.SliceIndex(k, n+k)
-	farShift := timeseries.New(fullA.Start.Add(time.Duration(period+1)*time.Minute), time.Minute, far.Values)
-	if extendSTL(a, 1, farShift) != nil {
-		t.Error("extension accepted a slide past one period")
-	}
-	short := base.SliceIndex(k, n+k-1)
-	if extendSTL(a, 1, short) != nil {
-		t.Error("extension accepted a length mismatch")
-	}
-}
-
-// TestSTLExtendPipelineDeterministic: the opt-in extension path must be
-// deterministic and still detect a clear regression.
-func TestSTLExtendPipelineDeterministic(t *testing.T) {
-	run := func() []*ScanResult {
-		cfg := incrementalConfig()
-		cfg.STLExtend = true
-		db := tsdb.New(time.Minute)
-		seedIncrementalDB(db, 540)
-		p, err := NewPipeline(cfg, db, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return scanSequence(t, p, db, "stl-extend")
-	}
-	a, b := run(), run()
-	compareScanResults(t, b, a, "stl-extend determinism")
-	found := false
-	for _, r := range a {
-		if len(r.Reported) > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("extension-enabled pipeline reported nothing")
-	}
 }

@@ -29,8 +29,8 @@ const longTermMinPoints = 16
 // normal-loss dynamic-programming split). The long-term path has no
 // went-away stage.
 //
-// The pipeline's scan path reaches the same result through its versioned
-// decomposition cache (see stlcache.go); this entry point recomputes the
+// The pipeline's scan path reaches the same result from the decomposition
+// it shares with the seasonality detector; this entry point recomputes the
 // decomposition and exists for standalone use.
 func DetectLongTerm(cfg Config, metric tsdb.MetricID, ws timeseries.Windows, scanTime time.Time) *Regression {
 	full := ws.Full()

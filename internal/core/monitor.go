@@ -87,7 +87,7 @@ func (m *Monitor) ScanOnce(scanTime time.Time) error {
 	p := m.pipeline
 
 	// Phase 1: parallel detection. Detects touch only concurrency-safe
-	// pipeline state (the store, the decomposition cache, obs counters).
+	// pipeline state (the store, the checkpoint cache, obs counters).
 	type detectOut struct {
 		d   *serviceDetect
 		err error

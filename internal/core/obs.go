@@ -37,13 +37,16 @@ const (
 	MetricStageOut       = "fbdetect_stage_out_total"
 	MetricPipelineScans  = "fbdetect_pipeline_scans_total"
 	MetricMetricsScanned = "fbdetect_pipeline_metrics_scanned_total"
-	MetricSTLCacheHits   = "fbdetect_stl_cache_hits_total"
-	MetricSTLCacheMisses = "fbdetect_stl_cache_misses_total"
-	MetricSTLExtended    = "fbdetect_stl_extended_total"
 	MetricViewPoints     = "fbdetect_tsdb_view_points_total"
 	MetricCheckpointHits = "fbdetect_checkpoint_hits_total"
 	MetricCheckpointMiss = "fbdetect_checkpoint_misses_total"
 	MetricPopShifts      = "fbdetect_popshift_verdicts_total"
+)
+
+// Unregistered; bench/run.go's core.stl_cache_hit_share row reads them (as 0) until the next benchmark PR drops both.
+const (
+	MetricSTLCacheHits   = "fbdetect_stl_cache_hits_total"
+	MetricSTLCacheMisses = "fbdetect_stl_cache_misses_total"
 )
 
 // pipelineObs holds the pre-created metric handles for the pipeline hot
@@ -57,9 +60,6 @@ type pipelineObs struct {
 	scans    *obs.Counter
 	scanned  *obs.Counter
 
-	stlHits    *obs.Counter
-	stlMisses  *obs.Counter
-	stlExtends *obs.Counter
 	viewPoints *obs.Counter
 	cpHits     *obs.Counter
 	cpMisses   *obs.Counter
@@ -76,12 +76,6 @@ func newPipelineObs(reg *obs.Registry, tracer *obs.Tracer) *pipelineObs {
 			"Pipeline scans performed.", nil),
 		scanned: reg.NewCounter(MetricMetricsScanned,
 			"Time series examined by the per-metric detection fan-out.", nil),
-		stlHits: reg.NewCounter(MetricSTLCacheHits,
-			"Versioned decomposition cache hits (STL work skipped).", nil),
-		stlMisses: reg.NewCounter(MetricSTLCacheMisses,
-			"Versioned decomposition cache misses (STL work performed).", nil),
-		stlExtends: reg.NewCounter(MetricSTLExtended,
-			"Decompositions served by incremental seasonal extension instead of a full STL pass.", nil),
 		viewPoints: reg.NewCounter(MetricViewPoints,
 			"Data points decoded from tsdb views during scans (checkpoint hits decode nothing).", nil),
 		cpHits: reg.NewCounter(MetricCheckpointHits,
@@ -114,18 +108,6 @@ func (po *pipelineObs) timed(stage string) func() {
 	return func() { po.stageDur[stage].Observe(time.Since(start).Seconds()) }
 }
 
-// stlCacheLookup counts one decomposition-cache lookup. Nil-safe.
-func (po *pipelineObs) stlCacheLookup(hit bool) {
-	if po == nil {
-		return
-	}
-	if hit {
-		po.stlHits.Inc()
-	} else {
-		po.stlMisses.Inc()
-	}
-}
-
 // checkpointLookup counts one detector-checkpoint lookup. Nil-safe.
 func (po *pipelineObs) checkpointLookup(hit bool) {
 	if po == nil {
@@ -145,15 +127,6 @@ func (po *pipelineObs) popShiftSuppressed(n int) {
 		return
 	}
 	po.popShifts.Add(float64(n))
-}
-
-// stlExtended counts one decomposition served by seasonal extension.
-// Nil-safe.
-func (po *pipelineObs) stlExtended() {
-	if po == nil {
-		return
-	}
-	po.stlExtends.Inc()
 }
 
 // viewServed counts the points of one decoded series view. Nil-safe.

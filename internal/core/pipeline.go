@@ -90,8 +90,6 @@ type Pipeline struct {
 	merger      *SameRegressionMerger
 	pairwise    *PairwiseDeduper
 	planned     *PlannedChangeRegistry
-	stlCache    *stlCache        // epoch-keyed decomposition cache; nil = disabled
-	stlAnchors  *stlAnchors      // seasonal-extension anchors; nil unless STLExtend
 	checkpoints *checkpointCache // per-series detector checkpoints; nil = disabled
 	obs         *pipelineObs     // nil until Instrument; nil-safe hooks
 }
@@ -106,14 +104,6 @@ func NewPipeline(cfg Config, db *tsdb.DB, log *changelog.Log, samples SampleProv
 	if db == nil {
 		return nil, fmt.Errorf("core: nil tsdb")
 	}
-	cacheSize := cfg.STLCacheSize
-	if cacheSize == 0 {
-		cacheSize = defaultSTLCacheSize
-	}
-	var cache *stlCache
-	if cacheSize > 0 {
-		cache = newSTLCache(cacheSize)
-	}
 	cpSize := cfg.CheckpointCacheSize
 	if cpSize == 0 {
 		cpSize = defaultCheckpointCacheSize
@@ -121,10 +111,6 @@ func NewPipeline(cfg Config, db *tsdb.DB, log *changelog.Log, samples SampleProv
 	var checkpoints *checkpointCache
 	if cpSize > 0 {
 		checkpoints = newCheckpointCache(cpSize)
-	}
-	var anchors *stlAnchors
-	if cfg.STLExtend {
-		anchors = newSTLAnchors()
 	}
 	return &Pipeline{
 		cfg:         cfg,
@@ -134,8 +120,6 @@ func NewPipeline(cfg Config, db *tsdb.DB, log *changelog.Log, samples SampleProv
 		domains:     DefaultDomainDetectors(),
 		merger:      NewSameRegressionMerger(cfg.Dedup.SameRegressionWindow),
 		pairwise:    NewPairwiseDeduper(cfg.Dedup, nil),
-		stlCache:    cache,
-		stlAnchors:  anchors,
 		checkpoints: checkpoints,
 	}, nil
 }
@@ -169,8 +153,7 @@ type metricScan struct {
 // path for unchanged series. On a miss the window decodes into the
 // caller's reusable scratch buffer, the detection stages run, and the
 // outcome is checkpointed. The expensive decomposition work both
-// detection paths share is computed at most once, through the
-// epoch-keyed cache.
+// detection paths share is computed at most once per scan.
 func (p *Pipeline) scanMetric(metric tsdb.MetricID, from, scanTime time.Time, sc *tsdb.Scratch) metricScan {
 	var m metricScan
 	wstart, wn, stamp, err := p.db.ViewBounds(metric, from, scanTime)
@@ -196,7 +179,7 @@ func (p *Pipeline) scanMetric(metric tsdb.MetricID, from, scanTime time.Time, sc
 	var stlRes *stlResult
 	stlFor := func() *stlResult {
 		if stlRes == nil {
-			stlRes = p.stlFor(metric, stamp2.Epoch, ws.Full())
+			stlRes = computeSTL(p.cfg.Seasonality, ws.Full(), p.cfg.LongTerm)
 		}
 		return stlRes
 	}
@@ -295,7 +278,7 @@ func (d *serviceDetect) discard() {
 }
 
 // detectService runs stages 1-3 plus the long-term path for every metric
-// of the service. It reads the store and the decomposition cache (both
+// of the service. It reads the store and the checkpoint cache (both
 // concurrency-safe) and touches none of the pipeline's cross-scan
 // deduplication state, so detects for different services may run
 // concurrently.

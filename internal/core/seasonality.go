@@ -2,7 +2,66 @@ package core
 
 import (
 	"fbdetect/internal/stats"
+	"fbdetect/internal/stl"
+	"fbdetect/internal/timeseries"
 )
+
+// The seasonality and long-term detectors both start from the same
+// expensive computation: detect a seasonal period over the full window and,
+// if seasonal, run an STL decomposition (O(n·span) Loess passes). scanMetric
+// computes it at most once per metric per scan and hands the result to both;
+// across scans the detector checkpoint (checkpoint.go) is the only memo.
+
+// stlResult carries everything the two detectors derive from one full
+// window's decomposition. It is immutable after construction; the slices
+// are shared and must be treated as read-only.
+type stlResult struct {
+	// Period detection (always set).
+	period   int
+	seasonal bool
+	// Decomposition, set when the series is seasonal with enough data and
+	// STL succeeded.
+	decomp *stl.Decomposition
+	des    []float64 // decomp.Deseasonalized(), computed once
+	resSD  float64   // stats.StdDev(decomp.Residual)
+	// Long-term fallback trend (wide Loess), set at construction when the
+	// pipeline runs the long-term path and no decomposition trend exists.
+	loessTrend []float64
+}
+
+// trend returns the series trend: the STL trend when decomposed, otherwise
+// the Loess fallback (nil when neither was computed).
+func (r *stlResult) trend() []float64 {
+	if r.decomp != nil {
+		return r.decomp.Trend
+	}
+	return r.loessTrend
+}
+
+// computeSTL runs the shared decomposition work for one full window:
+// period detection, STL decomposition when seasonal, and — when needTrend
+// is set (the pipeline's long-term path is enabled) and no decomposition
+// trend exists — the wide-Loess fallback trend.
+func computeSTL(scfg SeasonalityConfig, full *timeseries.Series, needTrend bool) *stlResult {
+	n := full.Len()
+	res := &stlResult{}
+	res.period, res.seasonal = stl.DetectPeriod(full.Values, scfg.MinPeriod, scfg.MaxPeriod, scfg.Strength)
+	if res.seasonal && n >= 2*res.period {
+		if d, err := stl.Decompose(full.Values, res.period, stl.Options{}); err == nil {
+			res.decomp = d
+			res.des = d.Deseasonalized()
+			res.resSD = stats.StdDev(d.Residual)
+		}
+	}
+	if needTrend && res.decomp == nil && n >= longTermMinPoints {
+		span := n / 8
+		if span < 5 {
+			span = 5
+		}
+		res.loessTrend = stl.Loess(full.Values, span)
+	}
+	return res
+}
 
 // SeasonalityVerdict explains the seasonality detector's decision.
 type SeasonalityVerdict struct {
@@ -23,8 +82,8 @@ type SeasonalityVerdict struct {
 // (z-score above threshold) in both the analysis and extended windows.
 // Non-seasonal series keep their regressions.
 //
-// The pipeline's scan path reaches the same verdict through its versioned
-// decomposition cache (see stlcache.go); this entry point recomputes the
+// The pipeline's scan path reaches the same verdict from the decomposition
+// it shares with the long-term detector; this entry point recomputes the
 // decomposition and exists for standalone use.
 func CheckSeasonality(cfg SeasonalityConfig, r *Regression) SeasonalityVerdict {
 	cfg = cfg.withDefaults()

@@ -55,13 +55,6 @@ func (o Options) withDefaults(period int) Options {
 	return o
 }
 
-// TrendSpanFor returns the trend Loess span these options resolve to for
-// the given period — exposed so callers refitting a trend outside a full
-// decomposition (incremental seasonal extension) match Decompose's span.
-func (o Options) TrendSpanFor(period int) int {
-	return o.withDefaults(period).TrendSpan
-}
-
 // Decompose performs an STL-style additive decomposition of ys with the
 // given seasonal period. It requires at least two full periods of data.
 func Decompose(ys []float64, period int, opts Options) (*Decomposition, error) {

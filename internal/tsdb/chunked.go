@@ -16,7 +16,7 @@ import (
 const DefaultChunkSize = 120
 
 // RawChunks disables chunk compression when passed as Options.ChunkSize:
-// series stay as raw float64 arrays and QueryView is zero-copy, matching
+// series stay as raw float64 arrays and views are zero-copy, matching
 // the pre-compression store. Equivalence tests and memory-insensitive
 // callers use it as the control.
 const RawChunks = -1
@@ -224,9 +224,6 @@ type Scratch struct {
 
 // ViewStamp pins the identity of a series snapshot.
 type ViewStamp struct {
-	// Version increases on every mutation (append, prune, restore); an
-	// unchanged version guarantees unchanged content.
-	Version uint64
 	// Epoch is a process-unique content-stability token: it survives
 	// appends — stored values are never rewritten in place, so any window
 	// [start, start+n) observed under an epoch has identical content
@@ -240,9 +237,13 @@ type ViewStamp struct {
 // QueryViewStamped returns the metric's series restricted to [from, to)
 // along with its ViewStamp. In chunked mode the window decodes into sc's
 // reusable buffer (allocating only on first use or growth); the returned
-// series is valid until sc's next use. In raw mode the view is zero-copy
-// as QueryView documents and sc is untouched. A nil sc uses a throwaway
-// buffer.
+// series is valid until sc's next use; a nil sc decodes into a fresh
+// allocation. In raw mode (Options.ChunkSize == RawChunks) sc is untouched
+// and the view is zero-copy, sharing the store's backing array; it is a
+// stable snapshot because concurrent Appends only write past its end (or
+// into a freshly grown array) and Prune replaces the backing array rather
+// than truncating it in place. Callers must treat the view's Values as
+// read-only.
 func (db *DB) QueryViewStamped(id MetricID, from, to time.Time, sc *Scratch) (*timeseries.Series, ViewStamp, error) {
 	sh := db.shardFor(id)
 	sh.mu.RLock()
@@ -251,7 +252,7 @@ func (db *DB) QueryViewStamped(id MetricID, from, to time.Time, sc *Scratch) (*t
 	if !ok {
 		return nil, ViewStamp{}, fmt.Errorf("tsdb: unknown metric %q", id)
 	}
-	st := ViewStamp{Version: e.version, Epoch: e.epoch}
+	st := ViewStamp{Epoch: e.epoch}
 	c := e.data
 	i, j := c.indexOf(from), c.indexOf(to)
 	if j < i {
@@ -289,7 +290,7 @@ func (db *DB) ViewBounds(id MetricID, from, to time.Time) (start time.Time, n in
 	if j < i {
 		j = i
 	}
-	return c.timeAt(i), j - i, ViewStamp{Version: e.version, Epoch: e.epoch}, nil
+	return c.timeAt(i), j - i, ViewStamp{Epoch: e.epoch}, nil
 }
 
 // StorageStats aggregates the store's in-memory footprint.

@@ -71,12 +71,8 @@ func TestAppendBatchIdempotent(t *testing.T) {
 	if n, _ := db.AppendBatch(pts); n != 3 {
 		t.Fatalf("first apply appended %d", n)
 	}
-	ver := db.Version(ID("svc", "a", "gcpu"))
 	if n, _ := db.AppendBatch(pts); n != 0 {
 		t.Fatalf("re-apply appended %d, want 0", n)
-	}
-	if got := db.Version(ID("svc", "a", "gcpu")); got != ver {
-		t.Errorf("re-apply bumped version %d -> %d", ver, got)
 	}
 	// A batch mixing stale and fresh points applies only the fresh ones.
 	mixed := append(pts, Point{ID("svc", "a", "gcpu"), t0.Add(2 * time.Minute), 4})
@@ -104,8 +100,16 @@ func TestRestoreInstallsSeries(t *testing.T) {
 	if got.Len() != 3 || got.Values[2] != 3 {
 		t.Errorf("restored series = %v", got.Values)
 	}
-	if v := db.Version(id); v != 1 {
-		t.Errorf("restored version = %d, want 1", v)
+	epoch := func() uint64 {
+		_, _, st, err := db.ViewBounds(id, t0, t0.Add(time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Epoch
+	}
+	restored := epoch()
+	if restored == 0 {
+		t.Error("restored epoch = 0")
 	}
 	if ms := db.Metrics("svc"); len(ms) != 1 || ms[0] != id {
 		t.Errorf("Metrics after restore = %v", ms)
@@ -114,8 +118,8 @@ func TestRestoreInstallsSeries(t *testing.T) {
 	if err := db.Append(id, t0.Add(3*time.Minute), 4); err != nil {
 		t.Fatal(err)
 	}
-	if db.Version(id) != 2 {
-		t.Errorf("version after append = %d", db.Version(id))
+	if got := epoch(); got != restored {
+		t.Errorf("append changed epoch %d -> %d", restored, got)
 	}
 }
 

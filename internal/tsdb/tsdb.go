@@ -8,10 +8,9 @@
 // name, e.g. "frontfaas/feed_render/gcpu" (paper §5.5.1).
 //
 // The store is optimized for the pipeline's hot path: every series carries
-// a monotonic version counter (bumped on each mutation) and an epoch (a
-// content-stability token that survives appends) so callers can cache
-// derived results keyed by (metric, version) or (metric, epoch, window),
-// a per-service index makes Metrics(service) proportional to that
+// an epoch (a content-stability token that survives appends) so callers
+// can cache derived results keyed by (metric, epoch, window), a
+// per-service index makes Metrics(service) proportional to that
 // service's metric count, and QueryViewStamped serves windows into
 // caller-reused scratch buffers.
 //
@@ -106,17 +105,12 @@ type Point struct {
 	V  float64
 }
 
-// entry pairs a stored series with two identity counters. version is the
-// monotonic mutation counter, bumped on every mutation (append, prune) —
-// a (metric, version) pair pins the exact series content, which is what
-// makes version-keyed caches of derived results (STL decompositions,
-// smoothed trends) sound. epoch is the coarser content-stability token
+// entry pairs a stored series with its epoch, the content-stability token
 // ViewStamp documents: fresh on creation, Restore, and Prune, unchanged
 // by appends.
 type entry struct {
-	data    *cseries
-	version uint64
-	epoch   uint64
+	data  *cseries
+	epoch uint64
 }
 
 // shard is one lock stripe: a private map of series plus the per-service
@@ -260,7 +254,6 @@ func (sh *shard) appendLocked(step time.Duration, chunkSize int, id MetricID, t 
 		c.appendRepeat(last, slot-c.len())
 		c.append(v)
 	}
-	e.version++
 	return true, nil
 }
 
@@ -352,8 +345,7 @@ var bucketPool = sync.Pool{New: func() any { return &bucketScratch{} }}
 
 // Restore installs a series wholesale under the given ID, replacing any
 // existing series — the bulk-load path snapshot recovery uses instead of
-// replaying one Append per point. The restored series starts at version 1
-// (a fresh process has no caches to invalidate).
+// replaying one Append per point. The restored series gets a fresh epoch.
 func (db *DB) Restore(id MetricID, s *timeseries.Series) {
 	sh := db.shardFor(id)
 	sh.mu.Lock()
@@ -363,7 +355,7 @@ func (db *DB) Restore(id MetricID, s *timeseries.Series) {
 	}
 	c := newCSeries(s.Start, s.Step, db.chunkSize)
 	c.bulkAppend(s.Values)
-	sh.series[id] = &entry{data: c, version: 1, epoch: nextEpoch()}
+	sh.series[id] = &entry{data: c, epoch: nextEpoch()}
 }
 
 // Query returns a copy of the metric's series restricted to [from, to), or
@@ -387,33 +379,6 @@ func (db *DB) Query(id MetricID, from, to time.Time) (*timeseries.Series, error)
 		return nil, err
 	}
 	return timeseries.New(c.timeAt(i), c.step, vals), nil
-}
-
-// QueryView returns the metric's series restricted to [from, to) plus the
-// series version at snapshot time. In raw mode (Options.ChunkSize ==
-// RawChunks) the view is zero-copy, sharing the store's backing array;
-// the view is a stable snapshot because concurrent Appends only write
-// past its end (or into a freshly grown array) and Prune replaces the
-// backing array rather than truncating it in place. Callers must treat
-// the view's Values as read-only. In chunked mode (the default) the
-// window decodes into a fresh allocation; hot paths should prefer
-// QueryViewStamped with a reused Scratch.
-func (db *DB) QueryView(id MetricID, from, to time.Time) (*timeseries.Series, uint64, error) {
-	s, st, err := db.QueryViewStamped(id, from, to, nil)
-	return s, st.Version, err
-}
-
-// Version returns the metric's current version counter (0 for unknown
-// metrics). The version increases on every mutation of the series, so an
-// unchanged version guarantees unchanged content.
-func (db *DB) Version(id MetricID) uint64 {
-	sh := db.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if e, ok := sh.series[id]; ok {
-		return e.version
-	}
-	return 0
 }
 
 // Full returns a copy of the metric's complete series.
@@ -495,10 +460,10 @@ func (db *DB) Drop(id MetricID) {
 // Prune discards points older than the retention horizon for every series,
 // bounding memory for long simulations. Pruned series are rebuilt into
 // fresh chunks and backing arrays (never truncated in place), so
-// outstanding QueryView snapshots stay valid; their versions and epochs
-// advance so caches keyed on (metric, version) or (metric, epoch)
-// invalidate. Pruning is exact even mid-chunk: overlapping sealed chunks
-// are decoded and the surviving points re-sealed.
+// outstanding raw-mode views stay valid; their epochs advance so caches
+// keyed on (metric, epoch, window) invalidate. Pruning is exact even
+// mid-chunk: overlapping sealed chunks are decoded and the surviving
+// points re-sealed.
 func (db *DB) Prune(before time.Time) {
 	var tmp []float64
 	for _, sh := range db.shards {
@@ -519,7 +484,6 @@ func (db *DB) Prune(before time.Time) {
 			nc := newCSeries(c.timeAt(k), c.step, c.chunkSize)
 			nc.bulkAppend(vals)
 			e.data = nc
-			e.version++
 			e.epoch = nextEpoch()
 		}
 		sh.mu.Unlock()

@@ -183,25 +183,6 @@ func TestIDWithSlashedEntity(t *testing.T) {
 	}
 }
 
-func TestVersionCounter(t *testing.T) {
-	db := New(time.Minute)
-	id := ID("svc", "sub", "gcpu")
-	if v := db.Version(id); v != 0 {
-		t.Errorf("unknown metric version = %d", v)
-	}
-	db.Append(id, t0, 1)
-	v1 := db.Version(id)
-	db.Append(id, t0.Add(time.Minute), 2)
-	v2 := db.Version(id)
-	if v2 <= v1 {
-		t.Errorf("version did not advance on append: %d -> %d", v1, v2)
-	}
-	db.Prune(t0.Add(time.Minute))
-	if v3 := db.Version(id); v3 <= v2 {
-		t.Errorf("version did not advance on prune: %d -> %d", v2, v3)
-	}
-}
-
 func TestQueryViewMatchesQuery(t *testing.T) {
 	db := New(time.Minute)
 	id := ID("svc", "sub", "gcpu")
@@ -213,12 +194,12 @@ func TestQueryViewMatchesQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, ver, err := db.QueryView(id, from, to)
+	view, st, err := db.QueryViewStamped(id, from, to, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ver == 0 {
-		t.Error("view version = 0 for known metric")
+	if st.Epoch == 0 {
+		t.Error("view epoch = 0 for known metric")
 	}
 	if view.Len() != copied.Len() || !view.Start.Equal(copied.Start) {
 		t.Fatalf("view len=%d start=%v, query len=%d start=%v",
@@ -235,12 +216,12 @@ func TestQueryViewMatchesQuery(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		raw.Append(id, t0.Add(time.Duration(i)*time.Minute), float64(i))
 	}
-	rview, _, err := raw.QueryView(id, from, to)
+	rview, _, err := raw.QueryViewStamped(id, from, to, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &rview.Values[0] != &raw.shardFor(id).series[id].data.head[3] {
-		t.Error("raw-mode QueryView copied instead of sharing the backing array")
+		t.Error("raw-mode view copied instead of sharing the backing array")
 	}
 }
 
@@ -250,7 +231,7 @@ func TestQueryViewStableUnderAppendAndPrune(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		db.Append(id, t0.Add(time.Duration(i)*time.Minute), float64(i))
 	}
-	view, _, err := db.QueryView(id, t0, t0.Add(8*time.Minute))
+	view, _, err := db.QueryViewStamped(id, t0, t0.Add(8*time.Minute), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +292,7 @@ func TestConcurrentAppendAndView(t *testing.T) {
 		}(ids[g])
 		go func(id MetricID) {
 			for i := 0; i < 200; i++ {
-				view, _, err := db.QueryView(id, t0, t0.Add(500*time.Minute))
+				view, _, err := db.QueryViewStamped(id, t0, t0.Add(500*time.Minute), nil)
 				if err != nil {
 					t.Error(err)
 					break
