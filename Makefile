@@ -4,7 +4,7 @@ FUZZTIME ?= 10s
 # Packages that define Fuzz* targets (go can only fuzz one package at a time).
 FUZZ_PKGS = . ./internal/stacktrace ./internal/wal ./internal/pprofparse ./internal/evalharness/replay ./internal/timeseries ./internal/popshift ./internal/controlplane
 
-.PHONY: build test vet race lint fuzz-smoke bench-obs bench bench-gate bench-baseline eval eval-gate eval-baseline eval-replay eval-replay-baseline crashtest server-smoke profdiff-demo check
+.PHONY: build test vet race lint fuzz-smoke bench-obs bench bench-gate bench-baseline bench-e2e-test bench-e2e eval eval-gate eval-baseline eval-replay eval-replay-baseline crashtest server-smoke profdiff-demo check
 
 build:
 	$(GO) build ./...
@@ -63,11 +63,19 @@ BENCH_GATE = BenchmarkPipeline$$|BenchmarkScanThroughput$$|BenchmarkScanThroughp
 BENCH_TSDB = BenchmarkAppendParallel$$|BenchmarkAppendParallelSingleLock$$|BenchmarkAppendBatch$$|BenchmarkChunkAppend$$|BenchmarkChunkIterate$$
 BENCH_PPROF = BenchmarkPprofParse$$
 BENCH_EDIV = BenchmarkEDivisive$$|BenchmarkEDivisiveStreamAppend$$
+# The went-away decision per candidate shape and the two statistics a
+# sliding sweep leans on. Each package in BENCH_CORE_PKGS gets the whole
+# pattern and runs what it defines; these run for the default second
+# each, not -benchtime 5x, because five iterations of a 3 us decision
+# measure the timer.
+BENCH_CORE = BenchmarkCheckWentAway$$|BenchmarkTheilSen240$$|BenchmarkDominantSeasonLag540$$
+BENCH_CORE_PKGS = ./internal/core/ ./internal/stats/
 bench-gate:
 	$(GO) test -run - -bench '$(BENCH_GATE)' -benchmem -benchtime 5x . | tee BENCH_current.txt
 	$(GO) test -run - -bench '$(BENCH_TSDB)' -benchmem -benchtime 5x ./internal/tsdb/ | tee -a BENCH_current.txt
 	$(GO) test -run - -bench '$(BENCH_PPROF)' -benchmem -benchtime 5x ./internal/pprofparse/ | tee -a BENCH_current.txt
 	$(GO) test -run - -bench '$(BENCH_EDIV)' -benchmem -benchtime 5x ./internal/edivisive/ | tee -a BENCH_current.txt
+	$(GO) test -run - -bench '$(BENCH_CORE)' -benchmem $(BENCH_CORE_PKGS) | tee -a BENCH_current.txt
 	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.txt -current BENCH_current.txt \
 		-speedup BenchmarkAppendParallelSingleLock:BenchmarkAppendParallel:2,BenchmarkScanThroughputNoCheckpoint:BenchmarkScanThroughput:5:any \
 		-bytes-per-point BenchmarkChunkAppend:2 $(BENCH_GATE_FLAGS)
@@ -79,12 +87,26 @@ bench-baseline:
 	$(GO) test -run - -bench '$(BENCH_TSDB)' -benchmem -benchtime 5x ./internal/tsdb/ | tee -a BENCH_baseline.txt
 	$(GO) test -run - -bench '$(BENCH_PPROF)' -benchmem -benchtime 5x ./internal/pprofparse/ | tee -a BENCH_baseline.txt
 	$(GO) test -run - -bench '$(BENCH_EDIV)' -benchmem -benchtime 5x ./internal/edivisive/ | tee -a BENCH_baseline.txt
+	$(GO) test -run - -bench '$(BENCH_CORE)' -benchmem $(BENCH_CORE_PKGS) | tee -a BENCH_baseline.txt
 
 # CI bench job: the overhead microbenchmark, the gated hot-path
 # benchmarks, plus the full evaluation report written to BENCH_report.json
 # for artifact upload.
 bench: bench-obs bench-gate
 	$(GO) run ./cmd/benchreport -skip-slow -overhead-ms 500 -json BENCH_report.json
+
+# The end-to-end benchmark (bench/README.md) is a module of its own, so
+# `build` and `test` above do not compile it. bench-e2e-test builds it
+# against this checkout and runs its tests (~10 s, no binaries spawned for
+# long): it is what notices a signature bench/ calls changing under it.
+# bench-e2e runs the benchmark itself, e.g.
+#   make bench-e2e BENCH_E2E_FLAGS="--workload live_slide --seed 7"
+BENCH_E2E_FLAGS ?=
+bench-e2e-test:
+	cd bench && $(GO) test .
+
+bench-e2e:
+	bash bench/run.sh $(BENCH_E2E_FLAGS)
 
 # Ground-truth accuracy harness (see internal/evalharness). `eval` writes
 # the full report; `eval-gate` additionally fails when precision, recall,
@@ -135,4 +157,4 @@ server-smoke:
 profdiff-demo:
 	bash scripts/profdiff_demo.sh
 
-check: build vet lint test race
+check: build vet lint test race bench-e2e-test

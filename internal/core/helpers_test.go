@@ -14,7 +14,7 @@ var t0 = time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)
 
 // buildWindows makes a Windows struct from three value slices at 1-minute
 // steps.
-func buildWindows(t *testing.T, hist, analysis, extended []float64) timeseries.Windows {
+func buildWindows(t testing.TB, hist, analysis, extended []float64) timeseries.Windows {
 	t.Helper()
 	all := make([]float64, 0, len(hist)+len(analysis)+len(extended))
 	all = append(all, hist...)
@@ -44,7 +44,7 @@ func noisy(rng *rand.Rand, n int, mu, sigma float64) []float64 {
 
 // regressionAt builds a Regression with the given windows and change
 // point, deriving means from the data.
-func regressionAt(t *testing.T, ws timeseries.Windows, cp int) *Regression {
+func regressionAt(t testing.TB, ws timeseries.Windows, cp int) *Regression {
 	t.Helper()
 	r := NewRegressionRecord(tsdb.ID("svc", "sub", "gcpu"))
 	r.Windows = ws

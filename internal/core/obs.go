@@ -41,6 +41,7 @@ const (
 	MetricCheckpointHits = "fbdetect_checkpoint_hits_total"
 	MetricCheckpointMiss = "fbdetect_checkpoint_misses_total"
 	MetricPopShifts      = "fbdetect_popshift_verdicts_total"
+	MetricWentAwayTerms  = "fbdetect_wentaway_terms_total"
 )
 
 // Unregistered; bench/run.go's core.stl_cache_hit_share row reads them (as 0) until the next benchmark PR drops both.
@@ -64,7 +65,24 @@ type pipelineObs struct {
 	cpHits     *obs.Counter
 	cpMisses   *obs.Counter
 	popShifts  *obs.Counter
+
+	// wentAway[term][outcome], indexed as wentAwayTermLabels and
+	// wentAwayOutcomeLabels are.
+	wentAway [len(wentAwayTermLabels)][len(wentAwayOutcomeLabels)]*obs.Counter
 }
+
+// Label values of fbdetect_wentaway_terms_total. Terms are in
+// WentAwayTerms bit order, outcomes in the order of the constants below.
+var (
+	wentAwayTermLabels    = [...]string{"new_pattern", "gone_away", "significant_regression", "lasting_trend"}
+	wentAwayOutcomeLabels = [...]string{"true", "false", "skipped"}
+)
+
+const (
+	outcomeTrue = iota
+	outcomeFalse
+	outcomeSkipped
+)
 
 func newPipelineObs(reg *obs.Registry, tracer *obs.Tracer) *pipelineObs {
 	po := &pipelineObs{
@@ -84,6 +102,13 @@ func newPipelineObs(reg *obs.Registry, tracer *obs.Tracer) *pipelineObs {
 			"Detector-checkpoint misses (per-metric detection performed).", nil),
 		popShifts: reg.NewCounter(MetricPopShifts,
 			"Candidates reclassified as population mix-shifts instead of regressions.", nil),
+	}
+	for t, term := range wentAwayTermLabels {
+		for o, outcome := range wentAwayOutcomeLabels {
+			po.wentAway[t][o] = reg.NewCounter(MetricWentAwayTerms,
+				"Went-away predicate terms by outcome, per candidate decided (checkpoint replays decide nothing); skipped terms were not computed because earlier terms had fixed the verdict.",
+				obs.Labels{"term": term, "outcome": outcome})
+		}
 	}
 	for _, st := range PipelineStages {
 		l := obs.Labels{"stage": st}
@@ -117,6 +142,24 @@ func (po *pipelineObs) checkpointLookup(hit bool) {
 		po.cpHits.Inc()
 	} else {
 		po.cpMisses.Inc()
+	}
+}
+
+// wentAwayDecided counts each term of one went-away verdict as true,
+// false or skipped. Nil-safe.
+func (po *pipelineObs) wentAwayDecided(v WentAwayVerdict) {
+	if po == nil {
+		return
+	}
+	for t, val := range [...]bool{v.NewPattern, v.GoneAway, v.SignificantRegression, v.LastingTrend} {
+		outcome := outcomeFalse
+		switch {
+		case v.Skipped&(1<<t) != 0:
+			outcome = outcomeSkipped
+		case val:
+			outcome = outcomeTrue
+		}
+		po.wentAway[t][outcome].Inc()
 	}
 }
 

@@ -132,6 +132,60 @@ func TestPipelineInstrumentationMatchesFunnel(t *testing.T) {
 	}
 }
 
+// TestWentAwayTermCounters: every went-away verdict lands in exactly one
+// outcome per term, the skips follow the evaluation order, and the kept
+// count can be read back from the counters.
+func TestWentAwayTermCounters(t *testing.T) {
+	reg := obs.NewRegistry()
+	p, end := instrumentedFixture(t, reg, nil)
+	res, err := p.Scan("websvc", end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := res.Funnel
+	if f.ChangePoints == 0 {
+		t.Fatalf("fixture lost its change points; funnel %+v", f)
+	}
+	count := func(term, outcome string) int {
+		return int(counterValue(reg, MetricWentAwayTerms, obs.Labels{"term": term, "outcome": outcome}))
+	}
+	for _, term := range wentAwayTermLabels {
+		if got := count(term, "true") + count(term, "false") + count(term, "skipped"); got != f.ChangePoints {
+			t.Errorf("%s outcomes sum to %d, want one per change point (%d)", term, got, f.ChangePoints)
+		}
+	}
+	if got := count("new_pattern", "skipped"); got != 0 {
+		t.Errorf("new_pattern skipped = %d; it is always evaluated", got)
+	}
+	if got, want := count("gone_away", "skipped"), count("new_pattern", "true"); got != want {
+		t.Errorf("gone_away skipped = %d, want new_pattern true = %d", got, want)
+	}
+	if got, want := count("significant_regression", "skipped"), count("new_pattern", "true")+count("gone_away", "true"); got != want {
+		t.Errorf("significant_regression skipped = %d, want %d", got, want)
+	}
+	if got, want := count("lasting_trend", "skipped"), count("significant_regression", "skipped")+count("significant_regression", "false"); got != want {
+		t.Errorf("lasting_trend skipped = %d, want %d", got, want)
+	}
+	if got := count("new_pattern", "true") + count("lasting_trend", "true"); got != f.AfterWentAway {
+		t.Errorf("new_pattern true + lasting_trend true = %d, want kept = %d", got, f.AfterWentAway)
+	}
+
+	// One hand-made verdict per outcome column.
+	reg = obs.NewRegistry()
+	po := newPipelineObs(reg, nil)
+	po.wentAwayDecided(WentAwayVerdict{GoneAway: true, Skipped: TermSignificantRegression | TermLastingTrend})
+	for term, want := range map[string]string{
+		"new_pattern": "false", "gone_away": "true", "significant_regression": "skipped", "lasting_trend": "skipped",
+	} {
+		for _, outcome := range wentAwayOutcomeLabels {
+			got := counterValue(reg, MetricWentAwayTerms, obs.Labels{"term": term, "outcome": outcome})
+			if (outcome == want) != (got == 1) {
+				t.Errorf("%s/%s = %v, want the verdict counted under %s only", term, outcome, got, want)
+			}
+		}
+	}
+}
+
 func TestMonitorInstrumentation(t *testing.T) {
 	reg := obs.NewRegistry()
 	p, end := instrumentedFixture(t, reg, nil)

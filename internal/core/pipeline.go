@@ -189,12 +189,13 @@ func (p *Pipeline) scanMetric(metric tsdb.MetricID, from, scanTime time.Time, sc
 	if r != nil {
 		m.changePoints++
 		done = p.obs.timed(StageWentAway)
-		keep := CheckWentAway(p.cfg.WentAway, r).Keep
+		verdict := CheckWentAway(p.cfg.WentAway, r)
 		done()
-		if keep {
+		p.obs.wentAwayDecided(verdict)
+		if verdict.Keep {
 			m.afterWentAway++
 			done = p.obs.timed(StageSeasonality)
-			keep = checkSeasonalityWith(p.cfg.Seasonality, r, stlFor()).Keep
+			keep := checkSeasonalityWith(p.cfg.Seasonality, r, stlFor()).Keep
 			done()
 			if keep {
 				m.afterSeasonality++

@@ -1,9 +1,35 @@
 package core
 
 import (
+	"strings"
+
 	"fbdetect/internal/sax"
 	"fbdetect/internal/stats"
 )
+
+// WentAwayTerms is a set of terms of the went-away predicate.
+type WentAwayTerms uint8
+
+// The predicate's terms, in the order CheckWentAway evaluates them.
+const (
+	TermNewPattern WentAwayTerms = 1 << iota
+	TermGoneAway
+	TermSignificantRegression
+	TermLastingTrend
+)
+
+func (t WentAwayTerms) String() string {
+	var names []string
+	for i, name := range [...]string{"NewPattern", "GoneAway", "SignificantRegression", "LastingTrend"} {
+		if t&(1<<i) != 0 {
+			names = append(names, name)
+		}
+	}
+	if names == nil {
+		return "none"
+	}
+	return strings.Join(names, "|")
+}
 
 // WentAwayVerdict explains the went-away detector's decision for one
 // regression candidate.
@@ -16,12 +42,23 @@ type WentAwayVerdict struct {
 	SignificantRegression bool
 	LastingTrend          bool
 	GoneAway              bool
+	// Skipped names the terms that were not evaluated because the terms
+	// before them had already decided Keep. A skipped term reads false,
+	// so Keep equals the predicate over the four fields either way.
+	Skipped WentAwayTerms
 }
 
 // CheckWentAway evaluates the went-away predicate of paper §5.2.2 on a
 // regression candidate. The post-regression window is the analysis window
 // after the change point joined with the extended window; history is the
 // historic window.
+//
+// The terms are evaluated cheapest first and only while they can still
+// change Keep: NewPattern (SAX letters), then GoneAway (one tail mean),
+// then SignificantRegression (a letter compare, then three percentiles),
+// and the trend test — two quadratic Mann-Kendall passes and up to two
+// Theil-Sen fits — only for a candidate that is not a new pattern, has
+// not gone away and is significant.
 func CheckWentAway(cfg WentAwayConfig, r *Regression) WentAwayVerdict {
 	cfg = cfg.withDefaults()
 	hist := r.Windows.Historic.Values
@@ -29,34 +66,52 @@ func CheckWentAway(cfg WentAwayConfig, r *Regression) WentAwayVerdict {
 	if r.ChangePoint <= 0 || r.ChangePoint >= len(analysis) || len(hist) == 0 {
 		return WentAwayVerdict{}
 	}
-	post := append([]float64{}, analysis[r.ChangePoint:]...)
+	postAnalysis := analysis[r.ChangePoint:]
+	var ext []float64
 	if r.Windows.Extended != nil {
-		post = append(post, r.Windows.Extended.Values...)
+		ext = r.Windows.Extended.Values
 	}
-	if len(post) == 0 {
-		return WentAwayVerdict{}
+	post := postAnalysis
+	if len(ext) > 0 {
+		post = make([]float64, 0, len(postAnalysis)+len(ext))
+		post = append(append(post, postAnalysis...), ext...)
 	}
 
 	// Build one SAX encoder spanning the combined value range so letters
-	// are comparable across windows.
-	combined := make([]float64, 0, len(hist)+len(analysis)+len(post))
-	combined = append(combined, hist...)
-	combined = append(combined, analysis...)
-	combined = append(combined, post...)
-	enc, err := sax.NewEncoder(cfg.SAXBuckets, cfg.SAXValidityPct,
-		stats.Min(combined), stats.Max(combined)+1e-12)
+	// are comparable across windows; post holds nothing that analysis and
+	// ext do not.
+	lo, hi := hist[0], hist[0]
+	for _, xs := range [][]float64{hist, analysis, ext} {
+		for _, x := range xs {
+			if x < lo {
+				lo = x
+			}
+			if x > hi {
+				hi = x
+			}
+		}
+	}
+	enc, err := sax.NewEncoder(cfg.SAXBuckets, cfg.SAXValidityPct, lo, hi+1e-12)
 	if err != nil {
 		return WentAwayVerdict{}
 	}
 	histWord := enc.Encode(hist)
 	postWord := enc.Encode(post)
-	postAnalysisWord := enc.Encode(analysis[r.ChangePoint:])
 
-	v := WentAwayVerdict{}
-	v.NewPattern = newPattern(cfg, enc, histWord, postWord, post)
-	v.SignificantRegression = significantRegression(histWord, postAnalysisWord, hist, post)
-	v.LastingTrend = lastingTrend(cfg, analysis, post, r.ChangePoint)
-	v.GoneAway = regressionGoneAway(cfg, post, r)
+	var v WentAwayVerdict
+	switch {
+	case newPattern(cfg, enc, histWord, postWord, post):
+		v.NewPattern = true
+		v.Skipped = TermGoneAway | TermSignificantRegression | TermLastingTrend
+	case regressionGoneAway(cfg, post, r):
+		v.GoneAway = true
+		v.Skipped = TermSignificantRegression | TermLastingTrend
+	case !significantRegression(histWord, postWord.Slice(0, len(postAnalysis)), hist, post):
+		v.Skipped = TermLastingTrend
+	default:
+		v.SignificantRegression = true
+		v.LastingTrend = lastingTrend(cfg, analysis, post, r.ChangePoint)
+	}
 	v.Keep = v.NewPattern ||
 		(v.SignificantRegression && v.LastingTrend && !v.GoneAway)
 	return v
@@ -74,7 +129,7 @@ func newPattern(cfg WentAwayConfig, enc *sax.Encoder, histWord, postWord sax.Wor
 		return false
 	}
 	tail := tailLen(cfg, len(post))
-	tailWord := enc.Encode(post[len(post)-tail:])
+	tailWord := postWord.Slice(len(post)-tail, len(post))
 	if tailWord.InvalidFraction(histWord) < cfg.NewPatternFraction {
 		return false
 	}

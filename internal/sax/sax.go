@@ -134,31 +134,48 @@ func (e *Encoder) LetterLowerBound(i int) float64 {
 
 // Word is an encoded series: one letter per point plus per-letter counts.
 type Word struct {
-	Letters []int       // bucket index per point
-	Counts  map[int]int // occurrences per letter
-	n       int
+	Letters []int // bucket index per point
+	Counts  []int // occurrences per letter, indexed by letter
 	enc     *Encoder
 }
 
 // Encode discretizes xs into a Word.
 func (e *Encoder) Encode(xs []float64) Word {
 	letters := make([]int, len(xs))
-	counts := make(map[int]int, e.buckets)
+	counts := make([]int, e.buckets)
 	for i, v := range xs {
 		l := e.Letter(v)
 		letters[i] = l
 		counts[l]++
 	}
-	return Word{Letters: letters, Counts: counts, n: len(xs), enc: e}
+	return Word{Letters: letters, Counts: counts, enc: e}
+}
+
+// Slice returns the word of points [i, j) of w: what Encode would return
+// for that stretch of the encoded series, without re-encoding it. The
+// letters are shared with w.
+func (w Word) Slice(i, j int) Word {
+	letters := w.Letters[i:j]
+	counts := make([]int, len(w.Counts))
+	for _, l := range letters {
+		counts[l]++
+	}
+	return Word{Letters: letters, Counts: counts, enc: w.enc}
 }
 
 // Valid reports whether letter l is valid in the word: it holds at least
-// the encoder's validity percentage of the points.
+// the encoder's validity percentage of the points. A letter outside the
+// word's alphabet occurs zero times.
 func (w Word) Valid(l int) bool {
-	if w.n == 0 {
+	n := len(w.Letters)
+	if n == 0 {
 		return false
 	}
-	return float64(w.Counts[l])/float64(w.n)*100 >= w.enc.validityPct
+	count := 0
+	if l >= 0 && l < len(w.Counts) {
+		count = w.Counts[l]
+	}
+	return float64(count)/float64(n)*100 >= w.enc.validityPct
 }
 
 // ValidLetters returns the sorted set of valid letters.
@@ -195,13 +212,12 @@ func (w Word) MinValidLetter() int {
 // MaxLetter returns the largest letter present (valid or not), or -1 for an
 // empty word.
 func (w Word) MaxLetter() int {
-	max := -1
-	for l := range w.Counts {
-		if l > max {
-			max = l
+	for l := len(w.Counts) - 1; l >= 0; l-- {
+		if w.Counts[l] > 0 {
+			return l
 		}
 	}
-	return max
+	return -1
 }
 
 // InvalidFraction returns the fraction of points whose letter is invalid in
@@ -213,10 +229,12 @@ func (w Word) InvalidFraction(ref Word) float64 {
 	if len(w.Letters) == 0 {
 		return 0
 	}
+	// Every point with the same letter shares its validity, so judge each
+	// letter once and weigh it by its count.
 	invalid := 0
-	for _, l := range w.Letters {
-		if !ref.Valid(l) {
-			invalid++
+	for l, c := range w.Counts {
+		if c > 0 && !ref.Valid(l) {
+			invalid += c
 		}
 	}
 	return float64(invalid) / float64(len(w.Letters))

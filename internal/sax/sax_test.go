@@ -183,3 +183,105 @@ func TestStringRendering(t *testing.T) {
 		t.Errorf("String = %q", w.String())
 	}
 }
+
+// TestSliceMatchesEncode: a sub-word taken from encoded letters is the
+// word Encode returns for the same stretch of the series — letters,
+// counts, validity and every derived letter — for prefixes, suffixes,
+// the whole word and the empty word.
+func TestSliceMatchesEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	xs := make([]float64, 240)
+	for i := range xs {
+		xs[i] = rng.NormFloat64()
+		if i > 150 {
+			xs[i] += 4
+		}
+	}
+	enc, err := NewEncoderForData(xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := enc.Encode(xs)
+	ref := enc.Encode(xs[:100])
+	for _, r := range [][2]int{{0, 240}, {0, 180}, {216, 240}, {60, 61}, {17, 17}, {239, 240}} {
+		got, want := whole.Slice(r[0], r[1]), enc.Encode(xs[r[0]:r[1]])
+		if len(got.Letters) != len(want.Letters) || len(got.Counts) != len(want.Counts) {
+			t.Fatalf("[%d,%d): %d letters / %d counts, want %d / %d", r[0], r[1],
+				len(got.Letters), len(got.Counts), len(want.Letters), len(want.Counts))
+		}
+		for i := range want.Letters {
+			if got.Letters[i] != want.Letters[i] {
+				t.Fatalf("[%d,%d): letter %d = %d, want %d", r[0], r[1], i, got.Letters[i], want.Letters[i])
+			}
+		}
+		for l := range want.Counts {
+			if got.Counts[l] != want.Counts[l] || got.Valid(l) != want.Valid(l) {
+				t.Fatalf("[%d,%d): letter %d count %d valid %v, want %d %v", r[0], r[1],
+					l, got.Counts[l], got.Valid(l), want.Counts[l], want.Valid(l))
+			}
+		}
+		if got.MaxLetter() != want.MaxLetter() || got.MaxValidLetter() != want.MaxValidLetter() ||
+			got.MinValidLetter() != want.MinValidLetter() || got.InvalidFraction(ref) != want.InvalidFraction(ref) {
+			t.Errorf("[%d,%d): derived letters differ: %v vs %v", r[0], r[1], got, want)
+		}
+	}
+}
+
+// TestCountsIndexedByLetter: Counts has one entry per bucket, sums to the
+// word's length, and agrees with a recount of Letters; a letter outside
+// the alphabet is never valid, and MaxLetter is the highest one present.
+func TestCountsIndexedByLetter(t *testing.T) {
+	enc, err := NewEncoder(8, 3, 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := enc.Encode([]float64{0.5, 0.5, 2.5, 5.5, 5.5, 5.5, -3, 100})
+	want := []int{3, 0, 1, 0, 0, 3, 0, 1}
+	if len(w.Counts) != enc.Buckets() {
+		t.Fatalf("len(Counts) = %d, want %d", len(w.Counts), enc.Buckets())
+	}
+	for l, c := range want {
+		if w.Counts[l] != c {
+			t.Errorf("Counts[%d] = %d, want %d", l, w.Counts[l], c)
+		}
+	}
+	if w.Valid(-1) || w.Valid(8) || w.Valid(1) || !w.Valid(2) {
+		t.Error("validity of absent, out-of-alphabet or present letters is wrong")
+	}
+	if got := w.MaxLetter(); got != 7 {
+		t.Errorf("MaxLetter = %d, want 7", got)
+	}
+	if got := enc.Encode([]float64{1.5, 0.2}).MaxLetter(); got != 1 {
+		t.Errorf("MaxLetter = %d, want 1", got)
+	}
+}
+
+// TestInvalidFractionCountsPoints pins InvalidFraction to its definition:
+// the share of points, not of letters, whose letter is invalid in ref.
+func TestInvalidFractionCountsPoints(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		hist := make([]float64, 50+rng.Intn(300))
+		post := make([]float64, 1+rng.Intn(200))
+		for i := range hist {
+			hist[i] = rng.NormFloat64()
+		}
+		for i := range post {
+			post[i] = rng.NormFloat64() + 3*rng.Float64()
+		}
+		enc, err := NewEncoder(2+rng.Intn(30), 10*rng.Float64(), -4, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hw, pw := enc.Encode(hist), enc.Encode(post)
+		invalid := 0
+		for _, l := range pw.Letters {
+			if !hw.Valid(l) {
+				invalid++
+			}
+		}
+		if got, want := pw.InvalidFraction(hw), float64(invalid)/float64(len(post)); got != want {
+			t.Fatalf("trial %d: InvalidFraction = %v, want %v", trial, got, want)
+		}
+	}
+}

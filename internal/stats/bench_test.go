@@ -66,3 +66,28 @@ func BenchmarkPearson1k(b *testing.B) {
 		Pearson(a, c)
 	}
 }
+
+// BenchmarkTheilSen240 is the went-away trend test's largest fit on a live
+// scan: a 240-point post window (the 180-point analysis window after an
+// early change point plus the 60-point extended one), 28 680 pairwise
+// slopes, one median.
+func BenchmarkTheilSen240(b *testing.B) {
+	xs := benchData(240)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchSink, _ = TheilSen(xs)
+	}
+}
+
+// BenchmarkDominantSeasonLag540 is the seasonality detector's period
+// search over a full 9 h window at one-minute steps: lags 4..269.
+func BenchmarkDominantSeasonLag540(b *testing.B) {
+	xs := benchData(540)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_, benchSink = DominantSeasonLag(xs, 4, 270)
+	}
+}
+
+// benchSink keeps a benchmarked call from being optimised away.
+var benchSink float64

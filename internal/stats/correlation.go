@@ -63,10 +63,32 @@ func DominantSeasonLag(xs []float64, minLag, maxLag int) (lag int, corr float64)
 	if maxLag >= len(xs)/2 {
 		maxLag = len(xs)/2 - 1
 	}
+	if minLag > maxLag {
+		return 0, 0
+	}
+	// Autocorrelation(xs, l) for every lag, with the mean, the centred
+	// series and the denominator computed once instead of once per lag:
+	// the same operations in the same order, so the same bits.
+	m := Mean(xs)
+	centred := make([]float64, len(xs))
+	var den float64
+	for i, x := range xs {
+		d := x - m
+		centred[i] = d
+		den += d * d
+	}
+	if den == 0 {
+		return 0, 0
+	}
 	best, bestLag := 0.0, 0
 	for l := minLag; l <= maxLag; l++ {
-		c := Autocorrelation(xs, l)
-		if c > best {
+		var num float64
+		head := centred[:len(centred)-l]
+		shifted := centred[l:][:len(head)]
+		for i, d := range head {
+			num += d * shifted[i]
+		}
+		if c := num / den; c > best {
 			best, bestLag = c, l
 		}
 	}

@@ -11,10 +11,7 @@
 // pipeline treats empty windows.
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or 0 if xs is empty.
 func Mean(xs []float64) float64 {
@@ -72,16 +69,16 @@ func Median(xs []float64) float64 {
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks, or 0 if xs is empty. The input is not
-// modified.
+// modified: the order statistics are selected from a copy, not sorted out
+// of it.
 func Percentile(xs []float64, p float64) float64 {
 	n := len(xs)
 	if n == 0 {
 		return 0
 	}
-	sorted := make([]float64, n)
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
+	scratch := make([]float64, n)
+	copy(scratch, xs)
+	return selectPercentile(scratch, p)
 }
 
 // PercentileSorted is like Percentile but requires xs to be sorted ascending
@@ -121,12 +118,13 @@ func MAD(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	med := Median(xs)
 	devs := make([]float64, len(xs))
+	copy(devs, xs)
+	med := selectPercentile(devs, 50)
 	for i, x := range xs {
 		devs[i] = math.Abs(x - med)
 	}
-	return Median(devs)
+	return selectPercentile(devs, 50)
 }
 
 // NormalityConstant scales MAD to a consistent estimator of the standard

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // TheilSen estimates the slope and intercept of a linear trend through
 // (i, xs[i]) using Theil-Sen's estimator: the slope is the median of
@@ -44,14 +41,12 @@ func TheilSen(xs []float64) (slope, intercept float64) {
 			slopes = append(slopes, (xs[j]-xs[i])/float64(j-i))
 		}
 	}
-	sort.Float64s(slopes)
-	slope = PercentileSorted(slopes, 50)
-	// intercept via medians for robustness.
-	idx := make([]float64, n)
-	for i := range idx {
-		idx[i] = float64(i)
-	}
-	intercept = Median(xs) - slope*Median(idx)
+	// Only the median slope is read, so it is selected rather than sorted
+	// out of the m(m-1)/2 slopes (n >= 2 leaves at least one).
+	slope = selectPercentile(slopes, 50)
+	// intercept via medians for robustness; the median of the indices
+	// 0..n-1 is (n-1)/2.
+	intercept = Median(xs) - slope*(float64(n-1)/2)
 	return slope, intercept
 }
 
