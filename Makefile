@@ -60,7 +60,7 @@ bench-obs:
 # cores needed), and the chunked store must hold fleet-shaped data at
 # <= 2 bytes/point.
 BENCH_GATE = BenchmarkPipeline$$|BenchmarkScanThroughput$$|BenchmarkScanThroughputNoCheckpoint$$|BenchmarkWarmScanIncremental$$
-BENCH_TSDB = BenchmarkAppendParallel$$|BenchmarkAppendParallelSingleLock$$|BenchmarkAppendBatch$$|BenchmarkChunkAppend$$|BenchmarkChunkIterate$$
+BENCH_TSDB = BenchmarkAppendParallel$$|BenchmarkAppendParallelSingleLock$$|BenchmarkAppendBatch$$|BenchmarkChunkAppend$$|BenchmarkChunkIterate$$|BenchmarkQueryWindow$$
 BENCH_PPROF = BenchmarkPprofParse$$
 BENCH_EDIV = BenchmarkEDivisive$$|BenchmarkEDivisiveStreamAppend$$
 # The went-away decision per candidate shape and the two statistics a

@@ -35,8 +35,9 @@ func CUSUM(xs []float64) int {
 // candidate change point: given the current split t, it computes the two
 // segment means (the M step) and then reassigns the boundary to the index
 // that maximizes the two-segment Gaussian likelihood (the E step applied to
-// the boundary), scanning near the current estimate.
-func emRefine(xs []float64, t int) int {
+// the boundary), scanning near the current estimate. The suffix sums live
+// in *buf, grown as needed, so one caller's refinements share one array.
+func emRefine(xs []float64, t int, buf *[]float64) int {
 	n := len(xs)
 	if t <= 0 || t >= n {
 		return t
@@ -53,7 +54,11 @@ func emRefine(xs []float64, t int) int {
 	bestT, bestSS := t, math.Inf(1)
 	var left float64 // sum of squared error to m1 for xs[:i]
 	// Precompute suffix squared error to m2.
-	suffix := make([]float64, n+1)
+	if cap(*buf) < n+1 {
+		*buf = make([]float64, n+1)
+	}
+	suffix := (*buf)[:n+1]
+	suffix[n] = 0
 	for i := n - 1; i >= 0; i-- {
 		d := xs[i] - m2
 		suffix[i] = suffix[i+1] + d*d
@@ -114,6 +119,15 @@ func (o Options) withDefaults() Options {
 // likelihood-ratio chi-squared test. Result.Found is false when no
 // validated change point exists.
 func Detect(xs []float64, opts Options) Result {
+	var buf []float64
+	return DetectScratch(xs, opts, &buf)
+}
+
+// DetectScratch is Detect with its one working array supplied by the
+// caller: *buf is grown to len(xs)+1 on first need and reused by every
+// later call, so a detector run over many series allocates nothing. The
+// result does not reference it.
+func DetectScratch(xs []float64, opts Options, buf *[]float64) Result {
 	opts = opts.withDefaults()
 	n := len(xs)
 	if n < 2*opts.MinSegment {
@@ -124,7 +138,7 @@ func Detect(xs []float64, opts Options) Result {
 		return Result{PValue: 1}
 	}
 	for iter := 0; iter < opts.MaxIterations; iter++ {
-		next := emRefine(xs, t)
+		next := emRefine(xs, t, buf)
 		if next == t {
 			break
 		}

@@ -95,7 +95,7 @@ func newPipelineObs(reg *obs.Registry, tracer *obs.Tracer) *pipelineObs {
 		scanned: reg.NewCounter(MetricMetricsScanned,
 			"Time series examined by the per-metric detection fan-out.", nil),
 		viewPoints: reg.NewCounter(MetricViewPoints,
-			"Data points decoded from tsdb views during scans (checkpoint hits decode nothing).", nil),
+			"Window points materialised from tsdb views during scans: the analysis window of every series scanned, the historic and extended windows only behind a change point or the long-term path (checkpoint hits materialise nothing).", nil),
 		cpHits: reg.NewCounter(MetricCheckpointHits,
 			"Detector-checkpoint hits (per-metric detection skipped entirely).", nil),
 		cpMisses: reg.NewCounter(MetricCheckpointMiss,
@@ -123,14 +123,23 @@ func newPipelineObs(reg *obs.Registry, tracer *obs.Tracer) *pipelineObs {
 	return po
 }
 
-// timed begins a latency observation for one stage; invoke the returned
-// func when the stage completes. Nil-safe, so call sites need no guards.
-func (po *pipelineObs) timed(stage string) func() {
+// timed begins a stage-latency observation: pass the returned start to
+// observe when the stage completes. Both are nil-safe, so call sites need
+// no guards, and neither allocates — they bracket stages that run per
+// series.
+func (po *pipelineObs) timed() time.Time {
 	if po == nil {
-		return func() {}
+		return time.Time{}
 	}
-	start := time.Now()
-	return func() { po.stageDur[stage].Observe(time.Since(start).Seconds()) }
+	return time.Now()
+}
+
+// observe records the time since start against the stage's histogram.
+func (po *pipelineObs) observe(stage string, start time.Time) {
+	if po == nil {
+		return
+	}
+	po.stageDur[stage].Observe(time.Since(start).Seconds())
 }
 
 // checkpointLookup counts one detector-checkpoint lookup. Nil-safe.
@@ -172,7 +181,8 @@ func (po *pipelineObs) popShiftSuppressed(n int) {
 	po.popShifts.Add(float64(n))
 }
 
-// viewServed counts the points of one decoded series view. Nil-safe.
+// viewServed counts window points a scan asked a view to materialise —
+// what its stages went on to read, not the view's length. Nil-safe.
 func (po *pipelineObs) viewServed(points int) {
 	if po == nil {
 		return

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fbdetect/internal/changelog"
 	"fbdetect/internal/obs"
 	"fbdetect/internal/stacktrace"
+	"fbdetect/internal/timeseries"
 	"fbdetect/internal/tsdb"
 )
 
@@ -92,6 +94,34 @@ type Pipeline struct {
 	planned     *PlannedChangeRegistry
 	checkpoints *checkpointCache // per-series detector checkpoints; nil = disabled
 	obs         *pipelineObs     // nil until Instrument; nil-safe hooks
+
+	// scratch pools the per-worker *scanScratch across scans, so a
+	// continuously scanning pipeline decodes and detects in buffers that
+	// were sized by its first sweep.
+	scratch sync.Pool
+
+	// Test hooks, nil outside tests: viewOpened runs on every view a scan
+	// opens, before anything is materialised; viewReleased gets the view's
+	// value buffer at full capacity once the series' scan no longer reads
+	// it (over a RawChunks store that is the store's own array).
+	viewOpened   func(tsdb.View)
+	viewReleased func([]float64)
+}
+
+// scanScratch is what one detection worker reuses from series to series:
+// the window view's decode buffers and the change-point stage's working
+// array. Nothing in it survives a series — candidates are cloned off the
+// view before the next one is opened.
+type scanScratch struct {
+	view   tsdb.Scratch
+	suffix []float64
+}
+
+func (p *Pipeline) getScratch() *scanScratch {
+	if sc, ok := p.scratch.Get().(*scanScratch); ok {
+		return sc
+	}
+	return new(scanScratch)
 }
 
 // NewPipeline builds a pipeline. log and samples may be nil, disabling
@@ -148,34 +178,69 @@ type metricScan struct {
 
 // scanMetric runs stages 1-3 (short-term change point, went-away,
 // seasonality) plus the long-term path for one metric. The window is
-// first resolved to its content identity without decoding (ViewBounds);
-// a checkpoint hit returns the memoized outcome immediately — the warm
-// path for unchanged series. On a miss the window decodes into the
-// caller's reusable scratch buffer, the detection stages run, and the
-// outcome is checkpointed. The expensive decomposition work both
-// detection paths share is computed at most once per scan.
-func (p *Pipeline) scanMetric(metric tsdb.MetricID, from, scanTime time.Time, sc *tsdb.Scratch) metricScan {
-	var m metricScan
-	wstart, wn, stamp, err := p.db.ViewBounds(metric, from, scanTime)
+// pinned as a view — grid placement, stamp, the head's share and the
+// sealed chunks behind the rest, under one hold of the shard lock — and a
+// checkpoint hit returns the memoized outcome without decoding anything:
+// the warm path for unchanged series. On a miss the detection stages run
+// over the view (detectMetric) and the outcome is checkpointed under the
+// pinned stamp.
+func (p *Pipeline) scanMetric(metric tsdb.MetricID, from, scanTime time.Time, sc *scanScratch) metricScan {
+	view, err := p.db.View(metric, from, scanTime, &sc.view)
 	if err != nil {
-		return m
+		return metricScan{}
 	}
-	if cached, ok := p.checkpoints.get(metric, stamp.Epoch, wstart.UnixNano(), wn); ok {
+	if cached, ok := p.checkpoints.get(metric, view.Stamp.Epoch, view.Start.UnixNano(), view.N); ok {
 		p.obs.checkpointLookup(true)
 		return cached
 	}
 	if p.checkpoints != nil {
 		p.obs.checkpointLookup(false)
 	}
-	series, stamp2, err := p.db.QueryViewStamped(metric, from, scanTime, sc)
-	if err != nil {
-		return m
+	series := view.Series()
+	m, ok := p.detectMetric(metric, view, series, scanTime, sc)
+	if p.viewReleased != nil {
+		p.viewReleased(series.Values[:cap(series.Values)])
 	}
+	if ok {
+		p.checkpoints.put(metric, view.Stamp.Epoch, view.Start.UnixNano(), view.N, m)
+	}
+	return m
+}
+
+// detectMetric runs the per-metric detection stages over a freshly
+// pinned view, decoding only what the stage in front of it reads: the
+// analysis window for the change-point search, then the historic and
+// extended windows only once a change point (or the long-term path) has a
+// filter that reads them. They fill the same buffer in place, so the
+// windows cut before the search become whole. The expensive decomposition
+// work both detection paths share is computed at most once per scan. It
+// reports false, with no outcome worth a checkpoint, when the series does
+// not cover the windows or a chunk fails to decode.
+func (p *Pipeline) detectMetric(metric tsdb.MetricID, view tsdb.View, series *timeseries.Series, scanTime time.Time, sc *scanScratch) (m metricScan, ok bool) {
 	ws, err := p.cfg.Windows.Cut(series, scanTime)
 	if err != nil {
-		return m // insufficient data for this metric
+		return m, false // insufficient data for this metric
 	}
-	p.obs.viewServed(series.Len())
+	if p.viewOpened != nil {
+		p.viewOpened(view)
+	}
+	lo := series.IndexOf(ws.Analysis.Start)
+	hi := lo + ws.Analysis.Len()
+	if view.Materialize(lo, hi) != nil {
+		return m, false
+	}
+	p.obs.viewServed(hi - lo)
+	whole := false
+	materializeRest := func() bool {
+		if !whole {
+			if view.Materialize(0, view.N) != nil {
+				return false
+			}
+			p.obs.viewServed(view.N - (hi - lo))
+			whole = true
+		}
+		return true
+	}
 	var stlRes *stlResult
 	stlFor := func() *stlResult {
 		if stlRes == nil {
@@ -183,20 +248,25 @@ func (p *Pipeline) scanMetric(metric tsdb.MetricID, from, scanTime time.Time, sc
 		}
 		return stlRes
 	}
-	done := p.obs.timed(StageChangePoint)
-	r := DetectShortTerm(p.cfg, metric, ws, scanTime)
-	done()
+	start := p.obs.timed()
+	r := detectShortTerm(p.cfg, metric, ws, scanTime, &sc.suffix)
+	p.obs.observe(StageChangePoint, start)
 	if r != nil {
+		// r.Windows aliases the view's buffer, and every filter from here
+		// on reads the historic or the extended window.
+		if !materializeRest() {
+			return metricScan{}, false
+		}
 		m.changePoints++
-		done = p.obs.timed(StageWentAway)
+		start = p.obs.timed()
 		verdict := CheckWentAway(p.cfg.WentAway, r)
-		done()
+		p.obs.observe(StageWentAway, start)
 		p.obs.wentAwayDecided(verdict)
 		if verdict.Keep {
 			m.afterWentAway++
-			done = p.obs.timed(StageSeasonality)
+			start = p.obs.timed()
 			keep := checkSeasonalityWith(p.cfg.Seasonality, r, stlFor()).Keep
-			done()
+			p.obs.observe(StageSeasonality, start)
 			if keep {
 				m.afterSeasonality++
 				m.candidates = append(m.candidates, r)
@@ -204,25 +274,25 @@ func (p *Pipeline) scanMetric(metric tsdb.MetricID, from, scanTime time.Time, sc
 		}
 	}
 	// Long-term path: seasonality first (inside the detector), no
-	// went-away stage.
+	// went-away stage. It decomposes the whole window of every series.
 	if p.cfg.LongTerm {
-		done = p.obs.timed(StageLongTerm)
+		if !materializeRest() {
+			return metricScan{}, false
+		}
+		start = p.obs.timed()
 		var r *Regression
 		if ws.Full().Len() >= longTermMinPoints {
 			r = detectLongTermWith(p.cfg, metric, ws, scanTime, stlFor())
 		}
-		done()
+		p.obs.observe(StageLongTerm, start)
 		if r != nil {
 			m.longTerm++
 			m.candidates = append(m.candidates, r)
 		}
 	}
-	// Detach candidates from the scratch-backed view (their windows must
-	// outlive the buffer's next reuse), then checkpoint the outcome under
-	// the decoded window's identity for the next cycle.
-	m = m.clone()
-	p.checkpoints.put(metric, stamp2.Epoch, series.Start.UnixNano(), series.Len(), m)
-	return m
+	// Detach candidates from the scratch-backed view: their windows must
+	// outlive the buffer's next reuse.
+	return m.clone(), true
 }
 
 // Scan runs one detection pass over every metric of the service at
@@ -322,39 +392,40 @@ func (p *Pipeline) detectService(ctx context.Context, service string, scanTime t
 	if workers > len(metrics) {
 		workers = len(metrics)
 	}
+	// Workers claim metrics off a shared cursor: a series scan is ~10 us,
+	// too little to pay a channel handoff for. Each holds one pooled
+	// scratch for the whole scan; views are consumed within scanMetric, so
+	// the buffers recycle across its metrics.
+	var next atomic.Int64
+	cancelled := ctx.Done()
+	work := func() {
+		sc := p.getScratch()
+		defer p.scratch.Put(sc)
+		for {
+			select {
+			case <-cancelled:
+				return
+			default:
+			}
+			i := int(next.Add(1)) - 1
+			if i >= len(metrics) {
+				return
+			}
+			perMetric[i] = p.scanMetric(metrics[i], from, scanTime, sc)
+		}
+	}
 	if workers > 1 {
 		var wg sync.WaitGroup
-		jobs := make(chan int)
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				// One decode scratch per worker: views are consumed within
-				// scanMetric, so the buffer recycles across its metrics.
-				var sc tsdb.Scratch
-				for i := range jobs {
-					perMetric[i] = p.scanMetric(metrics[i], from, scanTime, &sc)
-				}
+				work()
 			}()
 		}
-	dispatch:
-		for i := range metrics {
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				break dispatch
-			}
-		}
-		close(jobs)
 		wg.Wait()
 	} else {
-		var sc tsdb.Scratch
-		for i := range metrics {
-			if ctx.Err() != nil {
-				break
-			}
-			perMetric[i] = p.scanMetric(metrics[i], from, scanTime, &sc)
-		}
+		work()
 	}
 	if err := ctx.Err(); err != nil {
 		detectSpan.Finish()
@@ -565,9 +636,9 @@ func (p *Pipeline) finalizeService(ctx context.Context, d *serviceDetect) (*Scan
 // hook is nil-safe, so uninstrumented pipelines pay only a closure.
 func (p *Pipeline) stageStart(trace *obs.Trace, root *obs.Span, stage string) func() {
 	span := trace.StartSpan(stage, root)
-	done := p.obs.timed(stage)
+	start := p.obs.timed()
 	return func() {
-		done()
+		p.obs.observe(stage, start)
 		span.Finish()
 	}
 }

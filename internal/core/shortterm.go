@@ -14,13 +14,21 @@ import (
 // Downstream filters (went-away, seasonality, threshold) are applied by
 // the pipeline; this stage only produces the candidate.
 func DetectShortTerm(cfg Config, metric tsdb.MetricID, ws timeseries.Windows, scanTime time.Time) *Regression {
+	var buf []float64
+	return detectShortTerm(cfg, metric, ws, scanTime, &buf)
+}
+
+// detectShortTerm is DetectShortTerm over a caller-kept working array
+// (see changepoint.DetectScratch). It reads ws.Analysis only; the
+// candidate it returns carries all of ws.
+func detectShortTerm(cfg Config, metric tsdb.MetricID, ws timeseries.Windows, scanTime time.Time, buf *[]float64) *Regression {
 	analysis := ws.Analysis
 	if analysis.Len() < 8 {
 		return nil
 	}
-	res := changepoint.Detect(analysis.Values, changepoint.Options{
+	res := changepoint.DetectScratch(analysis.Values, changepoint.Options{
 		Alpha: cfg.Alpha,
-	})
+	}, buf)
 	if !res.Found {
 		return nil
 	}

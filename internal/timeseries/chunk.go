@@ -48,6 +48,7 @@ import (
 	"hash/crc32"
 	"math"
 	"math/bits"
+	"slices"
 	"time"
 )
 
@@ -148,35 +149,43 @@ func (w *bitWriter) writeBits(v uint64, n uint) {
 // bitReader consumes bits MSB-first; reads past the end set err.
 type bitReader struct {
 	buf []byte
-	pos int  // next byte
-	rem uint // unread low bits of buf[pos-1]; 0 means advance
+	bit int // bits consumed so far
 	err error
 }
 
+// readBits returns the next n bits (1 <= n <= 64) as the low bits of the
+// result. A read the buffer cannot satisfy consumes nothing, sets err and
+// returns 0.
 func (r *bitReader) readBits(n uint) uint64 {
+	i, off := r.bit>>3, uint(r.bit&7)
+	if i+9 <= len(r.buf) {
+		// Away from the tail the n bits sit inside nine bytes: one
+		// big-endian word, plus the head of the next byte when the read
+		// starts mid-byte and runs past the word.
+		v := binary.BigEndian.Uint64(r.buf[i:]) << off
+		if off+n > 64 {
+			v |= uint64(r.buf[i+8]) >> (8 - off)
+		}
+		r.bit += int(n)
+		return v >> (64 - n)
+	}
+	if r.bit+int(n) > 8*len(r.buf) {
+		r.err = fmt.Errorf("%w: value stream truncated", ErrChunkCorrupt)
+		return 0
+	}
+	r.bit += int(n)
 	var v uint64
 	for n > 0 {
-		if r.rem == 0 {
-			if r.pos >= len(r.buf) {
-				r.err = fmt.Errorf("%w: value stream truncated", ErrChunkCorrupt)
-				return 0
-			}
-			r.pos++
-			r.rem = 8
-		}
-		take := n
-		if take > r.rem {
-			take = r.rem
-		}
-		r.rem -= take
+		take := min(n, 8-off)
 		n -= take
-		v = v<<take | uint64(r.buf[r.pos-1]>>r.rem)&(1<<take-1)
+		v = v<<take | uint64(r.buf[i]>>(8-off-take))&(1<<take-1)
+		i, off = i+1, 0
 	}
 	return v
 }
 
 // bytesConsumed is how many payload bytes the reader has touched.
-func (r *bitReader) bytesConsumed() int { return r.pos }
+func (r *bitReader) bytesConsumed() int { return (r.bit + 7) >> 3 }
 
 // tryScaledEncode attempts scaled-integer encoding, returning the payload
 // (scale index byte + zigzag-varint integer stream) and whether any scale
@@ -312,60 +321,80 @@ type ChunkIter struct {
 // NewChunkIter validates the chunk's CRC and header and returns an
 // iterator positioned before the first point.
 func NewChunkIter(data []byte) (*ChunkIter, error) {
+	it := new(ChunkIter)
+	if err := it.init(data); err != nil {
+		return nil, err
+	}
+	return it, nil
+}
+
+// init is the one chunk-header parser: it verifies the CRC, the magic,
+// the count/start/step fields and the mode, and leaves it positioned
+// before the first point. A count the payload cannot hold (every scaled
+// point takes at least a byte after the scale index, every XOR point at
+// least a bit after the first value's 64) is rejected here, so a decoder
+// may size its output from the header before reading the payload.
+func (it *ChunkIter) init(data []byte) error {
 	// magic + minimal header + CRC.
 	if len(data) < 1+1+1+1+1+4 {
-		return nil, fmt.Errorf("%w: %d bytes is too short", ErrChunkCorrupt, len(data))
+		return fmt.Errorf("%w: %d bytes is too short", ErrChunkCorrupt, len(data))
 	}
 	body, crcBytes := data[:len(data)-4], data[len(data)-4:]
 	if crc32.Checksum(body, chunkCRCTable) != binary.LittleEndian.Uint32(crcBytes) {
-		return nil, fmt.Errorf("%w: CRC mismatch", ErrChunkCorrupt)
+		return fmt.Errorf("%w: CRC mismatch", ErrChunkCorrupt)
 	}
 	if body[0] != chunkMagic {
-		return nil, fmt.Errorf("%w: bad magic 0x%02X", ErrChunkCorrupt, body[0])
+		return fmt.Errorf("%w: bad magic 0x%02X", ErrChunkCorrupt, body[0])
 	}
 	rest := body[1:]
 	count, n := binary.Uvarint(rest)
 	if n <= 0 || count == 0 || count > MaxChunkPoints {
-		return nil, fmt.Errorf("%w: bad point count", ErrChunkCorrupt)
+		return fmt.Errorf("%w: bad point count", ErrChunkCorrupt)
 	}
 	rest = rest[n:]
 	startNano, n := binary.Varint(rest)
 	if n <= 0 {
-		return nil, fmt.Errorf("%w: bad start", ErrChunkCorrupt)
+		return fmt.Errorf("%w: bad start", ErrChunkCorrupt)
 	}
 	rest = rest[n:]
 	stepNano, n := binary.Uvarint(rest)
 	if n <= 0 || stepNano == 0 || stepNano > math.MaxInt64 {
-		return nil, fmt.Errorf("%w: bad step", ErrChunkCorrupt)
+		return fmt.Errorf("%w: bad step", ErrChunkCorrupt)
 	}
 	rest = rest[n:]
 	if len(rest) == 0 {
-		return nil, fmt.Errorf("%w: missing mode", ErrChunkCorrupt)
+		return fmt.Errorf("%w: missing mode", ErrChunkCorrupt)
 	}
 	mode, payload := rest[0], rest[1:]
-	it := &ChunkIter{
+	*it = ChunkIter{
 		startNano: startNano,
 		stepNano:  int64(stepNano),
 		count:     int(count),
 		mode:      mode,
 		payload:   payload,
 	}
+	room := 0 // points the payload has room for
 	switch mode {
 	case chunkModeXOR:
 		it.br = bitReader{buf: payload}
+		room = 8*len(payload) - 63
 	case chunkModeScaled:
 		if len(payload) == 0 {
-			return nil, fmt.Errorf("%w: missing scale", ErrChunkCorrupt)
+			return fmt.Errorf("%w: missing scale", ErrChunkCorrupt)
 		}
 		if int(payload[0]) >= len(chunkScales) {
-			return nil, fmt.Errorf("%w: bad scale index %d", ErrChunkCorrupt, payload[0])
+			return fmt.Errorf("%w: bad scale index %d", ErrChunkCorrupt, payload[0])
 		}
 		it.scale = chunkScales[payload[0]]
 		it.pos = 1
+		room = len(payload) - 1
 	default:
-		return nil, fmt.Errorf("%w: unknown value mode %d", ErrChunkCorrupt, mode)
+		return fmt.Errorf("%w: unknown value mode %d", ErrChunkCorrupt, mode)
 	}
-	return it, nil
+	if it.count > room {
+		return fmt.Errorf("%w: %d points declared, payload holds at most %d", ErrChunkCorrupt, it.count, max(room, 0))
+	}
+	return nil
 }
 
 // Count returns the number of points the chunk holds.
@@ -387,7 +416,7 @@ func (it *ChunkIter) Next() bool {
 	case chunkModeScaled:
 		u, n := binary.Uvarint(it.payload[it.pos:])
 		if n <= 0 {
-			it.err = fmt.Errorf("%w: integer stream truncated", ErrChunkCorrupt)
+			it.err = errIntsTruncated()
 			return false
 		}
 		it.pos += n
@@ -396,19 +425,8 @@ func (it *ChunkIter) Next() bool {
 	case chunkModeXOR:
 		if it.i == 0 {
 			it.val = it.br.readBits(64)
-		} else if it.br.readBits(1) == 1 {
-			if it.br.readBits(1) == 1 {
-				it.lead = uint(it.br.readBits(5))
-				it.trail = 64 - it.lead - (uint(it.br.readBits(6)) + 1)
-				it.haveWindow = true
-			} else if !it.haveWindow {
-				it.br.err = fmt.Errorf("%w: window reuse before first window", ErrChunkCorrupt)
-			}
-			if it.lead+it.trail <= 64 { // guard against corrupt 5/6-bit fields
-				it.val ^= it.br.readBits(64-it.lead-it.trail) << it.trail
-			} else {
-				it.br.err = fmt.Errorf("%w: bad XOR window", ErrChunkCorrupt)
-			}
+		} else {
+			it.xorStep()
 		}
 		if it.br.err != nil {
 			it.err = it.br.err
@@ -418,6 +436,30 @@ func (it *ChunkIter) Next() bool {
 	}
 	it.i++
 	return true
+}
+
+func errIntsTruncated() error {
+	return fmt.Errorf("%w: integer stream truncated", ErrChunkCorrupt)
+}
+
+// xorStep reads one XOR-mode point after the first into it.val; a
+// malformed control sequence or a truncated stream sets it.br.err.
+func (it *ChunkIter) xorStep() {
+	if it.br.readBits(1) == 0 {
+		return
+	}
+	if it.br.readBits(1) == 1 {
+		it.lead = uint(it.br.readBits(5))
+		it.trail = 64 - it.lead - (uint(it.br.readBits(6)) + 1)
+		it.haveWindow = true
+	} else if !it.haveWindow {
+		it.br.err = fmt.Errorf("%w: window reuse before first window", ErrChunkCorrupt)
+	}
+	if it.lead+it.trail <= 64 { // guard against corrupt 5/6-bit fields
+		it.val ^= it.br.readBits(64-it.lead-it.trail) << it.trail
+	} else {
+		it.br.err = fmt.Errorf("%w: bad XOR window", ErrChunkCorrupt)
+	}
 }
 
 // At returns the current point's timestamp (unix nanoseconds) and value.
@@ -452,24 +494,68 @@ func (it *ChunkIter) finish() error {
 // DecodeChunk decodes a whole chunk, appending its values to dst (which
 // may be nil) and returning the chunk's grid alongside the extended
 // slice. Decoding verifies the CRC, the header, and that the payload
-// carries exactly the declared number of points.
+// carries exactly the declared number of points. It is the bulk form of
+// a ChunkIter walk — same header parser, same checks, same values bit for
+// bit — with the output sized once from the header and one loop per
+// value mode. On error dst is returned at its original length, but its
+// spare capacity may have been written.
 func DecodeChunk(data []byte, dst []float64) (start time.Time, step time.Duration, out []float64, err error) {
-	it, err := NewChunkIter(data)
+	var it ChunkIter
+	if err := it.init(data); err != nil {
+		return time.Time{}, 0, dst, err
+	}
+	out = slices.Grow(dst, it.count)[:len(dst)+it.count]
+	if it.mode == chunkModeScaled {
+		err = it.decodeScaled(out[len(dst):])
+	} else {
+		err = it.decodeXOR(out[len(dst):])
+	}
+	if err == nil {
+		err = it.finish()
+	}
 	if err != nil {
 		return time.Time{}, 0, dst, err
 	}
-	out = dst
-	for it.Next() {
-		out = append(out, it.cur)
-	}
-	if it.err != nil {
-		return time.Time{}, 0, dst, it.err
-	}
-	if it.i != it.count {
-		return time.Time{}, 0, dst, fmt.Errorf("%w: %d of %d points decoded", ErrChunkCorrupt, it.i, it.count)
-	}
-	if err := it.finish(); err != nil {
-		return time.Time{}, 0, dst, err
-	}
 	return it.Start(), it.Step(), out, nil
+}
+
+// decodeScaled fills vals with the chunk's scaled-integer points. One-
+// and two-byte varints (deltas below 2^13 after zigzag, nearly all of a
+// quantized counter's) are decoded inline; longer ones, and the tail
+// where two bytes may not remain, go through binary.Uvarint.
+func (it *ChunkIter) decodeScaled(vals []float64) error {
+	p, pos, k, scale := it.payload, it.pos, it.k, it.scale
+	for i := range vals {
+		var u uint64
+		if pos < len(p) && p[pos] < 0x80 {
+			u = uint64(p[pos])
+			pos++
+		} else if pos+1 < len(p) && p[pos+1] < 0x80 {
+			u = uint64(p[pos]&0x7f) | uint64(p[pos+1])<<7
+			pos += 2
+		} else {
+			v, n := binary.Uvarint(p[pos:])
+			if n <= 0 {
+				return errIntsTruncated()
+			}
+			u = v
+			pos += n
+		}
+		k += unzigzag(u)
+		vals[i] = float64(k) / scale
+	}
+	it.pos, it.k, it.i = pos, k, len(vals)
+	return nil
+}
+
+// decodeXOR fills vals with the chunk's XOR-mode points.
+func (it *ChunkIter) decodeXOR(vals []float64) error {
+	it.val = it.br.readBits(64)
+	vals[0] = math.Float64frombits(it.val)
+	for i := 1; i < len(vals) && it.br.err == nil; i++ {
+		it.xorStep()
+		vals[i] = math.Float64frombits(it.val)
+	}
+	it.i = len(vals)
+	return it.br.err
 }

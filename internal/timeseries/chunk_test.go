@@ -2,9 +2,11 @@ package timeseries
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -183,6 +185,52 @@ func TestChunkBadHeaderRejected(t *testing.T) {
 	}
 }
 
+// A header is trusted for the output's size only as far as the payload
+// could back it: a CRC-valid chunk declaring the maximum count over a few
+// payload bytes must be rejected before a megapoint buffer is allocated.
+func TestChunkCountBeyondPayloadRejectedBeforeAllocating(t *testing.T) {
+	for _, mode := range []byte{chunkModeScaled, chunkModeXOR} {
+		body := []byte{chunkMagic}
+		body = binary.AppendUvarint(body, MaxChunkPoints)
+		body = append(body, 0, 1, mode) // start 0, step 1ns
+		body = append(body, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, out, err := DecodeChunk(refixCRC(append(body, 0, 0, 0, 0)), nil)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrChunkCorrupt) || out != nil {
+			t.Fatalf("mode %d: got %d values, err %v", mode, len(out), err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Errorf("mode %d: rejecting allocated %d bytes", mode, grew)
+		}
+		if _, err := NewChunkIter(refixCRC(append(body, 0, 0, 0, 0))); !errors.Is(err, ErrChunkCorrupt) {
+			t.Errorf("mode %d: iterator accepted the header: %v", mode, err)
+		}
+	}
+}
+
+// On a payload error DecodeChunk hands dst back at its original length
+// with its contents intact; only the spare capacity may have been used.
+func TestChunkDecodeErrorKeepsDst(t *testing.T) {
+	enc, err := EncodeChunk(chunkT0, time.Minute, []float64{1, 2, 3, 4, 5, 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Turn the last delta into an unterminated varint: five points decode
+	// into the spare capacity before the stream is found truncated.
+	bad := append([]byte{}, enc...)
+	bad[len(bad)-5] |= 0x80
+	dst := append(make([]float64, 0, 16), 41, 42)
+	_, _, out, err := DecodeChunk(refixCRC(bad), dst)
+	if !errors.Is(err, ErrChunkCorrupt) {
+		t.Fatalf("err = %v", err)
+	}
+	if len(out) != 2 || out[0] != 41 || out[1] != 42 {
+		t.Fatalf("out = %v, want dst's [41 42]", out)
+	}
+}
+
 func TestChunkIterMatchesDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	values := make([]float64, 77)
@@ -253,5 +301,48 @@ func TestChunkDeterministicEncoding(t *testing.T) {
 	}
 	if string(a) != string(b) {
 		t.Error("encoding is not deterministic")
+	}
+}
+
+// BenchmarkDecodeChunk decodes one 120-point chunk (the store's default
+// size) in each value mode: a quantized random walk, which seals in
+// scaled-integer mode, and the same walk divided by 7, which no scale in
+// the table represents and so seals in XOR mode.
+func BenchmarkDecodeChunk(b *testing.B) {
+	walk := make([]float64, 120)
+	k, state := 5000.0, uint64(0x9e3779b97f4a7c15)
+	for i := range walk {
+		state = state*6364136223846793005 + 1442695040888963407
+		k += float64(int64(state>>33)%41 - 20)
+		walk[i] = k / 1e5
+	}
+	sevenths := make([]float64, len(walk))
+	for i, v := range walk {
+		sevenths[i] = v / 7
+	}
+	for _, bc := range []struct {
+		name   string
+		values []float64
+		mode   byte
+	}{{"scaled", walk, chunkModeScaled}, {"xor", sevenths, chunkModeXOR}} {
+		b.Run(bc.name, func(b *testing.B) {
+			enc, err := EncodeChunk(time.Unix(0, 0), time.Minute, bc.values)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var it ChunkIter
+			if err := it.init(enc); err != nil || it.mode != bc.mode {
+				b.Fatalf("mode %d (err %v), want %d", it.mode, err, bc.mode)
+			}
+			buf := make([]float64, 0, len(bc.values))
+			b.SetBytes(int64(8 * len(bc.values)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, buf, err = DecodeChunk(enc, buf[:0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -57,11 +57,17 @@ func (s *Series) IndexOf(t time.Time) int {
 // Slice returns the sub-series covering [from, to). The returned series
 // shares the underlying values.
 func (s *Series) Slice(from, to time.Time) *Series {
+	out := s.slice(from, to)
+	return &out
+}
+
+// slice is Slice by value, for callers that place the header themselves.
+func (s *Series) slice(from, to time.Time) Series {
 	i, j := s.IndexOf(from), s.IndexOf(to)
 	if j < i {
 		j = i
 	}
-	return &Series{Start: s.TimeAt(i), Step: s.Step, Values: s.Values[i:j]}
+	return Series{Start: s.TimeAt(i), Step: s.Step, Values: s.Values[i:j]}
 }
 
 // SliceIndex returns the sub-series covering indices [i, j), clamped to

@@ -73,12 +73,15 @@ func (w WindowConfig) Cut(s *Series, scanTime time.Time) (Windows, error) {
 	}
 	histEnd := start.Add(w.Historic)
 	anaEnd := histEnd.Add(w.Analysis)
-	return Windows{
-		Historic: s.Slice(start, histEnd),
-		Analysis: s.Slice(histEnd, anaEnd),
-		Extended: s.Slice(anaEnd, scanTime),
-		joined:   s.Slice(start, scanTime),
-	}, nil
+	// One allocation for the four sub-series: a sliding scan cuts every
+	// series every cycle.
+	blk := &[4]Series{
+		s.slice(start, histEnd),
+		s.slice(histEnd, anaEnd),
+		s.slice(anaEnd, scanTime),
+		s.slice(start, scanTime),
+	}
+	return Windows{Historic: &blk[0], Analysis: &blk[1], Extended: &blk[2], joined: &blk[3]}, nil
 }
 
 // Clone returns a deep copy of the windows. Cut-produced windows clone

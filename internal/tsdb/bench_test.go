@@ -16,6 +16,9 @@ func BenchmarkAppend(b *testing.B) {
 	}
 }
 
+// BenchmarkQueryWindow measures the read path every copying reader
+// takes: Query is a View materialised whole into fresh buffers, here
+// 1000 points out of nine sealed chunks, the first and last in part.
 func BenchmarkQueryWindow(b *testing.B) {
 	db := New(time.Minute)
 	id := ID("svc", "sub", "gcpu")

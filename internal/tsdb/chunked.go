@@ -159,67 +159,24 @@ func (c *cseries) bulkAppend(values []float64) {
 	c.seal()
 }
 
-// valuesInto appends the index range [i, j) of the series to dst,
-// decoding overlapping sealed chunks. Chunks fully inside the range
-// decode straight into dst; partially-overlapping boundary chunks decode
-// into *tmp first. Both buffers grow as needed and are reusable across
-// calls.
-func (c *cseries) valuesInto(dst []float64, i, j int, tmp *[]float64) ([]float64, error) {
-	if i < 0 {
-		i = 0
-	}
-	if n := c.len(); j > n {
-		j = n
-	}
-	if i >= j {
-		return dst, nil
-	}
-	if i < c.sealedPts {
-		cs := c.chunkSize
-		for k := i / cs; k < len(c.sealed) && k*cs < j; k++ {
-			base := k * cs
-			lo, hi := i-base, j-base
-			if lo < 0 {
-				lo = 0
-			}
-			if hi > cs {
-				hi = cs
-			}
-			if lo == 0 && hi == cs {
-				_, _, out, err := timeseries.DecodeChunk(c.sealed[k].data, dst)
-				if err != nil {
-					return dst, fmt.Errorf("tsdb: sealed chunk %d: %w", k, err)
-				}
-				dst = out
-				continue
-			}
-			buf, err := func() ([]float64, error) {
-				_, _, out, err := timeseries.DecodeChunk(c.sealed[k].data, (*tmp)[:0])
-				return out, err
-			}()
-			if err != nil {
-				return dst, fmt.Errorf("tsdb: sealed chunk %d: %w", k, err)
-			}
-			*tmp = buf
-			dst = append(dst, buf[lo:hi]...)
-		}
-	}
-	if j > c.sealedPts {
-		lo := i - c.sealedPts
-		if lo < 0 {
-			lo = 0
-		}
-		dst = append(dst, c.head[lo:j-c.sealedPts]...)
-	}
-	return dst, nil
-}
-
-// Scratch is a caller-owned reusable decode buffer for QueryViewStamped.
-// A zero Scratch is ready to use; each call recycles the buffers, so a
-// view is valid only until the same Scratch's next use.
+// Scratch is a caller-owned set of reusable buffers behind one View at a
+// time. A zero Scratch is ready to use; each View or QueryViewStamped call
+// on it recycles the buffers, so a view is valid only until the same
+// Scratch's next use. The value buffer is not cleared between views: the
+// points of a view that have not been materialised are unspecified
+// (typically another series' values), never zero.
 type Scratch struct {
-	buf []float64
-	tmp []float64
+	buf []float64 // the pinned window, at its full length
+	tmp []float64 // decode target for chunks that straddle a window edge
+
+	// The pinned window's sealed chunks: pinned[k] holds the window
+	// offsets [first+k*chunkSize, first+(k+1)*chunkSize), clipped to the
+	// window. decoded[k] is set once that share is in buf.
+	pinned    []sealedChunk
+	decoded   []bool
+	first     int
+	firstIdx  int // pinned[0]'s index among the series' sealed chunks, for errors
+	chunkSize int
 }
 
 // ViewStamp pins the identity of a series snapshot.
@@ -234,63 +191,172 @@ type ViewStamp struct {
 	Epoch uint64
 }
 
-// QueryViewStamped returns the metric's series restricted to [from, to)
-// along with its ViewStamp. In chunked mode the window decodes into sc's
-// reusable buffer (allocating only on first use or growth); the returned
-// series is valid until sc's next use; a nil sc decodes into a fresh
-// allocation. In raw mode (Options.ChunkSize == RawChunks) sc is untouched
-// and the view is zero-copy, sharing the store's backing array; it is a
-// stable snapshot because concurrent Appends only write past its end (or
-// into a freshly grown array) and Prune replaces the backing array rather
-// than truncating it in place. Callers must treat the view's Values as
-// read-only.
-func (db *DB) QueryViewStamped(id MetricID, from, to time.Time, sc *Scratch) (*timeseries.Series, ViewStamp, error) {
+// View is one window of one series, pinned at a single instant and
+// decoded on demand. Opening it resolves the window's grid placement and
+// stamp, copies the share held by the mutable head and pins the sealed
+// chunks that overlap the rest; Materialize then decodes just the chunks a
+// reader is about to touch, outside the store's locks. Whatever happens to
+// the series afterwards (appends that seal more chunks, Prune, Restore,
+// Drop), the view keeps yielding the bytes it was opened on, under the
+// stamp it was opened with.
+type View struct {
+	Start time.Time // time of the window's first point
+	N     int       // points in the window
+	Stamp ViewStamp
+
+	step time.Duration
+	vals []float64 // length N; nil when opened for bounds only
+	sc   *Scratch  // nil when there is nothing left to decode (raw mode)
+}
+
+// view pins the index range [i, j) of the series into sc. Caller holds
+// the shard lock, which is all that keeps the head from moving under the
+// copy; the sealed chunks are immutable (seal only appends to c.sealed,
+// and Prune and Restore install a new cseries), so pinning them is taking
+// a sub-slice.
+func (c *cseries) view(sc *Scratch, i, j int) View {
+	n := j - i
+	if cap(sc.buf) < n {
+		sc.buf = make([]float64, n)
+	}
+	sc.buf = sc.buf[:n]
+	sc.pinned, sc.decoded = nil, sc.decoded[:0]
+	if i < c.sealedPts && n > 0 {
+		cs := c.chunkSize
+		k0, k1 := i/cs, min((j+cs-1)/cs, len(c.sealed))
+		sc.pinned = c.sealed[k0:k1]
+		sc.decoded = append(sc.decoded, make([]bool, k1-k0)...)
+		sc.first, sc.firstIdx, sc.chunkSize = k0*cs-i, k0, cs
+	}
+	if j > c.sealedPts {
+		lo := max(i, c.sealedPts)
+		copy(sc.buf[lo-i:], c.head[lo-c.sealedPts:j-c.sealedPts])
+	}
+	return View{Start: c.timeAt(i), N: n, step: c.step, vals: sc.buf, sc: sc}
+}
+
+// Materialize decodes the window offsets [lo, hi) into place, so that
+// Series().Values[lo:hi] holds the stored points. Work is per pinned
+// chunk and each is decoded at most once however often and in whatever
+// order ranges are requested: a chunk any part of which is asked for is
+// decoded for its whole share of the window. Offsets outside [0, N) are
+// clamped.
+func (v View) Materialize(lo, hi int) error {
+	sc := v.sc
+	if sc == nil || len(sc.pinned) == 0 {
+		return nil
+	}
+	lo, hi = max(lo, 0), min(hi, v.N)
+	if lo >= hi {
+		return nil
+	}
+	// This is the package's one chunk walk: every read of sealed data —
+	// Query, Full, Prune's rebuild, the scan's views — is a view
+	// materialised here.
+	cs := sc.chunkSize
+	for k := (lo - sc.first) / cs; k < len(sc.pinned) && sc.first+k*cs < hi; k++ {
+		if sc.decoded[k] {
+			continue
+		}
+		// A chunk wholly inside the window decodes straight into place; one
+		// that straddles a window edge goes through tmp.
+		at := sc.first + k*cs // the chunk's first point, as a window offset
+		inPlace := at >= 0 && at+cs <= v.N
+		dst := sc.tmp[:0]
+		if inPlace {
+			dst = sc.buf[at : at : at+cs]
+		}
+		_, _, out, err := timeseries.DecodeChunk(sc.pinned[k].data, dst)
+		if err == nil && len(out) != cs {
+			err = fmt.Errorf("%w: %d points in a chunk of %d", timeseries.ErrChunkCorrupt, len(out), cs)
+		}
+		if err != nil {
+			return fmt.Errorf("tsdb: sealed chunk %d: %w", sc.firstIdx+k, err)
+		}
+		if !inPlace {
+			sc.tmp = out
+			from := max(at, 0)
+			copy(sc.buf[from:min(at+cs, v.N)], out[from-at:])
+		}
+		sc.decoded[k] = true
+	}
+	return nil
+}
+
+// Series returns the window as a series over the view's buffer. Only the
+// ranges Materialize has been asked for (and the head's share, copied when
+// the view was opened) hold stored points; materialising more later fills
+// the same backing array in place, so sub-slices taken earlier become
+// whole with it. Callers must treat Values as read-only.
+func (v View) Series() *timeseries.Series {
+	return timeseries.New(v.Start, v.step, v.vals)
+}
+
+// pin resolves the window [from, to) of id's series under one hold of
+// the shard read lock. With a Scratch it opens a view into it; with nil
+// it only resolves the bounds and stamp. In raw mode the view is the
+// store's own array either way.
+func (db *DB) pin(id MetricID, from, to time.Time, sc *Scratch) (View, error) {
 	sh := db.shardFor(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	e, ok := sh.series[id]
 	if !ok {
-		return nil, ViewStamp{}, fmt.Errorf("tsdb: unknown metric %q", id)
+		return View{}, fmt.Errorf("tsdb: unknown metric %q", id)
 	}
-	st := ViewStamp{Epoch: e.epoch}
 	c := e.data
 	i, j := c.indexOf(from), c.indexOf(to)
 	if j < i {
 		j = i
 	}
-	if c.raw() {
-		return timeseries.New(c.timeAt(i), c.step, c.head[i:j]), st, nil
+	v := View{Start: c.timeAt(i), N: j - i, step: c.step}
+	switch {
+	case c.raw():
+		v.vals = c.head[i:j]
+	case sc != nil:
+		v = c.view(sc, i, j)
 	}
+	v.Stamp = ViewStamp{Epoch: e.epoch}
+	return v, nil
+}
+
+// View opens the metric's window [from, to) as a pinned, lazily decoded
+// view backed by sc (a nil sc gets fresh buffers). In chunked mode the
+// window's points appear in the view's buffer as Materialize is called;
+// the buffer allocates only on first use or growth and the view is valid
+// until sc's next use. In raw mode (Options.ChunkSize == RawChunks) sc is
+// untouched and the view is zero-copy and whole from the start, sharing
+// the store's backing array; it is a stable snapshot because concurrent
+// Appends only write past its end (or into a freshly grown array) and
+// Prune replaces the backing array rather than truncating it in place.
+func (db *DB) View(id MetricID, from, to time.Time, sc *Scratch) (View, error) {
 	if sc == nil {
-		sc = &Scratch{}
+		sc = new(Scratch)
 	}
-	vals, err := c.valuesInto(sc.buf[:0], i, j, &sc.tmp)
-	sc.buf = vals
+	return db.pin(id, from, to, sc)
+}
+
+// QueryViewStamped returns the metric's series restricted to [from, to)
+// along with its ViewStamp: a View, materialised whole. The returned
+// series is valid until sc's next use; a nil sc decodes into a fresh
+// allocation. Callers must treat the view's Values as read-only.
+func (db *DB) QueryViewStamped(id MetricID, from, to time.Time, sc *Scratch) (*timeseries.Series, ViewStamp, error) {
+	v, err := db.View(id, from, to, sc)
+	if err == nil {
+		err = v.Materialize(0, v.N)
+	}
 	if err != nil {
 		return nil, ViewStamp{}, err
 	}
-	return timeseries.New(c.timeAt(i), c.step, vals), st, nil
+	return v.Series(), v.Stamp, nil
 }
 
 // ViewBounds resolves the window [from, to) to its grid placement — the
-// start time and point count QueryViewStamped would return — plus the
-// series' current ViewStamp, without decoding any chunk. Callers with
-// stamp-keyed caches check for a hit first and only pay for decoding on a
-// miss.
+// start time and point count a View would have — plus the series' current
+// ViewStamp, without pinning or decoding anything.
 func (db *DB) ViewBounds(id MetricID, from, to time.Time) (start time.Time, n int, st ViewStamp, err error) {
-	sh := db.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	e, ok := sh.series[id]
-	if !ok {
-		return time.Time{}, 0, ViewStamp{}, fmt.Errorf("tsdb: unknown metric %q", id)
-	}
-	c := e.data
-	i, j := c.indexOf(from), c.indexOf(to)
-	if j < i {
-		j = i
-	}
-	return c.timeAt(i), j - i, ViewStamp{Epoch: e.epoch}, nil
+	v, err := db.pin(id, from, to, nil)
+	return v.Start, v.N, v.Stamp, err
 }
 
 // StorageStats aggregates the store's in-memory footprint.

@@ -11,15 +11,17 @@
 // an epoch (a content-stability token that survives appends) so callers
 // can cache derived results keyed by (metric, epoch, window), a
 // per-service index makes Metrics(service) proportional to that
-// service's metric count, and QueryViewStamped serves windows into
-// caller-reused scratch buffers.
+// service's metric count, and View pins a window under one hold of the
+// shard lock and decodes it into caller-reused scratch buffers, outside
+// the lock, as far as the caller asks.
 //
 // Values are stored compressed: each series is a run of sealed fixed-size
 // chunks (Gorilla-style XOR or scaled-integer encoding, see
 // timeseries.EncodeChunk) plus one mutable raw head chunk that appends
-// write into. Sealed chunks decode lazily at query time. Options.ChunkSize
-// = RawChunks opts a store out of compression, keeping raw arrays and
-// zero-copy views.
+// write into. Sealed chunks decode lazily at query time, and every read
+// of them (Query, Full, QueryViewStamped, Prune's rebuild) is a View
+// materialised whole. Options.ChunkSize = RawChunks opts a store out of
+// compression, keeping raw arrays and zero-copy views.
 //
 // Writes scale with cores: the store is lock-striped into shards keyed by
 // a hash of the MetricID (default GOMAXPROCS shards, see Options), so
@@ -361,42 +363,28 @@ func (db *DB) Restore(id MetricID, s *timeseries.Series) {
 // Query returns a copy of the metric's series restricted to [from, to), or
 // an error if the metric is unknown.
 func (db *DB) Query(id MetricID, from, to time.Time) (*timeseries.Series, error) {
-	sh := db.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	e, ok := sh.series[id]
-	if !ok {
-		return nil, fmt.Errorf("tsdb: unknown metric %q", id)
+	s, _, err := db.QueryViewStamped(id, from, to, nil)
+	if err == nil && db.chunkSize <= 0 {
+		s = s.Clone() // a raw-mode view is the store's own array
 	}
-	c := e.data
-	i, j := c.indexOf(from), c.indexOf(to)
-	if j < i {
-		j = i
-	}
-	var tmp []float64
-	vals, err := c.valuesInto(make([]float64, 0, j-i), i, j, &tmp)
-	if err != nil {
-		return nil, err
-	}
-	return timeseries.New(c.timeAt(i), c.step, vals), nil
+	return s, err
 }
 
 // Full returns a copy of the metric's complete series.
 func (db *DB) Full(id MetricID) (*timeseries.Series, error) {
 	sh := db.shardFor(id)
 	sh.mu.RLock()
-	defer sh.mu.RUnlock()
 	e, ok := sh.series[id]
 	if !ok {
+		sh.mu.RUnlock()
 		return nil, fmt.Errorf("tsdb: unknown metric %q", id)
 	}
-	c := e.data
-	var tmp []float64
-	vals, err := c.valuesInto(make([]float64, 0, c.len()), 0, c.len(), &tmp)
-	if err != nil {
+	v := e.data.view(new(Scratch), 0, e.data.len())
+	sh.mu.RUnlock()
+	if err := v.Materialize(0, v.N); err != nil {
 		return nil, err
 	}
-	return timeseries.New(c.start, c.step, vals), nil
+	return v.Series(), nil
 }
 
 // Metrics returns all metric IDs, sorted, optionally filtered to one
@@ -465,7 +453,7 @@ func (db *DB) Drop(id MetricID) {
 // mid-chunk: overlapping sealed chunks are decoded and the surviving
 // points re-sealed.
 func (db *DB) Prune(before time.Time) {
-	var tmp []float64
+	var sc Scratch
 	for _, sh := range db.shards {
 		sh.mu.Lock()
 		for _, e := range sh.series {
@@ -473,16 +461,15 @@ func (db *DB) Prune(before time.Time) {
 			if !c.start.Before(before) {
 				continue
 			}
-			k := c.indexOf(before)
-			vals, err := c.valuesInto(make([]float64, 0, c.len()-k), k, c.len(), &tmp)
-			if err != nil {
+			v := c.view(&sc, c.indexOf(before), c.len())
+			if v.Materialize(0, v.N) != nil {
 				// A sealed chunk failing its CRC means in-memory corruption;
 				// keep the series untouched rather than truncating it to the
 				// decodable prefix.
 				continue
 			}
-			nc := newCSeries(c.timeAt(k), c.step, c.chunkSize)
-			nc.bulkAppend(vals)
+			nc := newCSeries(v.Start, c.step, c.chunkSize)
+			nc.bulkAppend(v.vals)
 			e.data = nc
 			e.epoch = nextEpoch()
 		}
