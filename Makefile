@@ -2,7 +2,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 # Packages that define Fuzz* targets (go can only fuzz one package at a time).
-FUZZ_PKGS = . ./internal/stacktrace ./internal/wal ./internal/pprofparse ./internal/evalharness/replay ./internal/timeseries ./internal/popshift ./internal/controlplane
+FUZZ_PKGS = . ./internal/stacktrace ./internal/wal ./internal/pprofparse ./internal/evalharness/replay ./internal/timeseries ./internal/popshift ./internal/controlplane ./internal/stats ./internal/stl
 
 .PHONY: build test vet race lint fuzz-smoke bench-obs bench bench-gate bench-baseline bench-e2e-test bench-e2e eval eval-gate eval-baseline eval-replay eval-replay-baseline crashtest server-smoke profdiff-demo check
 
@@ -18,9 +18,15 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# Static analysis. The tools are not vendored; when missing locally the
-# target degrades to a notice (CI installs and enforces them).
+# Static analysis. gofmt ships with the toolchain and is always enforced:
+# any file it would reformat fails the target. The other tools are not
+# vendored; when missing locally they degrade to a notice (CI installs and
+# enforces them).
 lint:
+	@unformatted="$$(gofmt -l .)"; \
+	if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt would reformat:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -63,13 +69,14 @@ BENCH_GATE = BenchmarkPipeline$$|BenchmarkScanThroughput$$|BenchmarkScanThroughp
 BENCH_TSDB = BenchmarkAppendParallel$$|BenchmarkAppendParallelSingleLock$$|BenchmarkAppendBatch$$|BenchmarkChunkAppend$$|BenchmarkChunkIterate$$|BenchmarkQueryWindow$$
 BENCH_PPROF = BenchmarkPprofParse$$
 BENCH_EDIV = BenchmarkEDivisive$$|BenchmarkEDivisiveStreamAppend$$
-# The went-away decision per candidate shape and the two statistics a
-# sliding sweep leans on. Each package in BENCH_CORE_PKGS gets the whole
-# pattern and runs what it defines; these run for the default second
-# each, not -benchtime 5x, because five iterations of a 3 us decision
-# measure the timer.
-BENCH_CORE = BenchmarkCheckWentAway$$|BenchmarkTheilSen240$$|BenchmarkDominantSeasonLag540$$
-BENCH_CORE_PKGS = ./internal/core/ ./internal/stats/
+# The per-series kernels of a sliding sweep: the change-point stage on a
+# quiet window, the went-away decision per candidate shape, and the
+# statistics and smooths behind went-away and the period search. Each
+# package in BENCH_CORE_PKGS gets the whole pattern and runs what it
+# defines; these run for the default second each, not -benchtime 5x,
+# because five iterations of a 1-3 us decision measure the timer.
+BENCH_CORE = BenchmarkCheckWentAway$$|BenchmarkDetectShortTermQuiet180$$|BenchmarkTheilSen240$$|BenchmarkDominantSeasonLag540$$|BenchmarkMannKendall450$$|BenchmarkLoess540$$|BenchmarkDetectPeriod540$$
+BENCH_CORE_PKGS = ./internal/core/ ./internal/stats/ ./internal/stl/
 bench-gate:
 	$(GO) test -run - -bench '$(BENCH_GATE)' -benchmem -benchtime 5x . | tee BENCH_current.txt
 	$(GO) test -run - -bench '$(BENCH_TSDB)' -benchmem -benchtime 5x ./internal/tsdb/ | tee -a BENCH_current.txt

@@ -42,8 +42,7 @@ func emRefine(xs []float64, t int, buf *[]float64) int {
 	if t <= 0 || t >= n {
 		return t
 	}
-	m1 := stats.Mean(xs[:t])
-	m2 := stats.Mean(xs[t:])
+	m1, m2 := splitMeans(xs, t)
 	if m1 == m2 {
 		return t
 	}
@@ -71,6 +70,33 @@ func emRefine(xs []float64, t int, buf *[]float64) int {
 		}
 	}
 	return bestT
+}
+
+// splitMeans returns stats.Mean(xs[:t]) and stats.Mean(xs[t:]), summing
+// the two halves side by side: two independent add chains, each in its
+// own index order, so the same bits in about half the time.
+func splitMeans(xs []float64, t int) (before, after float64) {
+	a, b := xs[:t], xs[t:]
+	k := min(len(a), len(b))
+	var sa, sb float64
+	bk := b[:k]
+	for i, x := range a[:k] {
+		sa += x
+		sb += bk[i]
+	}
+	for _, x := range a[k:] {
+		sa += x
+	}
+	for _, x := range b[k:] {
+		sb += x
+	}
+	if len(a) > 0 {
+		before = sa / float64(len(a))
+	}
+	if len(b) > 0 {
+		after = sb / float64(len(b))
+	}
+	return before, after
 }
 
 // Result describes a detected change point.
@@ -133,7 +159,14 @@ func DetectScratch(xs []float64, opts Options, buf *[]float64) Result {
 	if n < 2*opts.MinSegment {
 		return Result{PValue: 1}
 	}
-	t := CUSUM(xs)
+	return refine(xs, CUSUM(xs), opts, buf)
+}
+
+// refine is the rest of DetectScratch after the CUSUM estimate t: the EM
+// iterations, the clamp to MinSegment and the likelihood-ratio test. opts
+// must be defaulted and len(xs) at least 2·MinSegment.
+func refine(xs []float64, t int, opts Options, buf *[]float64) Result {
+	n := len(xs)
 	if t == 0 {
 		return Result{PValue: 1}
 	}
@@ -151,8 +184,7 @@ func DetectScratch(xs []float64, opts Options, buf *[]float64) Result {
 		t = n - opts.MinSegment
 	}
 	lr := stats.LikelihoodRatioTest(xs, t, opts.Alpha)
-	m1 := stats.Mean(xs[:t])
-	m2 := stats.Mean(xs[t:])
+	m1, m2 := splitMeans(xs, t)
 	return Result{
 		Index:      t,
 		MeanBefore: m1,

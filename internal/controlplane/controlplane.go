@@ -34,15 +34,15 @@ import (
 
 // Control-plane metric names.
 const (
-	MetricTenants           = "fbdetect_cp_tenants"
-	MetricTenantRequests    = "fbdetect_cp_tenant_requests_total"
-	MetricRateLimited       = "fbdetect_cp_rate_limited_total"
-	MetricUnauthorized      = "fbdetect_cp_unauthorized_total"
-	MetricQuotaRejections   = "fbdetect_cp_quota_rejections_total"
-	MetricOpsTotal          = "fbdetect_cp_operations_total"
-	MetricOpsInFlight       = "fbdetect_cp_operations_in_flight"
-	MetricAdminRingChanges  = "fbdetect_cp_admin_ring_changes_total"
-	MetricRecoveredOps      = "fbdetect_cp_recovered_operations_total"
+	MetricTenants          = "fbdetect_cp_tenants"
+	MetricTenantRequests   = "fbdetect_cp_tenant_requests_total"
+	MetricRateLimited      = "fbdetect_cp_rate_limited_total"
+	MetricUnauthorized     = "fbdetect_cp_unauthorized_total"
+	MetricQuotaRejections  = "fbdetect_cp_quota_rejections_total"
+	MetricOpsTotal         = "fbdetect_cp_operations_total"
+	MetricOpsInFlight      = "fbdetect_cp_operations_in_flight"
+	MetricAdminRingChanges = "fbdetect_cp_admin_ring_changes_total"
+	MetricRecoveredOps     = "fbdetect_cp_recovered_operations_total"
 )
 
 // Options configures a Server. Zero fields take defaults.

@@ -23,9 +23,9 @@ type Monitor struct {
 	reports   []*Regression
 	popShifts []*PopulationShift
 	funnel    Funnel
-	scans    int
-	onReport func(*Regression)
-	obs      *monitorObs // nil until Instrument; nil-safe hooks
+	scans     int
+	onReport  func(*Regression)
+	obs       *monitorObs // nil until Instrument; nil-safe hooks
 }
 
 // NewMonitor wraps a pipeline with periodic scanning at the given

@@ -42,6 +42,7 @@ const (
 	MetricCheckpointMiss = "fbdetect_checkpoint_misses_total"
 	MetricPopShifts      = "fbdetect_popshift_verdicts_total"
 	MetricWentAwayTerms  = "fbdetect_wentaway_terms_total"
+	MetricCPScreened     = "fbdetect_changepoint_screened_total"
 )
 
 // Unregistered; bench/run.go's core.stl_cache_hit_share row reads them (as 0) until the next benchmark PR drops both.
@@ -62,6 +63,7 @@ type pipelineObs struct {
 	scanned  *obs.Counter
 
 	viewPoints *obs.Counter
+	screened   *obs.Counter
 	cpHits     *obs.Counter
 	cpMisses   *obs.Counter
 	popShifts  *obs.Counter
@@ -96,6 +98,8 @@ func newPipelineObs(reg *obs.Registry, tracer *obs.Tracer) *pipelineObs {
 			"Time series examined by the per-metric detection fan-out.", nil),
 		viewPoints: reg.NewCounter(MetricViewPoints,
 			"Window points materialised from tsdb views during scans: the analysis window of every series scanned, the historic and extended windows only behind a change point or the long-term path (checkpoint hits materialise nothing).", nil),
+		screened: reg.NewCounter(MetricCPScreened,
+			"Series the change-point stage let go after its CUSUM pass, because no split could pass the likelihood-ratio test as an increase (no EM, no test run).", nil),
 		cpHits: reg.NewCounter(MetricCheckpointHits,
 			"Detector-checkpoint hits (per-metric detection skipped entirely).", nil),
 		cpMisses: reg.NewCounter(MetricCheckpointMiss,
@@ -142,16 +146,16 @@ func (po *pipelineObs) observe(stage string, start time.Time) {
 	po.stageDur[stage].Observe(time.Since(start).Seconds())
 }
 
-// checkpointLookup counts one detector-checkpoint lookup. Nil-safe.
-func (po *pipelineObs) checkpointLookup(hit bool) {
+// scanCounted adds one detection worker's tallies for a scan: checkpoint
+// lookups, window points materialised and screened series. Nil-safe.
+func (po *pipelineObs) scanCounted(c scanCounts) {
 	if po == nil {
 		return
 	}
-	if hit {
-		po.cpHits.Inc()
-	} else {
-		po.cpMisses.Inc()
-	}
+	po.cpHits.Add(float64(c.cpHits))
+	po.cpMisses.Add(float64(c.cpMisses))
+	po.viewPoints.Add(float64(c.viewPoints))
+	po.screened.Add(float64(c.screened))
 }
 
 // wentAwayDecided counts each term of one went-away verdict as true,
@@ -179,15 +183,6 @@ func (po *pipelineObs) popShiftSuppressed(n int) {
 		return
 	}
 	po.popShifts.Add(float64(n))
-}
-
-// viewServed counts window points a scan asked a view to materialise —
-// what its stages went on to read, not the view's length. Nil-safe.
-func (po *pipelineObs) viewServed(points int) {
-	if po == nil {
-		return
-	}
-	po.viewPoints.Add(float64(points))
 }
 
 // recordFunnel converts one scan's Funnel — the same struct

@@ -186,6 +186,46 @@ func TestWentAwayTermCounters(t *testing.T) {
 	}
 }
 
+// TestScreenedCounter: fbdetect_changepoint_screened_total counts exactly
+// the series whose change-point search the screen ended after CUSUM, and a
+// checkpoint replay adds nothing.
+func TestScreenedCounter(t *testing.T) {
+	reg := obs.NewRegistry()
+	p, end := instrumentedFixture(t, reg, nil)
+	res, err := p.Scan("websvc", end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, id := range p.alertableMetrics("websvc") {
+		s, err := p.db.Query(id, end.Add(-p.cfg.Windows.Total()), end)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws, err := p.cfg.Windows.Cut(s, end)
+		if err != nil {
+			continue
+		}
+		var buf []float64
+		if _, screened := detectShortTerm(p.cfg, id, ws, end, &buf); screened {
+			want++
+		}
+	}
+	got := counterValue(reg, MetricCPScreened, nil)
+	if want == 0 || got != float64(want) {
+		t.Fatalf("%s = %v, want %d screened series", MetricCPScreened, got, want)
+	}
+	if scanned := counterValue(reg, MetricMetricsScanned, nil); got > scanned-float64(res.Funnel.ChangePoints) {
+		t.Errorf("%v screened of %v scanned with %d change points", got, scanned, res.Funnel.ChangePoints)
+	}
+	if _, err := p.Scan("websvc", end); err != nil { // every series a checkpoint hit
+		t.Fatal(err)
+	}
+	if again := counterValue(reg, MetricCPScreened, nil); again != got {
+		t.Errorf("a checkpoint replay moved %s from %v to %v", MetricCPScreened, got, again)
+	}
+}
+
 func TestMonitorInstrumentation(t *testing.T) {
 	reg := obs.NewRegistry()
 	p, end := instrumentedFixture(t, reg, nil)

@@ -109,12 +109,22 @@ type Pipeline struct {
 }
 
 // scanScratch is what one detection worker reuses from series to series:
-// the window view's decode buffers and the change-point stage's working
-// array. Nothing in it survives a series — candidates are cloned off the
-// view before the next one is opened.
+// the window view's decode buffers, the change-point stage's working
+// array and the went-away decision's buffers. Nothing in it survives a
+// series — candidates are cloned off the view before the next one is
+// opened — except the worker's counts, flushed once it stops.
 type scanScratch struct {
-	view   tsdb.Scratch
-	suffix []float64
+	view     tsdb.Scratch
+	suffix   []float64
+	wentAway wentAwayScratch
+	counts   scanCounts
+}
+
+// scanCounts tallies what one worker's series feed the per-scan counters.
+// A quiet series takes about a microsecond, so an atomic add per series
+// on a counter every worker shares would be a visible share of it.
+type scanCounts struct {
+	viewPoints, cpHits, cpMisses, screened int
 }
 
 func (p *Pipeline) getScratch() *scanScratch {
@@ -190,11 +200,11 @@ func (p *Pipeline) scanMetric(metric tsdb.MetricID, from, scanTime time.Time, sc
 		return metricScan{}
 	}
 	if cached, ok := p.checkpoints.get(metric, view.Stamp.Epoch, view.Start.UnixNano(), view.N); ok {
-		p.obs.checkpointLookup(true)
+		sc.counts.cpHits++
 		return cached
 	}
 	if p.checkpoints != nil {
-		p.obs.checkpointLookup(false)
+		sc.counts.cpMisses++
 	}
 	series := view.Series()
 	m, ok := p.detectMetric(metric, view, series, scanTime, sc)
@@ -229,14 +239,14 @@ func (p *Pipeline) detectMetric(metric tsdb.MetricID, view tsdb.View, series *ti
 	if view.Materialize(lo, hi) != nil {
 		return m, false
 	}
-	p.obs.viewServed(hi - lo)
+	sc.counts.viewPoints += hi - lo
 	whole := false
 	materializeRest := func() bool {
 		if !whole {
 			if view.Materialize(0, view.N) != nil {
 				return false
 			}
-			p.obs.viewServed(view.N - (hi - lo))
+			sc.counts.viewPoints += view.N - (hi - lo)
 			whole = true
 		}
 		return true
@@ -249,8 +259,11 @@ func (p *Pipeline) detectMetric(metric tsdb.MetricID, view tsdb.View, series *ti
 		return stlRes
 	}
 	start := p.obs.timed()
-	r := detectShortTerm(p.cfg, metric, ws, scanTime, &sc.suffix)
+	r, screened := detectShortTerm(p.cfg, metric, ws, scanTime, &sc.suffix)
 	p.obs.observe(StageChangePoint, start)
+	if screened {
+		sc.counts.screened++
+	}
 	if r != nil {
 		// r.Windows aliases the view's buffer, and every filter from here
 		// on reads the historic or the extended window.
@@ -259,7 +272,7 @@ func (p *Pipeline) detectMetric(metric tsdb.MetricID, view tsdb.View, series *ti
 		}
 		m.changePoints++
 		start = p.obs.timed()
-		verdict := CheckWentAway(p.cfg.WentAway, r)
+		verdict := checkWentAway(p.cfg.WentAway, r, &sc.wentAway)
 		p.obs.observe(StageWentAway, start)
 		p.obs.wentAwayDecided(verdict)
 		if verdict.Keep {
@@ -400,7 +413,11 @@ func (p *Pipeline) detectService(ctx context.Context, service string, scanTime t
 	cancelled := ctx.Done()
 	work := func() {
 		sc := p.getScratch()
-		defer p.scratch.Put(sc)
+		defer func() {
+			p.obs.scanCounted(sc.counts)
+			sc.counts = scanCounts{}
+			p.scratch.Put(sc)
+		}()
 		for {
 			select {
 			case <-cancelled:

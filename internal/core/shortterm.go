@@ -15,29 +15,28 @@ import (
 // the pipeline; this stage only produces the candidate.
 func DetectShortTerm(cfg Config, metric tsdb.MetricID, ws timeseries.Windows, scanTime time.Time) *Regression {
 	var buf []float64
-	return detectShortTerm(cfg, metric, ws, scanTime, &buf)
+	r, _ := detectShortTerm(cfg, metric, ws, scanTime, &buf)
+	return r
 }
 
 // detectShortTerm is DetectShortTerm over a caller-kept working array
 // (see changepoint.DetectScratch). It reads ws.Analysis only; the
-// candidate it returns carries all of ws.
-func detectShortTerm(cfg Config, metric tsdb.MetricID, ws timeseries.Windows, scanTime time.Time, buf *[]float64) *Regression {
+// candidate it returns carries all of ws. screened reports a window that
+// changepoint.DetectIncrease let go after its CUSUM pass.
+func detectShortTerm(cfg Config, metric tsdb.MetricID, ws timeseries.Windows, scanTime time.Time, buf *[]float64) (r *Regression, screened bool) {
 	analysis := ws.Analysis
 	if analysis.Len() < 8 {
-		return nil
-	}
-	res := changepoint.DetectScratch(analysis.Values, changepoint.Options{
-		Alpha: cfg.Alpha,
-	}, buf)
-	if !res.Found {
-		return nil
+		return nil, false
 	}
 	// Only increases are regressions (paper §5.2: "an increase in a
 	// metric's value means a regression"); decreases are improvements.
-	if res.Delta <= 0 {
-		return nil
+	res, screened := changepoint.DetectIncrease(analysis.Values, changepoint.Options{
+		Alpha: cfg.Alpha,
+	}, buf)
+	if !res.Found || res.Delta <= 0 {
+		return nil, screened
 	}
-	r := NewRegressionRecord(metric)
+	r = NewRegressionRecord(metric)
 	r.Path = ShortTerm
 	r.ChangePoint = res.Index
 	r.ChangePointTime = analysis.TimeAt(res.Index)
@@ -49,7 +48,7 @@ func detectShortTerm(cfg Config, metric tsdb.MetricID, ws timeseries.Windows, sc
 	}
 	r.PValue = res.PValue
 	r.Windows = ws
-	return r
+	return r, false
 }
 
 // PassesThreshold applies the Table 1 threshold: absolute configs compare

@@ -2,6 +2,7 @@ package core
 
 import (
 	"strings"
+	"sync"
 
 	"fbdetect/internal/sax"
 	"fbdetect/internal/stats"
@@ -60,6 +61,27 @@ type WentAwayVerdict struct {
 // Theil-Sen fits — only for a candidate that is not a new pattern, has
 // not gone away and is significant.
 func CheckWentAway(cfg WentAwayConfig, r *Regression) WentAwayVerdict {
+	sc := wentAwayScratchPool.Get().(*wentAwayScratch)
+	defer wentAwayScratchPool.Put(sc)
+	return checkWentAway(cfg, r, sc)
+}
+
+// wentAwayScratchPool serves CheckWentAway's callers outside a sweep,
+// which keep no scratch of their own.
+var wentAwayScratchPool = sync.Pool{New: func() any { return new(wentAwayScratch) }}
+
+// wentAwayScratch is what one went-away decision works in: the joined
+// post window, the copies the percentile selections permute and the SAX
+// words' letters and counts. A sweep worker keeps one in its scanScratch;
+// nothing in it outlives the decision.
+type wentAwayScratch struct {
+	post []float64
+	sel  []float64
+	ints []int
+}
+
+// checkWentAway is CheckWentAway working in sc.
+func checkWentAway(cfg WentAwayConfig, r *Regression, sc *wentAwayScratch) WentAwayVerdict {
 	cfg = cfg.withDefaults()
 	hist := r.Windows.Historic.Values
 	analysis := r.Windows.Analysis.Values
@@ -73,8 +95,11 @@ func CheckWentAway(cfg WentAwayConfig, r *Regression) WentAwayVerdict {
 	}
 	post := postAnalysis
 	if len(ext) > 0 {
-		post = make([]float64, 0, len(postAnalysis)+len(ext))
-		post = append(append(post, postAnalysis...), ext...)
+		if cap(sc.post) < len(postAnalysis)+len(ext) {
+			sc.post = make([]float64, 0, len(postAnalysis)+len(ext))
+		}
+		sc.post = append(append(sc.post[:0], postAnalysis...), ext...)
+		post = sc.post
 	}
 
 	// Build one SAX encoder spanning the combined value range so letters
@@ -95,18 +120,28 @@ func CheckWentAway(cfg WentAwayConfig, r *Regression) WentAwayVerdict {
 	if err != nil {
 		return WentAwayVerdict{}
 	}
-	histWord := enc.Encode(hist)
-	postWord := enc.Encode(post)
+	// Letters of hist and post, then the counts of four words: hist,
+	// post, and the two slices of post the terms read.
+	b := cfg.SAXBuckets
+	if need := len(hist) + len(post) + 4*b; cap(sc.ints) < need {
+		sc.ints = make([]int, need)
+	}
+	ints := sc.ints[:cap(sc.ints)]
+	letters, counts := ints[:len(hist)+len(post)], ints[len(hist)+len(post):]
+	histWord := enc.EncodeInto(letters[:len(hist)], counts[:b], hist)
+	postWord := enc.EncodeInto(letters[len(hist):], counts[b:2*b], post)
+	sliceCounts := counts[2*b : 3*b]
+	postAnalysisCounts := counts[3*b : 4*b]
 
 	var v WentAwayVerdict
 	switch {
-	case newPattern(cfg, enc, histWord, postWord, post):
+	case newPattern(cfg, enc, histWord, postWord, post, sliceCounts):
 		v.NewPattern = true
 		v.Skipped = TermGoneAway | TermSignificantRegression | TermLastingTrend
 	case regressionGoneAway(cfg, post, r):
 		v.GoneAway = true
 		v.Skipped = TermSignificantRegression | TermLastingTrend
-	case !significantRegression(histWord, postWord.Slice(0, len(postAnalysis)), hist, post):
+	case !significantRegression(histWord, postWord.SliceInto(postAnalysisCounts, 0, len(postAnalysis)), hist, post, &sc.sel):
 		v.Skipped = TermLastingTrend
 	default:
 		v.SignificantRegression = true
@@ -124,12 +159,12 @@ func CheckWentAway(cfg WentAwayConfig, r *Regression) WentAwayVerdict {
 // the tail of the window — a long transient whose letters are historically
 // invalid but which has recovered by the window's end is not a new
 // pattern, it is a transient (the situation Figure 1(c) illustrates).
-func newPattern(cfg WentAwayConfig, enc *sax.Encoder, histWord, postWord sax.Word, post []float64) bool {
+func newPattern(cfg WentAwayConfig, enc *sax.Encoder, histWord, postWord sax.Word, post []float64, tailCounts []int) bool {
 	if postWord.InvalidFraction(histWord) < cfg.NewPatternFraction {
 		return false
 	}
 	tail := tailLen(cfg, len(post))
-	tailWord := postWord.Slice(len(post)-tail, len(post))
+	tailWord := postWord.SliceInto(tailCounts, len(post)-tail, len(post))
 	if tailWord.InvalidFraction(histWord) < cfg.NewPatternFraction {
 		return false
 	}
@@ -160,17 +195,20 @@ func tailLen(cfg WentAwayConfig, postLen int) int {
 // change point reaches the largest valid pre-regression letter, and the
 // post P90 exceeds both the historic P95 and the previous day's P90 (we
 // use the trailing quarter of the historic window as "the previous day").
-func significantRegression(histWord, postAnalysisWord sax.Word, hist, post []float64) bool {
+func significantRegression(histWord, postAnalysisWord sax.Word, hist, post []float64, sel *[]float64) bool {
 	maxValidPre := histWord.MaxValidLetter()
 	if maxValidPre >= 0 && postAnalysisWord.MaxLetter() < maxValidPre {
 		return false
 	}
-	p90Post := stats.Percentile(post, 90)
-	if p90Post <= stats.Percentile(hist, 95) {
+	if need := max(len(post), len(hist)); cap(*sel) < need {
+		*sel = make([]float64, 0, need)
+	}
+	p90Post := stats.PercentileScratch(post, 90, sel)
+	if p90Post <= stats.PercentileScratch(hist, 95, sel) {
 		return false
 	}
 	prevDay := hist[len(hist)-len(hist)/4:]
-	return p90Post > stats.Percentile(prevDay, 90)
+	return p90Post > stats.PercentileScratch(prevDay, 90, sel)
 }
 
 // lastingTrend checks that the regression persists as a monotonic upward
@@ -183,15 +221,19 @@ func lastingTrend(cfg WentAwayConfig, analysis, post []float64, cp int) bool {
 	if mkPost.Trend != stats.TrendIncreasing && mkAll.Trend != stats.TrendIncreasing {
 		return false
 	}
-	// Total rise over each trending window, using the lower estimate.
+	// Total rise over each trending window, using the lower estimate. The
+	// fits share one slope array: at ~29k slopes for a 240-point window it
+	// is too large to keep in a worker's scratch for the 2% of candidates
+	// that get here.
+	var slopes []float64
 	rise := 0.0
 	set := false
 	if mkAll.Trend == stats.TrendIncreasing {
-		slope, _ := stats.TheilSen(analysis)
+		slope, _ := stats.TheilSenScratch(analysis, &slopes)
 		rise, set = slope*float64(len(analysis)), true
 	}
 	if mkPost.Trend == stats.TrendIncreasing {
-		slope, _ := stats.TheilSen(post)
+		slope, _ := stats.TheilSenScratch(post, &slopes)
 		if riseP := slope * float64(len(post)); !set || riseP < rise {
 			rise = riseP
 		}

@@ -11,7 +11,8 @@ var wentAwaySink WentAwayVerdict
 // BenchmarkCheckWentAway prices one went-away decision on the live_slide
 // window sizes (300/180/60 points) for the three candidate shapes that
 // make up a sliding sweep — each decided by a cheap term, so none may
-// reach the trend test — and for a small step that does reach it.
+// reach the trend test — and for a small step that does reach it. It
+// decides as a sweep worker does, in a scratch kept across candidates.
 func BenchmarkCheckWentAway(b *testing.B) {
 	for _, bc := range []struct {
 		name      string
@@ -39,10 +40,11 @@ func BenchmarkCheckWentAway(b *testing.B) {
 					break
 				}
 			}
+			var sc wentAwayScratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				wentAwaySink = CheckWentAway(WentAwayConfig{}, r)
+				wentAwaySink = checkWentAway(WentAwayConfig{}, r, &sc)
 			}
 		})
 	}

@@ -250,6 +250,7 @@ func TestWentAwayLazyMatchesEagerOracle(t *testing.T) {
 		TermNewPattern: {}, TermGoneAway: {}, TermSignificantRegression: {}, TermLastingTrend: {},
 	}
 	kept := 0
+	var sc wentAwayScratch // kept across candidates, as a sweep worker keeps it
 	for i := 0; i < cases; i++ {
 		c := genWentAwayCase(rng, i)
 		ws := buildWindows(t, c.hist, c.analysis, c.extended)
@@ -259,6 +260,9 @@ func TestWentAwayLazyMatchesEagerOracle(t *testing.T) {
 		r := regressionAt(t, ws, c.cp)
 		want := oracleCheckWentAway(WentAwayConfig{}, r)
 		got := CheckWentAway(WentAwayConfig{}, r)
+		if reused := checkWentAway(WentAwayConfig{}, r, &sc); reused != got {
+			t.Fatalf("case %d (%s): verdict %+v in a reused scratch, %+v in a fresh one", i, c.shape, reused, got)
+		}
 		if got.Keep != want.Keep {
 			t.Fatalf("case %d (%s): Keep = %v, oracle %v\n got %+v\nwant %+v", i, c.shape, got.Keep, want.Keep, got, want)
 		}

@@ -436,12 +436,12 @@ func ParseSeriesJSON(r io.Reader) ([]Series, error) {
 // jsonAlert mirrors the artifact's alert records; numeric and string ids
 // both appear in the wild.
 type jsonAlert struct {
-	ID           flexID `json:"id"`
-	Signature    flexID `json:"signature_id"`
-	Push         flexID `json:"push_id"`
-	IsRegression *bool       `json:"is_regression"`
-	Status       string      `json:"status"`
-	AmountPct    float64     `json:"amount_pct"`
+	ID           flexID  `json:"id"`
+	Signature    flexID  `json:"signature_id"`
+	Push         flexID  `json:"push_id"`
+	IsRegression *bool   `json:"is_regression"`
+	Status       string  `json:"status"`
+	AmountPct    float64 `json:"amount_pct"`
 }
 
 func (a jsonAlert) toAlert(i int) (Alert, error) {

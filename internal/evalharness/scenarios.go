@@ -77,9 +77,9 @@ func scaleForDelta(tree *fleet.Tree, name string, delta float64) (float64, error
 func baseService(name string, env Env, tree *fleet.Tree, samples float64, emit []string) fleet.Config {
 	return fleet.Config{
 		Name: name, Servers: 50000, Step: env.Step,
-		SamplesPerStep:  samples,
-		BaseCPU:         0.5, CPUNoise: 0.05,
-		BaseThroughput:  2e5, ThroughputNoise: 400,
+		SamplesPerStep: samples,
+		BaseCPU:        0.5, CPUNoise: 0.05,
+		BaseThroughput: 2e5, ThroughputNoise: 400,
 		Tree:            tree,
 		Seed:            env.Seed,
 		EmitSubroutines: emit,

@@ -52,10 +52,10 @@ type MagnitudeBand struct {
 // Report is the machine-readable outcome of one suite run
 // (EVAL_report.json).
 type Report struct {
-	Suite     string                `json:"suite"`
-	Seed      int64                 `json:"seed"`
-	Scenarios int                   `json:"scenarios"`
-	Scans     int                   `json:"scans"`
+	Suite     string                 `json:"suite"`
+	Seed      int64                  `json:"seed"`
+	Scenarios int                    `json:"scenarios"`
+	Scans     int                    `json:"scans"`
 	Classes   map[Class]*ClassResult `json:"classes"`
 
 	// Headline figures the gate checks.

@@ -176,12 +176,12 @@ func TestFractionsAt(t *testing.T) {
 			t.Errorf("fractionsAt(%v) = %v, want [%v, %v]", at, fr, want0, 1-want0)
 		}
 	}
-	check(popT0, 0.8)                                // before any shift
-	check(popT0.Add(time.Hour), 0.8)                 // ramp start
-	check(popT0.Add(2*time.Hour), 0.5)               // halfway up the ramp
-	check(popT0.Add(3*time.Hour), 0.2)               // ramp complete
+	check(popT0, 0.8)                                 // before any shift
+	check(popT0.Add(time.Hour), 0.8)                  // ramp start
+	check(popT0.Add(2*time.Hour), 0.5)                // halfway up the ramp
+	check(popT0.Add(3*time.Hour), 0.2)                // ramp complete
 	check(popT0.Add(3*time.Hour+30*time.Minute), 0.2) // between shifts
-	check(popT0.Add(4*time.Hour), 0.5)               // step shift applied
+	check(popT0.Add(4*time.Hour), 0.5)                // step shift applied
 }
 
 // TestPopulationEmission runs a short simulation and checks the emitted

@@ -35,15 +35,15 @@ func TestTagEntityZero(t *testing.T) {
 func TestParseEntityUntagged(t *testing.T) {
 	for _, e := range []string{
 		"frontend",
-		"a/b/c",          // slashes fine in bases
-		"user@host",      // '@' but not a valid suffix
-		"svc@",           // empty suffix
-		"svc@gen=",       // empty value
-		"svc@foo=bar",    // unknown key
-		"svc@gen=a;gen=b",  // repeated key
+		"a/b/c",              // slashes fine in bases
+		"user@host",          // '@' but not a valid suffix
+		"svc@",               // empty suffix
+		"svc@gen=",           // empty value
+		"svc@foo=bar",        // unknown key
+		"svc@gen=a;gen=b",    // repeated key
 		"svc@region=a;gen=b", // out of canonical order
-		"svc@gen=a=b",    // '=' in value
-		"svc@gen=a/b",    // '/' in value
+		"svc@gen=a=b",        // '=' in value
+		"svc@gen=a/b",        // '/' in value
 	} {
 		base, s, ok := ParseEntity(e)
 		if ok || base != e || !s.IsZero() {

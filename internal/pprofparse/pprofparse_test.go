@@ -269,12 +269,12 @@ func TestParseErrors(t *testing.T) {
 		return b.Profile().Marshal()
 	}()
 	cases := map[string][]byte{
-		"empty":            nil,
-		"truncated":        good[:len(good)-3],
-		"garbage":          {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
-		"bad gzip":         {0x1f, 0x8b, 0x00, 0x01, 0x02},
-		"group wire type":  {0x0b}, // field 1, deprecated start-group
-		"field number 0":   {0x00, 0x00},
+		"empty":           nil,
+		"truncated":       good[:len(good)-3],
+		"garbage":         {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
+		"bad gzip":        {0x1f, 0x8b, 0x00, 0x01, 0x02},
+		"group wire type": {0x0b}, // field 1, deprecated start-group
+		"field number 0":  {0x00, 0x00},
 	}
 	for name, data := range cases {
 		if _, err := Parse(data); err == nil {

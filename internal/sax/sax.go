@@ -141,8 +141,15 @@ type Word struct {
 
 // Encode discretizes xs into a Word.
 func (e *Encoder) Encode(xs []float64) Word {
-	letters := make([]int, len(xs))
-	counts := make([]int, e.buckets)
+	return e.EncodeInto(make([]int, len(xs)), make([]int, e.buckets), xs)
+}
+
+// EncodeInto is Encode writing the word into caller-owned storage: the
+// letters into letters[:len(xs)] and the counts into counts[:Buckets()],
+// which it zeroes first. The word references both.
+func (e *Encoder) EncodeInto(letters, counts []int, xs []float64) Word {
+	letters, counts = letters[:len(xs)], counts[:e.buckets]
+	clear(counts)
 	for i, v := range xs {
 		l := e.Letter(v)
 		letters[i] = l
@@ -155,8 +162,15 @@ func (e *Encoder) Encode(xs []float64) Word {
 // for that stretch of the encoded series, without re-encoding it. The
 // letters are shared with w.
 func (w Word) Slice(i, j int) Word {
+	return w.SliceInto(make([]int, len(w.Counts)), i, j)
+}
+
+// SliceInto is Slice counting into counts[:len(w.Counts)], which it zeroes
+// first; the word references it.
+func (w Word) SliceInto(counts []int, i, j int) Word {
 	letters := w.Letters[i:j]
-	counts := make([]int, len(w.Counts))
+	counts = counts[:len(w.Counts)]
+	clear(counts)
 	for _, l := range letters {
 		counts[l]++
 	}

@@ -91,3 +91,13 @@ func BenchmarkDominantSeasonLag540(b *testing.B) {
 
 // benchSink keeps a benchmarked call from being optimised away.
 var benchSink float64
+
+// BenchmarkMannKendall450 is the went-away trend test's larger window on
+// a live scan: 450 points.
+func BenchmarkMannKendall450(b *testing.B) {
+	xs := benchData(450)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchSink = MannKendall(xs, 0.05).Z
+	}
+}

@@ -81,16 +81,60 @@ func DominantSeasonLag(xs []float64, minLag, maxLag int) (lag int, corr float64)
 		return 0, 0
 	}
 	best, bestLag := 0.0, 0
-	for l := minLag; l <= maxLag; l++ {
+	pick := func(l int, num float64) {
+		if c := num / den; c > best {
+			best, bestLag = c, l
+		}
+	}
+	l := minLag
+	// Eight lags per pass over the series, two indices per step: eight
+	// independent add chains instead of one, and each loaded value feeds
+	// up to sixteen products. Every lag still sums its own products in the
+	// one-lag loop's index order, so it gets the same bits. The pass
+	// covers the indices all eight lags share; the rest follow in order.
+	for ; l+7 <= maxLag; l += 8 {
+		m := len(centred) - l - 7
+		shifted := centred[l:]
+		var n0, n1, n2, n3, n4, n5, n6, n7 float64
+		i := 0
+		for ; i+1 < m; i += 2 {
+			h := centred[i : i+2 : i+2]
+			w := shifted[i : i+9 : i+9]
+			d0, d1 := h[0], h[1]
+			n0 += d0 * w[0]
+			n1 += d0 * w[1]
+			n2 += d0 * w[2]
+			n3 += d0 * w[3]
+			n4 += d0 * w[4]
+			n5 += d0 * w[5]
+			n6 += d0 * w[6]
+			n7 += d0 * w[7]
+			n0 += d1 * w[1]
+			n1 += d1 * w[2]
+			n2 += d1 * w[3]
+			n3 += d1 * w[4]
+			n4 += d1 * w[5]
+			n5 += d1 * w[6]
+			n6 += d1 * w[7]
+			n7 += d1 * w[8]
+		}
+		nums := [8]float64{n0, n1, n2, n3, n4, n5, n6, n7}
+		for k := range nums {
+			// Lag l+k's sum runs to index len(centred)-l-k-1.
+			for j := i; j < m+7-k; j++ {
+				nums[k] += centred[j] * shifted[j+k]
+			}
+			pick(l+k, nums[k])
+		}
+	}
+	for ; l <= maxLag; l++ {
 		var num float64
 		head := centred[:len(centred)-l]
 		shifted := centred[l:][:len(head)]
 		for i, d := range head {
 			num += d * shifted[i]
 		}
-		if c := num / den; c > best {
-			best, bestLag = c, l
-		}
+		pick(l, num)
 	}
 	return bestLag, best
 }

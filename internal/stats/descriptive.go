@@ -72,13 +72,19 @@ func Median(xs []float64) float64 {
 // modified: the order statistics are selected from a copy, not sorted out
 // of it.
 func Percentile(xs []float64, p float64) float64 {
-	n := len(xs)
-	if n == 0 {
+	var buf []float64
+	return PercentileScratch(xs, p, &buf)
+}
+
+// PercentileScratch is Percentile selecting from a copy in *buf, which is
+// grown to len(xs) on first need and reused by every later call. The
+// result does not reference it.
+func PercentileScratch(xs []float64, p float64, buf *[]float64) float64 {
+	if len(xs) == 0 {
 		return 0
 	}
-	scratch := make([]float64, n)
-	copy(scratch, xs)
-	return selectPercentile(scratch, p)
+	*buf = append((*buf)[:0], xs...)
+	return selectPercentile(*buf, p)
 }
 
 // PercentileSorted is like Percentile but requires xs to be sorted ascending

@@ -11,6 +11,14 @@ import "math"
 // For inputs larger than theilSenExactLimit the estimator subsamples pairs
 // deterministically to bound the O(n^2) pair enumeration.
 func TheilSen(xs []float64) (slope, intercept float64) {
+	var buf []float64
+	return TheilSenScratch(xs, &buf)
+}
+
+// TheilSenScratch is TheilSen with its pairwise slopes, and then the copy
+// the intercept's median selects from, in *buf: grown on first need and
+// reused by every later call. The result does not reference it.
+func TheilSenScratch(xs []float64, buf *[]float64) (slope, intercept float64) {
 	n := len(xs)
 	if n < 2 {
 		return 0, Mean(xs)
@@ -19,7 +27,8 @@ func TheilSen(xs []float64) (slope, intercept float64) {
 	// down to the limit; the estimator then runs exactly on the subsample
 	// (bounding work at limit^2/2 pairs) while preserving the trend's
 	// time structure.
-	idxs := make([]int, 0, theilSenExactLimit)
+	var idxArr [theilSenExactLimit]int // on the stack: no allocation per fit
+	idxs := idxArr[:0]
 	if n <= theilSenExactLimit {
 		for i := 0; i < n; i++ {
 			idxs = append(idxs, i)
@@ -31,7 +40,10 @@ func TheilSen(xs []float64) (slope, intercept float64) {
 		}
 	}
 	m := len(idxs)
-	slopes := make([]float64, 0, m*(m-1)/2)
+	slopes := (*buf)[:0]
+	if cap(slopes) < m*(m-1)/2 {
+		slopes = make([]float64, 0, m*(m-1)/2)
+	}
 	for a := 0; a < m-1; a++ {
 		for bi := a + 1; bi < m; bi++ {
 			i, j := idxs[a], idxs[bi]
@@ -41,12 +53,13 @@ func TheilSen(xs []float64) (slope, intercept float64) {
 			slopes = append(slopes, (xs[j]-xs[i])/float64(j-i))
 		}
 	}
+	*buf = slopes
 	// Only the median slope is read, so it is selected rather than sorted
 	// out of the m(m-1)/2 slopes (n >= 2 leaves at least one).
 	slope = selectPercentile(slopes, 50)
 	// intercept via medians for robustness; the median of the indices
 	// 0..n-1 is (n-1)/2.
-	intercept = Median(xs) - slope*(float64(n-1)/2)
+	intercept = PercentileScratch(xs, 50, buf) - slope*(float64(n-1)/2)
 	return slope, intercept
 }
 

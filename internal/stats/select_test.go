@@ -262,7 +262,7 @@ func TestDominantSeasonLagMatchesPerLagLoop(t *testing.T) {
 		"three":    {1, 2, 1},
 		"constant": make([]float64, 200),
 	}
-	for _, n := range []int{4, 5, 31, 240, 540} {
+	for _, n := range []int{4, 5, 16, 17, 18, 19, 31, 240, 540} {
 		seasonal := make([]float64, n)
 		noise := make([]float64, n)
 		quant := make([]float64, n)

@@ -1,6 +1,9 @@
 package stats
 
-import "math"
+import (
+	"math"
+	"sort"
+)
 
 // TTestResult holds the outcome of a two-sample t-test.
 type TTestResult struct {
@@ -55,11 +58,23 @@ func LikelihoodRatioTest(xs []float64, t int, alpha float64) LikelihoodRatioResu
 	if t <= 0 || t >= n || n < 4 {
 		return LikelihoodRatioResult{P: 1}
 	}
-	// H0: one segment.
-	_, v0 := MeanVariance(xs)
-	// H1: two segments sharing a pooled variance around their own means.
-	m1, _ := MeanVariance(xs[:t])
-	m2, _ := MeanVariance(xs[t:])
+	// H0: one segment (its variance); H1: two segments sharing a pooled
+	// variance around their own means. The three Welford passes run as one
+	// loop with a chain each — the segment chains side by side with the
+	// whole-series one, which is what MeanVariance(xs), (xs[:t]) and
+	// (xs[t:]) compute, step for step.
+	var m0, s0, m1, m2 float64
+	for i, x := range xs {
+		d := x - m0
+		m0 += d / float64(i+1)
+		s0 += d * (x - m0)
+		if i < t {
+			m1 += (x - m1) / float64(i+1)
+		} else {
+			m2 += (x - m2) / float64(i-t+1)
+		}
+	}
+	v0 := s0 / float64(n-1)
 	ss := 0.0
 	for i, x := range xs {
 		var d float64
@@ -120,34 +135,55 @@ type MannKendallResult struct {
 // MannKendall performs the non-parametric Mann-Kendall test for a monotonic
 // trend at significance level alpha. Ties are handled with the standard
 // variance correction.
+//
+// S, the sum of sign(xs[j]−xs[i]) over pairs i < j, is counted in
+// O(n log n) as pairs − tied pairs − 2·inversions, the inversions by a
+// merge sort; S is an integer, so that is the pairwise sum exactly. The
+// tie groups are the runs of equal values in the sorted copy. An input
+// holding a NaN, which compares neither above nor below anything, is
+// summed pair by pair.
 func MannKendall(xs []float64, alpha float64) MannKendallResult {
 	n := len(xs)
 	if n < 4 {
 		return MannKendallResult{P: 1, Trend: TrendNone}
 	}
-	s := 0.0
-	for i := 0; i < n-1; i++ {
-		for j := i + 1; j < n; j++ {
-			switch {
-			case xs[j] > xs[i]:
-				s++
-			case xs[j] < xs[i]:
-				s--
-			}
+	buf := make([]float64, 2*n)
+	sorted, tmp := buf[:n], buf[n:]
+	copy(sorted, xs)
+	hasNaN := false
+	for _, x := range xs {
+		if x != x {
+			hasNaN = true
+			break
 		}
 	}
-	// Variance with tie correction.
-	ties := map[float64]int{}
-	for _, x := range xs {
-		ties[x]++
+	var s float64
+	inversions := 0
+	if hasNaN {
+		s = pairwiseS(xs)
+		sort.Float64s(sorted)
+	} else {
+		inversions = sortCountInversions(sorted, tmp)
 	}
+	// Variance with tie correction; every term is an integer, so the sum
+	// does not depend on the order the groups are met in.
+	var tiedPairs int
 	nf := float64(n)
 	v := nf * (nf - 1) * (2*nf + 5)
-	for _, c := range ties {
-		if c > 1 {
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && sorted[j] == sorted[i] {
+			j++
+		}
+		if c := j - i; c > 1 {
+			tiedPairs += c * (c - 1) / 2
 			cf := float64(c)
 			v -= cf * (cf - 1) * (2*cf + 5)
 		}
+		i = j
+	}
+	if !hasNaN {
+		s = float64(n*(n-1)/2 - tiedPairs - 2*inversions)
 	}
 	v /= 18
 	var z float64
@@ -169,4 +205,72 @@ func MannKendall(xs []float64, alpha float64) MannKendallResult {
 		}
 	}
 	return res
+}
+
+// pairwiseS is the Mann-Kendall S summed over every pair.
+func pairwiseS(xs []float64) float64 {
+	s := 0.0
+	for i := 0; i < len(xs)-1; i++ {
+		for j := i + 1; j < len(xs); j++ {
+			switch {
+			case xs[j] > xs[i]:
+				s++
+			case xs[j] < xs[i]:
+				s--
+			}
+		}
+	}
+	return s
+}
+
+// sortCountInversions sorts xs (no NaNs) ascending by
+// a stable merge sort through tmp (len(tmp) >= len(xs)) and returns the
+// number of pairs i < j with xs[i] > xs[j] — equal values are not
+// inversions.
+func sortCountInversions(xs, tmp []float64) int {
+	n := len(xs)
+	inv := 0
+	// Insertion-sort runs of 16: each shift past a larger value is one
+	// inversion.
+	const run = 16
+	for lo := 0; lo < n; lo += run {
+		hi := min(lo+run, n)
+		for i := lo + 1; i < hi; i++ {
+			x := xs[i]
+			j := i
+			for j > lo && xs[j-1] > x {
+				xs[j] = xs[j-1]
+				j--
+			}
+			inv += i - j
+			xs[j] = x
+		}
+	}
+	// Merge: taking from the right half past k left values still
+	// pending counts k inversions; ties take the left value first.
+	src, dst := xs, tmp[:n]
+	for width := run; width < n; width *= 2 {
+		for lo := 0; lo < n; lo += 2 * width {
+			mid, hi := min(lo+width, n), min(lo+2*width, n)
+			i, j, k := lo, mid, lo
+			for i < mid && j < hi {
+				if src[j] < src[i] {
+					dst[k] = src[j]
+					inv += mid - i
+					j++
+				} else {
+					dst[k] = src[i]
+					i++
+				}
+				k++
+			}
+			k += copy(dst[k:], src[i:mid])
+			copy(dst[k:], src[j:hi])
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &xs[0] {
+		copy(xs, src)
+	}
+	return inv
 }

@@ -40,3 +40,24 @@ func BenchmarkDetectPeriod1k(b *testing.B) {
 		DetectPeriod(ys, 4, 400, 3)
 	}
 }
+
+// BenchmarkLoess540 is the period search's detrend: a 540-point window
+// (9 h at one-minute steps) smoothed with span n/4 = 135.
+func BenchmarkLoess540(b *testing.B) {
+	ys := benchSeasonal(540, 120)
+	dst := make([]float64, len(ys))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		LoessInto(dst, ys, 135)
+	}
+}
+
+// BenchmarkDetectPeriod540 is the seasonality stage's period search over
+// a full live window: the detrend above, then lags 4..269 (the default MaxPeriod, 400, clamped to n/2-1).
+func BenchmarkDetectPeriod540(b *testing.B) {
+	ys := benchSeasonal(540, 120)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		DetectPeriod(ys, 4, 400, 3)
+	}
+}

@@ -82,18 +82,18 @@ func Decompose(ys []float64, period int, opts Options) (*Decomposition, error) {
 	maTmp := make([]float64, n)
 	maPrefix := make([]float64, n+1)
 
-	// Loess fits are memoized per effective span: subseries lengths differ
-	// by at most one point across phases, so the whole decomposition needs
-	// at most three distinct weight vectors (two seasonal, one trend).
+	// Loess fits are looked up once per effective span: subseries lengths
+	// differ by at most one point across phases, so the whole decomposition
+	// needs at most three distinct geometries (two seasonal, one trend).
 	fits := map[int]*loessFit{}
-	fitFor := func(span, n int) *loessFit {
+	fitSpan := func(span, n int) *loessFit {
 		if span > n {
 			span = n
 		}
 		if f, ok := fits[span]; ok {
 			return f
 		}
-		f := newLoessFit(span)
+		f := fitFor(span)
 		fits[span] = f
 		return f
 	}
@@ -114,7 +114,7 @@ func Decompose(ys []float64, period int, opts Options) (*Decomposition, error) {
 			if m < 2 || opts.SeasonalSpan < 2 {
 				copy(smoothed[:m], sub[:m])
 			} else {
-				fitFor(opts.SeasonalSpan, m).into(smoothed[:m], sub[:m])
+				fitSpan(opts.SeasonalSpan, m).into(smoothed[:m], sub[:m])
 			}
 			for k := 0; k < m; k++ {
 				seasonal[phase+k*period] = smoothed[k]
@@ -134,7 +134,7 @@ func Decompose(ys []float64, period int, opts Options) (*Decomposition, error) {
 		if opts.TrendSpan < 2 {
 			copy(trend, detrended)
 		} else {
-			fitFor(opts.TrendSpan, n).into(trend, detrended)
+			fitSpan(opts.TrendSpan, n).into(trend, detrended)
 		}
 	}
 
