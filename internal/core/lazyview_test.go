@@ -180,7 +180,7 @@ func TestQuietSeriesScanAllocations(t *testing.T) {
 		scan := func() {
 			at := ends[k%2]
 			k++
-			if m := p.scanMetric(id, at.Add(-p.cfg.Windows.Total()), at, sc); m.changePoints != 0 {
+			if m := p.scanMetric(id, at.Add(-p.cfg.Windows.Total()), at, sc); m.funnel.ChangePoints != 0 {
 				t.Fatalf("metric 1 has a change point at %v", at)
 			}
 		}

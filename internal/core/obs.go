@@ -23,7 +23,8 @@ const (
 	StageRootCause   = "rootcause"
 )
 
-// PipelineStages lists every stage in execution order.
+// PipelineStages lists every stage in execution order. bench/ builds its
+// per-layer stage rows from this list.
 var PipelineStages = []string{
 	StageChangePoint, StageLongTerm, StageWentAway, StageSeasonality,
 	StageThreshold, StageSameMerger, StageSOMDedup, StagePopShift,
@@ -185,37 +186,42 @@ func (po *pipelineObs) popShiftSuppressed(n int) {
 	po.popShifts.Add(float64(n))
 }
 
+// finishScan closes a finalized scan's trace and records its funnel.
+// Call only on an instrumented pipeline.
+func (p *Pipeline) finishScan(d *serviceDetect) {
+	d.root.Annotate("reported", attr(len(d.res.Reported)))
+	d.root.Finish()
+	d.trace.Finish()
+	p.recordFunnel(len(d.metrics), d.res.Funnel)
+}
+
 // recordFunnel converts one scan's Funnel — the same struct
 // Monitor.Stats() accumulates — into per-stage in/out counters, rather
-// than re-counting candidates separately and risking drift.
-func (po *pipelineObs) recordFunnel(metricsScanned int, longTerm bool, f Funnel) {
-	if po == nil {
-		return
-	}
+// than re-counting candidates separately and risking drift. It walks the
+// pipeline table: a stage's in is what the stages before it let through.
+func (p *Pipeline) recordFunnel(metricsScanned int, f Funnel) {
+	po := p.obs
 	po.scans.Inc()
 	po.scanned.Add(float64(metricsScanned))
-	type inOut struct {
-		stage   string
-		in, out int
-	}
-	rows := []inOut{
-		{StageChangePoint, metricsScanned, f.ChangePoints},
-		{StageWentAway, f.ChangePoints, f.AfterWentAway},
-		{StageSeasonality, f.AfterWentAway, f.AfterSeasonality},
-		{StageThreshold, f.AfterSeasonality + f.LongTermChangePoints, f.AfterThreshold},
-		{StageSameMerger, f.AfterThreshold, f.AfterSameMerger},
-		{StageSOMDedup, f.AfterSameMerger, f.AfterSOMDedup},
-		{StagePopShift, f.AfterSOMDedup, f.AfterPopShift},
-		{StageCostShift, f.AfterPopShift, f.AfterCostShift},
-		{StagePairwise, f.AfterCostShift, f.AfterPairwise},
-		{StageRootCause, f.AfterPairwise, f.AfterPairwise},
-	}
-	if longTerm {
-		rows = append(rows, inOut{StageLongTerm, metricsScanned, f.LongTermChangePoints})
-	}
-	for _, r := range rows {
-		po.stageIn[r.stage].Add(float64(r.in))
-		po.stageOut[r.stage].Add(float64(r.out))
+	flowing := 0
+	for i := range stages {
+		st := &stages[i]
+		in, joined := flowing, 0
+		if st.source { // a new path: in are the metrics, out joins the flow
+			in, joined = 0, flowing
+			if st.enabled == nil || st.enabled(p) {
+				in = metricsScanned
+			}
+		}
+		out := in
+		if st.count != nil {
+			out = *st.count(&f)
+		}
+		flowing = joined + out
+		if st.name != "" {
+			po.stageIn[st.name].Add(float64(in))
+			po.stageOut[st.name].Add(float64(out))
+		}
 	}
 }
 

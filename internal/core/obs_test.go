@@ -67,6 +67,10 @@ func TestPipelineInstrumentationMatchesFunnel(t *testing.T) {
 		{StageCostShift, f.AfterSOMDedup, f.AfterCostShift},
 		{StagePairwise, f.AfterCostShift, f.AfterPairwise},
 		{StageLongTerm, metrics, f.LongTermChangePoints},
+		// A disabled pop-shift stage passes its input through, and root
+		// cause removes nothing.
+		{StagePopShift, f.AfterSOMDedup, f.AfterPopShift},
+		{StageRootCause, f.AfterPairwise, f.AfterPairwise},
 	} {
 		l := obs.Labels{"stage": tc.stage}
 		if got := counterValue(reg, MetricStageIn, l); got != float64(tc.in) {
@@ -129,6 +133,118 @@ func TestPipelineInstrumentationMatchesFunnel(t *testing.T) {
 	}
 	if row := byStage[StagePairwise]; row.Out != float64(f.AfterPairwise) {
 		t.Errorf("telemetry pairwise row = %+v", row)
+	}
+}
+
+// TestPipelineStagesOrder pins the stage labels and their order: bench/
+// builds its per-layer stage rows from PipelineStages.
+func TestPipelineStagesOrder(t *testing.T) {
+	want := []string{"changepoint", "longterm", "wentaway", "seasonality", "threshold",
+		"same_merger", "som_dedup", "popshift", "costshift", "pairwise", "rootcause"}
+	if len(PipelineStages) != len(want) {
+		t.Fatalf("PipelineStages = %v, want %v", PipelineStages, want)
+	}
+	for i := range want {
+		if PipelineStages[i] != want[i] {
+			t.Fatalf("PipelineStages = %v, want %v", PipelineStages, want)
+		}
+	}
+}
+
+// stageObservations returns how many latency observations each stage's
+// histogram holds.
+func stageObservations(reg *obs.Registry) map[string]uint64 {
+	n := make(map[string]uint64, len(PipelineStages))
+	for _, st := range PipelineStages {
+		n[st] = reg.NewHistogram(MetricStageDuration, "", nil, obs.Labels{"stage": st}).Snapshot().Count
+	}
+	return n
+}
+
+// TestMergerEmptiedScanStopsThere: a scan whose candidates the merger
+// all calls duplicates observes threshold and same_merger once, and no
+// later stage, and opens no span for them.
+func TestMergerEmptiedScanStopsThere(t *testing.T) {
+	p, end := instrumentedFixture(t, nil, nil)
+	if _, err := p.Scan("websvc", end); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	tracer := obs.NewTracer(4)
+	p.Instrument(reg, tracer)
+	res, err := p.Scan("websvc", end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := res.Funnel; f.AfterThreshold == 0 || f.AfterSameMerger != 0 {
+		t.Fatalf("re-scan funnel %+v, want threshold survivors the merger all drops", f)
+	}
+	seen := stageObservations(reg)
+	for _, st := range []string{StageThreshold, StageSameMerger} {
+		if seen[st] != 1 {
+			t.Errorf("%s latency observations = %d, want 1", st, seen[st])
+		}
+	}
+	later := []string{StageSOMDedup, StagePopShift, StageCostShift, StagePairwise, StageRootCause}
+	for _, st := range later {
+		if seen[st] != 0 {
+			t.Errorf("%s latency observations = %d after the merger emptied the scan, want 0", st, seen[st])
+		}
+	}
+	traces := tracer.Recent(1)
+	if len(traces) != 1 {
+		t.Fatalf("traces = %d, want 1", len(traces))
+	}
+	for _, s := range traces[0].Spans {
+		for _, st := range append(later, "samples") {
+			if s.Name == st {
+				t.Errorf("span %q opened after the merger emptied the scan", st)
+			}
+		}
+	}
+}
+
+// TestPopShiftStageInstrumented: with the stage enabled, popshift is
+// observed once per scan and its in/out counters chain between som_dedup
+// and costshift.
+func TestPopShiftStageInstrumented(t *testing.T) {
+	cfg := incrementalConfig()
+	cfg.PopShift.Enabled = true
+	p, err := NewPipeline(cfg, popShiftFixture(0), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	p.Instrument(reg, nil)
+	res, err := p.Scan("pop", t0.Add(540*time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := res.Funnel
+	if len(res.PopulationShifts) == 0 || f.AfterPopShift >= f.AfterSOMDedup {
+		t.Fatalf("fixture lost its mix shift; funnel %+v", f)
+	}
+	if got := stageObservations(reg)[StagePopShift]; got != 1 {
+		t.Errorf("popshift latency observations = %d, want 1", got)
+	}
+	for _, tc := range []struct {
+		stage   string
+		in, out int
+	}{
+		{StageSOMDedup, f.AfterSameMerger, f.AfterSOMDedup},
+		{StagePopShift, f.AfterSOMDedup, f.AfterPopShift},
+		{StageCostShift, f.AfterPopShift, f.AfterCostShift},
+	} {
+		l := obs.Labels{"stage": tc.stage}
+		if got := counterValue(reg, MetricStageIn, l); got != float64(tc.in) {
+			t.Errorf("%s in = %v, want %d", tc.stage, got, tc.in)
+		}
+		if got := counterValue(reg, MetricStageOut, l); got != float64(tc.out) {
+			t.Errorf("%s out = %v, want %d", tc.stage, got, tc.out)
+		}
+	}
+	if got := counterValue(reg, MetricPopShifts, nil); got != float64(len(res.PopulationShifts)) {
+		t.Errorf("%s = %v, want %d", MetricPopShifts, got, len(res.PopulationShifts))
 	}
 }
 

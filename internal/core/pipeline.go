@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,7 +15,7 @@ import (
 )
 
 // Funnel counts the regression candidates surviving each pipeline stage,
-// the quantity Table 3 reports. Stages appear in execution order.
+// the quantity Table 3 reports, in execution order: the order of stages.
 type Funnel struct {
 	ChangePoints         int // short-term change points detected
 	LongTermChangePoints int // long-term detections
@@ -32,38 +31,10 @@ type Funnel struct {
 
 // Add accumulates another funnel's counts.
 func (f *Funnel) Add(o Funnel) {
-	f.ChangePoints += o.ChangePoints
-	f.LongTermChangePoints += o.LongTermChangePoints
-	f.AfterWentAway += o.AfterWentAway
-	f.AfterSeasonality += o.AfterSeasonality
-	f.AfterThreshold += o.AfterThreshold
-	f.AfterSameMerger += o.AfterSameMerger
-	f.AfterSOMDedup += o.AfterSOMDedup
-	f.AfterPopShift += o.AfterPopShift
-	f.AfterCostShift += o.AfterCostShift
-	f.AfterPairwise += o.AfterPairwise
-}
-
-// ReductionRatios renders the funnel as Table 3's "1/x" ratios relative to
-// the detected change points; a stage with no survivors reports the full
-// reduction.
-func (f Funnel) ReductionRatios() map[string]float64 {
-	total := float64(f.ChangePoints + f.LongTermChangePoints)
-	ratio := func(n int) float64 {
-		if n == 0 || total == 0 {
-			return 0
+	for i := range stages {
+		if count := stages[i].count; count != nil {
+			*count(f) += *count(&o)
 		}
-		return total / float64(n)
-	}
-	return map[string]float64{
-		"went-away":   ratio(f.AfterWentAway),
-		"seasonality": ratio(f.AfterSeasonality),
-		"threshold":   ratio(f.AfterThreshold),
-		"same-merger": ratio(f.AfterSameMerger),
-		"som-dedup":   ratio(f.AfterSOMDedup),
-		"pop-shift":   ratio(f.AfterPopShift),
-		"cost-shift":  ratio(f.AfterCostShift),
-		"pairwise":    ratio(f.AfterPairwise),
 	}
 }
 
@@ -179,11 +150,8 @@ const defaultScanConcurrency = 8
 
 // metricScan is the stage 1-3 outcome for one metric.
 type metricScan struct {
-	changePoints     int
-	afterWentAway    int
-	afterSeasonality int
-	longTerm         int
-	candidates       []*Regression
+	funnel     Funnel
+	candidates []*Regression
 }
 
 // scanMetric runs stages 1-3 (short-term change point, went-away,
@@ -270,18 +238,18 @@ func (p *Pipeline) detectMetric(metric tsdb.MetricID, view tsdb.View, series *ti
 		if !materializeRest() {
 			return metricScan{}, false
 		}
-		m.changePoints++
+		m.funnel.ChangePoints++
 		start = p.obs.timed()
 		verdict := checkWentAway(p.cfg.WentAway, r, &sc.wentAway)
 		p.obs.observe(StageWentAway, start)
 		p.obs.wentAwayDecided(verdict)
 		if verdict.Keep {
-			m.afterWentAway++
+			m.funnel.AfterWentAway++
 			start = p.obs.timed()
 			keep := checkSeasonalityWith(p.cfg.Seasonality, r, stlFor()).Keep
 			p.obs.observe(StageSeasonality, start)
 			if keep {
-				m.afterSeasonality++
+				m.funnel.AfterSeasonality++
 				m.candidates = append(m.candidates, r)
 			}
 		}
@@ -299,7 +267,7 @@ func (p *Pipeline) detectMetric(metric tsdb.MetricID, view tsdb.View, series *ti
 		}
 		p.obs.observe(StageLongTerm, start)
 		if r != nil {
-			m.longTerm++
+			m.funnel.LongTermChangePoints++
 			m.candidates = append(m.candidates, r)
 		}
 	}
@@ -317,10 +285,11 @@ func (p *Pipeline) Scan(service string, scanTime time.Time) (*ScanResult, error)
 	return p.ScanContext(context.Background(), service, scanTime)
 }
 
-// ScanContext is Scan with a caller-controlled context, checked at
-// stage boundaries: when a coordinator cancels a scan (its hedged twin
-// won, or the whole sweep was aborted) the worker stops burning CPU on
-// an answer nobody will read.
+// ScanContext is Scan with a caller-controlled context, checked between
+// series and once more before the SameRegressionMerger records anything:
+// when a coordinator cancels a scan (its hedged twin won, or the sweep
+// was aborted) the worker stops burning CPU on an answer nobody will
+// read, without leaving state that would make a retry miss regressions.
 //
 // A scan is two halves. detectService runs the per-metric detection
 // stages, which touch no cross-scan state and are safe to run for many
@@ -338,7 +307,7 @@ func (p *Pipeline) ScanContext(ctx context.Context, service string, scanTime tim
 
 // serviceDetect carries one service's detection outcome between the
 // parallel-safe detect half of a scan and the order-sensitive finalize
-// half.
+// half, plus what the finalize stages share (gathered after the merger).
 type serviceDetect struct {
 	service    string
 	scanTime   time.Time
@@ -347,6 +316,9 @@ type serviceDetect struct {
 	res        *ScanResult
 	trace      *obs.Trace
 	root       *obs.Span
+
+	before, after *stacktrace.SampleSet
+	popularity    map[string]float64
 }
 
 // discard finishes the trace of a detect whose finalize will never run
@@ -451,10 +423,7 @@ func (p *Pipeline) detectService(ctx context.Context, service string, scanTime t
 	}
 
 	for _, m := range perMetric {
-		d.res.Funnel.ChangePoints += m.changePoints
-		d.res.Funnel.AfterWentAway += m.afterWentAway
-		d.res.Funnel.AfterSeasonality += m.afterSeasonality
-		d.res.Funnel.LongTermChangePoints += m.longTerm
+		d.res.Funnel.Add(m.funnel)
 		d.candidates = append(d.candidates, m.candidates...)
 	}
 	detectSpan.Annotate("candidates", attr(len(d.candidates)))
@@ -462,202 +431,36 @@ func (p *Pipeline) detectService(ctx context.Context, service string, scanTime t
 	return d, nil
 }
 
-// finalizeService runs stages 4-9 on one service's detection outcome.
-// These stages read and mutate cross-scan state (the merger's memory, the
-// pairwise deduper's groups), so finalizes must happen one at a time, in
-// a deterministic service order.
+// finalizeService runs the scan-level stages of the pipeline table on one
+// service's detection outcome. They read and mutate cross-scan state (the
+// merger's memory, the pairwise deduper's groups), so finalizes must
+// happen one at a time, in a deterministic service order.
 func (p *Pipeline) finalizeService(ctx context.Context, d *serviceDetect) (*ScanResult, error) {
-	service, scanTime := d.service, d.scanTime
 	res := d.res
-	candidates := d.candidates
-	trace, root := d.trace, d.root
 	if p.obs != nil {
-		defer func() {
-			root.Annotate("reported", attr(len(res.Reported)))
-			root.Finish()
-			trace.Finish()
-			p.obs.recordFunnel(len(d.metrics), p.cfg.LongTerm, res.Funnel)
-		}()
+		defer p.finishScan(d)
 	}
-
-	// Stage 4: threshold filtering (long-term already thresholds itself,
-	// but re-checking is harmless and keeps the funnel uniform).
-	endStage := p.stageStart(trace, root, StageThreshold)
-	var passed []*Regression
-	for _, r := range candidates {
-		if PassesThreshold(p.cfg, r) {
-			passed = append(passed, r)
+	survivors := d.candidates
+	for i := range stages {
+		st := &stages[i]
+		if st.run == nil {
+			continue // a per-series stage, run by detectMetric
+		}
+		if err := ctx.Err(); st.commit && err != nil {
+			return nil, err
+		}
+		if st.enabled == nil || st.enabled(p) {
+			survivors = p.runStage(st, d, survivors)
+		}
+		if st.count != nil {
+			*st.count(&res.Funnel) = len(survivors)
+		}
+		if st.commit && len(survivors) == 0 {
+			return res, nil
 		}
 	}
-	res.Funnel.AfterThreshold = len(passed)
-	endStage()
-
-	// Planned-change suppression (§8 future work): a regression whose
-	// change point lands inside a registered planned window is expected
-	// and not reported.
-	if p.planned != nil {
-		var unexplained []*Regression
-		for _, r := range passed {
-			if p.planned.Explains(r) == nil {
-				unexplained = append(unexplained, r)
-			}
-		}
-		passed = unexplained
-	}
-
-	// Stage 5: SameRegressionMerger.
-	endStage = p.stageStart(trace, root, StageSameMerger)
-	var fresh []*Regression
-	for _, r := range passed {
-		if !p.merger.IsDuplicate(r) {
-			fresh = append(fresh, r)
-		}
-	}
-	res.Funnel.AfterSameMerger = len(fresh)
-	endStage()
-	if len(fresh) == 0 {
-		return res, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Gather sample sets around the median change point once per scan;
-	// SOM features, cost shift, and root cause all use them.
-	samplesSpan := trace.StartSpan("samples", root)
-	var before, after *stacktrace.SampleSet
-	var popularity map[string]float64
-	if p.samples != nil {
-		span := p.cfg.Windows.Analysis
-		cp := fresh[0].ChangePointTime
-		before = p.samples.SamplesBetween(service, cp.Add(-span), cp)
-		afterEnd := cp.Add(span)
-		if afterEnd.After(scanTime) {
-			afterEnd = scanTime
-		}
-		after = p.samples.SamplesBetween(service, cp, afterEnd)
-		popularity = before.GCPUAll()
-	}
-
-	// Prefill candidate root causes (cheap subroutine-touch search) so the
-	// SOMDedup bitmap feature is available (paper §5.5.1).
-	if p.log != nil {
-		for _, r := range fresh {
-			if r.Entity == "" {
-				continue
-			}
-			lookback := p.cfg.RootCause.Lookback
-			for _, c := range p.log.TouchingSubroutine(service, r.Entity,
-				r.ChangePointTime.Add(-lookback), r.ChangePointTime.Add(lookback/4)) {
-				r.RootCauses = append(r.RootCauses, RootCauseCandidate{ChangeID: c.ID})
-			}
-		}
-	}
-	samplesSpan.Finish()
-
-	// Stage 6: SOMDedup.
-	endStage = p.stageStart(trace, root, StageSOMDedup)
-	somRes := SOMDedup(p.cfg.Dedup, fresh, popularity)
-	var reps []*Regression
-	for _, ri := range somRes.Representatives {
-		reps = append(reps, fresh[ri])
-	}
-	res.Funnel.AfterSOMDedup = len(reps)
-	endStage()
-
-	// Stage 6b: population-shift diagnosis. A candidate whose delta is
-	// explained by the population mix moving (stratified re-weighting of
-	// per-stratum means against the pre-window mix, §5.4-adjacent; see
-	// internal/popshift) is reclassified as a population-shift verdict
-	// instead of a regression report. It runs before cost-shift analysis:
-	// the diagnosis needs only telemetry (no sample queries), and a
-	// mix-induced delta would otherwise be claimed by the cost-shift
-	// stage — the mix movement never shows in stack-sample attributions —
-	// which records no verdict and leaves the candidate armed in the
-	// merger's memory. AfterPopShift is maintained even with the stage
-	// disabled so the funnel stays uniform.
-	surviving := reps
-	if p.cfg.PopShift.Enabled {
-		endStage = p.stageStart(trace, root, StagePopShift)
-		var unexplained []*Regression
-		for _, r := range surviving {
-			if ps := p.checkPopShift(r, scanTime); ps != nil {
-				res.PopulationShifts = append(res.PopulationShifts, ps)
-				// Un-record the candidate from the merger's memory: a
-				// suppressed mix-shift must not mask a later genuine
-				// regression on the same series.
-				p.merger.Forget(r)
-				continue
-			}
-			unexplained = append(unexplained, r)
-		}
-		surviving = unexplained
-		endStage()
-		p.obs.popShiftSuppressed(len(res.PopulationShifts))
-	}
-	res.Funnel.AfterPopShift = len(surviving)
-
-	// Stage 7: cost-shift analysis on representatives — stack-sample
-	// domains for gCPU regressions, the endpoint-prefix domain for
-	// endpoint regressions. Suppressed candidates are un-recorded from
-	// the merger for the same reason as in the pop-shift stage: an
-	// explained-away change point must not mask a later genuine
-	// regression landing nearby on the same series.
-	endStage = p.stageStart(trace, root, StageCostShift)
-	var unexplained []*Regression
-	for _, r := range surviving {
-		if r.Name == "gcpu" && before != nil && after != nil {
-			if CheckCostShift(p.cfg.CostShift, p.domains, r, before, after).IsCostShift {
-				p.merger.Forget(r)
-				continue
-			}
-		}
-		if strings.HasPrefix(r.Entity, "endpoint:") {
-			if CheckEndpointCostShift(p.cfg.CostShift, p.db, r, p.cfg.Windows, scanTime).IsCostShift {
-				p.merger.Forget(r)
-				continue
-			}
-		}
-		unexplained = append(unexplained, r)
-	}
-	surviving = unexplained
-	res.Funnel.AfterCostShift = len(surviving)
-	endStage()
-
-	// Stage 8: PairwiseDedup across metrics and windows.
-	endStage = p.stageStart(trace, root, StagePairwise)
-	p.pairwise.samples = after
-	var reported []*Regression
-	for _, r := range surviving {
-		if _, merged := p.pairwise.Merge(r); !merged {
-			reported = append(reported, r)
-		}
-	}
-	res.Funnel.AfterPairwise = len(reported)
-	endStage()
-
-	// Stage 9: root-cause analysis on newly reported regressions.
-	endStage = p.stageStart(trace, root, StageRootCause)
-	for _, r := range reported {
-		r.DetectedAt = scanTime
-		r.RootCauses = nil // replace the prefill with scored candidates
-		AnalyzeRootCause(p.cfg.RootCause, p.log, r, before, after)
-	}
-	endStage()
-	res.Reported = reported
+	res.Reported = survivors
 	return res, nil
-}
-
-// stageStart opens one scan-level stage: a child span on the scan trace
-// plus a stage-latency observation. The returned func closes both. Every
-// hook is nil-safe, so uninstrumented pipelines pay only a closure.
-func (p *Pipeline) stageStart(trace *obs.Trace, root *obs.Span, stage string) func() {
-	span := trace.StartSpan(stage, root)
-	start := p.obs.timed()
-	return func() {
-		p.obs.observe(stage, start)
-		span.Finish()
-	}
 }
 
 // HasService reports whether the pipeline's store holds any metric for

@@ -272,25 +272,17 @@ func TestPipelineValidation(t *testing.T) {
 }
 
 func TestFunnelRatios(t *testing.T) {
-	f := Funnel{ChangePoints: 1000, AfterWentAway: 10, AfterSeasonality: 8,
-		AfterThreshold: 5, AfterSameMerger: 4, AfterSOMDedup: 2,
-		AfterCostShift: 2, AfterPairwise: 1}
-	r := f.ReductionRatios()
-	if r["went-away"] != 100 {
-		t.Errorf("went-away ratio = %v", r["went-away"])
-	}
-	if r["pairwise"] != 1000 {
-		t.Errorf("pairwise ratio = %v", r["pairwise"])
-	}
+	f := Funnel{ChangePoints: 1000, LongTermChangePoints: 3, AfterWentAway: 10,
+		AfterSeasonality: 8, AfterThreshold: 5, AfterSameMerger: 4, AfterSOMDedup: 2,
+		AfterPopShift: 2, AfterCostShift: 2, AfterPairwise: 1}
 	var g Funnel
 	g.Add(f)
+	if g != f {
+		t.Errorf("Add to an empty funnel = %+v, want %+v: the stage table misses a field", g, f)
+	}
 	g.Add(f)
 	if g.ChangePoints != 2000 || g.AfterPairwise != 2 {
 		t.Errorf("Add failed: %+v", g)
-	}
-	empty := Funnel{}
-	if empty.ReductionRatios()["went-away"] != 0 {
-		t.Error("empty funnel ratios should be 0")
 	}
 }
 
@@ -364,5 +356,46 @@ func TestScanContextCanceled(t *testing.T) {
 	// The same pipeline still scans fine with a live context.
 	if _, err := p.ScanContext(context.Background(), "websvc", end); err != nil {
 		t.Fatalf("live-context scan after cancellation = %v", err)
+	}
+}
+
+// TestCancelledFinalizeKeepsRegressionsReportable: a finalize cancelled
+// after its detect finished stops before the SameRegressionMerger records
+// anything, so retrying the scan reports what a fresh pipeline reports
+// instead of calling every candidate a duplicate.
+func TestCancelledFinalizeKeepsRegressionsReportable(t *testing.T) {
+	fresh, end := instrumentedFixture(t, nil, nil)
+	want, err := fresh.Scan("websvc", end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Reported) == 0 {
+		t.Fatalf("fixture lost its regression; funnel %+v", want.Funnel)
+	}
+
+	p, _ := instrumentedFixture(t, nil, nil)
+	d, err := p.detectService(context.Background(), "websvc", end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if res, err := p.finalizeService(ctx, d); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled finalize = (%v, %v), want context.Canceled", res, err)
+	}
+	got, err := p.Scan("websvc", end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Funnel != want.Funnel {
+		t.Errorf("retried scan funnel %+v, fresh pipeline %+v", got.Funnel, want.Funnel)
+	}
+	if len(got.Reported) != len(want.Reported) {
+		t.Fatalf("retried scan reported %d, fresh pipeline %d", len(got.Reported), len(want.Reported))
+	}
+	for i, r := range got.Reported {
+		if w := want.Reported[i]; r.Metric != w.Metric || !r.ChangePointTime.Equal(w.ChangePointTime) {
+			t.Errorf("report %d: %s at %v, fresh pipeline %s at %v", i, r.Metric, r.ChangePointTime, w.Metric, w.ChangePointTime)
+		}
 	}
 }

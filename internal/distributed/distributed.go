@@ -157,8 +157,9 @@ func (w *Worker) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 	scanStart := time.Now()
 	w.mu.Lock()
 	// The request context flows into the pipeline: when the coordinator
-	// cancels (a hedged twin won, or the sweep was aborted) the scan
-	// stops at the next stage boundary instead of finishing unread.
+	// cancels (a hedged twin won, or the sweep was aborted) the scan stops
+	// between series, or before the merger records anything; past that
+	// point it runs to completion rather than leave candidates undecided.
 	res, err := w.pipeline.ScanContext(req.Context(), sr.Service, sr.ScanTime)
 	w.mu.Unlock()
 	if err != nil {
