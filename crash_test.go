@@ -164,14 +164,18 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 		t.Fatalf("only %d batches; too few to crash mid-stream", len(batches))
 	}
 	// The control is the uninterrupted run: the same batches applied
-	// in-process, no crash — and stored raw (uncompressed), so the
+	// in-process, no crash — and stored raw (uncompressed: its chunks are
+	// longer than the fleet's 360-point series, so nothing seals), so the
 	// comparison also proves WAL replay into the default chunked store
 	// decodes bit-for-bit against an uncompressed copy.
-	control := tsdb.NewWithOptions(time.Minute, tsdb.Options{ChunkSize: tsdb.RawChunks})
+	control := tsdb.NewWithOptions(time.Minute, tsdb.Options{ChunkSize: 400})
 	for _, b := range batches {
 		if _, err := control.AppendBatch(b); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if st := control.StorageStats(); st.SealedChunks != 0 {
+		t.Fatalf("uncompressed control sealed %d chunks", st.SealedChunks)
 	}
 
 	dir := t.TempDir()

@@ -66,10 +66,6 @@ type Options struct {
 	// windows default to Historic 5h / Analysis 3h / Extended 1h with
 	// threshold 0.001 — the worker binary's durable-mode posture.
 	Scan core.Config
-	// Ingest tunes the per-tenant /ingest backpressure.
-	Ingest distributed.IngestOptions
-	// Profiles tunes the per-tenant /profiles backpressure.
-	Profiles distributed.ProfilesOptions
 	// JobWorkers is the async-operation concurrency (default 2).
 	JobWorkers int
 	// JournalCompactBytes triggers operation-journal compaction
@@ -151,8 +147,7 @@ type Server struct {
 	// its own in-flight semaphores, so one tenant saturating its ingest
 	// slots draws 429s without queueing another tenant's batches.
 	handlersMu sync.Mutex
-	ingest     map[string]*distributed.IngestHandler
-	profiles   map[string]*distributed.ProfilesHandler
+	handlers   map[string]tenantHandlers
 
 	// metric handles (nil-safe when uninstrumented)
 	tenantsGauge *obs.Gauge
@@ -217,8 +212,7 @@ func NewServer(opts Options) (*Server, error) {
 		pipe:    pipe,
 		worker:  distributed.NewWorker("control-plane", pipe),
 
-		ingest:   make(map[string]*distributed.IngestHandler),
-		profiles: make(map[string]*distributed.ProfilesHandler),
+		handlers: make(map[string]tenantHandlers),
 	}
 	s.worker.Instrument(reg)
 	opStore.Instrument(reg)
@@ -364,32 +358,29 @@ func (t tenantStore) AppendBatch(pts []tsdb.Point) (int, error) {
 	return t.s.store.AppendBatch(nspts)
 }
 
-// ingestHandler returns (building on first use) the tenant's /ingest
-// handler over its namespacing store.
-func (s *Server) ingestHandler(st *tenantState) *distributed.IngestHandler {
-	s.handlersMu.Lock()
-	defer s.handlersMu.Unlock()
-	h, ok := s.ingest[st.ID]
-	if !ok {
-		h = distributed.NewIngestHandler(tenantStore{s: s, st: st}, s.opts.Ingest)
-		// Handler metrics are registry-global: every tenant's handler
-		// shares the same counter handles (the registry dedups by name
-		// and labels), so instrumenting each one is idempotent.
-		h.Instrument(s.reg)
-		s.ingest[st.ID] = h
-	}
-	return h
+// tenantHandlers is one tenant's data plane over its namespacing store.
+type tenantHandlers struct {
+	ingest   *distributed.IngestHandler
+	profiles *distributed.ProfilesHandler
 }
 
-// profilesHandler returns the tenant's /profiles handler.
-func (s *Server) profilesHandler(st *tenantState) *distributed.ProfilesHandler {
+// handlersOf returns (building on first use) the tenant's handlers.
+func (s *Server) handlersOf(st *tenantState) tenantHandlers {
 	s.handlersMu.Lock()
 	defer s.handlersMu.Unlock()
-	h, ok := s.profiles[st.ID]
+	h, ok := s.handlers[st.ID]
 	if !ok {
-		h = distributed.NewProfilesHandler(tenantStore{s: s, st: st}, s.opts.Profiles)
-		h.Instrument(s.reg)
-		s.profiles[st.ID] = h
+		store := tenantStore{s: s, st: st}
+		h = tenantHandlers{
+			ingest:   distributed.NewIngestHandler(store, distributed.IngestOptions{}),
+			profiles: distributed.NewProfilesHandler(store, distributed.ProfilesOptions{}),
+		}
+		// Handler metrics are registry-global: every tenant's handlers
+		// share the same counter handles (the registry dedups by name
+		// and labels), so instrumenting each one is idempotent.
+		h.ingest.Instrument(s.reg)
+		h.profiles.Instrument(s.reg)
+		s.handlers[st.ID] = h
 	}
 	return h
 }

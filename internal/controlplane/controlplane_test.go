@@ -190,6 +190,25 @@ func TestSeriesQuotaEdges(t *testing.T) {
 	if got := s.reg.NewCounter(MetricQuotaRejections, "", obs.Labels{"tenant": tn.ID}).Value(); got != 1 {
 		t.Errorf("quota rejections = %v, want 1", got)
 	}
+
+	// /profiles answers the same quota with the same 403: a folded
+	// profile resolving to two subroutines fills a two-series quota, and
+	// one that adds a third series is refused whole.
+	pt := register(t, s, "team-b", Quotas{MaxSeries: 2})
+	profiles := "/profiles?service=web&time=" + now.Format(time.RFC3339)
+	if rr := doJSON(s, "POST", profiles, pt.Key, "main;render 3\n"); rr.Code != http.StatusOK {
+		t.Fatalf("fill-to-quota profile = %d: %s", rr.Code, rr.Body)
+	}
+	rr = doJSON(s, "POST", profiles, pt.Key, "main;render 3\nmain;encode 1\n")
+	if rr.Code != http.StatusForbidden || !strings.Contains(rr.Body.String(), "quota") {
+		t.Fatalf("over-quota profile = %d, want 403 naming the quota: %s", rr.Code, rr.Body)
+	}
+	if got := s.store.DB.NumMetrics(namespaceService(pt.ID, "web")); got != 2 {
+		t.Errorf("series after rejected profile = %d, want 2 (upload must be atomic)", got)
+	}
+	if got := s.reg.NewCounter(MetricQuotaRejections, "", obs.Labels{"tenant": pt.ID}).Value(); got != 1 {
+		t.Errorf("profile quota rejections = %v, want 1", got)
+	}
 }
 
 func TestRateLimitBurstAndIsolation(t *testing.T) {

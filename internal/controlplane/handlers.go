@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -80,7 +79,7 @@ func (s *Server) rateLimit(next http.Handler) http.Handler {
 				s.reg.NewCounter(MetricRateLimited,
 					"Requests rejected by the per-tenant rate limit.",
 					obs.Labels{"tenant": st.ID}).Inc()
-				w.Header().Set("Retry-After", retryAfterSeconds(retryAfter))
+				w.Header().Set("Retry-After", distributed.RetryAfterSeconds(retryAfter))
 				http.Error(w, "tenant rate limit exceeded", http.StatusTooManyRequests)
 				return
 			}
@@ -99,16 +98,6 @@ func (s *Server) authAdmin(next http.HandlerFunc) http.Handler {
 		}
 		next.ServeHTTP(w, r)
 	})
-}
-
-// retryAfterSeconds renders d as a whole-second Retry-After value,
-// rounding up so the hint never understates the wait.
-func retryAfterSeconds(d time.Duration) string {
-	sec := int((d + time.Second - 1) / time.Second)
-	if sec < 1 {
-		sec = 1
-	}
-	return strconv.Itoa(sec)
 }
 
 // buildMux wires the full serving surface. Every route passes through
@@ -155,19 +144,16 @@ func tenantOf(r *http.Request) *tenantState {
 	return st
 }
 
-// serveIngest delegates to a per-tenant ingest handler over the
-// namespacing store. Handlers are built per tenant (lazily, once) so
-// each tenant gets its own in-flight semaphore: tenant A saturating its
-// ingest slots draws 429s itself without queueing tenant B.
+// serveIngest delegates to the tenant's own ingest handler over the
+// namespacing store, so tenant A saturating its ingest slots draws 429s
+// itself without queueing tenant B.
 func (s *Server) serveIngest(w http.ResponseWriter, r *http.Request) {
-	st := tenantOf(r)
-	s.rateLimit(s.ingestHandler(st)).ServeHTTP(w, r)
+	s.rateLimit(s.handlersOf(tenantOf(r)).ingest).ServeHTTP(w, r)
 }
 
 // serveProfiles is /profiles with the same per-tenant isolation.
 func (s *Server) serveProfiles(w http.ResponseWriter, r *http.Request) {
-	st := tenantOf(r)
-	s.rateLimit(s.profilesHandler(st)).ServeHTTP(w, r)
+	s.rateLimit(s.handlersOf(tenantOf(r)).profiles).ServeHTTP(w, r)
 }
 
 // serveScan runs a pipeline scan of one tenant service. The service
@@ -252,7 +238,7 @@ func (s *Server) serveCreateOperation(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("Location", "/operations/"+op.ID)
-		w.Header().Set("Retry-After", retryAfterSeconds(s.opts.PollRetryAfter))
+		w.Header().Set("Retry-After", distributed.RetryAfterSeconds(s.opts.PollRetryAfter))
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusAccepted)
 		json.NewEncoder(w).Encode(op)
@@ -270,7 +256,7 @@ func (s *Server) serveGetOperation(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !op.Status.Terminal() {
-		w.Header().Set("Retry-After", retryAfterSeconds(s.opts.PollRetryAfter))
+		w.Header().Set("Retry-After", distributed.RetryAfterSeconds(s.opts.PollRetryAfter))
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(op)

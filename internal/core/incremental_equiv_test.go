@@ -211,7 +211,9 @@ func TestCheckpointEvictionByteIdentical(t *testing.T) {
 }
 
 // TestCompressedVsRawByteIdentical: identical pipelines over a chunked
-// and a raw store fed the same appends.
+// and a raw store fed the same appends. The raw store's chunks are longer
+// than the 600 points the sequence grows each series to, so nothing in
+// it seals.
 func TestCompressedVsRawByteIdentical(t *testing.T) {
 	cfg := incrementalConfig()
 
@@ -222,7 +224,7 @@ func TestCompressedVsRawByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dbRaw := tsdb.NewWithOptions(time.Minute, tsdb.Options{ChunkSize: tsdb.RawChunks})
+	dbRaw := tsdb.NewWithOptions(time.Minute, tsdb.Options{ChunkSize: 1000})
 	seedIncrementalDB(dbRaw, 540)
 	pRaw, err := NewPipeline(cfg, dbRaw, nil, nil)
 	if err != nil {
@@ -231,5 +233,8 @@ func TestCompressedVsRawByteIdentical(t *testing.T) {
 
 	chunked := scanSequence(t, pChunked, dbChunked, "chunked")
 	raw := scanSequence(t, pRaw, dbRaw, "raw")
+	if st := dbRaw.StorageStats(); st.SealedChunks != 0 {
+		t.Fatalf("raw store sealed %d chunks", st.SealedChunks)
+	}
 	compareScanResults(t, chunked, raw, "compressed vs raw")
 }

@@ -74,7 +74,7 @@ type Pipeline struct {
 	// Test hooks, nil outside tests: viewOpened runs on every view a scan
 	// opens, before anything is materialised; viewReleased gets the view's
 	// value buffer at full capacity once the series' scan no longer reads
-	// it (over a RawChunks store that is the store's own array).
+	// it.
 	viewOpened   func(tsdb.View)
 	viewReleased func([]float64)
 }

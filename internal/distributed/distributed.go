@@ -149,32 +149,21 @@ func (w *Worker) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 		http.Error(rw, "service and scan_time required", http.StatusBadRequest)
 		return
 	}
-	if !w.pipeline.HasService(sr.Service) {
+	resp, err := w.Scan(req.Context(), sr.Service, sr.ScanTime)
+	switch {
+	case errors.Is(err, ErrUnknownService):
 		w.errCounter(ErrReasonUnknownService).Inc()
 		http.Error(rw, "unknown service: "+sr.Service, http.StatusNotFound)
 		return
-	}
-	scanStart := time.Now()
-	w.mu.Lock()
-	// The request context flows into the pipeline: when the coordinator
-	// cancels (a hedged twin won, or the sweep was aborted) the scan stops
-	// between series, or before the merger records anything; past that
-	// point it runs to completion rather than leave candidates undecided.
-	res, err := w.pipeline.ScanContext(req.Context(), sr.Service, sr.ScanTime)
-	w.mu.Unlock()
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			w.errCounter(ErrReasonCanceled).Inc()
-			http.Error(rw, "scan canceled: "+err.Error(), http.StatusServiceUnavailable)
-			return
-		}
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		w.errCounter(ErrReasonCanceled).Inc()
+		http.Error(rw, "scan canceled: "+err.Error(), http.StatusServiceUnavailable)
+		return
+	case err != nil:
 		w.errCounter(ErrReasonScanFailed).Inc()
 		http.Error(rw, "scan failed: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.duration.Observe(time.Since(scanStart).Seconds())
-	w.scans.Inc()
-	resp := w.wireResponse(res)
 	rw.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(rw).Encode(resp)
 }
@@ -183,16 +172,19 @@ func (w *Worker) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 // series in the worker's store.
 var ErrUnknownService = errors.New("distributed: unknown service")
 
-// Scan runs one worker-local pipeline scan directly (no HTTP), with the
-// same serialization and wire conversion ServeHTTP applies — the entry
-// point for in-process callers like the control plane's async sweep
-// jobs, which must share the pipeline mutex with the HTTP surface.
+// Scan runs one worker-local pipeline scan. ServeHTTP is its HTTP form;
+// in-process callers like the control plane's async sweep jobs call it
+// directly and share the pipeline mutex with the HTTP surface.
 func (w *Worker) Scan(ctx context.Context, service string, scanTime time.Time) (*ScanResponse, error) {
 	if !w.pipeline.HasService(service) {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownService, service)
 	}
 	scanStart := time.Now()
 	w.mu.Lock()
+	// ctx flows into the pipeline: when the coordinator cancels (a hedged
+	// twin won, or the sweep was aborted) the scan stops between series,
+	// or before the merger records anything; past that point it runs to
+	// completion rather than leave candidates undecided.
 	res, err := w.pipeline.ScanContext(ctx, service, scanTime)
 	w.mu.Unlock()
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -92,12 +91,12 @@ type IngestResult struct {
 
 // Ingest rejection reasons, the reason label of MetricIngestRejected.
 const (
-	IngestReasonBadMethod   = "bad_method"
+	IngestReasonBadMethod   = reasonBadMethod
 	IngestReasonBadJSON     = "bad_json"
-	IngestReasonTooLarge    = "too_large"
-	IngestReasonBusy        = "busy"
-	IngestReasonStoreFailed = "store_failed"
-	IngestReasonQuota       = "quota"
+	IngestReasonTooLarge    = reasonTooLarge
+	IngestReasonBusy        = reasonBusy
+	IngestReasonStoreFailed = reasonStoreFailed
+	IngestReasonQuota       = reasonQuota
 )
 
 // StatusError lets a store reject a batch with a specific HTTP status:
@@ -152,22 +151,20 @@ func (o IngestOptions) withDefaults() IngestOptions {
 // Retry-After when too many batches are in flight — so a streaming client
 // slows down instead of piling work onto a struggling worker.
 type IngestHandler struct {
-	store IngestStore
-	opts  IngestOptions
-	sem   chan struct{}
-
-	reg     *obs.Registry // nil when uninstrumented
+	intake
 	batches *obs.Counter
-	points  *obs.Counter
-	skipped *obs.Counter
-	bytes   *obs.Counter
 }
 
 // NewIngestHandler wraps store with backpressure and accounting.
 func NewIngestHandler(store IngestStore, opts IngestOptions) *IngestHandler {
 	opts = opts.withDefaults()
-	return &IngestHandler{store: store, opts: opts,
-		sem: make(chan struct{}, opts.MaxInFlight)}
+	return &IngestHandler{intake: intake{
+		store: store, maxBody: opts.MaxBodyBytes, retryAfter: opts.RetryAfter,
+		sem:         make(chan struct{}, opts.MaxInFlight),
+		busyMsg:     "too many ingest batches in flight",
+		tooLargeMsg: "body exceeds %d bytes; split the batch",
+		badBody:     IngestReasonBadJSON,
+	}}
 }
 
 // Instrument publishes the fbdetect_ingest_* counters to reg. Call before
@@ -176,7 +173,6 @@ func (h *IngestHandler) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	h.reg = reg
 	h.batches = reg.NewCounter(MetricIngestBatches,
 		"Ingest batches acknowledged.", nil)
 	h.points = reg.NewCounter(MetricIngestPoints,
@@ -185,79 +181,30 @@ func (h *IngestHandler) Instrument(reg *obs.Registry) {
 		"Ingested points skipped as already present (idempotent re-sends).", nil)
 	h.bytes = reg.NewCounter(MetricIngestBytes,
 		"Request body bytes accepted by /ingest.", nil)
-	for _, reason := range []string{
-		IngestReasonBadMethod, IngestReasonBadJSON, IngestReasonTooLarge,
-		IngestReasonBusy, IngestReasonStoreFailed, IngestReasonQuota,
-	} {
-		h.rejCounter(reason)
-	}
-}
-
-// rejCounter returns the rejection counter for one reason (nil-safe when
-// uninstrumented).
-func (h *IngestHandler) rejCounter(reason string) *obs.Counter {
-	return h.reg.NewCounter(MetricIngestRejected,
-		"Ingest requests rejected, by reason.", obs.Labels{"reason": reason})
+	h.instrumentRejected(reg, MetricIngestRejected,
+		"Ingest requests rejected, by reason.", IngestReasonBadJSON)
 }
 
 // ServeHTTP implements POST /ingest.
 func (h *IngestHandler) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		h.rejCounter(IngestReasonBadMethod).Inc()
-		http.Error(rw, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	select {
-	case h.sem <- struct{}{}:
-		defer func() { <-h.sem }()
-	default:
-		h.rejCounter(IngestReasonBusy).Inc()
-		rw.Header().Set("Retry-After", retryAfterSeconds(h.opts.RetryAfter))
-		http.Error(rw, "too many ingest batches in flight", http.StatusTooManyRequests)
-		return
-	}
+	h.serve(rw, req, h.open)
+}
 
-	// Read the whole (capped, possibly gzipped) body before parsing: a
-	// batch applies atomically or not at all, and reading first keeps
-	// "too large" (413, don't retry — split) distinct from a line
-	// truncated mid-stream. The size limit applies to the decompressed
-	// bytes, so a gzip bomb still draws the 413.
-	raw, err := readBody(rw, req, h.opts.MaxBodyBytes)
-	if err != nil {
-		if errors.Is(err, errBodyTooLarge) {
-			h.rejCounter(IngestReasonTooLarge).Inc()
-			http.Error(rw, fmt.Sprintf("body exceeds %d bytes; split the batch",
-				h.opts.MaxBodyBytes), http.StatusRequestEntityTooLarge)
-			return
-		}
-		h.rejCounter(IngestReasonBadJSON).Inc()
-		http.Error(rw, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
+// open needs nothing from the URL: every NDJSON line names its series
+// and time.
+func (h *IngestHandler) open(*http.Request) (decodeBody, *rejection) {
+	return h.decode, nil
+}
+
+func (h *IngestHandler) decode(raw []byte) (batch, *rejection) {
 	pts, err := decodeNDJSON(raw)
 	if err != nil {
-		h.rejCounter(IngestReasonBadJSON).Inc()
-		http.Error(rw, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
+		return batch{}, &rejection{IngestReasonBadJSON, "bad request: " + err.Error()}
 	}
-	appended, err := h.store.AppendBatch(pts)
-	if err != nil {
-		var se StatusError
-		if errors.As(err, &se) {
-			h.rejCounter(IngestReasonQuota).Inc()
-			http.Error(rw, err.Error(), se.HTTPStatus())
-			return
-		}
-		h.rejCounter(IngestReasonStoreFailed).Inc()
-		http.Error(rw, "append failed: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	h.batches.Inc()
-	h.points.Add(float64(appended))
-	h.skipped.Add(float64(len(pts) - appended))
-	h.bytes.Add(float64(len(raw)))
-	rw.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(rw).Encode(IngestResult{Appended: appended, Skipped: len(pts) - appended})
+	return batch{pts: pts, ack: func(appended int) any {
+		h.batches.Inc()
+		return IngestResult{Appended: appended, Skipped: len(pts) - appended}
+	}}, nil
 }
 
 // decodeNDJSON parses one point per line. Blank lines are allowed (a
@@ -295,16 +242,6 @@ func decodeNDJSON(data []byte) ([]tsdb.Point, error) {
 		return nil, err
 	}
 	return pts, nil
-}
-
-// retryAfterSeconds renders d as a whole-second Retry-After value,
-// rounding up so the hint never understates the wait.
-func retryAfterSeconds(d time.Duration) string {
-	s := int((d + time.Second - 1) / time.Second)
-	if s < 1 {
-		s = 1
-	}
-	return strconv.Itoa(s)
 }
 
 // IngestClient streams point batches to a worker's /ingest endpoint,

@@ -29,15 +29,13 @@ func NewMux(w *Worker, reg *obs.Registry, tracer *obs.Tracer) *http.ServeMux {
 //
 //	/ingest         NDJSON point batches appended to the worker's store
 //	/profiles       raw pprof / folded-stack profiles folded into
-//	                per-subroutine gCPU points (when prof != nil)
+//	                per-subroutine gCPU points
 //
 // used by workers running with a durable data dir, where series arrive
 // over HTTP instead of from a CSV loaded at startup.
 func NewIngestMux(w *Worker, ing *IngestHandler, prof *ProfilesHandler, reg *obs.Registry, tracer *obs.Tracer) *http.ServeMux {
 	mux := NewMux(w, reg, tracer)
 	mux.Handle("/ingest", obs.Middleware(reg, "/ingest", ing))
-	if prof != nil {
-		mux.Handle("/profiles", obs.Middleware(reg, "/profiles", prof))
-	}
+	mux.Handle("/profiles", obs.Middleware(reg, "/profiles", prof))
 	return mux
 }

@@ -1,9 +1,6 @@
 package distributed
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
 	"sort"
 	"time"
@@ -16,12 +13,13 @@ import (
 
 // Profiles rejection reasons, the reason label of MetricProfilesRejected.
 const (
-	ProfilesReasonBadMethod   = "bad_method"
+	ProfilesReasonBadMethod   = reasonBadMethod
 	ProfilesReasonBadRequest  = "bad_request"
 	ProfilesReasonBadProfile  = "bad_profile"
-	ProfilesReasonTooLarge    = "too_large"
-	ProfilesReasonBusy        = "busy"
-	ProfilesReasonStoreFailed = "store_failed"
+	ProfilesReasonTooLarge    = reasonTooLarge
+	ProfilesReasonBusy        = reasonBusy
+	ProfilesReasonStoreFailed = reasonStoreFailed
+	ProfilesReasonQuota       = reasonQuota
 )
 
 // Profile-ingestion metric names.
@@ -52,12 +50,6 @@ type ProfilesOptions struct {
 	// capping keeps one noisy profile from registering thousands of
 	// one-off series.
 	TopK int
-	// SampleType picks the pprof sample value to weight by (default: the
-	// profile's default type, falling back to cpu/nanoseconds last).
-	SampleType string
-	// MaxLineBytes caps one folded-text line (default
-	// stacktrace.DefaultMaxLineBytes).
-	MaxLineBytes int
 	// Now supplies the fallback timestamp for profiles that carry none
 	// (folded text without an explicit ?time=). nil means time.Now.
 	Now func() time.Time
@@ -116,15 +108,11 @@ type ProfilesResult struct {
 // the profile, don't retry), 429 + Retry-After when too many uploads are
 // in flight.
 type ProfilesHandler struct {
-	store IngestStore
-	opts  ProfilesOptions
-	sem   chan struct{}
+	intake
+	topK int
+	now  func() time.Time
 
-	reg         *obs.Registry // nil when uninstrumented
-	accepted    map[string]*obs.Counter
-	points      *obs.Counter
-	skipped     *obs.Counter
-	bytes       *obs.Counter
+	accepted    map[string]*obs.Counter // by format; nil when uninstrumented
 	subroutines *obs.Histogram
 	parseSecs   *obs.Histogram
 }
@@ -133,8 +121,13 @@ type ProfilesHandler struct {
 // backpressure.
 func NewProfilesHandler(store IngestStore, opts ProfilesOptions) *ProfilesHandler {
 	opts = opts.withDefaults()
-	return &ProfilesHandler{store: store, opts: opts,
-		sem: make(chan struct{}, opts.MaxInFlight)}
+	return &ProfilesHandler{intake: intake{
+		store: store, maxBody: opts.MaxBodyBytes, retryAfter: opts.RetryAfter,
+		sem:         make(chan struct{}, opts.MaxInFlight),
+		busyMsg:     "too many profile uploads in flight",
+		tooLargeMsg: "profile exceeds %d bytes",
+		badBody:     ProfilesReasonBadRequest,
+	}, topK: opts.TopK, now: opts.Now}
 }
 
 // Instrument publishes the fbdetect_profiles_* metrics to reg. Call
@@ -143,7 +136,6 @@ func (h *ProfilesHandler) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	h.reg = reg
 	h.accepted = map[string]*obs.Counter{}
 	for _, format := range []string{pprofparse.FormatPprof, pprofparse.FormatFolded} {
 		h.accepted[format] = reg.NewCounter(MetricProfilesTotal,
@@ -160,75 +152,43 @@ func (h *ProfilesHandler) Instrument(reg *obs.Registry) {
 		[]float64{1, 5, 10, 25, 50, 100, 200, 500, 1000, 5000}, nil)
 	h.parseSecs = reg.NewHistogram(MetricProfilesParseSecs,
 		"Profile parse+convert latency.", nil, nil)
-	for _, reason := range []string{
-		ProfilesReasonBadMethod, ProfilesReasonBadRequest, ProfilesReasonBadProfile,
-		ProfilesReasonTooLarge, ProfilesReasonBusy, ProfilesReasonStoreFailed,
-	} {
-		h.rejCounter(reason)
-	}
-}
-
-// rejCounter returns the rejection counter for one reason (nil-safe when
-// uninstrumented).
-func (h *ProfilesHandler) rejCounter(reason string) *obs.Counter {
-	return h.reg.NewCounter(MetricProfilesRejected,
-		"Profile uploads rejected, by reason.", obs.Labels{"reason": reason})
+	h.instrumentRejected(reg, MetricProfilesRejected,
+		"Profile uploads rejected, by reason.", ProfilesReasonBadRequest, ProfilesReasonBadProfile)
 }
 
 // ServeHTTP implements POST /profiles.
 func (h *ProfilesHandler) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		h.rejCounter(ProfilesReasonBadMethod).Inc()
-		http.Error(rw, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	select {
-	case h.sem <- struct{}{}:
-		defer func() { <-h.sem }()
-	default:
-		h.rejCounter(ProfilesReasonBusy).Inc()
-		rw.Header().Set("Retry-After", retryAfterSeconds(h.opts.RetryAfter))
-		http.Error(rw, "too many profile uploads in flight", http.StatusTooManyRequests)
-		return
-	}
+	h.serve(rw, req, h.open)
+}
 
-	service := req.URL.Query().Get("service")
+// open reads ?service= and ?time= before the upload is read.
+func (h *ProfilesHandler) open(req *http.Request) (decodeBody, *rejection) {
+	q := req.URL.Query()
+	service := q.Get("service")
 	if service == "" {
-		h.rejCounter(ProfilesReasonBadRequest).Inc()
-		http.Error(rw, "query parameter service is required (the service the profile was captured from)",
-			http.StatusBadRequest)
-		return
+		return nil, &rejection{ProfilesReasonBadRequest,
+			"query parameter service is required (the service the profile was captured from)"}
 	}
 	var explicitTime time.Time
-	if ts := req.URL.Query().Get("time"); ts != "" {
+	if ts := q.Get("time"); ts != "" {
 		var err error
 		explicitTime, err = time.Parse(time.RFC3339, ts)
 		if err != nil {
-			h.rejCounter(ProfilesReasonBadRequest).Inc()
-			http.Error(rw, "bad time parameter (want RFC3339): "+err.Error(), http.StatusBadRequest)
-			return
+			return nil, &rejection{ProfilesReasonBadRequest, "bad time parameter (want RFC3339): " + err.Error()}
 		}
 	}
+	contentType := req.Header.Get("Content-Type")
+	return func(raw []byte) (batch, *rejection) {
+		return h.decode(raw, contentType, service, explicitTime)
+	}, nil
+}
 
-	raw, err := readBody(rw, req, h.opts.MaxBodyBytes)
-	if err != nil {
-		if errors.Is(err, errBodyTooLarge) {
-			h.rejCounter(ProfilesReasonTooLarge).Inc()
-			http.Error(rw, fmt.Sprintf("profile exceeds %d bytes", h.opts.MaxBodyBytes),
-				http.StatusRequestEntityTooLarge)
-			return
-		}
-		h.rejCounter(ProfilesReasonBadRequest).Inc()
-		http.Error(rw, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-
+// decode parses the upload and maps it onto gCPU points for service.
+func (h *ProfilesHandler) decode(raw []byte, contentType, service string, explicitTime time.Time) (batch, *rejection) {
 	parseStart := time.Now()
-	ss, format, profTime, err := h.parse(raw, req.Header.Get("Content-Type"))
+	ss, format, profTime, err := h.parse(raw, contentType)
 	if err != nil {
-		h.rejCounter(ProfilesReasonBadProfile).Inc()
-		http.Error(rw, "bad profile: "+err.Error(), http.StatusBadRequest)
-		return
+		return batch{}, &rejection{ProfilesReasonBadProfile, "bad profile: " + err.Error()}
 	}
 	h.parseSecs.Observe(time.Since(parseStart).Seconds())
 
@@ -240,27 +200,19 @@ func (h *ProfilesHandler) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 		t = profTime
 	}
 	if t.IsZero() {
-		t = h.opts.Now().UTC()
+		t = h.now().UTC()
 	}
 
-	pts, capped := gcpuPoints(service, t, ss, h.opts.TopK)
-	appended, err := h.store.AppendBatch(pts)
-	if err != nil {
-		h.rejCounter(ProfilesReasonStoreFailed).Inc()
-		http.Error(rw, "append failed: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	h.accepted[format].Inc()
-	h.points.Add(float64(appended))
-	h.skipped.Add(float64(len(pts) - appended))
-	h.bytes.Add(float64(len(raw)))
-	h.subroutines.Observe(float64(len(pts)))
-	rw.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(rw).Encode(ProfilesResult{
-		Format: format, Service: service, Time: t,
-		Subroutines: len(pts), Capped: capped,
-		Appended: appended, Skipped: len(pts) - appended,
-	})
+	pts, capped := gcpuPoints(service, t, ss, h.topK)
+	return batch{pts: pts, ack: func(appended int) any {
+		h.accepted[format].Inc()
+		h.subroutines.Observe(float64(len(pts)))
+		return ProfilesResult{
+			Format: format, Service: service, Time: t,
+			Subroutines: len(pts), Capped: capped,
+			Appended: appended, Skipped: len(pts) - appended,
+		}
+	}}, nil
 }
 
 // parse decodes the upload in either wire format, returning the sample
@@ -270,18 +222,18 @@ func (h *ProfilesHandler) parse(raw []byte, contentType string) (*stacktrace.Sam
 	var profTime time.Time
 	format := pprofparse.DetectFormat(raw, contentType)
 	if format == pprofparse.FormatPprof {
-		p, err := pprofparse.ParseLimit(raw, h.opts.MaxBodyBytes)
+		p, err := pprofparse.ParseLimit(raw, h.maxBody)
 		if err != nil {
 			return nil, format, profTime, err
 		}
 		if p.TimeNanos > 0 {
 			profTime = time.Unix(0, p.TimeNanos).UTC()
 		}
-		ss, err := p.SampleSet(pprofparse.ConvertOptions{SampleType: h.opts.SampleType})
+		ss, err := p.SampleSet(pprofparse.ConvertOptions{})
 		return ss, format, profTime, err
 	}
 	ss, _, err := pprofparse.ReadAny(raw, contentType, pprofparse.ConvertOptions{},
-		stacktrace.FoldedOptions{MaxLineBytes: h.opts.MaxLineBytes})
+		stacktrace.FoldedOptions{})
 	return ss, format, profTime, err
 }
 

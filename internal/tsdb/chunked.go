@@ -15,12 +15,6 @@ import (
 // per point.
 const DefaultChunkSize = 120
 
-// RawChunks disables chunk compression when passed as Options.ChunkSize:
-// series stay as raw float64 arrays and views are zero-copy, matching
-// the pre-compression store. Equivalence tests and memory-insensitive
-// callers use it as the control.
-const RawChunks = -1
-
 // epochCounter issues process-unique series epochs; see entry.epoch.
 var epochCounter atomic.Uint64
 
@@ -37,9 +31,6 @@ type sealedChunk struct {
 // points its oldest chunkSize values are encoded (timeseries.EncodeChunk)
 // and sealed. Sealed chunks all hold exactly chunkSize points, so the
 // chunks overlapping an index range are directly addressable.
-//
-// With chunkSize <= 0 nothing is ever sealed (raw mode) and head is the
-// whole series, readable zero-copy.
 type cseries struct {
 	start       time.Time
 	step        time.Duration
@@ -54,8 +45,6 @@ type cseries struct {
 func newCSeries(start time.Time, step time.Duration, chunkSize int) *cseries {
 	return &cseries{start: start, step: step, chunkSize: chunkSize}
 }
-
-func (c *cseries) raw() bool { return c.chunkSize <= 0 }
 
 func (c *cseries) len() int { return c.sealedPts + len(c.head) }
 
@@ -83,7 +72,7 @@ func (c *cseries) indexOf(t time.Time) int {
 
 // append adds one value to the head, sealing full chunks.
 func (c *cseries) append(v float64) {
-	if c.head == nil && !c.raw() {
+	if c.head == nil {
 		// Size the scratch to exactly one chunk up front: Go's doubling
 		// growth would otherwise settle at the next power of two above
 		// chunkSize, and at 10x series density that slack is real memory.
@@ -97,13 +86,6 @@ func (c *cseries) append(v float64) {
 // appendRepeat adds n copies of v (gap filling), sealing as it goes.
 func (c *cseries) appendRepeat(v float64, n int) {
 	if n <= 0 {
-		return
-	}
-	if c.raw() {
-		for i := 0; i < n; i++ {
-			c.head = append(c.head, v)
-		}
-		c.last = v
 		return
 	}
 	for n > 0 {
@@ -125,9 +107,6 @@ func (c *cseries) appendRepeat(v float64, n int) {
 // The head is reused (copy-down) so a series in steady state owns exactly
 // one chunkSize-capacity scratch array.
 func (c *cseries) seal() {
-	if c.raw() {
-		return
-	}
 	for len(c.head) >= c.chunkSize {
 		enc, err := timeseries.EncodeChunk(c.timeAt(c.sealedPts), c.step, c.head[:c.chunkSize])
 		if err != nil {
@@ -206,7 +185,7 @@ type View struct {
 
 	step time.Duration
 	vals []float64 // length N; nil when opened for bounds only
-	sc   *Scratch  // nil when there is nothing left to decode (raw mode)
+	sc   *Scratch  // nil when opened for bounds only
 }
 
 // view pins the index range [i, j) of the series into sc. Caller holds
@@ -294,8 +273,7 @@ func (v View) Series() *timeseries.Series {
 
 // pin resolves the window [from, to) of id's series under one hold of
 // the shard read lock. With a Scratch it opens a view into it; with nil
-// it only resolves the bounds and stamp. In raw mode the view is the
-// store's own array either way.
+// it only resolves the bounds and stamp.
 func (db *DB) pin(id MetricID, from, to time.Time, sc *Scratch) (View, error) {
 	sh := db.shardFor(id)
 	sh.mu.RLock()
@@ -310,10 +288,7 @@ func (db *DB) pin(id MetricID, from, to time.Time, sc *Scratch) (View, error) {
 		j = i
 	}
 	v := View{Start: c.timeAt(i), N: j - i, step: c.step}
-	switch {
-	case c.raw():
-		v.vals = c.head[i:j]
-	case sc != nil:
+	if sc != nil {
 		v = c.view(sc, i, j)
 	}
 	v.Stamp = ViewStamp{Epoch: e.epoch}
@@ -321,14 +296,10 @@ func (db *DB) pin(id MetricID, from, to time.Time, sc *Scratch) (View, error) {
 }
 
 // View opens the metric's window [from, to) as a pinned, lazily decoded
-// view backed by sc (a nil sc gets fresh buffers). In chunked mode the
-// window's points appear in the view's buffer as Materialize is called;
-// the buffer allocates only on first use or growth and the view is valid
-// until sc's next use. In raw mode (Options.ChunkSize == RawChunks) sc is
-// untouched and the view is zero-copy and whole from the start, sharing
-// the store's backing array; it is a stable snapshot because concurrent
-// Appends only write past its end (or into a freshly grown array) and
-// Prune replaces the backing array rather than truncating it in place.
+// view backed by sc (a nil sc gets fresh buffers). The window's points
+// appear in the view's buffer as Materialize is called; the buffer
+// allocates only on first use or growth and the view is valid until sc's
+// next use.
 func (db *DB) View(id MetricID, from, to time.Time, sc *Scratch) (View, error) {
 	if sc == nil {
 		sc = new(Scratch)

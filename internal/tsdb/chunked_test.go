@@ -9,10 +9,12 @@ import (
 
 // fillBoth drives an identical append sequence (quantized fleet-shaped
 // values, with gaps) into a chunked and a raw store and returns the two.
+// The raw store's chunks are longer than the series, so nothing in it
+// seals and its head is the uncompressed reference.
 func fillBoth(t *testing.T, n int) (chunked, raw *DB, id MetricID) {
 	t.Helper()
 	chunked = NewWithOptions(time.Minute, Options{ChunkSize: 100})
-	raw = NewWithOptions(time.Minute, Options{ChunkSize: RawChunks})
+	raw = NewWithOptions(time.Minute, Options{ChunkSize: 2 * n})
 	id = ID("svc", "sub", "gcpu")
 	rng := rand.New(rand.NewSource(17))
 	k := 5000.0
@@ -29,6 +31,9 @@ func fillBoth(t *testing.T, n int) (chunked, raw *DB, id MetricID) {
 		if err := raw.Append(id, ts, v); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if st := raw.StorageStats(); st.SealedChunks != 0 {
+		t.Fatalf("raw reference sealed %d chunks", st.SealedChunks)
 	}
 	return chunked, raw, id
 }
@@ -233,10 +238,14 @@ func TestStorageStatsCompression(t *testing.T) {
 	if bpp := st.BytesPerPoint(); bpp > 2 {
 		t.Errorf("storage = %.3f bytes/point, want <= 2 (%+v)", bpp, st)
 	}
-	// The raw control stores 8 bytes/point.
-	raw := NewWithOptions(time.Minute, Options{ChunkSize: RawChunks})
-	raw.Append(ids[0], t0, 1)
-	if st := raw.StorageStats(); st.SealedChunks != 0 || st.HeadPoints != 1 {
+	// The unsealed control stores 8 bytes/point: every point stays in a
+	// raw head sized to its one chunk.
+	const m = 999
+	raw := NewWithOptions(time.Minute, Options{ChunkSize: m + 1})
+	for i := 0; i < m; i++ {
+		raw.Append(ids[0], t0.Add(time.Duration(i)*time.Minute), 1)
+	}
+	if st := raw.StorageStats(); st.SealedChunks != 0 || st.HeadPoints != m || st.HeadBytes != 8*(m+1) {
 		t.Errorf("raw stats = %+v", st)
 	}
 }

@@ -20,8 +20,7 @@
 // timeseries.EncodeChunk) plus one mutable raw head chunk that appends
 // write into. Sealed chunks decode lazily at query time, and every read
 // of them (Query, Full, QueryViewStamped, Prune's rebuild) is a View
-// materialised whole. Options.ChunkSize = RawChunks opts a store out of
-// compression, keeping raw arrays and zero-copy views.
+// materialised whole.
 //
 // Writes scale with cores: the store is lock-striped into shards keyed by
 // a hash of the MetricID (default GOMAXPROCS shards, see Options), so
@@ -134,9 +133,8 @@ type Options struct {
 	// the shard-contention benchmark uses as its baseline).
 	Shards int
 	// ChunkSize is the number of points per sealed compressed chunk
-	// (default DefaultChunkSize, clamped to timeseries.MaxChunkPoints).
-	// Pass RawChunks to disable compression and store raw float64 arrays
-	// with zero-copy views.
+	// (default DefaultChunkSize, also for a negative value; clamped to
+	// timeseries.MaxChunkPoints).
 	ChunkSize int
 }
 
@@ -146,7 +144,7 @@ type DB struct {
 	step      time.Duration
 	shards    []*shard
 	mask      uint32
-	chunkSize int // points per sealed chunk; <= 0 means raw storage
+	chunkSize int // points per sealed chunk
 }
 
 // New returns a DB whose series all share the given step (one point per
@@ -171,10 +169,8 @@ func NewWithOptions(step time.Duration, opts Options) *DB {
 	}
 	cs := opts.ChunkSize
 	switch {
-	case cs == 0:
+	case cs <= 0:
 		cs = DefaultChunkSize
-	case cs < 0:
-		cs = 0 // raw mode
 	case cs > timeseries.MaxChunkPoints:
 		cs = timeseries.MaxChunkPoints
 	}
@@ -364,9 +360,6 @@ func (db *DB) Restore(id MetricID, s *timeseries.Series) {
 // an error if the metric is unknown.
 func (db *DB) Query(id MetricID, from, to time.Time) (*timeseries.Series, error) {
 	s, _, err := db.QueryViewStamped(id, from, to, nil)
-	if err == nil && db.chunkSize <= 0 {
-		s = s.Clone() // a raw-mode view is the store's own array
-	}
 	return s, err
 }
 
@@ -448,7 +441,7 @@ func (db *DB) Drop(id MetricID) {
 // Prune discards points older than the retention horizon for every series,
 // bounding memory for long simulations. Pruned series are rebuilt into
 // fresh chunks and backing arrays (never truncated in place), so
-// outstanding raw-mode views stay valid; their epochs advance so caches
+// outstanding views keep what they pinned; their epochs advance so caches
 // keyed on (metric, epoch, window) invalidate. Pruning is exact even
 // mid-chunk: overlapping sealed chunks are decoded and the surviving
 // points re-sealed.

@@ -210,19 +210,6 @@ func TestQueryViewMatchesQuery(t *testing.T) {
 			t.Fatalf("view[%d] = %v, query = %v", i, view.Values[i], copied.Values[i])
 		}
 	}
-	// In raw mode the view shares the store's backing array — that is the
-	// point of RawChunks.
-	raw := NewWithOptions(time.Minute, Options{ChunkSize: RawChunks})
-	for i := 0; i < 20; i++ {
-		raw.Append(id, t0.Add(time.Duration(i)*time.Minute), float64(i))
-	}
-	rview, _, err := raw.QueryViewStamped(id, from, to, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &rview.Values[0] != &raw.shardFor(id).series[id].data.head[3] {
-		t.Error("raw-mode view copied instead of sharing the backing array")
-	}
 }
 
 func TestQueryViewStableUnderAppendAndPrune(t *testing.T) {

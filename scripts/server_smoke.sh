@@ -2,15 +2,17 @@
 # Control-plane smoke drill with the real binary, the CI counterpart of
 # the internal/controlplane test suite:
 #
-#   1. boot fbdetect-server, register two tenants via the admin API
+#   1. boot fbdetect-server, register three tenants via the admin API
 #   2. reject unauthenticated / wrong-key requests with 401
 #   3. ingest as tenant A; prove tenant B cannot see A's series
-#   4. drive a throttled async backfill to 202 + Location, poll the
+#   4. upload folded profiles as tenant C (max 2 series): the one that
+#      fits lands, the one adding a series draws 403, not a 500
+#   5. drive a throttled async backfill to 202 + Location, poll the
 #      operation honoring Retry-After
-#   5. SIGKILL the server mid-job, restart it, and require the journaled
+#   6. SIGKILL the server mid-job, restart it, and require the journaled
 #      operation to be requeued and run to a terminal succeeded state
 #      with no client involvement
-#   6. prove one tenant's 429s don't touch another tenant
+#   7. prove one tenant's 429s don't touch another tenant
 #
 # Set SMOKE_LOG_DIR to keep the server logs (CI uploads them on failure).
 set -euo pipefail
@@ -61,16 +63,19 @@ status() {
 echo "== starting server"
 start_server
 
-echo "== registering two tenants"
+echo "== registering three tenants"
 register_tenant() { # name extra-quota-json
     curl -sf -X POST -H "Authorization: Bearer $ADMIN_KEY" "$BASE/admin/tenants" \
         -d "{\"name\":\"$1\",\"quotas\":$2}"
 }
 A_JSON="$(register_tenant team-a '{}')"
 B_JSON="$(register_tenant team-b '{"rate_per_sec":1,"burst":2}')"
+C_JSON="$(register_tenant team-c '{"max_series":2}')"
 A_KEY="$(echo "$A_JSON" | sed -n 's/.*"key":"\([^"]*\)".*/\1/p')"
 B_KEY="$(echo "$B_JSON" | sed -n 's/.*"key":"\([^"]*\)".*/\1/p')"
-[ -n "$A_KEY" ] && [ -n "$B_KEY" ] || fail "tenant registration returned no key: $A_JSON / $B_JSON"
+C_KEY="$(echo "$C_JSON" | sed -n 's/.*"key":"\([^"]*\)".*/\1/p')"
+[ -n "$A_KEY" ] && [ -n "$B_KEY" ] && [ -n "$C_KEY" ] \
+    || fail "tenant registration returned no key: $A_JSON / $B_JSON / $C_JSON"
 echo "   tenants registered"
 
 echo "== auth checks"
@@ -92,6 +97,24 @@ SCAN='{"service":"web","scan_time":"2026-08-08T12:00:00Z"}'
 [ "$(status POST /scan "$B_KEY" "$SCAN")" = 404 ] \
     || fail "tenant B can scan tenant A's service (namespace leak)"
 echo "   isolation holds"
+
+echo "== /profiles: the series quota answers 403, not 500"
+# profile BODY — posts folded text as tenant C; prints the status code,
+# the response body in $WORK/profile.txt.
+profile() {
+    curl -s -o "$WORK/profile.txt" -w '%{http_code}' -X POST \
+        -H "Authorization: Bearer $C_KEY" -H 'Content-Type: text/plain' \
+        "$BASE/profiles?service=web&time=2026-08-08T12:00:00Z" --data-binary "$1"
+}
+# Two subroutines (main, render): exactly the quota.
+CODE="$(profile $'main;render 3\nmain 1\n')"
+[ "$CODE" = 200 ] || fail "in-quota profile answered $CODE: $(cat "$WORK/profile.txt")"
+grep -q '"subroutines":2' "$WORK/profile.txt" \
+    || fail "in-quota profile did not resolve to 2 subroutines: $(cat "$WORK/profile.txt")"
+# A third subroutine (encode) would be a third series.
+CODE="$(profile $'main;render 3\nmain;encode 1\n')"
+[ "$CODE" = 403 ] || fail "over-quota profile answered $CODE, want 403: $(cat "$WORK/profile.txt")"
+echo "   200 in quota, 403 over it"
 
 echo "== async backfill: 202 + Location, then SIGKILL mid-job"
 OP_RESP_HEADERS="$WORK/op-headers.txt"
@@ -159,4 +182,4 @@ done
 echo "   429 + Retry-After on B only"
 
 kill -9 "$SERVER_PID" 2>/dev/null || true
-echo "PASS: control-plane smoke — auth, isolation, async job crash recovery, rate limits"
+echo "PASS: control-plane smoke — auth, isolation, profile quota, async job crash recovery, rate limits"
