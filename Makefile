@@ -4,7 +4,7 @@ FUZZTIME ?= 10s
 # Packages that define Fuzz* targets (go can only fuzz one package at a time).
 FUZZ_PKGS = . ./internal/stacktrace ./internal/wal ./internal/pprofparse ./internal/evalharness/replay ./internal/timeseries ./internal/popshift ./internal/controlplane ./internal/stats ./internal/stl
 
-.PHONY: build test vet race lint fuzz-smoke bench-obs bench bench-gate bench-baseline bench-e2e-test bench-e2e eval eval-gate eval-baseline eval-replay eval-replay-baseline crashtest server-smoke profdiff-demo check
+.PHONY: build test vet race lint examples fuzz-smoke bench-obs bench bench-gate bench-baseline bench-e2e-test bench-e2e eval eval-gate eval-baseline eval-replay eval-replay-baseline crashtest server-smoke profdiff-demo check
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,15 @@ vet:
 
 race:
 	$(GO) test -race ./...
+
+# Run every example program to completion (a few seconds in all); a
+# failing example fails the target.
+EXAMPLES = $(sort $(wildcard examples/*))
+examples:
+	@for ex in $(EXAMPLES); do \
+		echo "== $$ex"; \
+		$(GO) run ./$$ex || exit 1; \
+	done
 
 # Static analysis. gofmt ships with the toolchain and is always enforced:
 # any file it would reformat fails the target. The other tools are not
@@ -164,4 +173,4 @@ server-smoke:
 profdiff-demo:
 	bash scripts/profdiff_demo.sh
 
-check: build vet lint test race bench-e2e-test
+check: build vet lint test race examples bench-e2e-test

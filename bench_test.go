@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"fbdetect/internal/experiments"
+	"fbdetect/internal/fleet"
 )
 
 // BenchmarkFigure1 regenerates the three challenge panels of Figure 1.
@@ -135,17 +136,17 @@ func BenchmarkPyPerfOverhead(b *testing.B) {
 // service (the Figure 6 pipeline end to end).
 func BenchmarkPipeline(b *testing.B) {
 	start := time.Date(2024, 8, 1, 0, 0, 0, 0, time.UTC)
-	root := &CallNode{Name: "main", SelfWeight: 1, Children: []*CallNode{
-		{Name: "handler", SelfWeight: 20, Children: []*CallNode{
+	root := &fleet.Node{Name: "main", SelfWeight: 1, Children: []*fleet.Node{
+		{Name: "handler", SelfWeight: 20, Children: []*fleet.Node{
 			{Name: "serialize", SelfWeight: 10},
 		}},
 		{Name: "gc", SelfWeight: 9},
 	}}
-	tree, err := NewCallTree(root)
+	tree, err := fleet.NewTree(root)
 	if err != nil {
 		b.Fatal(err)
 	}
-	svc, err := NewFleetService(FleetConfig{
+	svc, err := fleet.NewService(fleet.Config{
 		Name: "bench", Servers: 2000, Step: time.Minute,
 		SamplesPerStep: 1e5, BaseCPU: 0.4, CPUNoise: 0.05,
 		BaseThroughput: 500, Tree: tree, Seed: 1,
@@ -153,9 +154,9 @@ func BenchmarkPipeline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	svc.ScheduleChange(ScheduledChange{
+	svc.ScheduleChange(fleet.ScheduledChange{
 		At:     start.Add(7 * time.Hour),
-		Effect: func(tr *CallTree) error { return tr.ScaleSelfWeight("serialize", 1.3) },
+		Effect: func(tr *fleet.Tree) error { return tr.ScaleSelfWeight("serialize", 1.3) },
 	})
 	db := NewDB(time.Minute)
 	end := start.Add(9 * time.Hour)
@@ -170,7 +171,7 @@ func BenchmarkPipeline(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det, err := NewDetector(cfg, db, nil, FleetSamples(svc, 1e5))
+		det, err := NewDetector(cfg, db, nil, fleet.SamplesOf(svc, 1e5))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -32,7 +32,6 @@ import (
 	"syscall"
 	"time"
 
-	"fbdetect"
 	"fbdetect/internal/controlplane"
 	"fbdetect/internal/obs"
 	"fbdetect/internal/wal"
@@ -78,7 +77,7 @@ func main() {
 		}
 	}
 
-	srv, err := fbdetect.NewControlPlane(fbdetect.ControlPlaneOptions{
+	srv, err := controlplane.NewServer(controlplane.Options{
 		DataDir:  *dataDir,
 		AdminKey: *adminKey,
 		WAL:      wal.Options{Sync: pol},

@@ -28,10 +28,11 @@ import (
 	"syscall"
 	"time"
 
-	"fbdetect"
 	"fbdetect/internal/core"
 	"fbdetect/internal/distributed"
+	"fbdetect/internal/fleet"
 	"fbdetect/internal/obs"
+	"fbdetect/internal/timeseries"
 	"fbdetect/internal/tsdb"
 	"fbdetect/internal/wal"
 )
@@ -89,11 +90,11 @@ func main() {
 		end := start.Add(time.Duration(*hours) * time.Hour)
 		rng := rand.New(rand.NewSource(*seed))
 
-		tree := fbdetect.GenerateCallTree(rng, 80, 4)
+		tree := fleet.Generate(rng, 80, 4)
 		if err := tree.AddSubroutine(tree.Root.Name, "victim", "", 20); err != nil {
 			log.Fatal(err)
 		}
-		svc, err := fbdetect.NewFleetService(fbdetect.FleetConfig{
+		svc, err := fleet.NewService(fleet.Config{
 			Name: *service, Servers: 10000, Step: time.Minute,
 			SamplesPerStep: 2e5, BaseCPU: 0.5, CPUNoise: 0.06,
 			BaseThroughput: 1e5, Tree: tree, Seed: *seed,
@@ -102,9 +103,9 @@ func main() {
 			log.Fatal(err)
 		}
 		if *regress != 1 {
-			svc.ScheduleChange(fbdetect.ScheduledChange{
+			svc.ScheduleChange(fleet.ScheduledChange{
 				At:     end.Add(-2 * time.Hour),
-				Effect: func(tr *fbdetect.CallTree) error { return tr.ScaleSelfWeight("victim", *regress) },
+				Effect: func(tr *fleet.Tree) error { return tr.ScaleSelfWeight("victim", *regress) },
 			})
 		}
 		db = tsdb.New(time.Minute)
@@ -112,13 +113,13 @@ func main() {
 		if err := svc.Run(db, nil, start, end); err != nil {
 			log.Fatal(err)
 		}
-		samples = fbdetectSamples{svc}
+		samples = fleet.SamplesOf(svc, 1e6)
 		log.Printf("data ends %s", end.Format(time.RFC3339))
 	}
 
 	cfg := core.Config{
 		Threshold: 0.001,
-		Windows: fbdetect.WindowConfig{
+		Windows: timeseries.WindowConfig{
 			Historic: time.Duration(*hours-4) * time.Hour,
 			Analysis: 3 * time.Hour,
 			Extended: time.Hour,
@@ -193,10 +194,4 @@ func main() {
 	}
 	log.Printf("worker serving %q on %s", *service, *listen)
 	log.Fatal(http.ListenAndServe(*listen, handler))
-}
-
-type fbdetectSamples struct{ svc *fbdetect.FleetService }
-
-func (p fbdetectSamples) SamplesBetween(service string, from, to time.Time) *fbdetect.SampleSet {
-	return p.svc.ExpectedSamplesBetween(from, to, 1e6)
 }

@@ -14,9 +14,12 @@ import (
 
 	"fbdetect"
 	"fbdetect/internal/core"
+	"fbdetect/internal/distributed"
+	"fbdetect/internal/fleet"
 	"fbdetect/internal/obs"
 	"fbdetect/internal/pprofparse"
 	"fbdetect/internal/report"
+	"fbdetect/internal/resilience"
 	"fbdetect/internal/stacktrace"
 )
 
@@ -68,15 +71,15 @@ func main() {
 	}
 
 	if *workers != "" {
-		runCoordinator(*workers, *services, *scanTimeFlag, *hours, fbdetect.ScanOptions{
-			Retry: fbdetect.ScanRetryPolicy{
+		runCoordinator(*workers, *services, *scanTimeFlag, *hours, distributed.Options{
+			Retry: resilience.Policy{
 				MaxAttempts: *retryAttempts, BaseDelay: *retryBase,
 			},
 			HedgeDelay:     *hedgeDelay,
 			RequestTimeout: *requestTimeout,
 			MaxFailover:    *maxFailover,
-			Pool: fbdetect.ScanPoolConfig{
-				Breaker: fbdetect.ScanBreakerConfig{
+			Pool: distributed.PoolConfig{
+				Breaker: resilience.BreakerConfig{
 					FailureThreshold: *breakerTrip, Cooldown: *breakerCool,
 				},
 			},
@@ -96,7 +99,7 @@ func main() {
 	end := start.Add(time.Duration(*hours) * time.Hour)
 	rng := rand.New(rand.NewSource(*seed))
 
-	tree := fbdetect.GenerateCallTree(rng, *subroutines, 4)
+	tree := fleet.Generate(rng, *subroutines, 4)
 	root := tree.Root.Name
 	check(tree.AddSubroutine(root, "victim_subroutine", "", 30))
 	check(tree.AddSubroutine(root, "Pair::left", "Pair", 20))
@@ -109,7 +112,7 @@ func main() {
 		emit = append(emit, all[i])
 	}
 
-	svc, err := fbdetect.NewFleetService(fbdetect.FleetConfig{
+	svc, err := fleet.NewService(fleet.Config{
 		Name:            "simsvc",
 		Servers:         *servers,
 		Step:            time.Minute,
@@ -128,9 +131,9 @@ func main() {
 	var changes fbdetect.ChangeLog
 	changeAt := start.Add(time.Duration(*hours-2) * time.Hour)
 	if *regress != 1 {
-		svc.ScheduleChange(fbdetect.ScheduledChange{
+		svc.ScheduleChange(fleet.ScheduledChange{
 			At: changeAt,
-			Effect: func(tr *fbdetect.CallTree) error {
+			Effect: func(tr *fleet.Tree) error {
 				return tr.ScaleSelfWeight("victim_subroutine", *regress)
 			},
 			Record: &fbdetect.Change{
@@ -141,9 +144,9 @@ func main() {
 		})
 	}
 	if *costshift {
-		svc.ScheduleChange(fbdetect.ScheduledChange{
+		svc.ScheduleChange(fleet.ScheduledChange{
 			At: changeAt,
-			Effect: func(tr *fbdetect.CallTree) error {
+			Effect: func(tr *fleet.Tree) error {
 				return tr.ShiftWeight("Pair::left", "Pair::right", 10)
 			},
 			Record: &fbdetect.Change{
@@ -154,7 +157,7 @@ func main() {
 		})
 	}
 	if *transient {
-		svc.ScheduleIssue(fbdetect.DefaultIssue(fbdetect.LoadSpike,
+		svc.ScheduleIssue(fleet.DefaultIssue(fleet.LoadSpike,
 			start.Add(time.Duration(*hours-3)*time.Hour), 30*time.Minute))
 	}
 
@@ -171,7 +174,7 @@ func main() {
 			Extended: time.Hour,
 		},
 		LongTerm: true,
-	}, db, &changes, fbdetect.FleetSamples(svc, 1e6))
+	}, db, &changes, fleet.SamplesOf(svc, 1e6))
 	check(err)
 
 	var reg *obs.Registry
@@ -216,7 +219,7 @@ func main() {
 // with retries, breaker-gated failover, and optional hedging, then
 // prints the merged report. Partial failures do not abort the sweep;
 // services that stayed failed after every avenue are listed.
-func runCoordinator(workerList, serviceList, scanTimeStr string, hours int, opts fbdetect.ScanOptions) {
+func runCoordinator(workerList, serviceList, scanTimeStr string, hours int, opts distributed.Options) {
 	urls := splitNonEmpty(workerList)
 	services := splitNonEmpty(serviceList)
 	if len(urls) == 0 || len(services) == 0 {
@@ -230,7 +233,7 @@ func runCoordinator(workerList, serviceList, scanTimeStr string, hours int, opts
 		check(err)
 	}
 
-	coord, err := fbdetect.NewScanCoordinatorWithOptions(urls, nil, opts)
+	coord, err := distributed.NewCoordinatorWithOptions(urls, nil, opts)
 	check(err)
 	fmt.Printf("sweeping %d service(s) over %d worker(s) at %s ...\n",
 		len(services), len(urls), scanTime.Format(time.RFC3339))

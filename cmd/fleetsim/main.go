@@ -23,7 +23,11 @@ import (
 	"time"
 
 	"fbdetect"
+	"fbdetect/internal/distributed"
+	"fbdetect/internal/fleet"
 	"fbdetect/internal/obs"
+	"fbdetect/internal/resilience"
+	"fbdetect/internal/tsdb"
 )
 
 func main() {
@@ -46,9 +50,9 @@ func main() {
 	}
 
 	rng := rand.New(rand.NewSource(*seed))
-	tree := fbdetect.GenerateCallTree(rng, *subroutines, 4)
+	tree := fleet.Generate(rng, *subroutines, 4)
 	step := time.Duration(*stepMin) * time.Minute
-	svc, err := fbdetect.NewFleetService(fbdetect.FleetConfig{
+	svc, err := fleet.NewService(fleet.Config{
 		Name:           "fleetsim",
 		Servers:        *servers,
 		Step:           step,
@@ -79,15 +83,15 @@ func main() {
 		// analysis window of a scan at the end (60/30/10 split).
 		at := start.Add(time.Duration(*hours) * time.Hour * 7 / 10)
 		fmt.Fprintf(os.Stderr, "injecting %gx regression on %s at %s\n", *regress, victim, at)
-		svc.ScheduleChange(fbdetect.ScheduledChange{
+		svc.ScheduleChange(fleet.ScheduledChange{
 			At: at,
-			Effect: func(tr *fbdetect.CallTree) error {
+			Effect: func(tr *fleet.Tree) error {
 				return tr.ScaleSelfWeight(victim, *regress)
 			},
 		})
 	}
 	if *spike {
-		svc.ScheduleIssue(fbdetect.DefaultIssue(fbdetect.LoadSpike, mid, 30*time.Minute))
+		svc.ScheduleIssue(fleet.DefaultIssue(fleet.LoadSpike, mid, 30*time.Minute))
 	}
 
 	db := fbdetect.NewDB(step)
@@ -150,12 +154,12 @@ func streamTo(baseURLs string, db *fbdetect.DB, stepsPerBatch int) error {
 		}
 	}
 	// A worker restart takes seconds; the budget rides through it.
-	policy := fbdetect.ScanRetryPolicy{MaxAttempts: 120,
+	policy := resilience.Policy{MaxAttempts: 120,
 		BaseDelay: 100 * time.Millisecond, MaxDelay: time.Second, Multiplier: 2, Jitter: 0.5}
 	urls := strings.Split(baseURLs, ",")
-	clients := make([]*fbdetect.IngestClient, len(urls))
+	clients := make([]*distributed.IngestClient, len(urls))
 	for i, u := range urls {
-		clients[i] = fbdetect.NewIngestClient(strings.TrimSpace(u), nil, policy)
+		clients[i] = distributed.NewIngestClient(strings.TrimSpace(u), nil, policy, nil, 1)
 	}
 	sent := make([]int, len(urls))
 	skipped := make([]int, len(urls))
@@ -165,10 +169,10 @@ func streamTo(baseURLs string, db *fbdetect.DB, stepsPerBatch int) error {
 		if hi > steps {
 			hi = steps
 		}
-		var pts []fbdetect.Point
+		var pts []tsdb.Point
 		for _, c := range cols {
 			for i := lo; i < hi && i < c.s.Len(); i++ {
-				pts = append(pts, fbdetect.Point{ID: c.id, T: c.s.TimeAt(i), V: c.s.Values[i]})
+				pts = append(pts, tsdb.Point{ID: c.id, T: c.s.TimeAt(i), V: c.s.Values[i]})
 			}
 		}
 		for i, cl := range clients {

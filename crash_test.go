@@ -13,21 +13,25 @@ import (
 	"testing"
 	"time"
 
+	"fbdetect/internal/distributed"
+	"fbdetect/internal/fleet"
+	"fbdetect/internal/resilience"
 	"fbdetect/internal/tsdb"
+	"fbdetect/internal/wal"
 )
 
 // TestHelperIngestWorker is not a test: when re-exec'd by
 // TestCrashRecoveryEquivalence with FBDETECT_INGEST_HELPER=1 it becomes a
 // durable ingest server — a WAL-backed store with fsync-before-ack
-// (WALSyncAlways) behind POST /ingest — that runs until the parent kills
+// (wal.SyncAlways) behind POST /ingest — that runs until the parent kills
 // it. A small injected fsync delay widens the window in which a SIGKILL
 // lands mid-write, which is exactly the case recovery must absorb.
 func TestHelperIngestWorker(t *testing.T) {
 	if os.Getenv("FBDETECT_INGEST_HELPER") != "1" {
 		t.Skip("helper process for TestCrashRecoveryEquivalence")
 	}
-	store, err := OpenDurableStore(os.Getenv("FBDETECT_HELPER_DIR"), time.Minute,
-		WALOptions{Sync: WALSyncAlways, FsyncDelay: 2 * time.Millisecond})
+	store, err := wal.OpenStore(os.Getenv("FBDETECT_HELPER_DIR"), time.Minute,
+		wal.Options{Sync: wal.SyncAlways, FsyncDelay: 2 * time.Millisecond}, tsdb.Options{}, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "helper:", err)
 		os.Exit(1)
@@ -37,7 +41,7 @@ func TestHelperIngestWorker(t *testing.T) {
 		fmt.Fprintln(os.Stderr, "helper:", err)
 		os.Exit(1)
 	}
-	http.Serve(ln, NewIngestHandler(store, IngestOptions{}))
+	http.Serve(ln, distributed.NewIngestHandler(store, distributed.IngestOptions{}))
 	os.Exit(0) // unreachable: the parent SIGKILLs us
 }
 
@@ -46,8 +50,8 @@ func TestHelperIngestWorker(t *testing.T) {
 func crashTestFleet(t *testing.T) *DB {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
-	tree := GenerateCallTree(rng, 12, 3)
-	svc, err := NewFleetService(FleetConfig{
+	tree := fleet.Generate(rng, 12, 3)
+	svc, err := fleet.NewService(fleet.Config{
 		Name: "crashsvc", Servers: 100, Step: time.Minute,
 		SamplesPerStep: 1000, BaseCPU: 0.5, CPUNoise: 0.05,
 		BaseThroughput: 2000, Tree: tree, Seed: 7,
@@ -55,9 +59,9 @@ func crashTestFleet(t *testing.T) *DB {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.ScheduleChange(ScheduledChange{
+	svc.ScheduleChange(fleet.ScheduledChange{
 		At:     crashT0.Add(4 * time.Hour),
-		Effect: func(tr *CallTree) error { return tr.ScaleSelfWeight(tree.Subroutines()[3], 1.3) },
+		Effect: func(tr *fleet.Tree) error { return tr.ScaleSelfWeight(tree.Subroutines()[3], 1.3) },
 	})
 	db := NewDB(time.Minute)
 	if err := svc.Run(db, nil, crashT0, crashT0.Add(6*time.Hour)); err != nil {
@@ -70,7 +74,7 @@ var crashT0 = time.Date(2024, 8, 1, 0, 0, 0, 0, time.UTC)
 
 // dbBatches splits db into per-time-window point batches, the shape a
 // streaming client sends.
-func dbBatches(t *testing.T, db *DB, stepsPerBatch int) [][]Point {
+func dbBatches(t *testing.T, db *DB, stepsPerBatch int) [][]tsdb.Point {
 	t.Helper()
 	ids := db.Metrics("")
 	steps := 0
@@ -83,13 +87,13 @@ func dbBatches(t *testing.T, db *DB, stepsPerBatch int) [][]Point {
 			steps = s.Len()
 		}
 	}
-	var batches [][]Point
+	var batches [][]tsdb.Point
 	for lo := 0; lo < steps; lo += stepsPerBatch {
-		var pts []Point
+		var pts []tsdb.Point
 		for _, id := range ids {
 			s, _ := db.Full(id)
 			for i := lo; i < lo+stepsPerBatch && i < s.Len(); i++ {
-				pts = append(pts, Point{ID: id, T: s.TimeAt(i), V: s.Values[i]})
+				pts = append(pts, tsdb.Point{ID: id, T: s.TimeAt(i), V: s.Values[i]})
 			}
 		}
 		batches = append(batches, pts)
@@ -194,8 +198,8 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 		}
 	}()
 
-	client := NewIngestClient("http://"+addr, nil,
-		ScanRetryPolicy{MaxAttempts: 2, BaseDelay: 20 * time.Millisecond, MaxDelay: 100 * time.Millisecond})
+	client := distributed.NewIngestClient("http://"+addr, nil,
+		resilience.Policy{MaxAttempts: 2, BaseDelay: 20 * time.Millisecond, MaxDelay: 100 * time.Millisecond}, nil, 1)
 	killAt := len(batches) / 2
 	killed := false
 	for i := 0; i < len(batches); i++ {
@@ -241,7 +245,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 	cmd.Wait()
 	cmd = nil
 
-	recovered, err := OpenDurableStore(dir, time.Minute, WALOptions{})
+	recovered, err := wal.OpenStore(dir, time.Minute, wal.Options{}, tsdb.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,21 +40,6 @@ func Example() {
 	// svc/render: 1.00% -> 1.10%
 }
 
-// ExampleMergeStack reconstructs an end-to-end Python stack (paper
-// Figure 5).
-func ExampleMergeStack() {
-	p := fbdetect.PyProcess{
-		NativeStack: []string{
-			"_start", fbdetect.PyEvalFrameSymbol, fbdetect.PyEvalFrameSymbol, "zlib_compress",
-		},
-		VCSHead: fbdetect.BuildVCS("handle", "compress"),
-	}
-	merged, _ := fbdetect.MergeStack(p)
-	fmt.Println(strings.Join(merged, ";"))
-	// Output:
-	// _start;handle;compress;zlib_compress
-}
-
 // ExampleReadFolded ingests collapsed profiler output and queries gCPU.
 func ExampleReadFolded() {
 	folded := "main;render;encode 8\nmain;fetch 12\n"

@@ -15,22 +15,23 @@ import (
 	"time"
 
 	"fbdetect"
+	"fbdetect/internal/kraken"
 )
 
 func main() {
 	start := time.Date(2024, 8, 1, 0, 0, 0, 0, time.UTC)
 	const step = time.Hour
 
-	ct, err := fbdetect.NewKrakenService(fbdetect.KrakenConfig{
+	ct, err := kraken.New(kraken.Config{
 		Name: "adfinder",
 		Step: step,
-		Server: fbdetect.ServerModel{
+		Server: kraken.ServerModel{
 			Capacity:    1200,
 			BaseLatency: 8 * time.Millisecond,
 		},
 		PeakDemand:  4.2e6,
 		DemandNoise: 0.01,
-		Prober: fbdetect.Prober{
+		Prober: kraken.Prober{
 			LatencySLO:  80 * time.Millisecond,
 			JitterSigma: 0.01,
 		},
@@ -42,12 +43,12 @@ func main() {
 
 	// Supply regression: a runtime upgrade costs 8% capacity midway
 	// through what will be the scan's analysis window (day 8.25 of 10).
-	ct.ScheduleCapacityEvent(fbdetect.CapacityEvent{
+	ct.ScheduleCapacityEvent(kraken.CapacityEvent{
 		At: start.Add(8*24*time.Hour + 6*time.Hour), Factor: 0.92,
 	})
 	// Demand regression: a client bug inflates retry traffic shortly
 	// after.
-	ct.ScheduleDemandEvent(fbdetect.DemandEvent{
+	ct.ScheduleDemandEvent(kraken.DemandEvent{
 		At: start.Add(8*24*time.Hour + 10*time.Hour), Factor: 1.12,
 	})
 

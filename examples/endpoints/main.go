@@ -14,13 +14,16 @@ import (
 	"time"
 
 	"fbdetect"
+	"fbdetect/internal/core"
+	"fbdetect/internal/fleet"
+	"fbdetect/internal/tracing"
 )
 
 func main() {
 	start := time.Date(2024, 8, 1, 0, 0, 0, 0, time.UTC)
 	const step = time.Minute
 
-	root := &fbdetect.CallNode{Name: "main", SelfWeight: 1, Children: []*fbdetect.CallNode{
+	root := &fleet.Node{Name: "main", SelfWeight: 1, Children: []*fleet.Node{
 		{Name: "feed_rank", SelfWeight: 12},
 		{Name: "feed_render", SelfWeight: 18},
 		{Name: "profile_load", SelfWeight: 10},
@@ -28,11 +31,11 @@ func main() {
 		{Name: "story_a", SelfWeight: 9},
 		{Name: "story_b", SelfWeight: 3},
 	}}
-	tree, err := fbdetect.NewCallTree(root)
+	tree, err := fleet.NewTree(root)
 	if err != nil {
 		log.Fatal(err)
 	}
-	svc, err := fbdetect.NewFleetService(fbdetect.FleetConfig{
+	svc, err := fleet.NewService(fleet.Config{
 		Name:           "web",
 		Servers:        20000,
 		Step:           step,
@@ -46,7 +49,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	endpoints := []fbdetect.EndpointSpec{
+	endpoints := []fleet.EndpointSpec{
 		{Name: "/feed/home", Subroutines: []string{"feed_rank", "feed_render"}, CostNoise: 0.01},
 		{Name: "/feed/profile", Subroutines: []string{"profile_load", "feed_render"}, CostNoise: 0.01},
 		{Name: "/story/a", Subroutines: []string{"story_a"}, CostNoise: 0.01},
@@ -57,17 +60,17 @@ func main() {
 	changeAt := start.Add(7 * time.Hour)
 	// True endpoint regression: feed_rank slows by 25%, raising
 	// /feed/home's aggregate cost.
-	svc.ScheduleChange(fbdetect.ScheduledChange{
+	svc.ScheduleChange(fleet.ScheduledChange{
 		At:     changeAt,
-		Effect: func(tr *fbdetect.CallTree) error { return tr.ScaleSelfWeight("feed_rank", 1.25) },
+		Effect: func(tr *fleet.Tree) error { return tr.ScaleSelfWeight("feed_rank", 1.25) },
 	})
 	// Handler split an hour earlier: work moves from story_a to story_b;
 	// /story/b "regresses" but the /story prefix-domain total is
 	// unchanged. (Deployed at a different time than the feed change so
 	// PairwiseDedup does not fold the two events into one group.)
-	svc.ScheduleChange(fbdetect.ScheduledChange{
+	svc.ScheduleChange(fleet.ScheduledChange{
 		At:     changeAt.Add(-time.Hour),
-		Effect: func(tr *fbdetect.CallTree) error { return tr.ShiftWeight("story_a", "story_b", 4) },
+		Effect: func(tr *fleet.Tree) error { return tr.ShiftWeight("story_a", "story_b", 4) },
 	})
 
 	db := fbdetect.NewDB(step)
@@ -80,7 +83,7 @@ func main() {
 	// Show the tracing machinery that produces endpoint costs in
 	// production: aggregate cross-thread spans for /feed/home.
 	rng := rand.New(rand.NewSource(9))
-	agg := fbdetect.NewTraceAggregator()
+	agg := tracing.NewAggregator()
 	for _, tr := range svc.GenerateTraces(rng, endpoints[0], end.Add(-time.Minute), 100) {
 		if err := agg.Record(tr); err != nil {
 			log.Fatal(err)
@@ -128,7 +131,7 @@ func main() {
 		}
 		r := &fbdetect.Regression{Service: "web", Entity: entity, Name: name,
 			Metric: id, ChangePointTime: changeAt.Add(-time.Hour), Delta: 4, Relative: 1.3}
-		v := fbdetect.CheckEndpointCostShift(cfg.CostShift, db, r, cfg.Windows, end)
+		v := core.CheckEndpointCostShift(cfg.CostShift, db, r, cfg.Windows, end)
 		fmt.Printf("standalone check on %s: cost shift = %v (domain %s)\n",
 			id, v.IsCostShift, v.Domain)
 	}

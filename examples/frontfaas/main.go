@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"fbdetect"
+	"fbdetect/internal/fleet"
 )
 
 func main() {
@@ -28,13 +29,13 @@ func main() {
 
 	// A web-tier call tree with a few hundred subroutines plus two
 	// hand-placed classes the scenario manipulates.
-	tree := fbdetect.GenerateCallTree(rng, 200, 4)
+	tree := fleet.Generate(rng, 200, 4)
 	root := tree.Root.Name
 	must(tree.AddSubroutine(root, "Feed::render", "Feed", 40))
 	must(tree.AddSubroutine(root, "Feed::rank", "Feed", 40))
 	must(tree.AddSubroutine(root, "serialize_response", "", 25))
 
-	svc, err := fbdetect.NewFleetService(fbdetect.FleetConfig{
+	svc, err := fleet.NewService(fleet.Config{
 		Name:           "frontfaas",
 		Servers:        100000,
 		Step:           time.Minute,
@@ -58,9 +59,9 @@ func main() {
 	var changes fbdetect.ChangeLog
 
 	// 1. The true regression: serialize_response gets 8% more expensive.
-	svc.ScheduleChange(fbdetect.ScheduledChange{
+	svc.ScheduleChange(fleet.ScheduledChange{
 		At: start.Add(7 * time.Hour),
-		Effect: func(tr *fbdetect.CallTree) error {
+		Effect: func(tr *fleet.Tree) error {
 			return tr.ScaleSelfWeight("serialize_response", 1.08)
 		},
 		Record: &fbdetect.Change{
@@ -73,9 +74,9 @@ func main() {
 
 	// 2. The cost shift: rendering work moves from Feed::rank into
 	// Feed::render with no total change (Figure 1(b)).
-	svc.ScheduleChange(fbdetect.ScheduledChange{
+	svc.ScheduleChange(fleet.ScheduledChange{
 		At: start.Add(7 * time.Hour),
-		Effect: func(tr *fbdetect.CallTree) error {
+		Effect: func(tr *fleet.Tree) error {
 			return tr.ShiftWeight("Feed::rank", "Feed::render", 20)
 		},
 		Record: &fbdetect.Change{
@@ -87,7 +88,7 @@ func main() {
 	})
 
 	// 3. A transient load spike that recovers (Figure 1(c)).
-	svc.ScheduleIssue(fbdetect.DefaultIssue(fbdetect.LoadSpike,
+	svc.ScheduleIssue(fleet.DefaultIssue(fleet.LoadSpike,
 		start.Add(6*time.Hour), 30*time.Minute))
 
 	db := fbdetect.NewDB(time.Minute)
@@ -107,7 +108,7 @@ func main() {
 	}
 	cfg.Threshold = 0.0005
 
-	det, err := fbdetect.NewDetector(cfg, db, &changes, fbdetect.FleetSamples(svc, 2e6))
+	det, err := fbdetect.NewDetector(cfg, db, &changes, fleet.SamplesOf(svc, 2e6))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func main() {
 
 // emitList returns the named subroutines plus a deterministic sample of n
 // others from the tree.
-func emitList(tree *fbdetect.CallTree, n int, named ...string) []string {
+func emitList(tree *fleet.Tree, n int, named ...string) []string {
 	all := tree.Subroutines()
 	sort.Strings(all)
 	out := append([]string{}, named...)

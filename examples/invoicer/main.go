@@ -13,20 +13,21 @@ import (
 	"time"
 
 	"fbdetect"
+	"fbdetect/internal/fleet"
 )
 
 func main() {
 	start := time.Date(2024, 8, 1, 0, 0, 0, 0, time.UTC)
 
-	root := &fbdetect.CallNode{Name: "main", SelfWeight: 2, Children: []*fbdetect.CallNode{
-		{Name: "generate_invoice", SelfWeight: 30, Children: []*fbdetect.CallNode{
+	root := &fleet.Node{Name: "main", SelfWeight: 2, Children: []*fleet.Node{
+		{Name: "generate_invoice", SelfWeight: 30, Children: []*fleet.Node{
 			{Name: "Tax::compute", Class: "Tax", SelfWeight: 12},
 			{Name: "Tax::lookup_rates", Class: "Tax", SelfWeight: 8},
 			{Name: "render_pdf", SelfWeight: 25},
 		}},
 		{Name: "billing_sync", SelfWeight: 23},
 	}}
-	tree, err := fbdetect.NewCallTree(root)
+	tree, err := fleet.NewTree(root)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func main() {
 	// buckets => 9600 samples per step. Aggregating is how a tiny fleet
 	// accumulates enough samples per point (paper §3: Invoicer's high
 	// sampling rate plus long windows).
-	svc, err := fbdetect.NewFleetService(fbdetect.FleetConfig{
+	svc, err := fleet.NewService(fleet.Config{
 		Name:           "invoicer",
 		Servers:        16,
 		Step:           10 * time.Minute,
@@ -53,9 +54,9 @@ func main() {
 	var changes fbdetect.ChangeLog
 	// render_pdf regresses: gCPU(render_pdf) = 0.25 rises ~2% relative,
 	// about a 0.5% absolute gCPU change — right at Invoicer's threshold.
-	svc.ScheduleChange(fbdetect.ScheduledChange{
+	svc.ScheduleChange(fleet.ScheduledChange{
 		At: start.Add(30 * time.Hour),
-		Effect: func(tr *fbdetect.CallTree) error {
+		Effect: func(tr *fleet.Tree) error {
 			return tr.ScaleSelfWeight("render_pdf", 1.035)
 		},
 		Record: &fbdetect.Change{
@@ -81,7 +82,7 @@ func main() {
 		Extended: 4 * time.Hour,
 	}
 
-	det, err := fbdetect.NewDetector(cfg, db, &changes, fbdetect.FleetSamples(svc, 1e5))
+	det, err := fbdetect.NewDetector(cfg, db, &changes, fleet.SamplesOf(svc, 1e5))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,22 +17,23 @@ import (
 	"time"
 
 	"fbdetect"
+	"fbdetect/internal/pyperf"
 )
 
 func main() {
 	// --- Figure 5 walkthrough ---
-	proc := fbdetect.PyProcess{
+	proc := pyperf.Process{
 		NativeStack: []string{
 			"_start", "main", "Py_RunMain",
-			fbdetect.PyEvalFrameSymbol, // maps to handle_request
+			pyperf.EvalFrameSymbol, // maps to handle_request
 			"call_function",
-			fbdetect.PyEvalFrameSymbol, // maps to compress_payload
+			pyperf.EvalFrameSymbol, // maps to compress_payload
 			"cfunction_call",
 			"zlib_compress", "deflate_fast",
 		},
-		VCSHead: fbdetect.BuildVCS("handle_request", "compress_payload"),
+		VCSHead: pyperf.BuildVCS("handle_request", "compress_payload"),
 	}
-	merged, err := fbdetect.MergeStack(proc)
+	merged, err := pyperf.MergeStack(proc)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,21 +44,21 @@ func main() {
 
 	// --- live sampling over an alternating workload ---
 	var phase atomic.Int64
-	target := func() fbdetect.PyProcess {
+	target := func() pyperf.Process {
 		if phase.Load()%3 == 0 {
 			// One third of the time: the compression path.
 			return proc
 		}
-		return fbdetect.PyProcess{
+		return pyperf.Process{
 			NativeStack: []string{
 				"_start", "main", "Py_RunMain",
-				fbdetect.PyEvalFrameSymbol, // handle_request
-				fbdetect.PyEvalFrameSymbol, // render_template
+				pyperf.EvalFrameSymbol, // handle_request
+				pyperf.EvalFrameSymbol, // render_template
 			},
-			VCSHead: fbdetect.BuildVCS("handle_request", "render_template"),
+			VCSHead: pyperf.BuildVCS("handle_request", "render_template"),
 		}
 	}
-	sampler := fbdetect.NewPySampler(500*time.Microsecond, target)
+	sampler := pyperf.NewSampler(500*time.Microsecond, target)
 	sampler.Start()
 	deadline := time.Now().Add(200 * time.Millisecond)
 	for time.Now().Before(deadline) {

@@ -12,17 +12,18 @@ import (
 	"time"
 
 	"fbdetect"
+	"fbdetect/internal/tao"
 )
 
 func main() {
 	start := time.Date(2024, 8, 1, 0, 0, 0, 0, time.UTC)
 	const step = time.Minute
 
-	store := fbdetect.NewTAOStore()
-	wl, err := fbdetect.NewTAOWorkload(fbdetect.TAOWorkloadConfig{
+	store := tao.NewStore()
+	wl, err := tao.NewWorkload(tao.WorkloadConfig{
 		Service: "tao",
 		Step:    step,
-		Mixes: []fbdetect.TAOTypeMix{
+		Mixes: []tao.TypeMix{
 			{DataType: "user", ReadsPerStep: 400, WritesPerStep: 40},
 			{DataType: "post", ReadsPerStep: 300, WritesPerStep: 60},
 			{DataType: "comment", ReadsPerStep: 2500, WritesPerStep: 250},
@@ -39,7 +40,7 @@ func main() {
 	// The regression: a PythonFaaS change begins re-reading "post"
 	// objects on every request — +40% reads for one data type.
 	changeAt := start.Add(7 * time.Hour)
-	wl.ScheduleMixEvent(fbdetect.TAOMixEvent{
+	wl.ScheduleMixEvent(tao.MixEvent{
 		At: changeAt, DataType: "post", ReadFactor: 1.4,
 	})
 

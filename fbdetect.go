@@ -24,13 +24,13 @@
 //
 // Preset configurations matching the paper's Table 1 are available from
 // Presets and the per-workload constructors (FrontFaaSSmall, InvoicerShort,
-// and so on).
+// and so on). ReadCSV and ReadFolded load telemetry and profiler output
+// from files; ParseConfig and LoadConfig read JSON job configs.
 //
-// The package also exports the substrate the reproduction is evaluated
-// on: a fleet simulator (NewFleetService) that generates realistic service
-// telemetry with injectable regressions, transient issues, and seasonal
-// load, plus the PyPerf stack-reconstruction algorithm (MergeStack) and
-// the Kraken throughput prober used by Capacity Triage.
+// This package is the detector library only. The fleet, Kraken, TAO,
+// PyPerf and tracing simulators the reproduction is evaluated on, and the
+// worker, WAL and control-plane services, live in their own packages
+// under internal/ and are imported from there.
 package fbdetect
 
 import (
@@ -60,32 +60,13 @@ type (
 	// Regression is one detected regression with its magnitude, change
 	// point, and ranked root-cause candidates.
 	Regression = core.Regression
-	// RootCauseCandidate is a ranked candidate change for a regression.
-	RootCauseCandidate = core.RootCauseCandidate
 	// ScanResult is the outcome of one Detector.Scan.
 	ScanResult = core.ScanResult
-	// Funnel counts regression candidates surviving each pipeline stage
-	// (the paper's Table 3).
-	Funnel = core.Funnel
-	// WentAwayConfig, SeasonalityConfig, CostShiftConfig, PopShiftConfig,
-	// DedupConfig and RootCauseConfig tune individual stages.
-	WentAwayConfig    = core.WentAwayConfig
-	SeasonalityConfig = core.SeasonalityConfig
-	CostShiftConfig   = core.CostShiftConfig
-	PopShiftConfig    = core.PopShiftConfig
-	DedupConfig       = core.DedupConfig
-	RootCauseConfig   = core.RootCauseConfig
-	// PopulationShift is one candidate regression the pop-shift stage
-	// reclassified as a population mix change (generation rollout,
-	// regional failover, traffic migration) rather than a behavior
-	// regression; collected in ScanResult.PopulationShifts.
-	PopulationShift = core.PopulationShift
+	// RootCauseConfig tunes root-cause ranking.
+	RootCauseConfig = core.RootCauseConfig
 	// SampleProvider supplies stack-trace samples for cost-shift analysis
 	// and root-cause attribution.
 	SampleProvider = core.SampleProvider
-	// CostDomain and DomainDetector support custom cost-shift domains.
-	CostDomain     = core.CostDomain
-	DomainDetector = core.DomainDetector
 )
 
 // Storage and change-tracking types.
@@ -114,11 +95,8 @@ type (
 	SampleSet = stacktrace.SampleSet
 )
 
-// Change kinds recorded in a ChangeLog.
-const (
-	CodeChange   = changelog.Code
-	ConfigChange = changelog.Config
-)
+// CodeChange marks a ChangeLog entry as a code change.
+const CodeChange = changelog.Code
 
 // NewDB returns a time-series store whose series share the given step.
 func NewDB(step time.Duration) *DB { return tsdb.New(step) }
@@ -138,27 +116,10 @@ func NewDetector(cfg Config, db *DB, log *ChangeLog, samples SampleProvider) (*D
 // re-run interval as FBDetect does in production.
 type Monitor = core.Monitor
 
-// PlannedChange and PlannedChangeRegistry suppress regressions explained
-// by known operational events (planned capacity changes, feature
-// launches) — the paper's §8 extension.
-type (
-	PlannedChange         = core.PlannedChange
-	PlannedChangeRegistry = core.PlannedChangeRegistry
-)
-
 // NewMonitor wraps a detector with periodic scanning; interval 0 falls
 // back to the config's RerunInterval (then 1h).
 func NewMonitor(det *Detector, interval time.Duration) (*Monitor, error) {
 	return core.NewMonitor(det, interval)
-}
-
-// Ticket is a rendered regression report for developers.
-type Ticket = report.Ticket
-
-// TicketFor renders a regression as a ticket, resolving root-cause change
-// IDs against log (which may be nil).
-func TicketFor(r *Regression, log *ChangeLog) Ticket {
-	return report.ForRegression(r, log)
 }
 
 // WriteScanReport renders a scan result — funnel summary plus one ticket
@@ -175,15 +136,5 @@ func NewSampleSet() *SampleSet { return stacktrace.NewSampleSet() }
 // integration point for real profiler output.
 func ReadFolded(r io.Reader) (*SampleSet, error) { return stacktrace.ReadFolded(r) }
 
-// WriteFolded renders a SampleSet in collapsed form for flame-graph
-// tooling.
-func WriteFolded(w io.Writer, ss *SampleSet) error { return stacktrace.WriteFolded(w, ss) }
-
 // ParseTrace builds a Trace from "A->B->C" notation.
 func ParseTrace(s string) Trace { return stacktrace.ParseTrace(s) }
-
-// SetFrameMetadata returns a copy of the frame annotated with metadata,
-// for metadata-annotated regression detection (paper §3).
-func SetFrameMetadata(f Frame, metadata string) Frame {
-	return stacktrace.SetFrameMetadata(f, metadata)
-}

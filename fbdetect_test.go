@@ -4,6 +4,11 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"fbdetect/internal/fleet"
+	"fbdetect/internal/kraken"
+	"fbdetect/internal/pyperf"
+	"fbdetect/internal/stacktrace"
 )
 
 var testStart = time.Date(2024, 8, 1, 0, 0, 0, 0, time.UTC)
@@ -45,18 +50,18 @@ func TestPresetsMatchTable1(t *testing.T) {
 }
 
 func TestPublicAPIEndToEnd(t *testing.T) {
-	// Build a small simulated service through the public API only.
-	root := &CallNode{Name: "main", SelfWeight: 1, Children: []*CallNode{
-		{Name: "handler", SelfWeight: 20, Children: []*CallNode{
+	// Simulate a small service and scan it with the root library.
+	root := &fleet.Node{Name: "main", SelfWeight: 1, Children: []*fleet.Node{
+		{Name: "handler", SelfWeight: 20, Children: []*fleet.Node{
 			{Name: "serialize", SelfWeight: 10},
 		}},
 		{Name: "gc", SelfWeight: 9},
 	}}
-	tree, err := NewCallTree(root)
+	tree, err := fleet.NewTree(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := NewFleetService(FleetConfig{
+	svc, err := fleet.NewService(fleet.Config{
 		Name:           "api",
 		Servers:        2000,
 		Step:           time.Minute,
@@ -71,9 +76,9 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var log ChangeLog
-	svc.ScheduleChange(ScheduledChange{
+	svc.ScheduleChange(fleet.ScheduledChange{
 		At: testStart.Add(7 * time.Hour),
-		Effect: func(tr *CallTree) error {
+		Effect: func(tr *fleet.Tree) error {
 			return tr.ScaleSelfWeight("serialize", 1.3)
 		},
 		Record: &Change{ID: "D7", Title: "new serializer", Subroutines: []string{"serialize"}},
@@ -90,7 +95,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 			Analysis: 3 * time.Hour,
 			Extended: time.Hour,
 		},
-	}, db, &log, FleetSamples(svc, 1e6))
+	}, db, &log, fleet.SamplesOf(svc, 1e6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,17 +125,17 @@ func TestPublicAPITraceHelpers(t *testing.T) {
 		t.Errorf("gCPU = %v", got)
 	}
 	f := Frame{Subroutine: "foo"}
-	if SetFrameMetadata(f, "m").Metadata != "m" {
+	if stacktrace.SetFrameMetadata(f, "m").Metadata != "m" {
 		t.Error("SetFrameMetadata failed")
 	}
 }
 
 func TestPublicAPIPyPerf(t *testing.T) {
-	p := PyProcess{
-		NativeStack: []string{"_start", PyEvalFrameSymbol, "C-lib"},
-		VCSHead:     BuildVCS("py_main"),
+	p := pyperf.Process{
+		NativeStack: []string{"_start", pyperf.EvalFrameSymbol, "C-lib"},
+		VCSHead:     pyperf.BuildVCS("py_main"),
 	}
-	merged, err := MergeStack(p)
+	merged, err := pyperf.MergeStack(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +145,11 @@ func TestPublicAPIPyPerf(t *testing.T) {
 }
 
 func TestPublicAPIKraken(t *testing.T) {
-	svc, err := NewKrakenService(KrakenConfig{
+	svc, err := kraken.New(kraken.Config{
 		Name: "ct", Step: time.Hour,
-		Server:     ServerModel{Capacity: 500, BaseLatency: 5 * time.Millisecond},
+		Server:     kraken.ServerModel{Capacity: 500, BaseLatency: 5 * time.Millisecond},
 		PeakDemand: 10000,
-		Prober:     Prober{LatencySLO: 50 * time.Millisecond},
+		Prober:     kraken.Prober{LatencySLO: 50 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,14 +165,14 @@ func TestPublicAPIKraken(t *testing.T) {
 }
 
 func TestGenerateCallTreePublic(t *testing.T) {
-	tree := GenerateCallTree(rand.New(rand.NewSource(1)), 100, 4)
+	tree := fleet.Generate(rand.New(rand.NewSource(1)), 100, 4)
 	if len(tree.Subroutines()) < 90 {
 		t.Error("tree too small")
 	}
 }
 
 func TestDefaultIssuePublic(t *testing.T) {
-	is := DefaultIssue(CanaryTest, testStart, time.Hour)
+	is := fleet.DefaultIssue(fleet.CanaryTest, testStart, time.Hour)
 	if !is.Active(testStart.Add(30 * time.Minute)) {
 		t.Error("issue should be active")
 	}

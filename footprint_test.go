@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"fbdetect/internal/fleet"
 )
 
 // TestFleetStorageFootprint pins the headline storage number: 36 hours
@@ -15,8 +17,8 @@ import (
 // cost and are included in the average.
 func TestFleetStorageFootprint(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	tree := GenerateCallTree(rng, 60, 3)
-	svc, err := NewFleetService(FleetConfig{
+	tree := fleet.Generate(rng, 60, 3)
+	svc, err := fleet.NewService(fleet.Config{
 		Name: "dense", Servers: 2000, Step: time.Minute,
 		SamplesPerStep: 1e4, // 5 samples/server/step: a production profiler rate
 		BaseCPU:        0.5, CPUNoise: 0.05,

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strconv"
 	"time"
+
+	"fbdetect/internal/tsdb"
 )
 
 // csvChunkRows is the per-metric reorder window: rows for one metric are
@@ -41,7 +43,7 @@ func ReadCSV(r io.Reader, step time.Duration) (*DB, error) {
 		return nil, fmt.Errorf("fbdetect: unexpected CSV header %v, want time,metric,value", header)
 	}
 	db := NewDB(step)
-	chunks := map[MetricID][]Point{}
+	chunks := map[MetricID][]tsdb.Point{}
 	flush := func(id MetricID) error {
 		pts := chunks[id]
 		if len(pts) == 0 {
@@ -81,7 +83,7 @@ func ReadCSV(r io.Reader, step time.Duration) (*DB, error) {
 			return nil, fmt.Errorf("fbdetect: CSV line %d: bad value: %w", line, err)
 		}
 		id := MetricID(rec[1]) // copies out of the reused record
-		chunks[id] = append(chunks[id], Point{ID: id, T: ts, V: v})
+		chunks[id] = append(chunks[id], tsdb.Point{ID: id, T: ts, V: v})
 		if len(chunks[id]) >= csvChunkRows {
 			if err := flush(id); err != nil {
 				return nil, err

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fbdetect/internal/fleet"
 )
 
 func TestParseConfig(t *testing.T) {
@@ -194,12 +196,12 @@ func TestReadCSVErrors(t *testing.T) {
 
 func TestFleetsimCSVIsIngestable(t *testing.T) {
 	// End-to-end: the fleet simulator's CSV output feeds straight back in.
-	tree, err := NewCallTree(&CallNode{Name: "main", SelfWeight: 1,
-		Children: []*CallNode{{Name: "work", SelfWeight: 9}}})
+	tree, err := fleet.NewTree(&fleet.Node{Name: "main", SelfWeight: 1,
+		Children: []*fleet.Node{{Name: "work", SelfWeight: 9}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := NewFleetService(FleetConfig{
+	svc, err := fleet.NewService(fleet.Config{
 		Name: "svc", Servers: 100, Step: time.Minute, SamplesPerStep: 1000,
 		BaseCPU: 0.5, BaseThroughput: 10, Tree: tree, Seed: 1,
 	})

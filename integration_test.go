@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fbdetect/internal/fleet"
+	"fbdetect/internal/tao"
 )
 
 // TestProductionReplay is the repository's soak test: three days of three
@@ -24,8 +27,8 @@ func TestProductionReplay(t *testing.T) {
 	var changes ChangeLog
 
 	// --- web tier with stack sampling ---
-	webTree, err := NewCallTree(&CallNode{Name: "main", SelfWeight: 1, Children: []*CallNode{
-		{Name: "router", SelfWeight: 5, Children: []*CallNode{
+	webTree, err := fleet.NewTree(&fleet.Node{Name: "main", SelfWeight: 1, Children: []*fleet.Node{
+		{Name: "router", SelfWeight: 5, Children: []*fleet.Node{
 			{Name: "Feed::rank", Class: "Feed", SelfWeight: 20},
 			{Name: "Feed::render", Class: "Feed", SelfWeight: 30},
 		}},
@@ -35,7 +38,7 @@ func TestProductionReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	web, err := NewFleetService(FleetConfig{
+	web, err := fleet.NewService(fleet.Config{
 		Name: "web", Servers: 50000, Step: step,
 		SamplesPerStep: 4e5, BaseCPU: 0.55, CPUNoise: 0.08,
 		SeasonalAmp: 0.05, SeasonalPeriod: 24 * time.Hour,
@@ -45,34 +48,34 @@ func TestProductionReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	webChangeAt := start.Add(60 * time.Hour)
-	web.ScheduleChange(ScheduledChange{
+	web.ScheduleChange(fleet.ScheduledChange{
 		At:     webChangeAt,
-		Effect: func(tr *CallTree) error { return tr.ScaleSelfWeight("serialize", 1.2) },
+		Effect: func(tr *fleet.Tree) error { return tr.ScaleSelfWeight("serialize", 1.2) },
 		Record: &Change{ID: "D-web", Title: "serializer rewrite", Subroutines: []string{"serialize"}},
 	})
 	// Cost shift inside the Feed class at a different time.
-	web.ScheduleChange(ScheduledChange{
+	web.ScheduleChange(fleet.ScheduledChange{
 		At:     start.Add(40 * time.Hour),
-		Effect: func(tr *CallTree) error { return tr.ShiftWeight("Feed::rank", "Feed::render", 10) },
+		Effect: func(tr *fleet.Tree) error { return tr.ShiftWeight("Feed::rank", "Feed::render", 10) },
 		Record: &Change{ID: "D-refactor", Title: "move ranking into render",
 			Subroutines: []string{"Feed::rank", "Feed::render"}},
 	})
 	// A drumbeat of transient issues.
 	for at := start.Add(3 * time.Hour); at.Before(end); at = at.Add(9 * time.Hour) {
-		web.ScheduleIssue(DefaultIssue(LoadSpike, at, 40*time.Minute))
+		web.ScheduleIssue(fleet.DefaultIssue(fleet.LoadSpike, at, 40*time.Minute))
 	}
 	if err := web.Run(db, &changes, start, end); err != nil {
 		t.Fatal(err)
 	}
 
 	// --- clean control service: nothing should ever be reported ---
-	ctrlTree, err := NewCallTree(&CallNode{Name: "main", SelfWeight: 1, Children: []*CallNode{
+	ctrlTree, err := fleet.NewTree(&fleet.Node{Name: "main", SelfWeight: 1, Children: []*fleet.Node{
 		{Name: "work", SelfWeight: 49},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := NewFleetService(FleetConfig{
+	ctrl, err := fleet.NewService(fleet.Config{
 		Name: "control", Servers: 5000, Step: step,
 		SamplesPerStep: 1e5, BaseCPU: 0.4, CPUNoise: 0.06,
 		BaseThroughput: 1e4, Tree: ctrlTree, Seed: 43,
@@ -85,10 +88,10 @@ func TestProductionReplay(t *testing.T) {
 	}
 
 	// --- TAO with a per-data-type I/O regression ---
-	store := NewTAOStore()
-	taoWl, err := NewTAOWorkload(TAOWorkloadConfig{
+	store := tao.NewStore()
+	taoWl, err := tao.NewWorkload(tao.WorkloadConfig{
 		Service: "tao", Step: step,
-		Mixes: []TAOTypeMix{
+		Mixes: []tao.TypeMix{
 			{DataType: "user", ReadsPerStep: 500, WritesPerStep: 50},
 			{DataType: "post", ReadsPerStep: 800, WritesPerStep: 100},
 		},
@@ -98,7 +101,7 @@ func TestProductionReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	taoChangeAt := start.Add(58 * time.Hour)
-	taoWl.ScheduleMixEvent(TAOMixEvent{At: taoChangeAt, DataType: "user", ReadFactor: 1.3})
+	taoWl.ScheduleMixEvent(tao.MixEvent{At: taoChangeAt, DataType: "user", ReadFactor: 1.3})
 	if err := taoWl.Run(db, start, end); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +115,7 @@ func TestProductionReplay(t *testing.T) {
 			Extended: 4 * time.Hour,
 		},
 	}
-	webDet, err := NewDetector(cfg, db, &changes, FleetSamples(web, 1e6))
+	webDet, err := NewDetector(cfg, db, &changes, fleet.SamplesOf(web, 1e6))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"fbdetect/internal/changelog"
 	"fbdetect/internal/fleet"
-	"fbdetect/internal/stacktrace"
 	"fbdetect/internal/tsdb"
 )
 
@@ -16,16 +15,6 @@ import (
 // service sweep. Each must be invisible in the detection output. These
 // tests build the same seeded multi-service fleet twice, run monitors with
 // the optimization toggled, and require byte-identical reports and funnels.
-
-// multiFleetSamples adapts several fleet services to SampleProvider.
-type multiFleetSamples struct {
-	svcs   map[string]*fleet.Service
-	budget float64
-}
-
-func (p multiFleetSamples) SamplesBetween(service string, from, to time.Time) *stacktrace.SampleSet {
-	return p.svcs[service].ExpectedSamplesBetween(from, to, p.budget)
-}
 
 // equivalenceFixture deterministically seeds a three-service fleet (two
 // with injected regressions) and wraps it in a pipeline with cfg. Calling
@@ -71,7 +60,7 @@ func equivalenceFixture(t *testing.T, cfg Config) (*Pipeline, []string, time.Tim
 		}
 		svcs[name] = svc
 	}
-	p, err := NewPipeline(cfg, db, &log, multiFleetSamples{svcs, 1e6})
+	p, err := NewPipeline(cfg, db, &log, fleet.SamplesByName(svcs, 1e6))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func monitorFixture(t *testing.T) (*Pipeline, *fleet.Service, time.Time, time.Ti
 	if err := svc.Run(db, &log, start, end); err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPipeline(pipelineConfig(), db, &log, fleetSamples{svc, 1e6})
+	p, err := NewPipeline(pipelineConfig(), db, &log, fleet.SamplesOf(svc, 1e6))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // benchScanFixture builds one simulated service worth of data shared by
 // both benchmark arms; the per-iteration pipeline rebuild is negligible
 // next to the scan itself.
-func benchScanFixture(b *testing.B) (*tsdb.DB, *changelog.Log, fleetSamples, time.Time) {
+func benchScanFixture(b *testing.B) (*tsdb.DB, *changelog.Log, fleet.Samples, time.Time) {
 	b.Helper()
 	tree := pipelineTree(b)
 	svc := pipelineService(b, tree, 7)
@@ -28,7 +28,7 @@ func benchScanFixture(b *testing.B) (*tsdb.DB, *changelog.Log, fleetSamples, tim
 	if err := svc.Run(db, &log, t0, end); err != nil {
 		b.Fatal(err)
 	}
-	return db, &log, fleetSamples{svc, 1e6}, end
+	return db, &log, fleet.SamplesOf(svc, 1e6), end
 }
 
 // BenchmarkObsOverhead compares a full pipeline scan with and without the

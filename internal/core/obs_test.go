@@ -27,7 +27,7 @@ func instrumentedFixture(t *testing.T, reg *obs.Registry, tracer *obs.Tracer) (*
 	if err := svc.Run(db, &log, t0, end); err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPipeline(pipelineConfig(), db, &log, fleetSamples{svc, 1e6})
+	p, err := NewPipeline(pipelineConfig(), db, &log, fleet.SamplesOf(svc, 1e6))
 	if err != nil {
 		t.Fatal(err)
 	}

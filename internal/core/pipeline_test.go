@@ -8,20 +8,9 @@ import (
 
 	"fbdetect/internal/changelog"
 	"fbdetect/internal/fleet"
-	"fbdetect/internal/stacktrace"
 	"fbdetect/internal/timeseries"
 	"fbdetect/internal/tsdb"
 )
-
-// fleetSamples adapts a fleet.Service to the SampleProvider interface.
-type fleetSamples struct {
-	svc    *fleet.Service
-	budget float64
-}
-
-func (p fleetSamples) SamplesBetween(service string, from, to time.Time) *stacktrace.SampleSet {
-	return p.svc.ExpectedSamplesBetween(from, to, p.budget)
-}
 
 // pipelineTree builds a service tree with a distinctive subroutine mix.
 func pipelineTree(t testing.TB) *fleet.Tree {
@@ -107,7 +96,7 @@ func TestPipelineCatchesInjectedRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p, err := NewPipeline(pipelineConfig(), db, &log, fleetSamples{svc, 1e6})
+	p, err := NewPipeline(pipelineConfig(), db, &log, fleet.SamplesOf(svc, 1e6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +159,7 @@ func TestPipelineFiltersTransientIssue(t *testing.T) {
 	if err := svc.Run(db, nil, start, end); err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPipeline(pipelineConfig(), db, nil, fleetSamples{svc, 1e6})
+	p, err := NewPipeline(pipelineConfig(), db, nil, fleet.SamplesOf(svc, 1e6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +197,7 @@ func TestPipelineFiltersCostShift(t *testing.T) {
 	if err := svc.Run(db, &log, start, end); err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPipeline(pipelineConfig(), db, &log, fleetSamples{svc, 1e6})
+	p, err := NewPipeline(pipelineConfig(), db, &log, fleet.SamplesOf(svc, 1e6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +228,7 @@ func TestPipelineSecondScanDeduplicates(t *testing.T) {
 	if err := svc.Run(db, &log, start, end); err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPipeline(pipelineConfig(), db, &log, fleetSamples{svc, 1e6})
+	p, err := NewPipeline(pipelineConfig(), db, &log, fleet.SamplesOf(svc, 1e6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +294,7 @@ func TestScanConcurrencyDeterministic(t *testing.T) {
 	run := func(workers int) *ScanResult {
 		cfg := pipelineConfig()
 		cfg.ScanConcurrency = workers
-		p, err := NewPipeline(cfg, db, &log, fleetSamples{svc, 1e6})
+		p, err := NewPipeline(cfg, db, &log, fleet.SamplesOf(svc, 1e6))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,7 +332,7 @@ func TestScanContextCanceled(t *testing.T) {
 	if err := svc.Run(db, &log, t0, end); err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPipeline(pipelineConfig(), db, &log, fleetSamples{svc, 1e6})
+	p, err := NewPipeline(pipelineConfig(), db, &log, fleet.SamplesOf(svc, 1e6))
 	if err != nil {
 		t.Fatal(err)
 	}

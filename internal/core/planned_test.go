@@ -70,7 +70,7 @@ func TestPipelinePlannedChangeSuppression(t *testing.T) {
 	if err := svc.Run(db, nil, start, end); err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPipeline(pipelineConfig(), db, nil, fleetSamples{svc, 1e6})
+	p, err := NewPipeline(pipelineConfig(), db, nil, fleet.SamplesOf(svc, 1e6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestPipelinePlannedChangeSuppression(t *testing.T) {
 	}
 	// Without the registry, the same scan reports it (fresh pipeline,
 	// fresh merger state).
-	p2, err := NewPipeline(pipelineConfig(), db, nil, fleetSamples{svc, 1e6})
+	p2, err := NewPipeline(pipelineConfig(), db, nil, fleet.SamplesOf(svc, 1e6))
 	if err != nil {
 		t.Fatal(err)
 	}

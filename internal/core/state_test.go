@@ -36,7 +36,7 @@ func TestStateRoundTripSuppressesReReports(t *testing.T) {
 	cfg.MetricRelative = map[string]bool{
 		"throughput": true, "latency": true, "cpu": true, "error_rate": true,
 	}
-	p1, err := NewPipeline(cfg, db, &log, fleetSamples{svc, 1e6})
+	p1, err := NewPipeline(cfg, db, &log, fleet.SamplesOf(svc, 1e6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestStateRoundTripSuppressesReReports(t *testing.T) {
 	if err := p1.SaveState(&buf); err != nil {
 		t.Fatal(err)
 	}
-	p2, err := NewPipeline(cfg, db, &log, fleetSamples{svc, 1e6})
+	p2, err := NewPipeline(cfg, db, &log, fleet.SamplesOf(svc, 1e6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestStateRoundTripSuppressesReReports(t *testing.T) {
 		t.Errorf("restored pipeline re-reported %d regressions", len(res2.Reported))
 	}
 	// Control: a fresh pipeline without the state does re-report.
-	p3, err := NewPipeline(cfg, db, &log, fleetSamples{svc, 1e6})
+	p3, err := NewPipeline(cfg, db, &log, fleet.SamplesOf(svc, 1e6))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"fbdetect/internal/changelog"
 	"fbdetect/internal/core"
 	"fbdetect/internal/fleet"
-	"fbdetect/internal/stacktrace"
 	"fbdetect/internal/timeseries"
 	"fbdetect/internal/tsdb"
 )
@@ -78,22 +77,6 @@ func DefaultSuite() *Suite {
 	}
 }
 
-// fleetSamples routes SampleProvider queries to the scenario services by
-// name, so one pipeline can run cost-shift and root-cause analysis across
-// every scenario.
-type fleetSamples struct {
-	services map[string]*fleet.Service
-	budget   float64
-}
-
-func (p fleetSamples) SamplesBetween(service string, from, to time.Time) *stacktrace.SampleSet {
-	svc := p.services[service]
-	if svc == nil {
-		return stacktrace.NewSampleSet()
-	}
-	return svc.ExpectedSamplesBetween(from, to, p.budget)
-}
-
 // Run materializes every scenario into one store, drives the monitor over
 // the simulated span, and scores the emitted reports against the labels.
 func (s *Suite) Run(seed int64) (*Report, error) {
@@ -132,7 +115,7 @@ func (s *Suite) Run(seed int64) (*Report, error) {
 	}
 
 	pipeline, err := core.NewPipeline(s.Config, db, &log,
-		fleetSamples{services: services, budget: s.SampleBudget})
+		fleet.SamplesByName(services, s.SampleBudget))
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 
 	"fbdetect/internal/core"
 	"fbdetect/internal/fleet"
-	"fbdetect/internal/stacktrace"
 	"fbdetect/internal/timeseries"
 	"fbdetect/internal/tsdb"
 )
@@ -37,12 +36,6 @@ func (r DetectionDelayResult) String() string {
 	}
 	return "Detection delay vs re-run interval (regression deployed mid-run)\n" +
 		table([]string{"re-run interval", "delay to first report", "scans"}, rows)
-}
-
-type delaySamples struct{ svc *fleet.Service }
-
-func (p delaySamples) SamplesBetween(service string, from, to time.Time) *stacktrace.SampleSet {
-	return p.svc.ExpectedSamplesBetween(from, to, 1e6)
 }
 
 // RunDetectionDelay deploys a clear regression mid-run and measures, for
@@ -93,7 +86,7 @@ func RunDetectionDelay(seed int64) DetectionDelayResult {
 				Extended: time.Hour,
 			},
 		}
-		pipe, err := core.NewPipeline(cfg, db, nil, delaySamples{svc})
+		pipe, err := core.NewPipeline(cfg, db, nil, fleet.SamplesOf(svc, 1e6))
 		if err != nil {
 			panic(err)
 		}

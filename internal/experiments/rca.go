@@ -146,7 +146,7 @@ func runRCAScenario(rng *rand.Rand, seed int64, exportTrueChange bool) (bool, bo
 			Historic: 5 * time.Hour, Analysis: 3 * time.Hour, Extended: time.Hour,
 		},
 	}
-	pipe, err := core.NewPipeline(cfg, db, &log, table3Samples{svc})
+	pipe, err := core.NewPipeline(cfg, db, &log, fleet.SamplesOf(svc, 1e6))
 	if err != nil {
 		panic(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"fbdetect/internal/changelog"
 	"fbdetect/internal/core"
 	"fbdetect/internal/fleet"
-	"fbdetect/internal/stacktrace"
 	"fbdetect/internal/timeseries"
 	"fbdetect/internal/tsdb"
 )
@@ -207,7 +206,7 @@ func runTable3Workload(w Table3Workload) Table3Column {
 		},
 		LongTerm: w.LongTerm,
 	}
-	pipe, err := core.NewPipeline(cfg, db, &log, table3Samples{svc})
+	pipe, err := core.NewPipeline(cfg, db, &log, fleet.SamplesOf(svc, 1e6))
 	if err != nil {
 		panic(err)
 	}
@@ -262,10 +261,4 @@ func inLineage(tree *fleet.Tree, victim, entity string) bool {
 		}
 	}
 	return false
-}
-
-type table3Samples struct{ svc *fleet.Service }
-
-func (p table3Samples) SamplesBetween(service string, from, to time.Time) *stacktrace.SampleSet {
-	return p.svc.ExpectedSamplesBetween(from, to, 1e6)
 }

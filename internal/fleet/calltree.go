@@ -89,14 +89,9 @@ func (t *Tree) Subroutines() []string {
 	return out
 }
 
-// TotalWeight returns the sum of all self weights.
-func (t *Tree) TotalWeight() float64 {
-	var sum float64
-	for _, n := range t.byName {
-		sum += n.SelfWeight
-	}
-	return sum
-}
+// TotalWeight returns the sum of all self weights, added in tree order
+// from the root so repeated calls return the same bits.
+func (t *Tree) TotalWeight() float64 { return subtreeWeight(t.Root) }
 
 // Path returns the root-to-node subroutine names for the named node, or
 // nil if unknown.

@@ -183,6 +183,38 @@ func TestGenerate(t *testing.T) {
 	}
 }
 
+// TotalWeight feeds every gCPU and sample weight, so repeated calls on one
+// tree must return the same bits.
+func TestTotalWeightDeterministic(t *testing.T) {
+	tree := Generate(rand.New(rand.NewSource(1)), 400, 4)
+	want := tree.TotalWeight()
+	for i := 0; i < 200; i++ {
+		if got := tree.TotalWeight(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: TotalWeight = %v, first call gave %v", i, got, want)
+		}
+	}
+}
+
+func TestSamplesAdapter(t *testing.T) {
+	svc, err := NewService(Config{Name: "a", Servers: 10, Step: time.Minute,
+		SamplesPerStep: 1000, BaseCPU: 0.5, BaseThroughput: 100, Tree: smallTree(t), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	from, to := t0, t0.Add(time.Hour)
+	want := svc.ExpectedSamplesBetween(from, to, 500).Total()
+	if got := SamplesOf(svc, 500).SamplesBetween("other", from, to).Total(); got != want {
+		t.Errorf("SamplesOf total = %v, want %v", got, want)
+	}
+	byName := SamplesByName(map[string]*Service{"a": svc}, 500)
+	if got := byName.SamplesBetween("a", from, to).Total(); got != want {
+		t.Errorf("SamplesByName total = %v, want %v", got, want)
+	}
+	if got := byName.SamplesBetween("missing", from, to).Len(); got != 0 {
+		t.Errorf("unknown service gave %d traces", got)
+	}
+}
+
 func TestExpectedSamples(t *testing.T) {
 	tree := smallTree(t)
 	ss := tree.ExpectedSamples(1000)

@@ -1,0 +1,132 @@
+package fbdetect
+
+// Tests of the repository's layout: which packages a shipped binary
+// links, and that DESIGN.md's module inventory names every internal
+// package.
+
+import (
+	"go/build"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+const modulePath = "fbdetect"
+
+// moduleDeps returns every package of this module that pkg (a directory
+// relative to the module root, "." for the root) reaches through non-test
+// imports, as directories relative to the module root.
+func moduleDeps(t *testing.T, pkg string) map[string]bool {
+	t.Helper()
+	seen := map[string]bool{}
+	var visit func(dir string)
+	visit = func(dir string) {
+		p, err := build.ImportDir(dir, 0)
+		if err != nil {
+			t.Fatalf("reading package %s: %v", dir, err)
+		}
+		for _, imp := range p.Imports {
+			dep, ok := strings.CutPrefix(imp, modulePath+"/")
+			if imp == modulePath {
+				dep, ok = ".", true
+			}
+			if ok && !seen[dep] {
+				seen[dep] = true
+				visit(dep)
+			}
+		}
+	}
+	visit(pkg)
+	return seen
+}
+
+// The binaries link the detector and the services they run, never the
+// simulators and experiments the reproduction is evaluated with; the root
+// package is the detector library and imports no simulator.
+func TestImportGraph(t *testing.T) {
+	experimentOnly := []string{"internal/kraken", "internal/pyperf", "internal/tao",
+		"internal/egads", "internal/experiments", "internal/evalharness"}
+	simulators := []string{"internal/fleet", "internal/kraken", "internal/pyperf",
+		"internal/tao", "internal/tracing"}
+	cases := []struct {
+		pkg       string
+		mustReach string // keeps the walk honest: a dependency the package has
+		forbidden []string
+	}{
+		{"cmd/fbdetect-server", "internal/controlplane",
+			append(experimentOnly, "internal/fleet", "internal/tracing")},
+		{"cmd/fbdetect-worker", "internal/distributed", experimentOnly},
+		{".", "internal/core", append(simulators, "internal/egads",
+			"internal/experiments", "internal/evalharness")},
+	}
+	for _, c := range cases {
+		deps := moduleDeps(t, c.pkg)
+		if !deps[c.mustReach] {
+			t.Errorf("%s: does not reach %s; the import walk is broken", c.pkg, c.mustReach)
+		}
+		for _, f := range c.forbidden {
+			if deps[f] {
+				t.Errorf("%s links %s", c.pkg, f)
+			}
+		}
+	}
+}
+
+// DESIGN.md's system inventory names every internal package in its module
+// column, and every internal/... path named there exists.
+func TestDesignInventoryMatchesPackages(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, inventory, ok := strings.Cut(string(design), "\n## System inventory\n")
+	if !ok {
+		t.Fatal("DESIGN.md has no System inventory section")
+	}
+	if i := strings.Index(inventory, "\n## "); i >= 0 {
+		inventory = inventory[:i]
+	}
+	named := map[string]bool{}
+	pathRE := regexp.MustCompile("`(internal/[a-z0-9_/]+)`")
+	for _, line := range strings.Split(inventory, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 {
+			continue
+		}
+		for _, m := range pathRE.FindAllStringSubmatch(cells[1], -1) {
+			named[m[1]] = true
+		}
+	}
+
+	pkgs := map[string]bool{}
+	err = filepath.WalkDir("internal", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && d.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".go") {
+			pkgs[filepath.ToSlash(filepath.Dir(path))] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) == 0 {
+		t.Fatal("found no internal packages")
+	}
+	for p := range pkgs {
+		if !named[p] {
+			t.Errorf("internal package %s has no row in DESIGN.md's module column", p)
+		}
+	}
+	for p := range named {
+		if !pkgs[p] {
+			t.Errorf("DESIGN.md's module column names %s, which is not a package", p)
+		}
+	}
+}

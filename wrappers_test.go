@@ -1,7 +1,8 @@
 package fbdetect
 
-// Tests for the thin public wrappers: each must round-trip to its
-// internal implementation.
+// Tests that drive the root library together with the internal packages
+// its callers import alongside it: reports, folded stacks, the PyPerf
+// sampler, endpoint tracing and cost shift, and the scan fan-out.
 
 import (
 	"bytes"
@@ -10,6 +11,13 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fbdetect/internal/core"
+	"fbdetect/internal/distributed"
+	"fbdetect/internal/pyperf"
+	"fbdetect/internal/report"
+	"fbdetect/internal/stacktrace"
+	"fbdetect/internal/tracing"
 )
 
 func TestTicketForAndWriteScanReport(t *testing.T) {
@@ -39,7 +47,7 @@ func TestTicketForAndWriteScanReport(t *testing.T) {
 	if len(res.Reported) == 0 {
 		t.Fatal("no report to render")
 	}
-	ticket := TicketFor(res.Reported[0], nil)
+	ticket := report.ForRegression(res.Reported[0], nil)
 	if !strings.Contains(ticket.Title, "svc/sub") {
 		t.Errorf("ticket title = %q", ticket.Title)
 	}
@@ -56,7 +64,7 @@ func TestWriteFoldedPublic(t *testing.T) {
 	ss := NewSampleSet()
 	ss.Add(ParseTrace("a->b"), 2)
 	var buf bytes.Buffer
-	if err := WriteFolded(&buf, ss); err != nil {
+	if err := stacktrace.WriteFolded(&buf, ss); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadFolded(&buf)
@@ -69,10 +77,10 @@ func TestWriteFoldedPublic(t *testing.T) {
 }
 
 func TestNewPySamplerPublic(t *testing.T) {
-	s := NewPySampler(time.Millisecond, func() PyProcess {
-		return PyProcess{
-			NativeStack: []string{"_start", PyEvalFrameSymbol},
-			VCSHead:     BuildVCS("main_py"),
+	s := pyperf.NewSampler(time.Millisecond, func() pyperf.Process {
+		return pyperf.Process{
+			NativeStack: []string{"_start", pyperf.EvalFrameSymbol},
+			VCSHead:     pyperf.BuildVCS("main_py"),
 		}
 	})
 	s.Start()
@@ -83,34 +91,11 @@ func TestNewPySamplerPublic(t *testing.T) {
 	}
 }
 
-func TestNewXenonRuntimePublic(t *testing.T) {
-	rt, err := NewXenonRuntime(4, 0.8, []XenonRequestType{{
-		Name: "feed", TrafficShare: 1,
-		Phases: []XenonPhase{{Stack: ParseTrace("main->feed"), Weight: 1}},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt == nil {
-		t.Fatal("nil runtime")
-	}
-}
-
-func TestDomainDetectorConstructors(t *testing.T) {
-	if NewMetadataDomains() == nil {
-		t.Error("nil metadata domains")
-	}
-	var log ChangeLog
-	if NewCommitDomains(&log, time.Hour) == nil {
-		t.Error("nil commit domains")
-	}
-}
-
 func TestTraceAggregatorPublic(t *testing.T) {
-	agg := NewTraceAggregator()
-	err := agg.Record(&RequestTrace{
+	agg := tracing.NewAggregator()
+	err := agg.Record(&tracing.RequestTrace{
 		TraceID: "t", Endpoint: "/x",
-		Spans: []TraceSpan{{Subroutine: "s", CPU: time.Millisecond}},
+		Spans: []tracing.TraceSpan{{Subroutine: "s", CPU: time.Millisecond}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,31 +108,10 @@ func TestTraceAggregatorPublic(t *testing.T) {
 func TestCheckEndpointCostShiftPublic(t *testing.T) {
 	db := NewDB(time.Minute)
 	r := &Regression{}
-	v := CheckEndpointCostShift(CostShiftConfig{}, db, r,
+	v := core.CheckEndpointCostShift(core.CostShiftConfig{}, db, r,
 		WindowConfig{Historic: time.Hour, Analysis: time.Hour}, testStart)
 	if v.IsCostShift {
 		t.Error("empty inputs flagged")
-	}
-}
-
-func TestCorroborateWithCanaryPublic(t *testing.T) {
-	r := &Regression{Delta: 0.01, Relative: 0.1, ChangePointTime: testStart}
-	r.Metric = ID("s", "e", "gcpu")
-	c := CanaryResult{Regressed: true, Relative: 0.1, At: testStart}
-	if score := CorroborateWithCanary(r, c, time.Hour); score < 0.9 {
-		t.Errorf("score = %v", score)
-	}
-}
-
-func TestCanaryAnalyzerPublic(t *testing.T) {
-	ctrl := []float64{10, 10, 10, 10, 10, 10}
-	can := []float64{12, 12, 12, 12, 12, 12.1}
-	res, err := (CanaryAnalyzer{}).Compare("cpu", testStart, ctrl, can)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Regressed {
-		t.Errorf("canary regression missed: %+v", res)
 	}
 }
 
@@ -176,13 +140,13 @@ func TestScanWorkerAndCoordinatorPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if NewScanWorker("w", det) == nil {
+	if distributed.NewWorker("w", det) == nil {
 		t.Error("nil worker")
 	}
-	if _, err := NewScanCoordinator(nil, nil); err == nil {
+	if _, err := distributed.NewCoordinator(nil, nil); err == nil {
 		t.Error("empty coordinator accepted")
 	}
-	if c, err := NewScanCoordinator([]string{"http://x"}, nil); err != nil || c == nil {
+	if c, err := distributed.NewCoordinator([]string{"http://x"}, nil); err != nil || c == nil {
 		t.Errorf("coordinator: %v", err)
 	}
 }
