@@ -6,10 +6,9 @@
 //     series-quota and rate-limit enforced, durable via the WAL store
 //   - POST /profiles   — raw CPU profiles folded into gCPU series
 //   - POST /scan       — a detection scan of one tenant service
-//   - POST /operations — async jobs (backfill, sweep, rebalance):
+//   - POST /operations — async jobs (backfill, sweep):
 //     202 + Location: /operations/{id}, poll honoring Retry-After
-//   - /admin/*         — tenant registration and runtime worker-ring
-//     control (add/drain/remove), behind -admin-key
+//   - /admin/tenants   — tenant registration and listing, behind -admin-key
 //
 // Every operation state transition is journaled through the WAL before
 // it is acknowledged. Kill -9 the server mid-backfill and restart: the
@@ -28,7 +27,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -44,7 +42,6 @@ func main() {
 		adminKey      = flag.String("admin-key", "", "bearer key for /admin/* (required; also honors FBDETECT_ADMIN_KEY)")
 		walSync       = flag.String("wal-sync", "batch", "WAL sync policy: always, batch, or never")
 		snapshotEvery = flag.Duration("snapshot-every", 0, "snapshot the store and compact the WAL at this interval (0 = only on shutdown)")
-		workers       = flag.String("workers", "", "comma-separated worker base URLs forming the scan ring the admin API manages (empty = single-node)")
 		jobWorkers    = flag.Int("job-workers", 2, "concurrent async-operation runners")
 		maxSeries     = flag.Int("default-max-series", 1000, "default per-tenant series quota")
 		ratePerSec    = flag.Float64("default-rate", 50, "default per-tenant sustained requests/sec")
@@ -68,15 +65,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var workerURLs []string
-	if *workers != "" {
-		for _, u := range strings.Split(*workers, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				workerURLs = append(workerURLs, u)
-			}
-		}
-	}
-
 	srv, err := controlplane.NewServer(controlplane.Options{
 		DataDir:  *dataDir,
 		AdminKey: *adminKey,
@@ -86,7 +74,6 @@ func main() {
 		},
 		JobWorkers:     *jobWorkers,
 		PollRetryAfter: *pollRetry,
-		WorkerURLs:     workerURLs,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -122,9 +109,6 @@ func main() {
 		os.Exit(0)
 	}()
 
-	if len(workerURLs) > 0 {
-		log.Printf("scan ring: %d workers", len(workerURLs))
-	}
 	log.Printf("control plane serving on %s", *listen)
 	log.Fatal(http.ListenAndServe(*listen, srv.Handler()))
 }

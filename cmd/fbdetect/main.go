@@ -41,7 +41,6 @@ func main() {
 		transient   = flag.Bool("transient", false, "also inject a transient load spike")
 		threshold   = flag.Float64("threshold", 0.0005, "absolute detection threshold")
 		seed        = flag.Int64("seed", 1, "simulation seed")
-		verbose     = flag.Bool("v", false, "print the stage funnel")
 		watch       = flag.Bool("watch", false, "scan repeatedly over the simulated timeline (monitor mode) instead of once at the end")
 		watchEvery  = flag.Duration("watch-interval", time.Hour, "re-run interval in watch mode")
 		input       = flag.String("input", "", "scan a time,metric,value CSV file instead of simulating")
@@ -204,13 +203,6 @@ func main() {
 	check(err)
 	printTelemetry(reg)
 
-	if *verbose {
-		f := res.Funnel
-		fmt.Printf("\nfunnel: change-points=%d long-term=%d went-away=%d seasonality=%d threshold=%d same=%d som=%d popshift=%d costshift=%d reported=%d\n",
-			f.ChangePoints, f.LongTermChangePoints, f.AfterWentAway, f.AfterSeasonality,
-			f.AfterThreshold, f.AfterSameMerger, f.AfterSOMDedup, f.AfterPopShift,
-			f.AfterCostShift, f.AfterPairwise)
-	}
 	fmt.Printf("\n%d regression(s) reported:\n\n", len(res.Reported))
 	check(fbdetect.WriteScanReport(os.Stdout, res, &changes))
 }
@@ -244,11 +236,7 @@ func runCoordinator(workerList, serviceList, scanTimeStr string, hours int, opts
 		fmt.Printf("; FAILED: %s", strings.Join(merged.Failed, ", "))
 	}
 	fmt.Println()
-	f := merged.Funnel
-	fmt.Printf("funnel: change-points=%d went-away=%d seasonality=%d threshold=%d same=%d som=%d popshift=%d costshift=%d reported=%d\n",
-		f.ChangePoints, f.AfterWentAway, f.AfterSeasonality, f.AfterThreshold,
-		f.AfterSameMerger, f.AfterSOMDedup, f.AfterPopShift, f.AfterCostShift,
-		f.AfterPairwise)
+	check(report.WriteFunnel(os.Stdout, merged.Funnel))
 	fmt.Printf("\n%d regression(s) reported:\n\n", len(merged.Reported))
 	for _, r := range merged.Reported {
 		fmt.Printf("  [%s] %s %s (%s): %+.4f (%+.1f%%) at %s\n",

@@ -2,15 +2,16 @@
 // the detection stack: tenant registration with API-key auth, per-tenant
 // namespacing of metric series into the shared sharded TSDB, per-tenant
 // quotas and token-bucket rate limits on the data plane
-// (/ingest, /profiles, /scan), an async-operation framework whose job
-// state is journaled through the WAL so in-flight operations survive a
-// SIGKILL, and an admin API that drains/adds workers on the coordinator
-// hash ring at runtime.
+// (/ingest, /profiles, /scan), and an async-operation framework
+// (backfill, sweep) whose job state is journaled through the WAL so
+// in-flight operations survive a SIGKILL. Every tenant's points and
+// scans run on the server's own store and its embedded
+// distributed.Worker; the server drives no worker ring.
 //
 // The paper's FBDetect runs as an always-on production service over
 // hundreds of thousands of hosts; this package is the reproduction's
-// equivalent front door — the piece that turns the library + flags
-// coordinator into something a tenant can register against. The shape
+// equivalent front door — the piece that turns the detection library
+// into something a tenant can register against. The shape
 // follows Heketi's apps/server/middleware layering: handlers are thin,
 // middleware owns auth/limits/metrics, and long-running work happens in
 // journaled async operations polled at /operations/{id} with 202 +
@@ -34,15 +35,14 @@ import (
 
 // Control-plane metric names.
 const (
-	MetricTenants          = "fbdetect_cp_tenants"
-	MetricTenantRequests   = "fbdetect_cp_tenant_requests_total"
-	MetricRateLimited      = "fbdetect_cp_rate_limited_total"
-	MetricUnauthorized     = "fbdetect_cp_unauthorized_total"
-	MetricQuotaRejections  = "fbdetect_cp_quota_rejections_total"
-	MetricOpsTotal         = "fbdetect_cp_operations_total"
-	MetricOpsInFlight      = "fbdetect_cp_operations_in_flight"
-	MetricAdminRingChanges = "fbdetect_cp_admin_ring_changes_total"
-	MetricRecoveredOps     = "fbdetect_cp_recovered_operations_total"
+	MetricTenants         = "fbdetect_cp_tenants"
+	MetricTenantRequests  = "fbdetect_cp_tenant_requests_total"
+	MetricRateLimited     = "fbdetect_cp_rate_limited_total"
+	MetricUnauthorized    = "fbdetect_cp_unauthorized_total"
+	MetricQuotaRejections = "fbdetect_cp_quota_rejections_total"
+	MetricOpsTotal        = "fbdetect_cp_operations_total"
+	MetricOpsInFlight     = "fbdetect_cp_operations_in_flight"
+	MetricRecoveredOps    = "fbdetect_cp_recovered_operations_total"
 )
 
 // Options configures a Server. Zero fields take defaults.
@@ -74,12 +74,6 @@ type Options struct {
 	// PollRetryAfter is the Retry-After hint attached to non-terminal
 	// /operations/{id} responses (default 1s).
 	PollRetryAfter time.Duration
-	// WorkerURLs, when set, builds a scan coordinator over the ring so
-	// the admin API can drain/add workers and rebalance jobs can report
-	// assignments. Empty means no ring (single-node mode).
-	WorkerURLs []string
-	// ScanOptions tunes that coordinator's resilience layer.
-	ScanOptions distributed.Options
 	// Clock drives rate limiting and operation timestamps; tests inject
 	// a resilience.FakeClock. Default real time.
 	Clock resilience.Clock
@@ -127,8 +121,8 @@ func (o Options) withDefaults() Options {
 }
 
 // Server is the control plane: a durable store, the tenant table, the
-// journaled operation queue, the embedded scan pipeline, and (optionally)
-// a coordinator over a worker ring — all behind one authenticated mux.
+// journaled operation queue and the embedded scan pipeline, all behind
+// one authenticated mux.
 type Server struct {
 	opts    Options
 	clock   resilience.Clock
@@ -140,7 +134,6 @@ type Server struct {
 	queue   *queue
 	pipe    *core.Pipeline
 	worker  *distributed.Worker
-	coord   *distributed.Coordinator
 	mux     *http.ServeMux
 
 	// Per-tenant data-plane handlers, built lazily: each tenant gets
@@ -223,18 +216,6 @@ func NewServer(opts Options) (*Server, error) {
 	s.recoveredOps = reg.NewCounter(MetricRecoveredOps,
 		"Non-terminal operations requeued during crash recovery.", nil)
 
-	if len(opts.WorkerURLs) > 0 {
-		coord, err := distributed.NewCoordinatorWithOptions(opts.WorkerURLs, nil, opts.ScanOptions)
-		if err != nil {
-			opStore.Close()
-			tenants.Close()
-			store.Close()
-			return nil, err
-		}
-		coord.Instrument(reg)
-		s.coord = coord
-	}
-
 	s.queue = newQueue(opStore, s.now, tracer)
 	s.registerRunners()
 	s.queue.start(opts.JobWorkers)
@@ -256,9 +237,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Registry exposes the metrics registry (tests assert against it).
 func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// Coordinator returns the worker-ring coordinator (nil without a ring).
-func (s *Server) Coordinator() *distributed.Coordinator { return s.coord }
 
 // Store exposes the durable point store.
 func (s *Server) Store() *wal.Store { return s.store }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"fbdetect/internal/distributed"
 	"fbdetect/internal/obs"
 	"fbdetect/internal/resilience"
 	"fbdetect/internal/tsdb"
@@ -115,6 +116,39 @@ func TestRegisterIngestScanRoundTrip(t *testing.T) {
 	rr = doJSON(s, "POST", "/scan", tn2.Key, scanReq)
 	if rr.Code != http.StatusNotFound {
 		t.Errorf("cross-tenant scan = %d, want 404", rr.Code)
+	}
+}
+
+// TestScanCanceledIs503: a tenant /scan whose request context is gone
+// answers what a worker's /scan answers, a retryable 503 counted as
+// canceled, not a 500.
+func TestScanCanceledIs503(t *testing.T) {
+	s, clk := newTestServer(t, nil)
+	tn := register(t, s, "team-a", Quotas{})
+	now := clk.Now()
+	vals := make([]float64, 360)
+	for i := range vals {
+		vals[i] = 100
+	}
+	if rr := doJSON(s, "POST", "/ingest", tn.Key,
+		ingestBody("web", "host0", "cpu", now.Add(-6*time.Hour), time.Minute, vals...)); rr.Code != http.StatusOK {
+		t.Fatalf("ingest = %d: %s", rr.Code, rr.Body)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest("POST", "/scan",
+		strings.NewReader(fmt.Sprintf(`{"service":"web","scan_time":%q}`, now.Format(time.RFC3339)))).WithContext(ctx)
+	req.Header.Set("Authorization", "Bearer "+tn.Key)
+	rr := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rr, req)
+	if rr.Code != http.StatusServiceUnavailable {
+		t.Fatalf("canceled scan = %d %q, want 503", rr.Code, rr.Body)
+	}
+	got := s.reg.NewCounter(distributed.MetricWorkerScanErrors, "",
+		obs.Labels{"reason": distributed.ErrReasonCanceled}).Value()
+	if got != 1 {
+		t.Errorf("canceled scan counter = %v, want 1", got)
 	}
 }
 
@@ -310,11 +344,13 @@ func TestOperationValidation(t *testing.T) {
 	if rr.Code != http.StatusBadRequest {
 		t.Errorf("bad json = %d, want 400", rr.Code)
 	}
-	// A rebalance without a ring fails terminally, not silently.
+	// A sweep of a service the tenant never wrote fails terminally, not
+	// silently.
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	cli := &Client{Base: srv.URL, Key: tn.Key}
-	_, loc, err := cli.SubmitOperation(context.Background(), OpKindRebalance, nil)
+	_, loc, err := cli.SubmitOperation(context.Background(), OpKindSweep,
+		sweepParams{Service: "never-written"})
 	if err != nil {
 		t.Fatalf("SubmitOperation: %v", err)
 	}
@@ -322,7 +358,7 @@ func TestOperationValidation(t *testing.T) {
 	defer cancel()
 	done, err := cli.WaitOperation(ctx, loc)
 	if done == nil || done.Status != OpFailed {
-		t.Fatalf("ringless rebalance: op %+v err %v, want failed terminal state", done, err)
+		t.Fatalf("sweep of an unknown service: op %+v err %v, want failed terminal state", done, err)
 	}
 	if !resilience.IsPermanent(err) {
 		t.Errorf("failed op error should be Permanent, got %v", err)
@@ -424,6 +460,58 @@ func TestOperationAbandonedAfterRepeatedCrashes(t *testing.T) {
 	}
 }
 
+// TestRecoveredOperationOfUnknownKindFails: a journal written by a
+// server that ran a kind this one has no runner for (a "rebalance" from
+// before that kind went) reopens with the op failed, and the server
+// keeps serving.
+func TestRecoveredOperationOfUnknownKindFails(t *testing.T) {
+	dir := t.TempDir()
+	clk := resilience.NewFakeClock(time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)).AutoAdvance()
+	op := Operation{ID: "op-oldkind", Tenant: "t-x", Kind: "rebalance",
+		Status: OpPending, CreatedAt: clk.Now(), UpdatedAt: clk.Now()}
+	j, _, err := wal.OpenJournal(filepath.Join(dir, "ops.journal"), func([]byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, _ := json.Marshal(op)
+	if err := j.Append(payload); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	s, err := NewServer(Options{DataDir: dir, AdminKey: testAdminKey, Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		got := s.ops.Get("op-oldkind")
+		if got == nil {
+			t.Fatal("recovered op vanished")
+		}
+		if got.Status.Terminal() {
+			if got.Status != OpFailed || !strings.Contains(got.Error, "unknown operation kind") {
+				t.Fatalf("recovered op = %s (%q), want failed with unknown operation kind", got.Status, got.Error)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("recovered op stuck in %s", got.Status)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	tn := register(t, s, "team-a", Quotas{})
+	if rr := doJSON(s, "POST", "/ingest", tn.Key,
+		ingestBody("web", "host0", "cpu", clk.Now(), time.Minute, 1, 2, 3)); rr.Code != http.StatusOK {
+		t.Errorf("ingest after recovery = %d: %s", rr.Code, rr.Body)
+	}
+	if rr := doJSON(s, "GET", "/healthz", "", ""); rr.Code != http.StatusOK {
+		t.Errorf("healthz after recovery = %d", rr.Code)
+	}
+}
+
 func TestTenantQuotaUsageSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	clk := resilience.NewFakeClock(time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)).AutoAdvance()
@@ -488,60 +576,6 @@ func TestAdminAPI(t *testing.T) {
 	rr = doJSON(s, "GET", "/admin/tenants", testAdminKey, "")
 	if rr.Code != http.StatusOK || strings.Contains(rr.Body.String(), tn.Key) {
 		t.Errorf("tenant list = %d %s: must not leak keys", rr.Code, rr.Body)
-	}
-
-	// Without a ring the worker admin surface 503s.
-	if rr := doJSON(s, "GET", "/admin/workers", testAdminKey, ""); rr.Code != http.StatusServiceUnavailable {
-		t.Errorf("ringless workers list = %d, want 503", rr.Code)
-	}
-}
-
-func TestAdminWorkerRing(t *testing.T) {
-	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer worker.Close()
-
-	s, _ := newTestServer(t, func(o *Options) {
-		o.WorkerURLs = []string{worker.URL}
-	})
-	rr := doJSON(s, "GET", "/admin/workers", testAdminKey, "")
-	if rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), worker.URL) {
-		t.Fatalf("workers list = %d %s", rr.Code, rr.Body)
-	}
-
-	add := fmt.Sprintf(`{"url":%q}`, worker.URL+"/second")
-	if rr := doJSON(s, "POST", "/admin/workers", testAdminKey, add); rr.Code != http.StatusCreated {
-		t.Fatalf("add worker = %d: %s", rr.Code, rr.Body)
-	}
-	if rr := doJSON(s, "POST", "/admin/workers/drain", testAdminKey, add); rr.Code != http.StatusOK {
-		t.Fatalf("drain worker = %d: %s", rr.Code, rr.Body)
-	}
-	var statuses []struct {
-		URL      string `json:"url"`
-		Draining bool   `json:"draining"`
-	}
-	rr = doJSON(s, "GET", "/admin/workers", testAdminKey, "")
-	if err := json.Unmarshal(rr.Body.Bytes(), &statuses); err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, st := range statuses {
-		if st.URL == worker.URL+"/second" {
-			found = true
-			if !st.Draining {
-				t.Error("drained worker not marked draining")
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("added worker missing from %s", rr.Body)
-	}
-	if rr := doJSON(s, "POST", "/admin/workers/remove", testAdminKey, add); rr.Code != http.StatusOK {
-		t.Fatalf("remove worker = %d: %s", rr.Code, rr.Body)
-	}
-	if got := s.reg.NewCounter(MetricAdminRingChanges, "", obs.Labels{"action": "add"}).Value(); got != 1 {
-		t.Errorf("ring add counter = %v, want 1", got)
 	}
 }
 

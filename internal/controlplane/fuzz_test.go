@@ -56,9 +56,6 @@ var fuzzRoutes = []struct{ method, path string }{
 	{"GET", "/operations/op-00000000"},
 	{"POST", "/admin/tenants"},
 	{"GET", "/admin/tenants"},
-	{"GET", "/admin/workers"},
-	{"POST", "/admin/workers"},
-	{"POST", "/admin/workers/drain"},
 }
 
 // FuzzAPIRequest throws arbitrary auth headers and request bodies at the

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/subtle"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -128,10 +127,6 @@ func (s *Server) buildMux() {
 	// Admin plane.
 	wire("POST /admin/tenants", s.authAdmin(s.serveRegisterTenant))
 	wire("GET /admin/tenants", s.authAdmin(s.serveListTenants))
-	wire("GET /admin/workers", s.authAdmin(s.serveListWorkers))
-	wire("POST /admin/workers", s.authAdmin(s.serveAddWorker))
-	wire("POST /admin/workers/drain", s.authAdmin(s.serveDrainWorker))
-	wire("POST /admin/workers/remove", s.authAdmin(s.serveRemoveWorker))
 
 	// Observability, unauthenticated like every worker's.
 	obs.RegisterDebug(mux, s.reg, s.tracer)
@@ -156,36 +151,16 @@ func (s *Server) serveProfiles(w http.ResponseWriter, r *http.Request) {
 	s.rateLimit(s.handlersOf(tenantOf(r)).profiles).ServeHTTP(w, r)
 }
 
-// serveScan runs a pipeline scan of one tenant service. The service
-// name is namespaced before it reaches the pipeline, so a tenant can
-// only ever scan (or learn the existence of) its own series.
+// serveScan runs a pipeline scan of one tenant service through the
+// worker's own /scan lifecycle. The service name is namespaced before it
+// reaches the pipeline, so a tenant can only ever scan (or learn the
+// existence of) its own series.
 func (s *Server) serveScan(w http.ResponseWriter, r *http.Request) {
 	st := tenantOf(r)
 	s.rateLimit(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		var sr distributed.ScanRequest
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&sr); err != nil {
-			http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		if sr.Service == "" || sr.ScanTime.IsZero() {
-			http.Error(w, "service and scan_time required", http.StatusBadRequest)
-			return
-		}
-		resp, err := s.scanTenantService(r.Context(), st, sr.Service, sr.ScanTime)
-		if err != nil {
-			if errors.Is(err, distributed.ErrUnknownService) {
-				http.Error(w, "unknown service: "+sr.Service, http.StatusNotFound)
-				return
-			}
-			http.Error(w, "scan failed: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(resp)
+		s.worker.ServeScan(w, r, func(ctx context.Context, service string, scanTime time.Time) (*distributed.ScanResponse, error) {
+			return s.scanTenantService(ctx, st, service, scanTime)
+		})
 	})).ServeHTTP(w, r)
 }
 
@@ -302,108 +277,4 @@ func (s *Server) serveRegisterTenant(w http.ResponseWriter, r *http.Request) {
 func (s *Server) serveListTenants(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(s.tenants.List())
-}
-
-// ringRequest is the admin worker-mutation body.
-type ringRequest struct {
-	URL   string `json:"url"`
-	Drain *bool  `json:"drain,omitempty"`
-}
-
-// requireRing 503s admin ring calls when no coordinator is configured.
-func (s *Server) requireRing(w http.ResponseWriter) bool {
-	if s.coord == nil {
-		http.Error(w, "no worker ring configured (start the server with -workers)",
-			http.StatusServiceUnavailable)
-		return false
-	}
-	return true
-}
-
-// decodeRing parses a ring-mutation body.
-func decodeRing(w http.ResponseWriter, r *http.Request) (ringRequest, bool) {
-	var body ringRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 64<<10)).Decode(&body); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return body, false
-	}
-	if body.URL == "" {
-		http.Error(w, "url required", http.StatusBadRequest)
-		return body, false
-	}
-	return body, true
-}
-
-// ringChanged bumps the admin ring-change counter.
-func (s *Server) ringChanged(action string) {
-	s.reg.NewCounter(MetricAdminRingChanges,
-		"Admin mutations of the worker hash ring, by action.",
-		obs.Labels{"action": action}).Inc()
-}
-
-// serveListWorkers reports every ring member's health/drain/breaker
-// state.
-func (s *Server) serveListWorkers(w http.ResponseWriter, r *http.Request) {
-	if !s.requireRing(w) {
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.coord.Workers())
-}
-
-// serveAddWorker grows the ring at runtime.
-func (s *Server) serveAddWorker(w http.ResponseWriter, r *http.Request) {
-	if !s.requireRing(w) {
-		return
-	}
-	body, ok := decodeRing(w, r)
-	if !ok {
-		return
-	}
-	if err := s.coord.AddWorker(body.URL); err != nil {
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
-	}
-	s.ringChanged("add")
-	w.WriteHeader(http.StatusCreated)
-	json.NewEncoder(w).Encode(s.coord.Workers())
-}
-
-// serveDrainWorker marks a member draining (default) or undrains it
-// with {"drain": false}.
-func (s *Server) serveDrainWorker(w http.ResponseWriter, r *http.Request) {
-	if !s.requireRing(w) {
-		return
-	}
-	body, ok := decodeRing(w, r)
-	if !ok {
-		return
-	}
-	drain := true
-	if body.Drain != nil {
-		drain = *body.Drain
-	}
-	if err := s.coord.DrainWorker(body.URL, drain); err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	s.ringChanged("drain")
-	json.NewEncoder(w).Encode(s.coord.Workers())
-}
-
-// serveRemoveWorker deletes a ring member.
-func (s *Server) serveRemoveWorker(w http.ResponseWriter, r *http.Request) {
-	if !s.requireRing(w) {
-		return
-	}
-	body, ok := decodeRing(w, r)
-	if !ok {
-		return
-	}
-	if err := s.coord.RemoveWorker(body.URL); err != nil {
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
-	}
-	s.ringChanged("remove")
-	json.NewEncoder(w).Encode(s.coord.Workers())
 }

@@ -23,10 +23,6 @@ const (
 	// thresholds, how many regressions each floor would surface — the
 	// floor-curve sweep used to pick a deployment threshold.
 	OpKindSweep = "sweep"
-	// OpKindRebalance health-checks the worker ring and reports the
-	// current service→worker assignment. Without a ring it fails
-	// terminally (exercising the failure path).
-	OpKindRebalance = "rebalance"
 )
 
 // Backfill abuse bounds: one operation may not write more points or
@@ -41,7 +37,6 @@ const (
 func (s *Server) registerRunners() {
 	s.queue.register(OpKindBackfill, s.runBackfill)
 	s.queue.register(OpKindSweep, s.runSweep)
-	s.queue.register(OpKindRebalance, s.runRebalance)
 }
 
 // backfillParams parameterizes one backfill operation.
@@ -206,33 +201,5 @@ func (s *Server) runSweep(ctx context.Context, op *Operation) (json.RawMessage, 
 		"service": p.Service,
 		"curve":   curve,
 		"funnel":  resp.Funnel,
-	})
-}
-
-// runRebalance health-checks the worker ring and reports where each of
-// the tenant's services currently lands on it.
-func (s *Server) runRebalance(ctx context.Context, op *Operation) (json.RawMessage, error) {
-	if s.coord == nil {
-		return nil, fmt.Errorf("no worker ring configured")
-	}
-	s.coord.Pool().CheckNow(ctx)
-	st := s.tenants.get(op.Tenant)
-	if st == nil {
-		return nil, fmt.Errorf("tenant %s no longer exists", op.Tenant)
-	}
-	assignment := map[string]string{}
-	s.tenants.mu.Lock()
-	services := make([]string, 0, len(st.services))
-	for svc := range st.services {
-		services = append(services, svc)
-	}
-	s.tenants.mu.Unlock()
-	sort.Strings(services)
-	for _, svc := range services {
-		assignment[svc] = s.coord.WorkerFor(namespaceService(st.ID, svc))
-	}
-	return json.Marshal(map[string]any{
-		"workers":    s.coord.Workers(),
-		"assignment": assignment,
 	})
 }

@@ -16,10 +16,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -133,6 +131,20 @@ func (w *Worker) errCounter(reason string) *obs.Counter {
 
 // ServeHTTP implements the worker's /scan endpoint.
 func (w *Worker) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
+	w.ServeScan(rw, req, w.Scan)
+}
+
+// ScanFunc runs one scan of a service at a scan time. Worker.Scan is
+// the worker's own; the control plane passes one that namespaces the
+// service to the requesting tenant.
+type ScanFunc func(ctx context.Context, service string, scanTime time.Time) (*ScanResponse, error)
+
+// ServeScan is the /scan request lifecycle around scan: POST only, a
+// ScanRequest of at most 1 MiB with both fields set, then
+// ErrUnknownService → 404, a canceled or expired context → 503 and any
+// other failure → 500. Every rejection counts under its reason in
+// MetricWorkerScanErrors.
+func (w *Worker) ServeScan(rw http.ResponseWriter, req *http.Request, scan ScanFunc) {
 	if req.Method != http.MethodPost {
 		w.errCounter(ErrReasonBadMethod).Inc()
 		http.Error(rw, "POST only", http.StatusMethodNotAllowed)
@@ -149,7 +161,7 @@ func (w *Worker) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 		http.Error(rw, "service and scan_time required", http.StatusBadRequest)
 		return
 	}
-	resp, err := w.Scan(req.Context(), sr.Service, sr.ScanTime)
+	resp, err := scan(req.Context(), sr.Service, sr.ScanTime)
 	switch {
 	case errors.Is(err, ErrUnknownService):
 		w.errCounter(ErrReasonUnknownService).Inc()
@@ -284,15 +296,12 @@ func (o Options) withDefaults() Options {
 // per-worker circuit breakers, failover to peers, and optional hedged
 // requests — a service only lands in Failed once every avenue is spent.
 type Coordinator struct {
-	workers []string // worker base URLs
-	client  *http.Client
-	opts    Options
+	pool   *WorkerPool
+	client *http.Client
+	opts   Options
+	retry  *resilience.Retryer
 
-	mu    sync.Mutex // guards lazy initialization
-	pool  *WorkerPool
-	retry *resilience.Retryer
-
-	reg          *obs.Registry // nil when uninstrumented
+	// metric handles; nil-safe when uninstrumented
 	scans        *obs.Counter
 	failures     *obs.Counter
 	duration     *obs.Histogram
@@ -303,13 +312,12 @@ type Coordinator struct {
 	breakerSkips *obs.Counter
 }
 
-// Instrument publishes the coordinator's fan-out and resilience metrics
-// to reg (and the pool's, once it exists).
+// Instrument publishes the coordinator's fan-out and resilience metrics,
+// and the pool's, to reg. Call before scanning.
 func (c *Coordinator) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	c.reg = reg
 	c.scans = reg.NewCounter(MetricCoordScans,
 		"Per-service scans dispatched to workers.", nil)
 	c.failures = reg.NewCounter(MetricCoordFailures,
@@ -326,11 +334,7 @@ func (c *Coordinator) Instrument(reg *obs.Registry) {
 		"Hedged requests that answered before the original.", nil)
 	c.breakerSkips = reg.NewCounter(MetricCoordBreakerSkips,
 		"Worker attempts skipped because the circuit breaker was open.", nil)
-	c.mu.Lock()
-	if c.pool != nil {
-		c.pool.Instrument(reg)
-	}
-	c.mu.Unlock()
+	c.pool.Instrument(reg)
 }
 
 // NewCoordinator returns a coordinator over the given worker base URLs
@@ -341,7 +345,8 @@ func NewCoordinator(workerURLs []string, client *http.Client) (*Coordinator, err
 }
 
 // NewCoordinatorWithOptions returns a coordinator with explicit
-// resilience options (zero fields take defaults).
+// resilience options (zero fields take defaults). The worker list is
+// fixed for the coordinator's life; its order is the hash ring's.
 func NewCoordinatorWithOptions(workerURLs []string, client *http.Client, opts Options) (*Coordinator, error) {
 	if len(workerURLs) == 0 {
 		return nil, fmt.Errorf("distributed: at least one worker required")
@@ -349,92 +354,33 @@ func NewCoordinatorWithOptions(workerURLs []string, client *http.Client, opts Op
 	if client == nil {
 		client = http.DefaultClient
 	}
-	return &Coordinator{workers: workerURLs, client: client, opts: opts}, nil
-}
-
-// ensure lazily builds the pool and retryer, rebuilding if the worker
-// list was swapped (tests construct Coordinator literals and mutate
-// workers before scanning).
-func (c *Coordinator) ensure() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.pool != nil && slices.Equal(c.pool.URLs(), c.workers) {
-		return
+	opts = opts.withDefaults()
+	c := &Coordinator{
+		pool:   NewWorkerPool(workerURLs, client, opts.Pool, opts.Clock),
+		client: client,
+		opts:   opts,
+		retry:  resilience.NewRetryer(opts.Retry, opts.Clock, opts.Seed),
 	}
-	c.opts = c.opts.withDefaults()
-	c.pool = NewWorkerPool(c.workers, c.client, c.opts.Pool, c.opts.Clock)
-	if c.reg != nil {
-		c.pool.Instrument(c.reg)
-	}
-	c.retry = resilience.NewRetryer(c.opts.Retry, c.opts.Clock, c.opts.Seed)
 	c.retry.OnRetry = func(int, time.Duration, error) { c.retries.Inc() }
+	return c, nil
 }
 
-// Pool exposes the health-checked worker pool (built on first use) so
-// operators can run periodic probes: go coord.Pool().Start(ctx).
-func (c *Coordinator) Pool() *WorkerPool {
-	c.ensure()
-	return c.pool
-}
-
-// AddWorker grows the hash ring at runtime: the new worker joins the
-// pool (healthy until probed otherwise) and starts receiving its hash
-// share of services on the next scan. The control plane's admin API
-// calls this.
-func (c *Coordinator) AddWorker(url string) error {
-	c.ensure()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.pool.Add(url); err != nil {
-		return err
-	}
-	c.workers = c.pool.URLs()
-	return nil
-}
-
-// DrainWorker marks a ring member draining (drain=true: no new work is
-// routed to it) or returns it to rotation (drain=false). Draining keeps
-// the worker in the ring so undrain is cheap and hash assignments of the
-// other members don't churn.
-func (c *Coordinator) DrainWorker(url string, drain bool) error {
-	c.ensure()
-	return c.pool.SetDraining(url, drain)
-}
-
-// RemoveWorker deletes a ring member at runtime; its services rehash to
-// the survivors on the next scan. Removing the last worker is refused.
-func (c *Coordinator) RemoveWorker(url string) error {
-	c.ensure()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.pool.Remove(url); err != nil {
-		return err
-	}
-	c.workers = c.pool.URLs()
-	return nil
-}
-
-// Workers reports every ring member's health, drain flag, and breaker
-// state — the admin API's GET view.
-func (c *Coordinator) Workers() []WorkerStatus {
-	c.ensure()
-	return c.pool.Snapshot()
-}
+// Pool exposes the health-checked worker pool so operators can run
+// periodic probes: go coord.Pool().Start(ctx).
+func (c *Coordinator) Pool() *WorkerPool { return c.pool }
 
 // StartHealthChecks probes workers now and every Pool.ProbeInterval
 // until ctx is done. Run in a goroutine next to a long-lived
 // coordinator.
 func (c *Coordinator) StartHealthChecks(ctx context.Context) {
-	c.Pool().Start(ctx)
+	c.pool.Start(ctx)
 }
 
 // WorkerFor returns the worker URL owning a service. Assignment is stable
 // for a fixed worker list, so a service's cross-scan deduplication state
 // stays on one worker.
 func (c *Coordinator) WorkerFor(service string) string {
-	h := fnv.New32a()
-	h.Write([]byte(service))
-	return c.workers[int(h.Sum32())%len(c.workers)]
+	return c.pool.workers[c.pool.owner(service)].url
 }
 
 // Scan sends one service's scan to its owning worker, with retries,
@@ -445,7 +391,6 @@ func (c *Coordinator) Scan(service string, scanTime time.Time) (*ScanResponse, e
 
 // ScanContext is Scan with a caller-controlled context.
 func (c *Coordinator) ScanContext(ctx context.Context, service string, scanTime time.Time) (*ScanResponse, error) {
-	c.ensure()
 	c.scans.Inc()
 	start := time.Now()
 	sr, err := c.scanFailover(ctx, service, scanTime)
@@ -575,7 +520,6 @@ func (c *Coordinator) ScanAll(services []string, scanTime time.Time) (*ScanRespo
 
 // ScanAllContext is ScanAll with a caller-controlled context.
 func (c *Coordinator) ScanAllContext(ctx context.Context, services []string, scanTime time.Time) (*ScanResponse, error) {
-	c.ensure()
 	merged := &ScanResponse{Worker: "coordinator"}
 	var mu sync.Mutex
 	var wg sync.WaitGroup

@@ -144,13 +144,19 @@ func TestCoordinatorShardsAndMerges(t *testing.T) {
 	defer srvB.Close()
 
 	// Route each service to the worker that actually has its data.
-	coord := &Coordinator{client: http.DefaultClient}
-	coord.workers = []string{srvA.URL, srvB.URL}
+	newCoord := func(urls ...string) *Coordinator {
+		c, err := NewCoordinator(urls, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	coord := newCoord(srvA.URL, srvB.URL)
 	// WorkerFor is hash-based; find which URL svc-a hashes to, and build
 	// the worker list so the hash routes correctly.
 	if coord.WorkerFor("svc-a") != srvA.URL {
-		coord.workers = []string{srvB.URL, srvA.URL}
 		// Rebuild workers so svc-a lands on srvA and svc-b on the other.
+		coord = newCoord(srvB.URL, srvA.URL)
 		if coord.WorkerFor("svc-a") != srvA.URL {
 			t.Skip("hash routes both services to one worker in this configuration")
 		}

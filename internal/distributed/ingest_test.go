@@ -357,3 +357,51 @@ func TestIngestClientHonorsRetryAfter(t *testing.T) {
 		t.Fatalf("client slept %v, want the two 7s hints (%v)", got, want)
 	}
 }
+
+// quotaStore rejects every batch with a StatusError, standing in for the
+// control plane's quota-enforcing store.
+type quotaStore struct{}
+
+type quotaErr struct{}
+
+func (quotaErr) Error() string   { return "tenant quota exceeded" }
+func (quotaErr) HTTPStatus() int { return http.StatusForbidden }
+
+func (quotaStore) AppendBatch(pts []tsdb.Point) (int, error) { return 0, quotaErr{} }
+
+// TestIngestStatusError: a store's StatusError reaches the client of
+// either endpoint with its own status and message, counted as a quota
+// rejection rather than a store failure.
+func TestIngestStatusError(t *testing.T) {
+	for _, tc := range []struct {
+		route, body string
+		handler     interface {
+			http.Handler
+			Instrument(*obs.Registry)
+		}
+		rejected string
+	}{
+		{"/ingest", `{"metric":"web//cpu","time":"2024-08-01T00:00:00Z","value":1}` + "\n",
+			NewIngestHandler(quotaStore{}, IngestOptions{}), MetricIngestRejected},
+		{"/profiles?service=web", "main;render 1\n",
+			NewProfilesHandler(quotaStore{}, ProfilesOptions{}), MetricProfilesRejected},
+	} {
+		reg := obs.NewRegistry()
+		tc.handler.Instrument(reg)
+		req := httptest.NewRequest(http.MethodPost, tc.route, strings.NewReader(tc.body))
+		rec := httptest.NewRecorder()
+		tc.handler.ServeHTTP(rec, req)
+		if rec.Code != http.StatusForbidden {
+			t.Fatalf("%s: status = %d, want 403 from the store's StatusError", tc.route, rec.Code)
+		}
+		if !strings.Contains(rec.Body.String(), "quota") {
+			t.Fatalf("%s: body %q should carry the store's message", tc.route, rec.Body.String())
+		}
+		count := func(reason string) float64 {
+			return reg.NewCounter(tc.rejected, "", obs.Labels{"reason": reason}).Value()
+		}
+		if q, f := count(IngestReasonQuota), count(IngestReasonStoreFailed); q != 1 || f != 0 {
+			t.Fatalf("%s: quota rejections = %v, store failures = %v, want 1 and 0", tc.route, q, f)
+		}
+	}
+}

@@ -251,10 +251,16 @@ func TestScanAllAggregatesErrors(t *testing.T) {
 	defer srv.Close()
 	dead := "http://127.0.0.1:1"
 
-	coord := &Coordinator{client: &http.Client{Timeout: 5 * time.Second}}
-	coord.workers = []string{srv.URL, dead}
+	newCoord := func(urls ...string) *Coordinator {
+		c, err := NewCoordinator(urls, &http.Client{Timeout: 5 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	coord := newCoord(srv.URL, dead)
 	if coord.WorkerFor("svc-a") != srv.URL {
-		coord.workers = []string{dead, srv.URL}
+		coord = newCoord(dead, srv.URL)
 	}
 	if coord.WorkerFor("svc-a") != srv.URL {
 		t.Fatal("cannot route svc-a to the live worker")

@@ -2,7 +2,6 @@ package distributed
 
 import (
 	"context"
-	"fmt"
 	"hash/fnv"
 	"io"
 	"net/http"
@@ -49,10 +48,9 @@ func (c PoolConfig) withDefaults() PoolConfig {
 
 // poolWorker is one worker's live state inside the pool.
 type poolWorker struct {
-	url      string
-	healthy  atomic.Bool
-	draining atomic.Bool
-	breaker  *resilience.Breaker
+	url     string
+	healthy atomic.Bool
+	breaker *resilience.Breaker
 
 	// metric handles; nil-safe when the pool is uninstrumented.
 	healthyGauge *obs.Gauge
@@ -63,18 +61,14 @@ type poolWorker struct {
 // WorkerPool tracks worker health (periodic /healthz probes against the
 // surface every worker already serves) and guards each worker with a
 // circuit breaker. The coordinator orders failover candidates through
-// it: healthy, breaker-closed workers first. The worker list is mutable
-// at runtime — the control plane's admin API adds, drains, and removes
-// ring members on a live coordinator.
+// it: healthy, breaker-closed workers first. The worker list is fixed
+// at construction, in hash-ring order.
 type WorkerPool struct {
-	cfg    PoolConfig
-	clock  resilience.Clock
-	client *http.Client
-
-	mu      sync.Mutex // guards workers/byURL and instrumentation wiring
+	cfg     PoolConfig
+	clock   resilience.Clock
+	client  *http.Client
 	workers []*poolWorker
 	byURL   map[string]*poolWorker
-	reg     *obs.Registry
 
 	healthyGauge  *obs.Gauge
 	probes        *obs.Counter
@@ -106,113 +100,14 @@ func NewWorkerPool(urls []string, client *http.Client, cfg PoolConfig, clock res
 	return p
 }
 
-// URLs returns the pool's worker list in hash-ring order.
-func (p *WorkerPool) URLs() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, len(p.workers))
-	for i, w := range p.workers {
-		out[i] = w.url
-	}
-	return out
-}
-
-// WorkerStatus is one ring member's state as the admin API reports it.
-type WorkerStatus struct {
-	URL      string `json:"url"`
-	Healthy  bool   `json:"healthy"`
-	Draining bool   `json:"draining"`
-	Breaker  string `json:"breaker"`
-}
-
-// Snapshot reports every ring member's health, drain flag, and breaker
-// state, in hash-ring order.
-func (p *WorkerPool) Snapshot() []WorkerStatus {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]WorkerStatus, len(p.workers))
-	for i, w := range p.workers {
-		out[i] = WorkerStatus{
-			URL:      w.url,
-			Healthy:  w.healthy.Load(),
-			Draining: w.draining.Load(),
-			Breaker:  w.breaker.State().String(),
-		}
-	}
-	return out
-}
-
-// Add appends a new worker to the ring at runtime. The worker starts
-// healthy (the next probe corrects that if wrong) and inherits the
-// pool's breaker config and instrumentation. Adding an existing URL is
-// an error.
-func (p *WorkerPool) Add(url string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.byURL[url]; ok {
-		return fmt.Errorf("distributed: worker %s already in the ring", url)
-	}
-	w := &poolWorker{url: url, breaker: resilience.NewBreaker(p.cfg.Breaker, p.clock)}
-	w.healthy.Store(true)
-	p.workers = append(p.workers, w)
-	p.byURL[url] = w
-	if p.reg != nil {
-		p.instrumentWorker(w)
-	}
-	return nil
-}
-
-// Remove deletes a worker from the ring. Services it owned rehash to the
-// survivors on the next scan. Unknown URLs are an error; so is removing
-// the last worker (a coordinator needs at least one).
-func (p *WorkerPool) Remove(url string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	w, ok := p.byURL[url]
-	if !ok {
-		return fmt.Errorf("distributed: worker %s not in the ring", url)
-	}
-	if len(p.workers) == 1 {
-		return fmt.Errorf("distributed: refusing to remove the last worker %s", url)
-	}
-	delete(p.byURL, url)
-	for i, pw := range p.workers {
-		if pw == w {
-			p.workers = append(p.workers[:i], p.workers[i+1:]...)
-			break
-		}
-	}
-	if w.healthyGauge != nil {
-		w.healthyGauge.Set(0)
-	}
-	return nil
-}
-
-// SetDraining marks (or unmarks) a worker as draining: it stays in the
-// ring for hash purposes but Candidates stops routing to it, so in-flight
-// work finishes and new work lands elsewhere — the graceful prelude to
-// Remove. Unknown URLs are an error.
-func (p *WorkerPool) SetDraining(url string, draining bool) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	w, ok := p.byURL[url]
-	if !ok {
-		return fmt.Errorf("distributed: worker %s not in the ring", url)
-	}
-	w.draining.Store(draining)
-	return nil
-}
-
 // Instrument publishes pool health and breaker metrics to reg:
 // per-worker health and breaker-state gauges, probe counters, breaker
 // failure counters, and breaker transition counters by target state.
+// Call before probing or routing.
 func (p *WorkerPool) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.reg = reg
 	p.healthyGauge = reg.NewGauge(MetricPoolHealthyWorkers,
 		"Workers whose last /healthz probe succeeded.", nil)
 	p.healthyGauge.Set(float64(len(p.workers)))
@@ -221,41 +116,27 @@ func (p *WorkerPool) Instrument(reg *obs.Registry) {
 	p.probeFailures = reg.NewCounter(MetricPoolProbeFailures,
 		"Health probes that failed (worker unreachable or non-200).", nil)
 	for _, w := range p.workers {
-		p.instrumentWorker(w)
+		w.healthyGauge = reg.NewGauge(MetricPoolWorkerHealthy,
+			"1 when the worker's last /healthz probe succeeded.", obs.Labels{"worker": w.url})
+		if w.healthy.Load() {
+			w.healthyGauge.Set(1)
+		}
+		w.stateGauge = reg.NewGauge(MetricBreakerState,
+			"Circuit state per worker: 0 closed, 1 half-open, 2 open.", obs.Labels{"worker": w.url})
+		w.failures = reg.NewCounter(MetricBreakerFailures,
+			"Failed requests recorded against the worker's breaker.", obs.Labels{"worker": w.url})
+		w.breaker.OnTransition = func(_, to resilience.State) {
+			w.stateGauge.Set(float64(to))
+			reg.NewCounter(MetricBreakerTransitions,
+				"Breaker state changes, by worker and new state.",
+				obs.Labels{"worker": w.url, "to": to.String()}).Inc()
+		}
 	}
-}
-
-// instrumentWorker wires one worker's gauges and breaker callbacks.
-// Caller holds p.mu with p.reg set.
-func (p *WorkerPool) instrumentWorker(w *poolWorker) {
-	reg := p.reg
-	w.healthyGauge = reg.NewGauge(MetricPoolWorkerHealthy,
-		"1 when the worker's last /healthz probe succeeded.", obs.Labels{"worker": w.url})
-	if w.healthy.Load() {
-		w.healthyGauge.Set(1)
-	}
-	w.stateGauge = reg.NewGauge(MetricBreakerState,
-		"Circuit state per worker: 0 closed, 1 half-open, 2 open.", obs.Labels{"worker": w.url})
-	w.failures = reg.NewCounter(MetricBreakerFailures,
-		"Failed requests recorded against the worker's breaker.", obs.Labels{"worker": w.url})
-	w.breaker.OnTransition = func(_, to resilience.State) {
-		w.stateGauge.Set(float64(to))
-		reg.NewCounter(MetricBreakerTransitions,
-			"Breaker state changes, by worker and new state.",
-			obs.Labels{"worker": w.url, "to": to.String()}).Inc()
-	}
-}
-
-// lookup returns the worker for url under the pool lock (nil if absent).
-func (p *WorkerPool) lookup(url string) *poolWorker {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.byURL[url]
 }
 
 // Breaker returns the circuit breaker guarding url (nil if unknown).
 func (p *WorkerPool) Breaker(url string) *resilience.Breaker {
-	if w := p.lookup(url); w != nil {
+	if w := p.byURL[url]; w != nil {
 		return w.breaker
 	}
 	return nil
@@ -264,13 +145,13 @@ func (p *WorkerPool) Breaker(url string) *resilience.Breaker {
 // Healthy reports the worker's last probe outcome (unknown URLs are
 // unhealthy).
 func (p *WorkerPool) Healthy(url string) bool {
-	w := p.lookup(url)
+	w := p.byURL[url]
 	return w != nil && w.healthy.Load()
 }
 
 // recordOutcome feeds one request outcome into the worker's breaker.
 func (p *WorkerPool) recordOutcome(url string, success bool) {
-	w := p.lookup(url)
+	w := p.byURL[url]
 	if w == nil {
 		return
 	}
@@ -282,35 +163,29 @@ func (p *WorkerPool) recordOutcome(url string, success bool) {
 	w.breaker.Failure()
 }
 
-// snapshotWorkers copies the current worker list under the pool lock.
-func (p *WorkerPool) snapshotWorkers() []*poolWorker {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]*poolWorker(nil), p.workers...)
+// owner returns the index of the worker that owns service on the hash
+// ring.
+func (p *WorkerPool) owner(service string) int {
+	h := fnv.New32a()
+	h.Write([]byte(service))
+	return int(h.Sum32()) % len(p.workers)
 }
 
 // Candidates returns the failover order for a service: the hash-owned
 // primary first, then peers around the ring — with workers that are
 // unhealthy or whose breaker is open moved to the back, so a sick
 // primary's services land on a healthy peer before ever failing.
-// Draining workers are excluded entirely: drain means "send no new
-// work", even as a last resort.
 func (p *WorkerPool) Candidates(service string) []string {
-	workers := p.snapshotWorkers()
-	n := len(workers)
+	n := len(p.workers)
 	if n == 0 {
 		return nil
 	}
-	h := fnv.New32a()
-	h.Write([]byte(service))
-	start := int(h.Sum32()) % n
-	ring := make([]*poolWorker, 0, n)
-	for i := 0; i < n; i++ {
-		if w := workers[(start+i)%n]; !w.draining.Load() {
-			ring = append(ring, w)
-		}
+	start := p.owner(service)
+	ring := make([]*poolWorker, n)
+	for i := range ring {
+		ring[i] = p.workers[(start+i)%n]
 	}
-	out := make([]string, 0, len(ring))
+	out := make([]string, 0, n)
 	for _, w := range ring { // preferred: probing healthy, breaker not open
 		if w.healthy.Load() && w.breaker.State() != resilience.StateOpen {
 			out = append(out, w.url)
@@ -327,9 +202,8 @@ func (p *WorkerPool) Candidates(service string) []string {
 // CheckNow probes every worker's /healthz once, concurrently, updating
 // health flags and gauges. It is the one-shot form of Start.
 func (p *WorkerPool) CheckNow(ctx context.Context) {
-	workers := p.snapshotWorkers()
 	var wg sync.WaitGroup
-	for _, w := range workers {
+	for _, w := range p.workers {
 		wg.Add(1)
 		go func(w *poolWorker) {
 			defer wg.Done()
@@ -339,7 +213,7 @@ func (p *WorkerPool) CheckNow(ctx context.Context) {
 	wg.Wait()
 	if p.healthyGauge != nil {
 		n := 0
-		for _, w := range workers {
+		for _, w := range p.workers {
 			if w.healthy.Load() {
 				n++
 			}

@@ -149,15 +149,21 @@ func changePointMarker(r *core.Regression, width int) string {
 	return strings.Repeat(" ", col) + "^"
 }
 
-// WriteScan renders a full scan result: the funnel summary followed by
-// one ticket per reported regression.
-func WriteScan(w io.Writer, res *core.ScanResult, log *changelog.Log) error {
-	f := res.Funnel
-	if _, err := fmt.Fprintf(w,
+// WriteFunnel renders the one-line stage funnel of a scan, or of a
+// sweep's merged funnel.
+func WriteFunnel(w io.Writer, f core.Funnel) error {
+	_, err := fmt.Fprintf(w,
 		"scan: %d change points (%d long-term) -> went-away %d -> seasonality %d -> threshold %d -> merged %d -> SOM %d -> pop-shift %d -> cost-shift %d -> reported %d\n",
 		f.ChangePoints, f.LongTermChangePoints, f.AfterWentAway, f.AfterSeasonality,
 		f.AfterThreshold, f.AfterSameMerger, f.AfterSOMDedup, f.AfterPopShift,
-		f.AfterCostShift, f.AfterPairwise); err != nil {
+		f.AfterCostShift, f.AfterPairwise)
+	return err
+}
+
+// WriteScan renders a full scan result: the funnel summary followed by
+// one ticket per reported regression.
+func WriteScan(w io.Writer, res *core.ScanResult, log *changelog.Log) error {
+	if err := WriteFunnel(w, res.Funnel); err != nil {
 		return err
 	}
 	for _, ps := range res.PopulationShifts {

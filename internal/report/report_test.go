@@ -64,6 +64,23 @@ func TestForRegressionServiceLevel(t *testing.T) {
 	}
 }
 
+// TestWriteFunnel: the funnel line carries every stage count, the
+// long-term change points included, whether it renders one scan or a
+// sweep's merged funnel.
+func TestWriteFunnel(t *testing.T) {
+	var merged core.Funnel
+	merged.Add(core.Funnel{ChangePoints: 4, LongTermChangePoints: 1, AfterThreshold: 3})
+	merged.Add(core.Funnel{ChangePoints: 2, LongTermChangePoints: 2, AfterThreshold: 2})
+	var buf bytes.Buffer
+	if err := WriteFunnel(&buf, merged); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); !strings.Contains(out, "scan: 6 change points (3 long-term)") ||
+		!strings.Contains(out, "threshold 5") {
+		t.Errorf("funnel line = %q, want 6 change points (3 long-term) and threshold 5", out)
+	}
+}
+
 func TestWriteScan(t *testing.T) {
 	res := &core.ScanResult{
 		Reported: []*core.Regression{sampleRegression()},

@@ -258,9 +258,10 @@ func (sh *shard) appendLocked(step time.Duration, chunkSize int, id MetricID, t 
 // Append adds one point to the metric's series at time t. Points must be
 // appended in order; a point earlier than the series end is rejected. Gaps
 // are filled by repeating the last value so windows stay regularly spaced
-// (production systems interpolate similarly for scan alignment); the fill
-// extends the series in one bulk allocation, so a long-gapped series does
-// not pay O(gap) appends.
+// (production systems interpolate similarly for scan alignment). The fill
+// (appendRepeat) writes the gap point by point, sealing chunks as it goes,
+// under the stripe lock: a gap of g steps costs O(g) work however far in
+// the future t lies (ROADMAP item 2(a)).
 func (db *DB) Append(id MetricID, t time.Time, v float64) error {
 	sh := db.shardFor(id)
 	sh.mu.Lock()

@@ -13,6 +13,8 @@
 #            from WAL recovery alone.
 #
 # The two /scan responses must be identical modulo the worker's own name.
+# Both workers are then recovered once more and swept through the
+# coordinator (fbdetect -workers), which must report the regression.
 # (A single generation feeds both workers because the simulator is not
 # bit-deterministic across process runs.)
 set -euo pipefail
@@ -45,9 +47,12 @@ scan() { # port outfile — normalizes the self-reported worker name
 }
 
 echo "== starting control and crash workers"
-"$WORK/worker" -listen "127.0.0.1:$CONTROL_PORT" -data-dir "$WORK/control" \
-    -wal-sync always -hours $HOURS &>"$WORK/control.log" &
-CONTROL_PID=$!
+start_control_worker() {
+    "$WORK/worker" -listen "127.0.0.1:$CONTROL_PORT" -data-dir "$WORK/control" \
+        -wal-sync always -hours $HOURS &>>"$WORK/control.log" &
+    CONTROL_PID=$!
+}
+start_control_worker
 start_crash_worker() {
     "$WORK/worker" -listen "127.0.0.1:$CRASH_PORT" -data-dir "$WORK/crash" \
         -wal-sync always -fsync-delay 40ms -hours $HOURS &>>"$WORK/crash.log" &
@@ -94,7 +99,6 @@ fi
 echo "== scanning both workers"
 scan "$CONTROL_PORT" "$WORK/control.json"
 scan "$CRASH_PORT" "$WORK/crash.json"
-kill -9 "$CONTROL_PID" "$CRASH_PID" 2>/dev/null || true
 
 echo "== comparing /scan responses"
 if ! grep -q '"change_point_time"' "$WORK/control.json"; then
@@ -109,6 +113,27 @@ if ! cmp "$WORK/control.json" "$WORK/crash.json"; then
     exit 1
 fi
 echo "PASS: recovered scan identical to uninterrupted control ($(wc -c <"$WORK/control.json") bytes)"
+
+# Coordinator drill: fbdetect -workers sweeps the service over both
+# workers. A worker remembers what it already reported, so both are
+# SIGKILLed and recovered from their WALs first; the sweep is then the
+# first scan its owner serves and must report the regression again.
+echo "== sweeping both recovered workers through fbdetect -workers"
+kill -9 "$CONTROL_PID" "$CRASH_PID" 2>/dev/null || true
+wait "$CONTROL_PID" "$CRASH_PID" 2>/dev/null || true
+start_control_worker
+start_crash_worker
+wait_up "$CONTROL_PORT"
+go run ./cmd/fbdetect -workers "http://127.0.0.1:$CONTROL_PORT,http://127.0.0.1:$CRASH_PORT" \
+    -services fleetsim -scan-time 2024-08-01T09:00:00Z >"$WORK/sweep.txt"
+kill -9 "$CONTROL_PID" "$CRASH_PID" 2>/dev/null || true
+cat "$WORK/sweep.txt"
+REPORTED="$(sed -n 's/^\([0-9][0-9]*\) regression(s) reported:$/\1/p' "$WORK/sweep.txt")"
+if ! grep -q '^scanned 1/1 service' "$WORK/sweep.txt" || [ -z "$REPORTED" ] || [ "$REPORTED" -lt 1 ]; then
+    echo "FAIL: coordinator sweep must scan 1/1 services and report a regression" >&2
+    exit 1
+fi
+echo "PASS: coordinator sweep scanned 1/1 and reported $REPORTED regression(s)"
 
 # ---------------------------------------------------------------------------
 # Control-plane drill: SIGKILL fbdetect-server mid-operation and require the
