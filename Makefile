@@ -4,13 +4,18 @@ FUZZTIME ?= 10s
 # Packages that define Fuzz* targets (go can only fuzz one package at a time).
 FUZZ_PKGS = . ./internal/stacktrace ./internal/wal ./internal/pprofparse ./internal/evalharness/replay ./internal/timeseries ./internal/popshift ./internal/controlplane ./internal/stats ./internal/stl
 
-.PHONY: build test vet race lint examples fuzz-smoke bench-obs bench bench-gate bench-baseline bench-e2e-test bench-e2e eval eval-gate eval-baseline eval-replay eval-replay-baseline crashtest server-smoke profdiff-demo check
+.PHONY: build test test-386 vet race lint examples fuzz-smoke bench-obs bench bench-gate bench-baseline bench-e2e-test bench-e2e eval eval-gate eval-baseline eval-replay eval-replay-baseline crashtest server-smoke profdiff-demo check
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The suite on a 32-bit target, where int is 32 bits wide: a hash
+# taken through int goes negative there and nowhere else.
+test-386:
+	GOARCH=386 $(GO) vet ./... && GOARCH=386 $(GO) test ./...
 
 vet:
 	$(GO) vet ./...

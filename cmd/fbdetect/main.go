@@ -61,7 +61,6 @@ func main() {
 		breakerTrip    = flag.Int("breaker-threshold", 5, "consecutive failures that trip a worker's circuit breaker")
 		breakerCool    = flag.Duration("breaker-cooldown", 30*time.Second, "how long a tripped breaker stays open")
 		requestTimeout = flag.Duration("request-timeout", 60*time.Second, "per-attempt scan request deadline")
-		maxFailover    = flag.Int("max-failover", 0, "distinct workers tried per service (0 = all)")
 	)
 	flag.Parse()
 	if *version {
@@ -76,11 +75,8 @@ func main() {
 			},
 			HedgeDelay:     *hedgeDelay,
 			RequestTimeout: *requestTimeout,
-			MaxFailover:    *maxFailover,
-			Pool: distributed.PoolConfig{
-				Breaker: resilience.BreakerConfig{
-					FailureThreshold: *breakerTrip, Cooldown: *breakerCool,
-				},
+			Breaker: resilience.BreakerConfig{
+				FailureThreshold: *breakerTrip, Cooldown: *breakerCool,
 			},
 		})
 		return

@@ -229,12 +229,11 @@ func (w *Worker) wireResponse(res *core.ScanResult) ScanResponse {
 	return resp
 }
 
-// Options tunes the coordinator's resilience layer. The zero value
-// means "defaults" (see DefaultOptions); individual zero fields are
-// likewise filled with defaults.
+// Options tunes the coordinator's resilience layer. Zero fields take
+// defaults.
 type Options struct {
 	// Retry is the per-worker retry budget for transient failures
-	// (network errors, 5xx, 429).
+	// (network errors, 5xx, 429; default resilience.DefaultPolicy).
 	Retry resilience.Policy
 	// HedgeDelay, when positive, launches a duplicate request against
 	// the same worker if the first hasn't answered within the delay —
@@ -243,31 +242,15 @@ type Options struct {
 	// RequestTimeout bounds each individual scan attempt (default 60s;
 	// a worker-local scan of a big service is seconds of work).
 	RequestTimeout time.Duration
-	// MaxFailover caps how many distinct workers are tried per service
-	// (0 = every worker in the pool).
-	MaxFailover int
 	// MaxConcurrent caps ScanAll's fan-out (default 16).
 	MaxConcurrent int
-	// Pool configures health probing and the per-worker breakers.
-	Pool PoolConfig
+	// Breaker configures the per-worker circuit breakers.
+	Breaker resilience.BreakerConfig
 	// Clock drives backoff, hedging, and breaker cooldowns; tests pass
 	// a resilience.FakeClock so nothing really sleeps.
 	Clock resilience.Clock
 	// Seed feeds the jitter rng, so backoff schedules are reproducible.
 	Seed int64
-}
-
-// DefaultOptions is the coordinator's production posture: three
-// attempts with jittered 50ms-base backoff, failover across the whole
-// pool, hedging off, 16-way fan-out.
-func DefaultOptions() Options {
-	return Options{
-		Retry:          resilience.DefaultPolicy(),
-		RequestTimeout: 60 * time.Second,
-		MaxConcurrent:  16,
-		Clock:          resilience.RealClock(),
-		Seed:           1,
-	}
 }
 
 // withDefaults fills zero fields.
@@ -292,14 +275,14 @@ func (o Options) withDefaults() Options {
 
 // Coordinator assigns services to workers by consistent hash and fans
 // scans out over HTTP through a resilience layer: retry with backoff
-// and jitter for transient failures, a health-checked worker pool with
-// per-worker circuit breakers, failover to peers, and optional hedged
+// and jitter for transient failures, a circuit breaker per worker,
+// failover to ring peers in breaker order, and optional hedged
 // requests — a service only lands in Failed once every avenue is spent.
 type Coordinator struct {
-	pool   *WorkerPool
-	client *http.Client
-	opts   Options
-	retry  *resilience.Retryer
+	workers []*worker // fixed at construction, in hash-ring order
+	client  *http.Client
+	opts    Options
+	retry   *resilience.Retryer
 
 	// metric handles; nil-safe when uninstrumented
 	scans        *obs.Counter
@@ -313,7 +296,7 @@ type Coordinator struct {
 }
 
 // Instrument publishes the coordinator's fan-out and resilience metrics,
-// and the pool's, to reg. Call before scanning.
+// and each worker's breaker metrics, to reg. Call before scanning.
 func (c *Coordinator) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -334,11 +317,13 @@ func (c *Coordinator) Instrument(reg *obs.Registry) {
 		"Hedged requests that answered before the original.", nil)
 	c.breakerSkips = reg.NewCounter(MetricCoordBreakerSkips,
 		"Worker attempts skipped because the circuit breaker was open.", nil)
-	c.pool.Instrument(reg)
+	for _, w := range c.workers {
+		w.instrument(reg)
+	}
 }
 
 // NewCoordinator returns a coordinator over the given worker base URLs
-// (e.g. "http://10.0.0.1:8080") with DefaultOptions. client may be nil
+// (e.g. "http://10.0.0.1:8080") with default Options. client may be nil
 // (http.DefaultClient).
 func NewCoordinator(workerURLs []string, client *http.Client) (*Coordinator, error) {
 	return NewCoordinatorWithOptions(workerURLs, client, Options{})
@@ -356,35 +341,26 @@ func NewCoordinatorWithOptions(workerURLs []string, client *http.Client, opts Op
 	}
 	opts = opts.withDefaults()
 	c := &Coordinator{
-		pool:   NewWorkerPool(workerURLs, client, opts.Pool, opts.Clock),
 		client: client,
 		opts:   opts,
 		retry:  resilience.NewRetryer(opts.Retry, opts.Clock, opts.Seed),
 	}
+	for _, u := range workerURLs {
+		c.workers = append(c.workers, &worker{url: u, breaker: resilience.NewBreaker(opts.Breaker, opts.Clock)})
+	}
 	c.retry.OnRetry = func(int, time.Duration, error) { c.retries.Inc() }
 	return c, nil
-}
-
-// Pool exposes the health-checked worker pool so operators can run
-// periodic probes: go coord.Pool().Start(ctx).
-func (c *Coordinator) Pool() *WorkerPool { return c.pool }
-
-// StartHealthChecks probes workers now and every Pool.ProbeInterval
-// until ctx is done. Run in a goroutine next to a long-lived
-// coordinator.
-func (c *Coordinator) StartHealthChecks(ctx context.Context) {
-	c.pool.Start(ctx)
 }
 
 // WorkerFor returns the worker URL owning a service. Assignment is stable
 // for a fixed worker list, so a service's cross-scan deduplication state
 // stays on one worker.
 func (c *Coordinator) WorkerFor(service string) string {
-	return c.pool.workers[c.pool.owner(service)].url
+	return c.workers[c.owner(service)].url
 }
 
 // Scan sends one service's scan to its owning worker, with retries,
-// breaker gating, and failover to healthy peers.
+// breaker gating, and failover to ring peers.
 func (c *Coordinator) Scan(service string, scanTime time.Time) (*ScanResponse, error) {
 	return c.ScanContext(context.Background(), service, scanTime)
 }
@@ -402,36 +378,29 @@ func (c *Coordinator) ScanContext(ctx context.Context, service string, scanTime 
 }
 
 // scanFailover walks the service's failover candidates — hash-owned
-// primary first, then peers, sick workers last — attempting each (with
-// per-worker retries) until one answers.
+// primary first, then peers, breaker-open workers last — attempting
+// each (with per-worker retries) until one answers.
 func (c *Coordinator) scanFailover(ctx context.Context, service string, scanTime time.Time) (*ScanResponse, error) {
-	candidates := c.pool.Candidates(service)
-	maxWorkers := c.opts.MaxFailover
-	if maxWorkers <= 0 || maxWorkers > len(candidates) {
-		maxWorkers = len(candidates)
-	}
-	primary := c.WorkerFor(service)
+	primary := c.workers[c.owner(service)]
 	var errs []error
-	tried := 0
-	for _, url := range candidates {
-		if tried == maxWorkers {
-			break
-		}
-		if !c.pool.Breaker(url).Allow() {
+	for _, w := range c.candidates(service) {
+		if !w.breaker.Allow() {
 			c.breakerSkips.Inc()
-			errs = append(errs, fmt.Errorf("distributed: worker %s: circuit open", url))
+			errs = append(errs, fmt.Errorf("distributed: worker %s: circuit open", w.url))
 			continue
 		}
-		tried++
-		resp, err := c.scanWorker(ctx, url, service, scanTime)
+		resp, err := c.scanWorker(ctx, w, service, scanTime)
 		if err == nil {
-			if url != primary {
+			if w != primary {
 				c.failovers.Inc()
 			}
 			return resp, nil
 		}
-		errs = append(errs, fmt.Errorf("distributed: worker %s: %w", url, err))
+		errs = append(errs, fmt.Errorf("distributed: worker %s: %w", w.url, err))
 		if ctx.Err() != nil {
+			// The caller gave up, which says nothing about the worker:
+			// hand back the probe slot a half-open breaker granted.
+			w.breaker.Release()
 			break
 		}
 	}
@@ -439,17 +408,24 @@ func (c *Coordinator) scanFailover(ctx context.Context, service string, scanTime
 }
 
 // scanWorker runs the retry/hedge loop against one worker, feeding
-// every attempt's outcome into the worker's breaker.
-func (c *Coordinator) scanWorker(ctx context.Context, url, service string, scanTime time.Time) (*ScanResponse, error) {
-	breaker := c.pool.Breaker(url)
+// every attempt's outcome into the worker's breaker. An attempt whose
+// own context is done — a hedge's loser, or a scan its caller canceled
+// — records nothing.
+func (c *Coordinator) scanWorker(ctx context.Context, w *worker, service string, scanTime time.Time) (*ScanResponse, error) {
 	attempt := func(ctx context.Context) (*ScanResponse, error) {
 		// Re-check between retries: this worker's own failures may have
 		// tripped the breaker, in which case failover beats persistence.
-		if breaker.State() == resilience.StateOpen {
+		if w.breaker.State() == resilience.StateOpen {
 			return nil, resilience.Permanent(fmt.Errorf("circuit opened during retries"))
 		}
-		resp, err := c.postScan(ctx, url, service, scanTime)
-		c.pool.recordOutcome(url, err == nil)
+		resp, err := c.postScan(ctx, w.url, service, scanTime)
+		switch {
+		case err == nil:
+			w.breaker.Success()
+		case ctx.Err() == nil:
+			w.failures.Inc()
+			w.breaker.Failure()
+		}
 		return resp, err
 	}
 	do := attempt

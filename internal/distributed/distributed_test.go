@@ -195,10 +195,13 @@ func TestCoordinatorStableAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := coord.WorkerFor("frontfaas")
-	for i := 0; i < 10; i++ {
-		if coord.WorkerFor("frontfaas") != first {
-			t.Fatal("assignment not stable")
+	// "beta" and "gamma" hash to 2³¹ or above.
+	for _, svc := range []string{"frontfaas", "beta", "gamma"} {
+		first := coord.WorkerFor(svc)
+		for i := 0; i < 10; i++ {
+			if coord.WorkerFor(svc) != first {
+				t.Fatalf("assignment of %q not stable", svc)
+			}
 		}
 	}
 }

@@ -40,7 +40,7 @@ func mustHost(t *testing.T, rawurl string) string {
 func ownerIndex(service string, workers int) int {
 	h := fnv.New32a()
 	h.Write([]byte(service))
-	return int(h.Sum32()) % workers
+	return int(h.Sum32() % uint32(workers))
 }
 
 // buildReplicatedWorker simulates every listed service into one shared
@@ -144,9 +144,6 @@ func TestScanAllRetriesTransientFaults(t *testing.T) {
 	if got := metricValue(t, m, fmt.Sprintf(`%s{worker=%q}`, MetricBreakerState, srv.URL)); got != 0 {
 		t.Errorf("breaker state = %v, want 0 (closed)", got)
 	}
-	if got := metricValue(t, m, MetricPoolHealthyWorkers); got != 1 {
-		t.Errorf("%s = %v, want 1", MetricPoolHealthyWorkers, got)
-	}
 	if got := metricValue(t, m, MetricCoordFailures); got != 0 {
 		t.Errorf("%s = %v, want 0", MetricCoordFailures, got)
 	}
@@ -227,8 +224,8 @@ func TestBreakerTripsSkipsAndReopens(t *testing.T) {
 	coord, err := NewCoordinatorWithOptions([]string{srv.URL}, &http.Client{Transport: ft}, Options{
 		Retry: resilience.Policy{MaxAttempts: 1, BaseDelay: time.Millisecond,
 			MaxDelay: time.Millisecond, Multiplier: 1, Jitter: 0},
-		Pool:  PoolConfig{Breaker: resilience.BreakerConfig{FailureThreshold: 2, Cooldown: time.Minute}},
-		Clock: clock, Seed: 3,
+		Breaker: resilience.BreakerConfig{FailureThreshold: 2, Cooldown: time.Minute},
+		Clock:   clock, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -287,65 +284,50 @@ func TestBreakerTripsSkipsAndReopens(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolHealthProbes checks CheckNow flips health flags and
-// gauges from /healthz answers, and that Candidates demotes sick
-// workers to the back of the failover order.
-func TestWorkerPoolHealthProbes(t *testing.T) {
-	okSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer okSrv.Close()
-	var sick atomic.Bool
-	sick.Store(true)
-	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		if sick.Load() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			return
+// TestFailoverOrderBreakerOnly pins the failover order over a 3-worker
+// ring: with every breaker closed it is the ring from the hash owner;
+// a tripped worker moves to the back and the others keep ring order.
+// "beta", "gamma" and "fleetsim" hash to 2³¹ or above, where a signed
+// modulus on 32-bit platforms would pick another owner.
+func TestFailoverOrderBreakerOnly(t *testing.T) {
+	urls := []string{"http://a", "http://b", "http://c"}
+	for _, tc := range []struct {
+		service string
+		tripped string // worker whose breaker is open ("" = none)
+		want    []string
+	}{
+		{"alpha", "", []string{"http://c", "http://a", "http://b"}},
+		{"beta", "", []string{"http://c", "http://a", "http://b"}},
+		{"gamma", "", []string{"http://a", "http://b", "http://c"}},
+		{"fleetsim", "", []string{"http://b", "http://c", "http://a"}},
+		{"delta", "", []string{"http://b", "http://c", "http://a"}},
+		{"beta", "http://c", []string{"http://a", "http://b", "http://c"}},
+		{"gamma", "http://b", []string{"http://a", "http://c", "http://b"}},
+		{"fleetsim", "http://a", []string{"http://b", "http://c", "http://a"}},
+		{"delta", "http://c", []string{"http://b", "http://a", "http://c"}},
+	} {
+		coord, err := NewCoordinatorWithOptions(urls, nil, Options{
+			Breaker: resilience.BreakerConfig{FailureThreshold: 1},
+			Clock:   resilience.NewFakeClock(t0),
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer flaky.Close()
-
-	p := NewWorkerPool([]string{okSrv.URL, flaky.URL}, nil, PoolConfig{}, nil)
-	reg := obs.NewRegistry()
-	p.Instrument(reg)
-
-	p.CheckNow(context.Background())
-	if !p.Healthy(okSrv.URL) || p.Healthy(flaky.URL) {
-		t.Fatalf("health = (%v, %v), want (true, false)",
-			p.Healthy(okSrv.URL), p.Healthy(flaky.URL))
-	}
-	if got := reg.NewGauge(MetricPoolHealthyWorkers, "", nil).Value(); got != 1 {
-		t.Errorf("healthy workers gauge = %v, want 1", got)
-	}
-	if got := reg.NewGauge(MetricPoolWorkerHealthy, "", obs.Labels{"worker": flaky.URL}).Value(); got != 0 {
-		t.Errorf("flaky worker health gauge = %v, want 0", got)
-	}
-	if got := reg.NewCounter(MetricPoolProbes, "", nil).Value(); got != 2 {
-		t.Errorf("probes = %v, want 2", got)
-	}
-	if got := reg.NewCounter(MetricPoolProbeFailures, "", nil).Value(); got != 1 {
-		t.Errorf("probe failures = %v, want 1", got)
-	}
-	// Whatever the hash says, the sick worker sorts last.
-	for _, svc := range []string{"alpha", "beta", "gamma"} {
-		cands := p.Candidates(svc)
-		if len(cands) != 2 || cands[0] != okSrv.URL {
-			t.Errorf("Candidates(%q) = %v, want healthy worker first", svc, cands)
+		for _, w := range coord.workers {
+			if w.url == tc.tripped {
+				w.breaker.Failure()
+			}
 		}
-	}
-
-	// Recovery is observed on the next probe round.
-	sick.Store(false)
-	p.CheckNow(context.Background())
-	if !p.Healthy(flaky.URL) {
-		t.Error("recovered worker still marked unhealthy")
-	}
-	if got := reg.NewGauge(MetricPoolHealthyWorkers, "", nil).Value(); got != 2 {
-		t.Errorf("healthy workers gauge = %v, want 2", got)
-	}
-	if got := reg.NewCounter(MetricPoolProbes, "", nil).Value(); got != 4 {
-		t.Errorf("probes = %v, want 4", got)
+		var got []string
+		for _, w := range coord.candidates(tc.service) {
+			got = append(got, w.url)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("candidates(%q) with %q open = %v, want %v", tc.service, tc.tripped, got, tc.want)
+		}
+		if owner := coord.WorkerFor(tc.service); tc.tripped == "" && owner != tc.want[0] {
+			t.Errorf("WorkerFor(%q) = %s, want %s", tc.service, owner, tc.want[0])
+		}
 	}
 }
 
@@ -364,7 +346,20 @@ func TestScanHedgesSlowWorker(t *testing.T) {
 		Action:  resilience.FaultAction{Hang: true},
 		OnApply: func(int) { close(hung) },
 	})
-	coord, err := NewCoordinatorWithOptions([]string{srv.URL}, &http.Client{Transport: ft}, Options{
+	// The hedge goes out only once the original hangs, so the first
+	// request through the transport is the hung one; hungReturned closes
+	// when its round trip comes back canceled.
+	var requests atomic.Int32
+	hungReturned := make(chan struct{})
+	client := &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		first := requests.Add(1) == 1
+		resp, err := ft.RoundTrip(req)
+		if first {
+			close(hungReturned)
+		}
+		return resp, err
+	})}
+	coord, err := NewCoordinatorWithOptions([]string{srv.URL}, client, Options{
 		Retry: resilience.Policy{MaxAttempts: 1, BaseDelay: time.Millisecond,
 			MaxDelay: time.Millisecond, Multiplier: 1, Jitter: 0},
 		HedgeDelay: 200 * time.Millisecond,
@@ -401,6 +396,75 @@ func TestScanHedgesSlowWorker(t *testing.T) {
 	}
 	if got := reg.NewCounter(MetricCoordHedgeWins, "", nil).Value(); got != 1 {
 		t.Errorf("hedge wins = %v, want 1", got)
+	}
+	// The canceled loser is no verdict on the worker.
+	<-hungReturned
+	if got := reg.NewCounter(MetricBreakerFailures, "", obs.Labels{"worker": srv.URL}).Value(); got != 0 {
+		t.Errorf("breaker failures after a hedge win = %v, want 0", got)
+	}
+}
+
+// TestCanceledProbeFreesHalfOpenBreaker cancels the scan carrying a
+// half-open breaker's single probe: the cancellation charges nothing,
+// and the next scan is admitted as the probe and closes the breaker.
+func TestCanceledProbeFreesHalfOpenBreaker(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Write([]byte(`{"worker":"w1"}`))
+	}))
+	defer srv.Close()
+
+	clock := resilience.NewFakeClock(t0) // manual: MaxAttempts 1 never sleeps
+	hung := make(chan struct{})
+	ft := resilience.NewFaultTransport(1, nil, nil).
+		Rule(resilience.FaultRule{ // trips the breaker
+			Host: mustHost(t, srv.URL), Count: 1, Action: resilience.FaultAction{Drop: true},
+		}).
+		Rule(resilience.FaultRule{ // holds the half-open probe until canceled
+			Host: mustHost(t, srv.URL), Count: 1, Action: resilience.FaultAction{Hang: true},
+			OnApply: func(int) { close(hung) },
+		})
+	coord, err := NewCoordinatorWithOptions([]string{srv.URL}, &http.Client{Transport: ft}, Options{
+		Retry: resilience.Policy{MaxAttempts: 1, BaseDelay: time.Millisecond,
+			MaxDelay: time.Millisecond, Multiplier: 1, Jitter: 0},
+		Breaker: resilience.BreakerConfig{FailureThreshold: 1, Cooldown: time.Minute},
+		Clock:   clock, Seed: 6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	coord.Instrument(reg)
+	failures := reg.NewCounter(MetricBreakerFailures, "", obs.Labels{"worker": srv.URL})
+
+	if _, err := coord.Scan("svc", t0); err == nil {
+		t.Fatal("first scan should fail: its request is dropped")
+	}
+	clock.Advance(time.Minute) // cooldown over: the next scan is the probe
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := coord.ScanContext(ctx, "svc", t0)
+		done <- err
+	}()
+	<-hung
+	cancel()
+	if err := <-done; err == nil {
+		t.Fatal("canceled probe scan reported success")
+	}
+	if got := failures.Value(); got != 1 {
+		t.Errorf("breaker failures = %v, want 1 (the trip only)", got)
+	}
+
+	resp, err := coord.Scan("svc", t0)
+	if err != nil {
+		t.Fatalf("scan after a canceled probe = %v, want it admitted", err)
+	}
+	if resp.Worker != "w1" {
+		t.Errorf("served by %q, want w1", resp.Worker)
+	}
+	if got := reg.NewGauge(MetricBreakerState, "", obs.Labels{"worker": srv.URL}).Value(); got != 0 {
+		t.Errorf("breaker state = %v, want 0 (closed by the probe)", got)
 	}
 }
 
@@ -446,8 +510,8 @@ func TestScanAllSurvivesWorkerDeathMidSweep(t *testing.T) {
 	coord, err := NewCoordinatorWithOptions([]string{srvA.URL, srvB.URL}, &http.Client{Transport: ft}, Options{
 		Retry: resilience.Policy{MaxAttempts: 3, BaseDelay: 50 * time.Millisecond,
 			MaxDelay: time.Second, Multiplier: 2, Jitter: 0.5},
-		Pool:  PoolConfig{Breaker: resilience.BreakerConfig{FailureThreshold: 2, Cooldown: time.Minute}},
-		Clock: clock, Seed: 5,
+		Breaker: resilience.BreakerConfig{FailureThreshold: 2, Cooldown: time.Minute},
+		Clock:   clock, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -153,6 +153,15 @@ func (b *Breaker) Failure() {
 	}
 }
 
+// Release gives back a request Allow admitted without recording an
+// outcome, for a request its caller canceled: a half-open breaker
+// admits its next caller as the probe instead.
+func (b *Breaker) Release() {
+	b.mu.Lock()
+	b.probing = false
+	b.mu.Unlock()
+}
+
 // setState switches states under the lock and returns the deferred
 // OnTransition call to run after unlocking (nil when unobserved).
 func (b *Breaker) setState(to State) func() {
