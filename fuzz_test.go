@@ -3,6 +3,7 @@ package fbdetect
 import (
 	"encoding/binary"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -13,12 +14,18 @@ import (
 )
 
 // FuzzParseConfig: arbitrary JSON either yields a valid config or an
-// error, never a panic or an invalid config.
+// error, never a panic or an invalid config, and the defaults fill only
+// what the config left zero: a value the job gave is the value it runs.
 func FuzzParseConfig(f *testing.F) {
 	f.Add(`{"windows": {"historic": "10h", "analysis": "1h"}}`)
 	f.Add(`{"threshold": 0.1}`)
 	f.Add(`{`)
 	f.Add(`{"windows": {"historic": "-1h", "analysis": "1h"}}`)
+	f.Add(`{"alpha": 0.05, "windows": {"historic": "10h", "analysis": "1h"}}`)
+	f.Add(`{"alpha": 2, "windows": {"historic": "10h", "analysis": "1h"}}`)
+	f.Add(`{"metric_thresholds": {"cpu": 0.02}, "metric_relative": {"cpu": true}, "windows": {"historic": "10h", "analysis": "1h"}}`)
+	f.Add(`{"root_cause": {"top_k": -3}, "windows": {"historic": "10h", "analysis": "1h"}}`)
+	knobs := configKnobs()
 	f.Fuzz(func(t *testing.T, s string) {
 		cfg, err := ParseConfig(strings.NewReader(s))
 		if err != nil {
@@ -26,6 +33,13 @@ func FuzzParseConfig(f *testing.F) {
 		}
 		if verr := cfg.Validate(); verr != nil {
 			t.Fatalf("ParseConfig returned invalid config: %v", verr)
+		}
+		given, defaulted := reflect.ValueOf(cfg), reflect.ValueOf(cfg.WithDefaults())
+		for path, idx := range knobs {
+			g, d := given.FieldByIndex(idx), defaulted.FieldByIndex(idx)
+			if !g.IsZero() && !reflect.DeepEqual(g.Interface(), d.Interface()) {
+				t.Errorf("WithDefaults changed %s from %v to %v", path, g, d)
+			}
 		}
 	})
 }

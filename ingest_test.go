@@ -45,11 +45,15 @@ func TestParseConfig(t *testing.T) {
 
 func TestParseConfigErrors(t *testing.T) {
 	cases := map[string]string{
-		"bad json":       `{`,
-		"unknown field":  `{"windows": {"historic": "1h", "analysis": "1h"}, "zzz": 1}`,
-		"bad duration":   `{"windows": {"historic": "10 days", "analysis": "1h"}}`,
-		"missing window": `{"threshold": 0.1}`,
-		"negative":       `{"threshold": -1, "windows": {"historic": "1h", "analysis": "1h"}}`,
+		"bad json":                  `{`,
+		"unknown field":             `{"windows": {"historic": "1h", "analysis": "1h"}, "zzz": 1}`,
+		"bad duration":              `{"windows": {"historic": "10 days", "analysis": "1h"}}`,
+		"missing window":            `{"threshold": 0.1}`,
+		"negative":                  `{"threshold": -1, "windows": {"historic": "1h", "analysis": "1h"}}`,
+		"alpha above 1":             `{"alpha": 2, "windows": {"historic": "1h", "analysis": "1h"}}`,
+		"negative top_k":            `{"root_cause": {"top_k": -3}, "windows": {"historic": "1h", "analysis": "1h"}}`,
+		"negative sax_buckets":      `{"went_away": {"sax_buckets": -1}, "windows": {"historic": "1h", "analysis": "1h"}}`,
+		"negative metric threshold": `{"metric_thresholds": {"cpu": -1}, "windows": {"historic": "1h", "analysis": "1h"}}`,
 	}
 	for name, in := range cases {
 		if _, err := ParseConfig(strings.NewReader(in)); err == nil {

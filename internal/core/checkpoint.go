@@ -16,8 +16,9 @@ import (
 // stages are pure functions of the window contents, so their outcome is
 // a per-series detector checkpoint that can be reused verbatim whenever
 // the same window recurs, making a warm scan O(changed series) instead
-// of O(all points). The store's epoch/ViewBounds machinery makes the
-// reuse sound without decoding a single chunk: stored values are never
+// of O(all points). The scan's tsdb.View makes the reuse sound without
+// decoding a single chunk: pinning the window stamps it with the store's
+// epoch before anything is materialised, and stored values are never
 // rewritten under an epoch, so (metric, epoch, window start, window
 // length) pins the exact input bytes the checkpoint was computed from —
 // byte-identical to the cold path by construction, not by approximation.

@@ -8,7 +8,8 @@ import (
 )
 
 // Config configures one detection job, matching one row of the paper's
-// Table 1 plus algorithm parameters.
+// Table 1 plus algorithm parameters. The README's "Configuration knobs"
+// table names what sets each field.
 type Config struct {
 	// Name labels the configuration (e.g. "FrontFaaS (small)").
 	Name string
@@ -29,8 +30,9 @@ type Config struct {
 	// MetricRelative marks per-metric overrides as relative thresholds.
 	MetricRelative map[string]bool
 
-	// RerunInterval is how often the job scans (informational; the caller
-	// drives scan times).
+	// RerunInterval is how often the job scans: NewMonitor's interval
+	// when the caller passes none. Callers that drive scan times
+	// themselves ignore it.
 	RerunInterval time.Duration
 
 	// Windows is the historic/analysis/extended layout of Figure 4.
@@ -42,18 +44,6 @@ type Config struct {
 
 	// LongTerm enables the long-term detection path alongside short-term.
 	LongTerm bool
-
-	// ScanConcurrency bounds the per-metric detection fan-out within one
-	// scan (default 8). Stages after detection are inherently sequential
-	// (deduplication is stateful).
-	ScanConcurrency int
-
-	// SweepConcurrency bounds how many services Monitor.ScanOnce runs the
-	// per-metric detection stages for concurrently (default 4; 1 sweeps
-	// serially). The stateful deduplication stages are always applied in
-	// service registration order, so scan results are identical at any
-	// setting.
-	SweepConcurrency int
 
 	// CheckpointCacheSize bounds the per-series detector-checkpoint cache
 	// in entries (default 8192, one entry per metric). Checkpoints memoize
@@ -76,7 +66,7 @@ type Config struct {
 	// PopShift tunes the population-shift diagnosis stage.
 	PopShift PopShiftConfig
 
-	// Dedup tunes SOMDedup and PairwiseDedup.
+	// Dedup seeds SOMDedup.
 	Dedup DedupConfig
 
 	// RootCause tunes root-cause analysis.
@@ -105,19 +95,19 @@ type WentAwayConfig struct {
 }
 
 func (c WentAwayConfig) withDefaults() WentAwayConfig {
-	if c.SAXBuckets <= 0 {
+	if c.SAXBuckets == 0 {
 		c.SAXBuckets = 20
 	}
-	if c.SAXValidityPct <= 0 {
+	if c.SAXValidityPct == 0 {
 		c.SAXValidityPct = 3
 	}
-	if c.NewPatternFraction <= 0 {
+	if c.NewPatternFraction == 0 {
 		c.NewPatternFraction = 0.5
 	}
-	if c.TrendCoefficient <= 0 {
+	if c.TrendCoefficient == 0 {
 		c.TrendCoefficient = 1.5
 	}
-	if c.GoneAwayRecoveryFraction <= 0 {
+	if c.GoneAwayRecoveryFraction == 0 {
 		c.GoneAwayRecoveryFraction = 0.25
 	}
 	return c
@@ -125,9 +115,6 @@ func (c WentAwayConfig) withDefaults() WentAwayConfig {
 
 // SeasonalityConfig tunes the seasonality detector (paper §5.2.3).
 type SeasonalityConfig struct {
-	// MinPeriod and MaxPeriod bound the autocorrelation search for a
-	// seasonal lag, in points.
-	MinPeriod, MaxPeriod int
 	// Strength multiplies the autocorrelation significance bound; the
 	// series is seasonal only if the dominant lag's correlation exceeds
 	// it (default 3).
@@ -138,16 +125,10 @@ type SeasonalityConfig struct {
 }
 
 func (c SeasonalityConfig) withDefaults() SeasonalityConfig {
-	if c.MinPeriod <= 0 {
-		c.MinPeriod = 4
-	}
-	if c.MaxPeriod <= 0 {
-		c.MaxPeriod = 400
-	}
-	if c.Strength <= 0 {
+	if c.Strength == 0 {
 		c.Strength = 3
 	}
-	if c.ZThreshold <= 0 {
+	if c.ZThreshold == 0 {
 		c.ZThreshold = 2
 	}
 	return c
@@ -167,10 +148,10 @@ type CostShiftConfig struct {
 }
 
 func (c CostShiftConfig) withDefaults() CostShiftConfig {
-	if c.MaxDomainCostRatio <= 0 {
+	if c.MaxDomainCostRatio == 0 {
 		c.MaxDomainCostRatio = 2000
 	}
-	if c.NegligibleChangeFraction <= 0 {
+	if c.NegligibleChangeFraction == 0 {
 		c.NegligibleChangeFraction = 0.25
 	}
 	return c
@@ -181,50 +162,15 @@ func (c CostShiftConfig) withDefaults() CostShiftConfig {
 // Enabled false the pipeline's behavior and output are identical to a
 // build without the stage.
 type PopShiftConfig struct {
-	// Enabled turns the stage on. Off by default.
+	// Enabled turns the stage on. Off by default. The diagnosis runs at
+	// popshift.Config's defaults.
 	Enabled bool
-	// MinStrata is the minimum number of population strata that must be
-	// observed around a candidate's change point for a diagnosis to be
-	// attempted (default 2).
-	MinStrata int
-	// MinMixChange is the minimum total-variation distance between the
-	// pre- and post-window population mixes for a shift verdict
-	// (default 0.02).
-	MinMixChange float64
-	// ZThreshold is the bias-test multiplier: a behavior term more than
-	// this many standard errors from zero vetoes the shift verdict
-	// (default 3).
-	ZThreshold float64
 }
 
-// DedupConfig tunes the deduplication stages (paper §5.5).
+// DedupConfig tunes SOMDedup (paper §5.5.1).
 type DedupConfig struct {
 	// SOMSeed seeds SOM training for reproducibility.
 	SOMSeed int64
-	// ImportanceWeights are the w1..w4 of the ImportanceScore (defaults
-	// 0.2, 0.6, 0.1, 0.1).
-	ImportanceWeights [4]float64
-	// PairwiseThreshold is the minimum combined similarity for
-	// PairwiseDedup to merge a regression into a group (default 0.6).
-	PairwiseThreshold float64
-	// SameRegressionWindow merges regressions of the same metric whose
-	// change points fall within this duration of an already-reported one
-	// (default 6h).
-	SameRegressionWindow time.Duration
-}
-
-func (c DedupConfig) withDefaults() DedupConfig {
-	var zero [4]float64
-	if c.ImportanceWeights == zero {
-		c.ImportanceWeights = [4]float64{0.2, 0.6, 0.1, 0.1}
-	}
-	if c.PairwiseThreshold <= 0 {
-		c.PairwiseThreshold = 0.6
-	}
-	if c.SameRegressionWindow <= 0 {
-		c.SameRegressionWindow = 6 * time.Hour
-	}
-	return c
 }
 
 // RootCauseConfig tunes root-cause analysis (paper §5.6).
@@ -232,8 +178,6 @@ type RootCauseConfig struct {
 	// Lookback is how far before the change point to search for candidate
 	// changes (default 24h).
 	Lookback time.Duration
-	// Weights for (attribution, text similarity, correlation).
-	Weights [3]float64
 	// MinScore is the confidence bar below which FBDetect suggests no
 	// root cause.
 	MinScore float64
@@ -242,39 +186,66 @@ type RootCauseConfig struct {
 }
 
 func (c RootCauseConfig) withDefaults() RootCauseConfig {
-	if c.Lookback <= 0 {
+	if c.Lookback == 0 {
 		c.Lookback = 24 * time.Hour
 	}
-	var zero [3]float64
-	if c.Weights == zero {
-		c.Weights = [3]float64{0.6, 0.25, 0.15}
-	}
-	if c.MinScore <= 0 {
+	if c.MinScore == 0 {
 		c.MinScore = 0.35
 	}
-	if c.TopK <= 0 {
+	if c.TopK == 0 {
 		c.TopK = 3
 	}
 	return c
 }
 
-// WithDefaults returns the config with every unset field defaulted.
+// WithDefaults returns the config with every zero field defaulted.
 func (c Config) WithDefaults() Config {
-	if c.Alpha <= 0 || c.Alpha >= 1 {
+	if c.Alpha == 0 {
 		c.Alpha = 0.01
 	}
 	c.WentAway = c.WentAway.withDefaults()
 	c.Seasonality = c.Seasonality.withDefaults()
 	c.CostShift = c.CostShift.withDefaults()
-	c.Dedup = c.Dedup.withDefaults()
 	c.RootCause = c.RootCause.withDefaults()
 	return c
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration: Alpha lies in [0, 1), and no
+// threshold, interval or stage knob is negative or NaN. WithDefaults
+// fills only zero fields, so a config that validates runs with the
+// values it was given.
 func (c Config) Validate() error {
-	if c.Threshold < 0 {
-		return fmt.Errorf("core: negative threshold")
+	if !(c.Alpha >= 0 && c.Alpha < 1) {
+		return fmt.Errorf("core: Alpha must lie in [0, 1), got %v", c.Alpha)
+	}
+	for name, v := range c.MetricThresholds {
+		if !(v >= 0) {
+			return fmt.Errorf("core: MetricThresholds[%q] must be >= 0, got %v", name, v)
+		}
+	}
+	for _, k := range []struct {
+		name string
+		v    float64
+	}{
+		{"Threshold", c.Threshold},
+		{"RerunInterval", float64(c.RerunInterval)},
+		{"WentAway.SAXBuckets", float64(c.WentAway.SAXBuckets)},
+		{"WentAway.SAXValidityPct", c.WentAway.SAXValidityPct},
+		{"WentAway.NewPatternFraction", c.WentAway.NewPatternFraction},
+		{"WentAway.TrendCoefficient", c.WentAway.TrendCoefficient},
+		{"WentAway.GoneAwayTailPoints", float64(c.WentAway.GoneAwayTailPoints)},
+		{"WentAway.GoneAwayRecoveryFraction", c.WentAway.GoneAwayRecoveryFraction},
+		{"Seasonality.Strength", c.Seasonality.Strength},
+		{"Seasonality.ZThreshold", c.Seasonality.ZThreshold},
+		{"CostShift.MaxDomainCostRatio", c.CostShift.MaxDomainCostRatio},
+		{"CostShift.NegligibleChangeFraction", c.CostShift.NegligibleChangeFraction},
+		{"RootCause.Lookback", float64(c.RootCause.Lookback)},
+		{"RootCause.MinScore", c.RootCause.MinScore},
+		{"RootCause.TopK", float64(c.RootCause.TopK)},
+	} {
+		if !(k.v >= 0) {
+			return fmt.Errorf("core: %s must be >= 0, got %v", k.name, k.v)
+		}
 	}
 	return c.Windows.Validate()
 }

@@ -14,20 +14,19 @@ import (
 // SameRegressionMerger deduplicates the same regression showing up in
 // multiple overlapping analysis windows across successive scans (Table 3's
 // "SameRegressionMerger" row). It remembers (metric, change-point time)
-// pairs and drops re-detections whose change point falls within the
-// configured window of an already-reported one.
+// pairs and drops re-detections whose change point falls within
+// sameRegressionWindow of an already-reported one.
 type SameRegressionMerger struct {
-	window time.Duration
-	seen   map[string][]time.Time // metric -> reported change points
+	seen map[string][]time.Time // metric -> reported change points
 }
 
-// NewSameRegressionMerger returns a merger with the given proximity
-// window.
-func NewSameRegressionMerger(window time.Duration) *SameRegressionMerger {
-	if window <= 0 {
-		window = 6 * time.Hour
-	}
-	return &SameRegressionMerger{window: window, seen: map[string][]time.Time{}}
+// sameRegressionWindow is how close two change points of one metric must
+// be for the merger to treat them as one regression.
+const sameRegressionWindow = 6 * time.Hour
+
+// NewSameRegressionMerger returns a merger with no reported regressions.
+func NewSameRegressionMerger() *SameRegressionMerger {
+	return &SameRegressionMerger{seen: map[string][]time.Time{}}
 }
 
 // IsDuplicate reports whether r duplicates an already-reported regression
@@ -39,7 +38,7 @@ func (m *SameRegressionMerger) IsDuplicate(r *Regression) bool {
 		if d < 0 {
 			d = -d
 		}
-		if d <= m.window {
+		if d <= sameRegressionWindow {
 			return true
 		}
 	}
@@ -142,12 +141,15 @@ type SOMDedupResult struct {
 	Representatives []int
 }
 
+// importanceWeights are the w1..w4 of the ImportanceScore SOMDedup picks
+// representatives by.
+var importanceWeights = [4]float64{0.2, 0.6, 0.1, 0.1}
+
 // SOMDedup clusters regressions of the same metric type within one
 // analysis window using a self-organizing map and picks each group's
 // representative by ImportanceScore (paper §5.5.1). popularity maps
 // entity name to its gCPU (may be nil).
 func SOMDedup(cfg DedupConfig, regressions []*Regression, popularity map[string]float64) SOMDedupResult {
-	cfg = cfg.withDefaults()
 	n := len(regressions)
 	if n == 0 {
 		return SOMDedupResult{}
@@ -184,7 +186,7 @@ func SOMDedup(cfg DedupConfig, regressions []*Regression, popularity map[string]
 		for _, i := range g {
 			r := regressions[i]
 			pop := popularity[r.Entity]
-			if s := ImportanceScore(cfg.ImportanceWeights, r, pop); s > bestScore {
+			if s := ImportanceScore(importanceWeights, r, pop); s > bestScore {
 				best, bestScore = i, s
 			}
 			r.Group = gi
@@ -204,22 +206,25 @@ type RegressionGroup struct {
 // PairwiseDeduper merges new representative regressions into existing
 // groups by pairwise feature comparison (paper §5.5.2).
 type PairwiseDeduper struct {
-	cfg     DedupConfig
 	groups  []*RegressionGroup
 	samples *stacktrace.SampleSet // optional, for the stack-overlap feature
 }
 
 // NewPairwiseDeduper returns a deduper; samples may be nil, disabling the
 // stack-trace-overlap feature.
-func NewPairwiseDeduper(cfg DedupConfig, samples *stacktrace.SampleSet) *PairwiseDeduper {
-	return &PairwiseDeduper{cfg: cfg.withDefaults(), samples: samples}
+func NewPairwiseDeduper(samples *stacktrace.SampleSet) *PairwiseDeduper {
+	return &PairwiseDeduper{samples: samples}
 }
 
 // Groups returns the current groups.
 func (p *PairwiseDeduper) Groups() []*RegressionGroup { return p.groups }
 
+// pairwiseThreshold is the minimum combined similarity for Merge to put a
+// regression into an existing group.
+const pairwiseThreshold = 0.6
+
 // Merge assigns r to the most similar existing group if its combined
-// similarity exceeds the threshold, or creates a new group. It returns the
+// similarity reaches pairwiseThreshold, or creates a new group. It returns the
 // group and whether r was merged into an existing one.
 func (p *PairwiseDeduper) Merge(r *Regression) (*RegressionGroup, bool) {
 	bestScore := 0.0
@@ -229,7 +234,7 @@ func (p *PairwiseDeduper) Merge(r *Regression) (*RegressionGroup, bool) {
 			bestScore, best = s, g
 		}
 	}
-	if best != nil && bestScore >= p.cfg.PairwiseThreshold {
+	if best != nil && bestScore >= pairwiseThreshold {
 		best.Members = append(best.Members, r)
 		r.Group = best.ID
 		return best, true

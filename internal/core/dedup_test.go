@@ -10,7 +10,7 @@ import (
 )
 
 func TestSameRegressionMerger(t *testing.T) {
-	m := NewSameRegressionMerger(6 * time.Hour)
+	m := NewSameRegressionMerger()
 	r1 := NewRegressionRecord(tsdb.ID("s", "e", "gcpu"))
 	r1.ChangePointTime = t0
 	if m.IsDuplicate(r1) {
@@ -149,7 +149,7 @@ func TestPairwiseDedupMergesAcrossMetrics(t *testing.T) {
 	samples.AddTraceString("main->feed_render", 50)
 	samples.AddTraceString("main->db_io", 50)
 
-	d := NewPairwiseDeduper(DedupConfig{}, samples)
+	d := NewPairwiseDeduper(samples)
 	if _, merged := d.Merge(g); merged {
 		t.Error("first regression cannot merge")
 	}
@@ -170,7 +170,7 @@ func TestPairwiseDedupSharedRootCauseBoost(t *testing.T) {
 	b := mkDedupRegression(t, tsdb.ID("svc", "fetch_decode_other", "gcpu"), rng, 0.5)
 	a.RootCauses = []RootCauseCandidate{{ChangeID: "D42"}}
 	b.RootCauses = []RootCauseCandidate{{ChangeID: "D42"}}
-	d := NewPairwiseDeduper(DedupConfig{}, nil)
+	d := NewPairwiseDeduper(nil)
 	d.Merge(a)
 	if _, merged := d.Merge(b); !merged {
 		t.Error("shared root cause should pull regressions together")

@@ -10,9 +10,9 @@ import (
 	"fbdetect/internal/tsdb"
 )
 
-// The scan hot path has three behavior-preserving optimizations: scratch
-// QueryViewStamped reads, the detector-checkpoint cache, and the parallel
-// service sweep. Each must be invisible in the detection output. These
+// The scan hot path has two behavior-preserving optimizations: scratch
+// QueryViewStamped reads and the detector-checkpoint cache. Each must be
+// invisible in the detection output. These
 // tests build the same seeded multi-service fleet twice, run monitors with
 // the optimization toggled, and require byte-identical reports and funnels.
 
@@ -184,26 +184,6 @@ func TestScanEquivalenceCheckpointsOnly(t *testing.T) {
 
 	if hits, _, _ := pwarm.CheckpointStats(); hits == 0 {
 		t.Error("checkpoint layer never hit")
-	}
-}
-
-func TestScanEquivalenceParallelVsSerial(t *testing.T) {
-	base := pipelineConfig()
-
-	serialCfg := base
-	serialCfg.SweepConcurrency = 1
-	ps, services, start, end := equivalenceFixture(t, serialCfg)
-	ms := runSweeps(t, ps, services, start, end)
-
-	parallelCfg := base
-	parallelCfg.SweepConcurrency = 8
-	pp, _, _, _ := equivalenceFixture(t, parallelCfg)
-	mp := runSweeps(t, pp, services, start, end)
-
-	compareMonitors(t, mp, ms, "parallel vs serial sweep")
-
-	if len(ms.Reports()) == 0 {
-		t.Error("sweeps reported nothing; equivalence is vacuous")
 	}
 }
 

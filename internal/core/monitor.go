@@ -66,17 +66,9 @@ func (m *Monitor) OnReport(fn func(*Regression)) {
 	m.onReport = fn
 }
 
-// defaultSweepConcurrency bounds the per-service detection fan-out of
-// ScanOnce when the config does not set Config.SweepConcurrency.
-const defaultSweepConcurrency = 4
-
-// ScanOnce scans every watched service at scanTime, accumulating reports.
-//
-// The per-metric detection stages for different services run concurrently,
-// bounded by Config.SweepConcurrency; the stateful deduplication stages
-// are then applied strictly in service registration order, so the
-// reported regressions and funnel counts are identical to a serial sweep
-// at any concurrency setting.
+// ScanOnce scans every watched service at scanTime, in registration
+// order, accumulating reports. It stops at the first service whose scan
+// fails.
 func (m *Monitor) ScanOnce(scanTime time.Time) error {
 	m.mu.Lock()
 	services := append([]string{}, m.services...)
@@ -84,85 +76,28 @@ func (m *Monitor) ScanOnce(scanTime time.Time) error {
 	mo := m.obs
 	m.mu.Unlock()
 	cycleStart := time.Now()
-	p := m.pipeline
-
-	// Phase 1: parallel detection. Detects touch only concurrency-safe
-	// pipeline state (the store, the checkpoint cache, obs counters).
-	type detectOut struct {
-		d   *serviceDetect
-		err error
-	}
-	detects := make([]detectOut, len(services))
-	workers := p.cfg.SweepConcurrency
-	if workers <= 0 {
-		workers = defaultSweepConcurrency
-	}
-	if workers > len(services) {
-		workers = len(services)
-	}
-	if workers > 1 {
-		var wg sync.WaitGroup
-		jobs := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					d, err := p.detectService(context.Background(), services[i], scanTime)
-					detects[i] = detectOut{d: d, err: err}
-				}
-			}()
-		}
-		for i := range services {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	} else {
-		for i := range services {
-			d, err := p.detectService(context.Background(), services[i], scanTime)
-			detects[i] = detectOut{d: d, err: err}
-		}
-	}
-
-	// Phase 2: finalize in registration order. On the first failure the
-	// remaining services are skipped — matching the serial sweep, which
-	// stopped scanning there — and their traces discarded.
-	var firstErr error
-	for i, svc := range services {
-		if firstErr != nil {
-			detects[i].d.discard()
-			continue
-		}
-		res, err := detects[i].d, detects[i].err
-		var scanRes *ScanResult
-		if err == nil {
-			scanRes, err = p.finalizeService(context.Background(), res)
-		}
+	for _, svc := range services {
+		res, err := m.pipeline.ScanContext(context.Background(), svc, scanTime)
 		if err != nil {
 			if mo != nil {
 				mo.errors.Inc()
 			}
-			firstErr = fmt.Errorf("core: scanning %s: %w", svc, err)
-			continue
+			return fmt.Errorf("core: scanning %s: %w", svc, err)
 		}
 		m.mu.Lock()
 		m.scans++
-		m.funnel.Add(scanRes.Funnel)
-		m.reports = append(m.reports, scanRes.Reported...)
-		m.popShifts = append(m.popShifts, scanRes.PopulationShifts...)
+		m.funnel.Add(res.Funnel)
+		m.reports = append(m.reports, res.Reported...)
+		m.popShifts = append(m.popShifts, res.PopulationShifts...)
 		m.mu.Unlock()
 		if mo != nil {
-			mo.reports.Add(float64(len(scanRes.Reported)))
+			mo.reports.Add(float64(len(res.Reported)))
 		}
 		if cb != nil {
-			for _, r := range scanRes.Reported {
+			for _, r := range res.Reported {
 				cb(r)
 			}
 		}
-	}
-	if firstErr != nil {
-		return firstErr
 	}
 	if mo != nil {
 		mo.cycleDur.Observe(time.Since(cycleStart).Seconds())

@@ -71,6 +71,10 @@ type Pipeline struct {
 	// were sized by its first sweep.
 	scratch sync.Pool
 
+	// scanWorkers bounds the per-metric detection fan-out of one scan:
+	// scanConcurrency, which tests vary.
+	scanWorkers int
+
 	// Test hooks, nil outside tests: viewOpened runs on every view a scan
 	// opens, before anything is materialised; viewReleased gets the view's
 	// value buffer at full capacity once the series' scan no longer reads
@@ -129,9 +133,10 @@ func NewPipeline(cfg Config, db *tsdb.DB, log *changelog.Log, samples SampleProv
 		log:         log,
 		samples:     samples,
 		domains:     DefaultDomainDetectors(),
-		merger:      NewSameRegressionMerger(cfg.Dedup.SameRegressionWindow),
-		pairwise:    NewPairwiseDeduper(cfg.Dedup, nil),
+		merger:      NewSameRegressionMerger(),
+		pairwise:    NewPairwiseDeduper(nil),
 		checkpoints: checkpoints,
+		scanWorkers: scanConcurrency,
 	}, nil
 }
 
@@ -144,9 +149,8 @@ func (p *Pipeline) AddDomainDetector(d DomainDetector) {
 // Groups exposes the PairwiseDeduper's accumulated regression groups.
 func (p *Pipeline) Groups() []*RegressionGroup { return p.pairwise.Groups() }
 
-// defaultScanConcurrency bounds the per-metric detection fan-out when the
-// config does not set one.
-const defaultScanConcurrency = 8
+// scanConcurrency bounds the per-metric detection fan-out within one scan.
+const scanConcurrency = 8
 
 // metricScan is the stage 1-3 outcome for one metric.
 type metricScan struct {
@@ -291,12 +295,9 @@ func (p *Pipeline) Scan(service string, scanTime time.Time) (*ScanResult, error)
 // was aborted) the worker stops burning CPU on an answer nobody will
 // read, without leaving state that would make a retry miss regressions.
 //
-// A scan is two halves. detectService runs the per-metric detection
-// stages, which touch no cross-scan state and are safe to run for many
-// services concurrently; finalizeService runs the stateful deduplication
-// and reporting stages, which must be applied in a fixed service order.
-// Monitor.ScanOnce exploits the split to sweep services in parallel while
-// producing results identical to a serial sweep.
+// A scan is two halves: detectService runs the per-metric detection
+// stages, which touch no cross-scan state, and finalizeService the
+// stateful deduplication and reporting stages.
 func (p *Pipeline) ScanContext(ctx context.Context, service string, scanTime time.Time) (*ScanResult, error) {
 	d, err := p.detectService(ctx, service, scanTime)
 	if err != nil {
@@ -305,9 +306,9 @@ func (p *Pipeline) ScanContext(ctx context.Context, service string, scanTime tim
 	return p.finalizeService(ctx, d)
 }
 
-// serviceDetect carries one service's detection outcome between the
-// parallel-safe detect half of a scan and the order-sensitive finalize
-// half, plus what the finalize stages share (gathered after the merger).
+// serviceDetect carries one service's detection outcome from the detect
+// half of a scan to the finalize half, plus what the finalize stages
+// share (gathered after the merger).
 type serviceDetect struct {
 	service    string
 	scanTime   time.Time
@@ -322,10 +323,10 @@ type serviceDetect struct {
 }
 
 // discard finishes the trace of a detect whose finalize will never run
-// (an earlier service in the sweep failed), so the trace ring buffer is
+// (the scan was cancelled during detection), so the trace ring buffer is
 // not left holding an unfinished trace.
 func (d *serviceDetect) discard() {
-	if d == nil || d.trace == nil {
+	if d.trace == nil {
 		return
 	}
 	d.root.Annotate("discarded", "true")
@@ -334,10 +335,8 @@ func (d *serviceDetect) discard() {
 }
 
 // detectService runs stages 1-3 plus the long-term path for every metric
-// of the service. It reads the store and the checkpoint cache (both
-// concurrency-safe) and touches none of the pipeline's cross-scan
-// deduplication state, so detects for different services may run
-// concurrently.
+// of the service. It reads the store and the checkpoint cache and touches
+// none of the pipeline's cross-scan deduplication state.
 func (p *Pipeline) detectService(ctx context.Context, service string, scanTime time.Time) (*serviceDetect, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -370,10 +369,7 @@ func (p *Pipeline) detectService(ctx context.Context, service string, scanTime t
 	from := scanTime.Add(-p.cfg.Windows.Total())
 	detectSpan := d.trace.StartSpan("detect", d.root)
 	perMetric := make([]metricScan, len(metrics))
-	workers := p.cfg.ScanConcurrency
-	if workers <= 0 {
-		workers = defaultScanConcurrency
-	}
+	workers := p.scanWorkers
 	if workers > len(metrics) {
 		workers = len(metrics)
 	}

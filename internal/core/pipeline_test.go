@@ -292,12 +292,11 @@ func TestScanConcurrencyDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(workers int) *ScanResult {
-		cfg := pipelineConfig()
-		cfg.ScanConcurrency = workers
-		p, err := NewPipeline(cfg, db, &log, fleet.SamplesOf(svc, 1e6))
+		p, err := NewPipeline(pipelineConfig(), db, &log, fleet.SamplesOf(svc, 1e6))
 		if err != nil {
 			t.Fatal(err)
 		}
+		p.scanWorkers = workers
 		res, err := p.Scan("websvc", end)
 		if err != nil {
 			t.Fatal(err)

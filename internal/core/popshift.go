@@ -31,16 +31,6 @@ type PopulationShift struct {
 	DetectedAt time.Time
 }
 
-// popShiftStatConfig converts the pipeline config to the popshift
-// package's tuning knobs.
-func (p *Pipeline) popShiftStatConfig() popshift.Config {
-	return popshift.Config{
-		MinStrata:    p.cfg.PopShift.MinStrata,
-		MinMixChange: p.cfg.PopShift.MinMixChange,
-		ZThreshold:   p.cfg.PopShift.ZThreshold,
-	}.WithDefaults()
-}
-
 // alertableMetrics lists the service's metrics that detection should
 // scan. With the pop-shift stage enabled, stratum-tagged per-population
 // series and the reserved population-weight series are diagnostic
@@ -167,7 +157,7 @@ func (p *Pipeline) checkPopShift(r *Regression, scanTime time.Time) *PopulationS
 			stats = append(stats, c.stat)
 		}
 	}
-	cfg := p.popShiftStatConfig()
+	cfg := popshift.Config{}.WithDefaults()
 	if len(stats) < cfg.MinStrata {
 		return nil
 	}

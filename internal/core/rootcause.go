@@ -9,6 +9,10 @@ import (
 	"fbdetect/internal/textsim"
 )
 
+// rootCauseWeights weigh AnalyzeRootCause's three factors: attribution,
+// text similarity and correlation.
+var rootCauseWeights = [3]float64{0.6, 0.25, 0.15}
+
 // AnalyzeRootCause ranks candidate changes for a regression (paper §5.6)
 // and fills r.RootCauses with the top-K candidates whose combined score
 // clears the confidence bar. Candidates are the changes deployed to the
@@ -51,8 +55,8 @@ func AnalyzeRootCause(cfg RootCauseConfig, log *changelog.Log, r *Regression,
 		if attr < 0 {
 			attr = 0
 		}
-		cand.Score = cfg.Weights[0]*attr + cfg.Weights[1]*cand.TextSimilarity +
-			cfg.Weights[2]*cand.Correlation
+		cand.Score = rootCauseWeights[0]*attr + rootCauseWeights[1]*cand.TextSimilarity +
+			rootCauseWeights[2]*cand.Correlation
 		scored = append(scored, cand)
 	}
 	sort.SliceStable(scored, func(i, j int) bool { return scored[i].Score > scored[j].Score })

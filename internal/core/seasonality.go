@@ -38,6 +38,10 @@ func (r *stlResult) trend() []float64 {
 	return r.loessTrend
 }
 
+// minSeasonalPeriod and maxSeasonalPeriod bound the autocorrelation search
+// for a seasonal lag, in points.
+const minSeasonalPeriod, maxSeasonalPeriod = 4, 400
+
 // computeSTL runs the shared decomposition work for one full window:
 // period detection, STL decomposition when seasonal, and — when needTrend
 // is set (the pipeline's long-term path is enabled) and no decomposition
@@ -45,7 +49,7 @@ func (r *stlResult) trend() []float64 {
 func computeSTL(scfg SeasonalityConfig, full *timeseries.Series, needTrend bool) *stlResult {
 	n := full.Len()
 	res := &stlResult{}
-	res.period, res.seasonal = stl.DetectPeriod(full.Values, scfg.MinPeriod, scfg.MaxPeriod, scfg.Strength)
+	res.period, res.seasonal = stl.DetectPeriod(full.Values, minSeasonalPeriod, maxSeasonalPeriod, scfg.Strength)
 	if res.seasonal && n >= 2*res.period {
 		if d, err := stl.Decompose(full.Values, res.period, stl.Options{}); err == nil {
 			res.decomp = d

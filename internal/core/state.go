@@ -78,11 +78,11 @@ func (p *Pipeline) LoadState(r io.Reader) error {
 	if st.Version != stateVersion {
 		return fmt.Errorf("core: unsupported state version %d", st.Version)
 	}
-	merger := NewSameRegressionMerger(p.cfg.Dedup.SameRegressionWindow)
+	merger := NewSameRegressionMerger()
 	if st.Seen != nil {
 		merger.seen = st.Seen
 	}
-	pairwise := NewPairwiseDeduper(p.cfg.Dedup, nil)
+	pairwise := NewPairwiseDeduper(nil)
 	for _, gs := range st.Groups {
 		g := &RegressionGroup{ID: gs.ID}
 		for _, ms := range gs.Members {

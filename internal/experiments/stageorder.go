@@ -136,7 +136,7 @@ func RunAblationStageOrder(seed int64) AblationStageOrderResult {
 		} else {
 			survivors = somDedup(costShift(regs))
 		}
-		pd := core.NewPairwiseDeduper(cfg.Dedup, after)
+		pd := core.NewPairwiseDeduper(after)
 		pairwise := 0
 		reported := 0
 		for _, r := range survivors {

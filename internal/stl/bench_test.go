@@ -53,7 +53,7 @@ func BenchmarkLoess540(b *testing.B) {
 }
 
 // BenchmarkDetectPeriod540 is the seasonality stage's period search over
-// a full live window: the detrend above, then lags 4..269 (the default MaxPeriod, 400, clamped to n/2-1).
+// a full live window: the detrend above, then lags 4..269 (core's maximum seasonal period, 400, clamped to n/2-1).
 func BenchmarkDetectPeriod540(b *testing.B) {
 	ys := benchSeasonal(540, 120)
 	b.ReportAllocs()

@@ -1,13 +1,14 @@
 package fbdetect
 
 // Tests of the repository's layout: which packages a shipped binary
-// links, and that DESIGN.md's module inventory names every internal
-// package.
+// links, that DESIGN.md's module inventory names every internal package,
+// and that the README's knob inventory names every Config field.
 
 import (
 	"go/build"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -127,6 +128,68 @@ func TestDesignInventoryMatchesPackages(t *testing.T) {
 	for p := range named {
 		if !pkgs[p] {
 			t.Errorf("DESIGN.md's module column names %s, which is not a package", p)
+		}
+	}
+}
+
+// configKnobs maps the dotted path of every settable value of Config
+// (e.g. "WentAway.SAXBuckets") to its field index, descending into
+// struct-typed fields.
+func configKnobs() map[string][]int {
+	knobs := map[string][]int{}
+	var walk func(t reflect.Type, prefix string, index []int)
+	walk = func(t reflect.Type, prefix string, index []int) {
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			idx := append(append([]int{}, index...), i)
+			if f.Type.Kind() == reflect.Struct {
+				walk(f.Type, prefix+f.Name+".", idx)
+				continue
+			}
+			knobs[prefix+f.Name] = idx
+		}
+	}
+	walk(reflect.TypeOf(Config{}), "", nil)
+	return knobs
+}
+
+// The README's "Configuration knobs" table has one row per settable
+// value of Config, and every row names one.
+func TestConfigKnobsDocumented(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "\n### Configuration knobs\n")
+	if !ok {
+		t.Fatal("README.md has no Configuration knobs section")
+	}
+	if i := strings.Index(section, "\n#"); i >= 0 {
+		section = section[:i]
+	}
+	rows := map[string]bool{}
+	pathRE := regexp.MustCompile("^ *`([A-Za-z.]+)` *$")
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 {
+			continue
+		}
+		if m := pathRE.FindStringSubmatch(cells[1]); m != nil {
+			rows[m[1]] = true
+		}
+	}
+	knobs := configKnobs()
+	if len(knobs) == 0 {
+		t.Fatal("found no Config fields")
+	}
+	for k := range knobs {
+		if !rows[k] {
+			t.Errorf("Config field %s has no row in the README's knob table", k)
+		}
+	}
+	for r := range rows {
+		if _, ok := knobs[r]; !ok {
+			t.Errorf("the README's knob table names %s, which is not a Config field", r)
 		}
 	}
 }
