@@ -77,8 +77,8 @@ bench-obs:
 # machines print a notice instead). Two further in-run gates are
 # machine-independent and always enforced: warm checkpointed scans must
 # beat the no-checkpoint control by 5x (:any — an algorithmic win, no
-# cores needed), and the chunked store must hold fleet-shaped data at
-# <= 2 bytes/point.
+# cores needed), the chunked store must hold fleet-shaped data at
+# <= 2 bytes/point, and the WAL must log ingest-shaped batches at <= 8.
 BENCH_GATE = BenchmarkPipeline$$|BenchmarkScanThroughput$$|BenchmarkScanThroughputNoCheckpoint$$|BenchmarkWarmScanIncremental$$
 BENCH_TSDB = BenchmarkAppendParallel$$|BenchmarkAppendParallelSingleLock$$|BenchmarkAppendBatch$$|BenchmarkChunkAppend$$|BenchmarkChunkIterate$$|BenchmarkQueryWindow$$
 BENCH_PPROF = BenchmarkPprofParse$$
@@ -91,15 +91,20 @@ BENCH_EDIV = BenchmarkEDivisive$$|BenchmarkEDivisiveStreamAppend$$
 # because five iterations of a 1-3 us decision measure the timer.
 BENCH_CORE = BenchmarkCheckWentAway$$|BenchmarkDetectShortTermQuiet180$$|BenchmarkTheilSen240$$|BenchmarkDominantSeasonLag540$$|BenchmarkMannKendall450$$|BenchmarkLoess540$$|BenchmarkDetectPeriod540$$
 BENCH_CORE_PKGS = ./internal/core/ ./internal/stats/ ./internal/stl/
+# The WAL's append (encode + buffer, reporting segment bytes/point) and
+# recovery on an ingest_ndjson-shaped stream; default benchtime, like the
+# kernels above, since one append is tens of microseconds.
+BENCH_WAL = BenchmarkWALAppend$$|BenchmarkWALRecover$$
 bench-gate:
 	$(GO) test -run - -bench '$(BENCH_GATE)' -benchmem -benchtime 5x . | tee BENCH_current.txt
 	$(GO) test -run - -bench '$(BENCH_TSDB)' -benchmem -benchtime 5x ./internal/tsdb/ | tee -a BENCH_current.txt
 	$(GO) test -run - -bench '$(BENCH_PPROF)' -benchmem -benchtime 5x ./internal/pprofparse/ | tee -a BENCH_current.txt
 	$(GO) test -run - -bench '$(BENCH_EDIV)' -benchmem -benchtime 5x ./internal/edivisive/ | tee -a BENCH_current.txt
 	$(GO) test -run - -bench '$(BENCH_CORE)' -benchmem $(BENCH_CORE_PKGS) | tee -a BENCH_current.txt
+	$(GO) test -run - -bench '$(BENCH_WAL)' -benchmem ./internal/wal/ | tee -a BENCH_current.txt
 	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.txt -current BENCH_current.txt \
 		-speedup BenchmarkAppendParallelSingleLock:BenchmarkAppendParallel:2,BenchmarkScanThroughputNoCheckpoint:BenchmarkScanThroughput:5:any \
-		-bytes-per-point BenchmarkChunkAppend:2 $(BENCH_GATE_FLAGS)
+		-bytes-per-point BenchmarkChunkAppend:2,BenchmarkWALAppend:8 $(BENCH_GATE_FLAGS)
 
 # Re-record the committed baseline (run on the reference machine after an
 # intentional performance change, and commit the result).
@@ -109,6 +114,7 @@ bench-baseline:
 	$(GO) test -run - -bench '$(BENCH_PPROF)' -benchmem -benchtime 5x ./internal/pprofparse/ | tee -a BENCH_baseline.txt
 	$(GO) test -run - -bench '$(BENCH_EDIV)' -benchmem -benchtime 5x ./internal/edivisive/ | tee -a BENCH_baseline.txt
 	$(GO) test -run - -bench '$(BENCH_CORE)' -benchmem $(BENCH_CORE_PKGS) | tee -a BENCH_baseline.txt
+	$(GO) test -run - -bench '$(BENCH_WAL)' -benchmem ./internal/wal/ | tee -a BENCH_baseline.txt
 
 # CI bench job: the overhead microbenchmark, the gated hot-path
 # benchmarks, plus the full evaluation report written to BENCH_report.json

@@ -293,6 +293,9 @@ func (t tenantStore) AppendBatch(pts []tsdb.Point) (int, error) {
 	for i, p := range pts {
 		nspts[i] = tsdb.Point{ID: namespaceID(t.st.ID, p.ID), T: p.T, V: p.V}
 	}
+	if err := tsdb.CheckIDLen(nspts); err != nil {
+		return 0, idLenError{err}
+	}
 
 	ts.mu.Lock()
 	var added []tsdb.MetricID

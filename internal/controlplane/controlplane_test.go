@@ -638,3 +638,21 @@ func TestDebugSurface(t *testing.T) {
 		}
 	}
 }
+
+// TestNamespacedIDOverLimitIs400: an ID that fits tsdb.MaxIDLen as sent
+// but not once the tenant prefix is added is refused with a 400, like one
+// too long as sent, and counts toward no quota.
+func TestNamespacedIDOverLimitIs400(t *testing.T) {
+	s, clk := newTestServer(t, nil)
+	tn := register(t, s, "team-a", Quotas{MaxSeries: 1})
+	now := clk.Now()
+	entity := strings.Repeat("x", tsdb.MaxIDLen-len("web//cpu"))
+	rr := doJSON(s, "POST", "/ingest", tn.Key, ingestBody("web", entity, "cpu", now, time.Minute, 1))
+	if rr.Code != http.StatusBadRequest {
+		t.Fatalf("namespaced over-long ID = %d, want 400: %s", rr.Code, rr.Body)
+	}
+	// The refused series took no quota: the one series allowed still fits.
+	if rr := doJSON(s, "POST", "/ingest", tn.Key, ingestBody("web", "host0", "cpu", now, time.Minute, 1)); rr.Code != http.StatusOK {
+		t.Fatalf("ingest after the refusal = %d, want 200: %s", rr.Code, rr.Body)
+	}
+}

@@ -272,3 +272,10 @@ func (e *quotaError) Error() string {
 }
 
 func (e *quotaError) HTTPStatus() int { return http.StatusForbidden }
+
+// idLenError is the StatusError the namespacing store returns when the
+// tenant prefix pushes a metric ID past tsdb.MaxIDLen: a 400, like an ID
+// that was too long as sent.
+type idLenError struct{ error }
+
+func (idLenError) HTTPStatus() int { return http.StatusBadRequest }

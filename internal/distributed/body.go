@@ -27,10 +27,11 @@ const (
 
 // intake is the request lifecycle /ingest and /profiles share: POST only,
 // an in-flight slot or 429 + Retry-After, a capped gzip-aware body or
-// 413, the endpoint's decoder or 400, one AppendBatch, then the counters
-// and the endpoint's JSON ack. A store's StatusError is answered with its
-// own status (the control plane's quota 403: a 500 would invite a retry
-// the quota will refuse again).
+// 413, the endpoint's decoder or 400, a 400 for a metric ID longer than
+// tsdb.MaxIDLen, one AppendBatch, then the counters and the endpoint's
+// JSON ack. A store's StatusError is answered with its own status (the
+// control plane's quota 403: a 500 would invite a retry the quota will
+// refuse again; its 400 for an ID the tenant prefix makes too long).
 type intake struct {
 	store      IngestStore
 	maxBody    int64
@@ -112,11 +113,21 @@ func (in *intake) serve(rw http.ResponseWriter, req *http.Request, open func(*ht
 		in.reject(rw, rej.reason, rej.msg, http.StatusBadRequest)
 		return
 	}
+	// An ID the durable store cannot hold is refused before anything is
+	// logged, whichever store sits behind the endpoint.
+	if err := tsdb.CheckIDLen(b.pts); err != nil {
+		in.reject(rw, in.badBody, "bad request: "+err.Error(), http.StatusBadRequest)
+		return
+	}
 	appended, err := in.store.AppendBatch(b.pts)
 	if err != nil {
 		var se StatusError
 		if errors.As(err, &se) {
-			in.reject(rw, reasonQuota, err.Error(), se.HTTPStatus())
+			reason := reasonQuota
+			if se.HTTPStatus() == http.StatusBadRequest {
+				reason = in.badBody
+			}
+			in.reject(rw, reason, err.Error(), se.HTTPStatus())
 			return
 		}
 		in.reject(rw, reasonStoreFailed, "append failed: "+err.Error(),

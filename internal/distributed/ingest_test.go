@@ -14,6 +14,7 @@ import (
 	"fbdetect/internal/obs"
 	"fbdetect/internal/resilience"
 	"fbdetect/internal/tsdb"
+	"fbdetect/internal/wal"
 )
 
 // ingestPoints builds a deterministic batch across two metrics.
@@ -403,5 +404,54 @@ func TestIngestStatusError(t *testing.T) {
 		if q, f := count(IngestReasonQuota), count(IngestReasonStoreFailed); q != 1 || f != 0 {
 			t.Fatalf("%s: quota rejections = %v, store failures = %v, want 1 and 0", tc.route, q, f)
 		}
+	}
+}
+
+// TestIngestRejectsOverlongMetricID: an ID longer than the durable store
+// can snapshot is a 400 before anything is logged. Accepting it used to
+// damage the WAL: its 16-bit length wrapped, and every later acked point
+// in the segment replayed as a torn tail.
+func TestIngestRejectsOverlongMetricID(t *testing.T) {
+	dir := t.TempDir()
+	store, err := wal.OpenStore(dir, time.Minute, wal.Options{Sync: wal.SyncAlways}, tsdb.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	h := NewIngestHandler(store, IngestOptions{})
+	h.Instrument(reg)
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+
+	long := strings.Repeat("x", 70000)
+	body := "{\"metric\":\"svc/" + long + "/gcpu\",\"time\":\"2024-08-01T00:00:00Z\",\"value\":1}\n"
+	resp, err := http.Post(srv.URL, "application/x-ndjson", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("70000-byte metric ID: got %d, want 400", resp.StatusCode)
+	}
+	if got := reg.NewCounter(MetricIngestRejected, "", obs.Labels{"reason": IngestReasonBadJSON}).Value(); got != 1 {
+		t.Errorf("bad_json rejections = %v, want 1", got)
+	}
+	pts := ingestPoints(5)
+	client := NewIngestClient(srv.URL, srv.Client(), resilience.DefaultPolicy(), nil, 1)
+	if _, err := client.Send(context.Background(), pts); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, _, err := wal.Recover(dir, time.Minute, tsdb.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := db.StorageStats(); db.Len() != 2 || st.Points != int64(len(pts)) {
+		t.Fatalf("recovered %d series, %d points; want 2 and %d", db.Len(), st.Points, len(pts))
 	}
 }

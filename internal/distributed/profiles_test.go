@@ -224,6 +224,14 @@ func TestProfilesRejections(t *testing.T) {
 		t.Fatalf("garbage profile: status %d, bad_profile=%v", resp.StatusCode, reason(ProfilesReasonBadProfile))
 	}
 
+	// A function name that makes a metric ID longer than tsdb.MaxIDLen
+	// → 400, and nothing is appended.
+	long := profilesServer(t, db, ProfilesOptions{}, obs.NewRegistry())
+	resp, _ = postProfile(t, long.URL, "service=s", "", []byte("main;"+strings.Repeat("x", tsdb.MaxIDLen)+" 1\n"))
+	if resp.StatusCode != http.StatusBadRequest || db.Len() != 0 {
+		t.Fatalf("over-long metric ID: status %d, %d series stored", resp.StatusCode, db.Len())
+	}
+
 	// Oversized body → 413.
 	big := []byte("main;" + strings.Repeat("x", 300) + " 1\n")
 	resp, _ = postProfile(t, srv.URL, "service=s", "", big)

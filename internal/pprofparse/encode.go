@@ -127,14 +127,18 @@ func (p *Profile) Marshal() []byte {
 	}
 
 	var e encoder
-	vt := func(field int, t ValueType) {
+	// A value type whose type and unit are both "" encodes as an empty
+	// message. A sample type emits it anyway (emitEmpty): dropping it would
+	// leave every sample one value more than the re-parse declares. An
+	// empty period type is left out whole, by the check before its call.
+	vt := func(field int, t ValueType, emitEmpty bool) {
 		var m encoder
 		m.uint64Fld(1, strIdx[t.Type])
 		m.uint64Fld(2, strIdx[t.Unit])
-		e.bytesFld(field, m.buf, false)
+		e.bytesFld(field, m.buf, emitEmpty)
 	}
 	for _, st := range p.SampleTypes {
-		vt(1, st)
+		vt(1, st, true)
 	}
 	for _, s := range p.Samples {
 		var m encoder
@@ -171,7 +175,7 @@ func (p *Profile) Marshal() []byte {
 	e.int64Fld(9, p.TimeNanos)
 	e.int64Fld(10, p.DurationNanos)
 	if p.PeriodType != (ValueType{}) {
-		vt(11, p.PeriodType)
+		vt(11, p.PeriodType, false)
 	}
 	e.int64Fld(12, p.Period)
 	if p.DefaultSampleType != "" {

@@ -73,8 +73,19 @@ var chunkCRCTable = crc32.MakeTable(crc32.Castagnoli)
 // chunkScales is the scaled-integer candidate table: powers of ten (how
 // humans and samplers quantize — percentages, counts over 10^k samples,
 // fixed decimal resolutions) and powers of two (binary quantization).
-// The table is part of the format: chunks store an index into it.
+// The table is part of the format: chunks, and the WAL's point records,
+// store an index into it.
 var chunkScales = buildChunkScales()
+
+// ChunkScale returns the scale at index i of the chunk codec's table, and
+// false past its end. Encoders search it in index order and take the
+// first scale at which every value round-trips.
+func ChunkScale(i int) (float64, bool) {
+	if i < 0 || i >= len(chunkScales) {
+		return 0, false
+	}
+	return chunkScales[i], true
+}
 
 func buildChunkScales() []float64 {
 	s := make([]float64, 0, 40)
@@ -91,11 +102,11 @@ func buildChunkScales() []float64 {
 	return s
 }
 
-// scaledValue reports whether v is exactly round(v*scale)/scale, returning
+// ScaledValue reports whether v is exactly round(v*scale)/scale, returning
 // the integer. The check reconstructs the decode-side value — including
 // the int64 round trip, which collapses -0.0 to +0.0 — and compares bit
 // patterns, so a true result guarantees a byte-identical decode.
-func scaledValue(v, scale float64) (int64, bool) {
+func ScaledValue(v, scale float64) (int64, bool) {
 	scaled := v * scale
 	if math.IsNaN(scaled) || math.Abs(scaled) > 1<<53 {
 		return 0, false
@@ -201,7 +212,7 @@ search:
 			ints = make([]int64, len(values))
 		}
 		for i, v := range values {
-			k, ok := scaledValue(v, scale)
+			k, ok := ScaledValue(v, scale)
 			if !ok {
 				continue search
 			}

@@ -106,6 +106,23 @@ type Point struct {
 	V  float64
 }
 
+// MaxIDLen is the longest MetricID a durable store accepts: the most the
+// WAL snapshot's 16-bit length field holds. The WAL refuses to log a
+// longer one and /ingest and /profiles answer it with a 400; the
+// in-memory DB itself does not check.
+const MaxIDLen = 1<<16 - 1
+
+// CheckIDLen returns an error naming the first point whose ID is longer
+// than MaxIDLen, or nil.
+func CheckIDLen(pts []Point) error {
+	for i, p := range pts {
+		if len(p.ID) > MaxIDLen {
+			return fmt.Errorf("tsdb: point %d: metric ID of %d bytes exceeds the %d-byte limit", i, len(p.ID), MaxIDLen)
+		}
+	}
+	return nil
+}
+
 // entry pairs a stored series with its epoch, the content-stability token
 // ViewStamp documents: fresh on creation, Restore, and Prune, unchanged
 // by appends.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"fbdetect/internal/obs"
@@ -30,22 +31,13 @@ type RecoverStats struct {
 // everything after the last intact record in that segment is discarded
 // and the file truncated so subsequent appends extend a clean log. A
 // decode failure in any non-final segment is corruption, not a torn
-// tail, and fails recovery.
+// tail, and fails recovery. A point record naming a dictionary slot its
+// segment never defined is such a decode failure.
 //
 // reg (may be nil) receives the replay counters. dbOpts tunes the
 // rebuilt store (shard count).
 func Recover(dir string, step time.Duration, dbOpts tsdb.Options, reg *obs.Registry) (*tsdb.DB, RecoverStats, error) {
 	var stats RecoverStats
-	var replayedRecords, replayedPoints, tornTails *obs.Counter
-	if reg != nil {
-		replayedRecords = reg.NewCounter(MetricReplayedRecords,
-			"WAL records replayed during recovery.", nil)
-		replayedPoints = reg.NewCounter(MetricReplayedPoints,
-			"Points replayed from the WAL during recovery.", nil)
-		tornTails = reg.NewCounter(MetricTornTails,
-			"Recoveries that found (and truncated) a torn final record.", nil)
-	}
-
 	db := tsdb.NewWithOptions(step, dbOpts)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, stats, fmt.Errorf("wal: creating dir: %w", err)
@@ -55,45 +47,68 @@ func Recover(dir string, step time.Duration, dbOpts tsdb.Options, reg *obs.Regis
 		return nil, stats, err
 	}
 	stats.SnapshotSeries = n
+	err = replay(dir, &stats, func(pts []tsdb.Point) error {
+		_, err := db.AppendBatch(pts)
+		return err
+	})
+	if reg != nil {
+		reg.NewCounter(MetricReplayedRecords,
+			"WAL records replayed during recovery.", nil).Add(float64(stats.ReplayedRecords))
+		reg.NewCounter(MetricReplayedPoints,
+			"Points replayed from the WAL during recovery.", nil).Add(float64(stats.ReplayedPoints))
+		torn := reg.NewCounter(MetricTornTails,
+			"Recoveries that found (and truncated) a torn final record.", nil)
+		if stats.TornTail {
+			torn.Inc()
+		}
+	}
+	if err != nil {
+		return nil, stats, err
+	}
+	return db, stats, nil
+}
 
+// replay decodes dir's segments in order and passes each point record's
+// points (valid only during the call) to apply, counting them into stats.
+// A torn tail of the final segment is truncated away.
+func replay(dir string, stats *RecoverStats, apply func([]tsdb.Point) error) error {
 	segs, err := listSegments(dir)
 	if err != nil {
-		return nil, stats, fmt.Errorf("wal: listing segments: %w", err)
+		return fmt.Errorf("wal: listing segments: %w", err)
 	}
+	var dec decoder
 	for si, idx := range segs {
 		final := si == len(segs)-1
 		path := filepath.Join(dir, segmentName(idx))
 		data, err := os.ReadFile(path)
 		if err != nil {
-			return nil, stats, fmt.Errorf("wal: reading segment %d: %w", idx, err)
+			return fmt.Errorf("wal: reading segment %d: %w", idx, err)
 		}
+		dec.reset()
 		off := 0
 		for off < len(data) {
-			pts, size, derr := decodeRecord(data[off:])
+			pts, size, derr := dec.next(data[off:])
 			if derr != nil {
 				if !final {
-					return nil, stats, fmt.Errorf("wal: segment %d corrupt at offset %d: %w", idx, off, derr)
+					return fmt.Errorf("wal: segment %d corrupt at offset %d: %w", idx, off, derr)
 				}
 				// Torn tail: drop everything from the first bad record and
 				// truncate the file so the log resumes from intact state.
 				stats.TornTail = true
-				tornTails.Inc()
 				if terr := os.Truncate(path, int64(off)); terr != nil {
-					return nil, stats, fmt.Errorf("wal: truncating torn tail of segment %d: %w", idx, terr)
+					return fmt.Errorf("wal: truncating torn tail of segment %d: %w", idx, terr)
 				}
 				break
 			}
-			if _, aerr := db.AppendBatch(pts); aerr != nil {
-				return nil, stats, fmt.Errorf("wal: replaying segment %d: %w", idx, aerr)
+			if err := apply(pts); err != nil {
+				return fmt.Errorf("wal: replaying segment %d: %w", idx, err)
 			}
 			stats.ReplayedRecords++
 			stats.ReplayedPoints += len(pts)
-			replayedRecords.Inc()
-			replayedPoints.Add(float64(len(pts)))
 			off += size
 		}
 	}
-	return db, stats, nil
+	return nil
 }
 
 // Store couples a recovered DB with its open WAL: the durable ingestion
@@ -104,6 +119,12 @@ type Store struct {
 	DB    *tsdb.DB
 	Log   *Log
 	Stats RecoverStats
+
+	// applying is read-held by AppendBatch from its log write to its
+	// apply, and write-held by Snapshot across its rotation, so that
+	// every batch logged below the rotation is in the DB the snapshot
+	// reads.
+	applying sync.RWMutex
 }
 
 // OpenStore recovers (or initializes) the store in dir and opens its WAL
@@ -129,14 +150,39 @@ func OpenStore(dir string, step time.Duration, opts Options, dbOpts tsdb.Options
 // signature mirrors tsdb.DB.AppendBatch so ingestion endpoints can serve
 // either a durable or a purely in-memory store.
 func (s *Store) AppendBatch(pts []tsdb.Point) (int, error) {
+	s.applying.RLock()
+	defer s.applying.RUnlock()
 	if err := s.Log.Append(pts); err != nil {
 		return 0, err
 	}
 	return s.DB.AppendBatch(pts)
 }
 
-// Snapshot serializes the current DB and compacts replayed segments.
-func (s *Store) Snapshot() error { return s.Log.Snapshot(s.DB) }
+// Snapshot serializes the DB to the directory's snapshot file and
+// compacts fully-replayed segments. The sequence is crash-safe at every
+// step:
+//
+//  1. wait out appends between their log write and their apply, then
+//     flush+fsync pending records and rotate to a fresh segment, so every
+//     earlier segment only holds data the snapshot read will see;
+//  2. serialize the DB to snapshot.tmp, fsync, and atomically rename over
+//     snapshot.db;
+//  3. delete segments older than the rotation point.
+//
+// Records written between (1) and (2) land in the fresh segment and are
+// usually also captured by the snapshot; replaying them is harmless
+// because recovery's AppendBatch skips already-covered points, and so is
+// replaying the old segments a crash inside (3) leaves behind: each
+// decodes on its own dictionary.
+func (s *Store) Snapshot() error {
+	s.applying.Lock()
+	cutoff, err := s.Log.rotateForSnapshot()
+	s.applying.Unlock()
+	if err != nil {
+		return err
+	}
+	return s.Log.compact(s.DB, cutoff)
+}
 
 // Close flushes and closes the WAL. The DB stays readable.
 func (s *Store) Close() error { return s.Log.Close() }

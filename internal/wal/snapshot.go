@@ -21,6 +21,9 @@ import (
 //	per series: [2B ID length][ID bytes][8B start unix-nano][4B point count][points × 8B bits]
 //	[4B CRC-32C of everything after the magic]
 //
+// The 2-byte ID length is where tsdb.MaxIDLen comes from: a DB holding a
+// longer ID fails to snapshot rather than write a length that wraps.
+//
 // The file is written to a temp name and renamed into place, so a crash
 // mid-snapshot leaves the previous snapshot intact.
 
@@ -70,6 +73,10 @@ func writeSnapshot(dir string, db *tsdb.DB) error {
 	writeU64(uint64(db.Step()))
 	writeU32(uint32(len(ids)))
 	for _, id := range ids {
+		if len(id) > tsdb.MaxIDLen {
+			f.Close()
+			return fmt.Errorf("wal: snapshot: metric ID of %d bytes exceeds the %d-byte limit", len(id), tsdb.MaxIDLen)
+		}
 		s, err := db.Full(id)
 		if err != nil {
 			continue // dropped between listing and read; skip

@@ -185,6 +185,12 @@ type Log struct {
 	flushErr   error  // sticky: a failed write poisons the log
 	closed     bool
 
+	// dict gives each metric ID the current segment has logged its slot
+	// (see record.go). Records are encoded under mu in the order they are
+	// written, so slots are defined in file order; it is cleared when the
+	// records encoded next go to a new segment.
+	dict map[tsdb.MetricID]uint64
+
 	// metrics (nil-safe when uninstrumented)
 	appendedBytes   *obs.Counter
 	appendedRecords *obs.Counter
@@ -194,8 +200,9 @@ type Log struct {
 	compacted       *obs.Counter
 }
 
-// Open opens (creating if needed) a log in dir, appending to the highest
-// existing segment. Most callers want Recover or OpenStore instead, which
+// Open opens (creating if needed) a log in dir and starts a fresh segment
+// after the highest existing one: an existing segment's dictionary is not
+// known to it. Most callers want Recover or OpenStore instead, which
 // replay existing state first.
 func Open(dir string, opts Options) (*Log, error) {
 	opts = opts.withDefaults()
@@ -208,9 +215,9 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	index := uint64(1)
 	if len(segs) > 0 {
-		index = segs[len(segs)-1]
+		index = segs[len(segs)-1] + 1
 	}
-	l := &Log{dir: dir, opts: opts}
+	l := &Log{dir: dir, opts: opts, dict: map[tsdb.MetricID]uint64{}}
 	l.cond = sync.NewCond(&l.mu)
 	if err := l.openSegment(index); err != nil {
 		return nil, err
@@ -240,20 +247,15 @@ func (l *Log) Instrument(reg *obs.Registry) {
 // Dir returns the log's directory.
 func (l *Log) Dir() string { return l.dir }
 
-// openSegment opens segment index for appending. Caller holds l.mu or
-// has exclusive access.
+// openSegment creates segment index. Caller holds l.mu or has exclusive
+// access.
 func (l *Log) openSegment(index uint64) error {
 	f, err := os.OpenFile(filepath.Join(l.dir, segmentName(index)),
-		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: opening segment: %w", err)
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("wal: stat segment: %w", err)
-	}
-	l.f, l.segIndex, l.segSize = f, index, st.Size()
+	l.f, l.segIndex, l.segSize = f, index, 0
 	return nil
 }
 
@@ -265,7 +267,9 @@ func (l *Log) Append(pts []tsdb.Point) error {
 	if len(pts) == 0 {
 		return nil
 	}
-	rec := appendRecord(nil, pts)
+	if err := checkBatch(pts); err != nil {
+		return err
+	}
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -278,7 +282,7 @@ func (l *Log) Append(pts []tsdb.Point) error {
 	if len(l.buf) == 0 {
 		l.firstWait = time.Now()
 	}
-	l.buf = append(l.buf, rec...)
+	l.buf = appendRecord(l.buf, l.dict, pts)
 	l.bufRecords++
 	l.bufPoints += len(pts)
 	l.seq++
@@ -297,7 +301,7 @@ func (l *Log) Append(pts []tsdb.Point) error {
 				return fmt.Errorf("wal: log closed during append")
 			}
 			if !l.flushing {
-				l.flushLocked(true)
+				l.flushLocked(true, false)
 			} else {
 				l.cond.Wait()
 			}
@@ -305,7 +309,7 @@ func (l *Log) Append(pts []tsdb.Point) error {
 		return l.flushErr
 	default:
 		if len(l.buf) >= l.opts.BatchBytes {
-			l.flushLocked(l.opts.Sync == SyncBatch)
+			l.flushLocked(l.opts.Sync == SyncBatch, false)
 			return l.flushErr
 		}
 		if l.opts.Sync == SyncBatch && !l.timerArmed {
@@ -318,7 +322,7 @@ func (l *Log) Append(pts []tsdb.Point) error {
 				if l.closed || len(l.buf) == 0 {
 					return
 				}
-				l.flushLocked(true)
+				l.flushLocked(true, false)
 			})
 		}
 		return nil
@@ -327,9 +331,11 @@ func (l *Log) Append(pts []tsdb.Point) error {
 
 // flushLocked drains the pending buffer to the current segment as the
 // flush leader: it swaps the buffer out, releases the lock for the
-// write(2)+fsync, re-locks, and publishes the flushed sequence. Caller
-// holds l.mu; the method returns holding it. Sets l.flushErr on failure.
-func (l *Log) flushLocked(sync bool) {
+// write(2)+fsync, re-locks, and publishes the flushed sequence. With hold
+// it keeps the lock throughout, so nothing is encoded until the flush is
+// done. Caller holds l.mu; the method returns holding it. Sets l.flushErr
+// on failure.
+func (l *Log) flushLocked(sync, hold bool) {
 	for l.flushing {
 		l.cond.Wait()
 	}
@@ -343,8 +349,15 @@ func (l *Log) flushLocked(sync bool) {
 	upTo := l.seq
 	f := l.f
 	rotateAfter := l.segSize+int64(len(buf)) >= l.opts.MaxSegmentBytes
-	l.flushing = true
-	l.mu.Unlock()
+	if rotateAfter {
+		// Records encoded from here on, even while this write runs, go to
+		// the next segment and its fresh dictionary.
+		clear(l.dict)
+	}
+	if !hold {
+		l.flushing = true
+		l.mu.Unlock()
+	}
 
 	_, err := f.Write(buf)
 	if err == nil && sync {
@@ -355,8 +368,10 @@ func (l *Log) flushLocked(sync bool) {
 		l.fsyncs.Inc()
 	}
 
-	l.mu.Lock()
-	l.flushing = false
+	if !hold {
+		l.mu.Lock()
+		l.flushing = false
+	}
 	if err != nil {
 		l.flushErr = fmt.Errorf("wal: flush: %w", err)
 	} else {
@@ -375,7 +390,8 @@ func (l *Log) flushLocked(sync bool) {
 }
 
 // rotateLocked fsyncs and closes the current segment and opens the next.
-// Caller holds l.mu with no flush in flight.
+// Caller holds l.mu with no flush in flight, and has cleared l.dict since
+// the last record it lets go to the current segment.
 func (l *Log) rotateLocked() error {
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: sync before rotate: %w", err)
@@ -394,7 +410,7 @@ func (l *Log) Sync() error {
 	if l.closed {
 		return fmt.Errorf("wal: sync on closed log")
 	}
-	l.flushLocked(true)
+	l.flushLocked(true, false)
 	if l.flushErr != nil {
 		return l.flushErr
 	}
@@ -417,7 +433,7 @@ func (l *Log) Close() error {
 	if l.closed {
 		return nil
 	}
-	l.flushLocked(true)
+	l.flushLocked(true, false)
 	for l.flushing {
 		l.cond.Wait()
 	}
@@ -435,40 +451,31 @@ func (l *Log) Close() error {
 	return err
 }
 
-// Snapshot serializes db to the directory's snapshot file and compacts
-// fully-replayed segments. The sequence is crash-safe at every step:
-//
-//  1. flush+fsync pending records and rotate to a fresh segment, so every
-//     earlier segment only holds data that predates the snapshot read;
-//  2. serialize db to snapshot.tmp, fsync, and atomically rename over
-//     snapshot.db;
-//  3. delete segments older than the rotation point.
-//
-// Records written between (1) and (2) land in the fresh segment and are
-// usually also captured by the snapshot; replaying them is harmless
-// because recovery's AppendBatch skips already-covered points.
-func (l *Log) Snapshot(db *tsdb.DB) error {
+// rotateForSnapshot is step 1 of Store.Snapshot: it flushes and fsyncs
+// the pending records, holding the lock so that nothing is encoded under
+// the old segment's dictionary afterwards, and rotates to a fresh
+// segment. It returns that segment's index: every segment below it holds
+// only records logged before the call.
+func (l *Log) rotateForSnapshot() (uint64, error) {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
-		return fmt.Errorf("wal: snapshot on closed log")
+		return 0, fmt.Errorf("wal: snapshot on closed log")
 	}
-	l.flushLocked(true)
+	l.flushLocked(true, true)
 	if l.flushErr != nil {
-		err := l.flushErr
-		l.mu.Unlock()
-		return err
+		return 0, l.flushErr
 	}
-	for l.flushing {
-		l.cond.Wait()
-	}
+	clear(l.dict)
 	if err := l.rotateLocked(); err != nil {
-		l.mu.Unlock()
-		return err
+		return 0, err
 	}
-	cutoff := l.segIndex // segments below this are fully captured below
-	l.mu.Unlock()
+	return l.segIndex, nil
+}
 
+// compact is steps 2 and 3 of Store.Snapshot: it writes db as the
+// directory's snapshot and deletes the segments below cutoff.
+func (l *Log) compact(db *tsdb.DB, cutoff uint64) error {
 	if err := writeSnapshot(l.dir, db); err != nil {
 		return err
 	}

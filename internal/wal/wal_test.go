@@ -70,27 +70,46 @@ func assertSameDB(t *testing.T, want, got *tsdb.DB) {
 }
 
 func TestRecordRoundTrip(t *testing.T) {
-	pts := testPoints(5, 3)[1]
-	b := appendRecord(nil, pts)
-	got, size, err := decodeRecord(b)
-	if err != nil {
-		t.Fatal(err)
+	batches := testPoints(5, 3)
+	dict := map[tsdb.MetricID]uint64{}
+	var b []byte
+	var ends []int
+	for _, pts := range batches {
+		b = appendRecord(b, dict, pts)
+		ends = append(ends, len(b))
 	}
-	if size != len(b) {
-		t.Fatalf("size = %d, want %d", size, len(b))
+	if len(dict) != 5 {
+		t.Fatalf("dictionary holds %d IDs, want 5", len(dict))
 	}
-	for i, p := range pts {
-		g := got[i]
-		if g.ID != p.ID || !g.T.Equal(p.T) || g.V != p.V {
-			t.Fatalf("point %d = %+v, want %+v", i, g, p)
+	var dec decoder
+	off := 0
+	for r, pts := range batches {
+		got, size, err := dec.next(b[off:])
+		if err != nil {
+			t.Fatalf("record %d: %v", r, err)
 		}
+		if off+size != ends[r] {
+			t.Fatalf("record %d: size %d, want %d", r, size, ends[r]-off)
+		}
+		for i, p := range pts {
+			g := got[i]
+			if g.ID != p.ID || !g.T.Equal(p.T) || g.V != p.V {
+				t.Fatalf("record %d point %d = %+v, want %+v", r, i, g, p)
+			}
+		}
+		off += size
+	}
+	// Later records name their IDs by slot: only the first spells them.
+	if first, later := ends[0], ends[1]-ends[0]; later >= first {
+		t.Errorf("record by slot is %d bytes, the one defining the slots %d", later, first)
 	}
 	// Flipping any byte must fail the checksum or the header sanity
 	// checks — never decode silently.
-	for i := range b {
-		mut := append([]byte(nil), b...)
+	rec := b[:ends[0]]
+	for i := range rec {
+		mut := append([]byte(nil), rec...)
 		mut[i] ^= 0x40
-		if _, _, err := decodeRecord(mut); err == nil {
+		if _, _, err := (&decoder{}).next(mut); err == nil {
 			t.Fatalf("flipped byte %d decoded cleanly", i)
 		}
 	}
