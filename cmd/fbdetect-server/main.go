@@ -46,7 +46,6 @@ func main() {
 		maxSeries     = flag.Int("default-max-series", 1000, "default per-tenant series quota")
 		ratePerSec    = flag.Float64("default-rate", 50, "default per-tenant sustained requests/sec")
 		burst         = flag.Int("default-burst", 100, "default per-tenant burst depth")
-		pollRetry     = flag.Duration("poll-retry-after", time.Second, "Retry-After hint on non-terminal /operations/{id} responses")
 		version       = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
@@ -72,8 +71,7 @@ func main() {
 		DefaultQuotas: controlplane.Quotas{
 			MaxSeries: *maxSeries, RatePerSec: *ratePerSec, Burst: *burst,
 		},
-		JobWorkers:     *jobWorkers,
-		PollRetryAfter: *pollRetry,
+		JobWorkers: *jobWorkers,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -53,7 +53,7 @@ func main() {
 		// Coordinator mode: fan a sweep out over fbdetect-worker processes
 		// through the resilience layer instead of scanning locally.
 		workers        = flag.String("workers", "", "comma-separated worker base URLs; runs a distributed sweep instead of a local scan")
-		services       = flag.String("services", "websvc", "comma-separated services to sweep in -workers mode")
+		services       = flag.String("services", "fleetsim", "comma-separated services to sweep in -workers mode")
 		scanTimeFlag   = flag.String("scan-time", "", "RFC3339 scan time in -workers mode (default: simulated start + -hours)")
 		retryAttempts  = flag.Int("retry-attempts", 3, "per-worker scan attempts in -workers mode")
 		retryBase      = flag.Duration("retry-base", 50*time.Millisecond, "base retry backoff in -workers mode")

@@ -8,7 +8,7 @@
 // worker acknowledges it — the client half of the durable ingestion path:
 //
 //	fbdetect-worker -listen :8080 -data-dir /tmp/d &
-//	fleetsim -hours 6 -stream http://localhost:8080
+//	fleetsim -hours 9 -stream http://localhost:8080
 package main
 
 import (

@@ -51,40 +51,24 @@ type Options struct {
 	// live in DataDir/tsdb, the tenant journal in DataDir/tenants.journal,
 	// and the operation journal in DataDir/ops.journal. Required.
 	DataDir string
-	// Step is the TSDB step (default 1m).
-	Step time.Duration
 	// AdminKey authenticates /admin/* and tenant registration. Required.
 	AdminKey string
 	// WAL tunes the point WAL (sync policy, fault injection).
 	WAL wal.Options
-	// DB tunes the recovered TSDB (shards, chunking).
-	DB tsdb.Options
 	// DefaultQuotas fills unset fields of per-tenant quotas
 	// (default: 1000 series, 50 req/s, burst 100).
 	DefaultQuotas Quotas
-	// Scan configures the embedded detection pipeline. Zero-valued
-	// windows default to Historic 5h / Analysis 3h / Extended 1h with
-	// threshold 0.001 — the worker binary's durable-mode posture.
-	Scan core.Config
 	// JobWorkers is the async-operation concurrency (default 2).
 	JobWorkers int
-	// JournalCompactBytes triggers operation-journal compaction
-	// (default 1 MiB).
-	JournalCompactBytes int64
-	// PollRetryAfter is the Retry-After hint attached to non-terminal
-	// /operations/{id} responses (default 1s).
-	PollRetryAfter time.Duration
 	// Clock drives rate limiting and operation timestamps; tests inject
 	// a resilience.FakeClock. Default real time.
 	Clock resilience.Clock
-	// TraceBuffer is the tracer's ring size (default 64).
-	TraceBuffer int
 }
 
+// step is the TSDB step.
+const step = time.Minute
+
 func (o Options) withDefaults() Options {
-	if o.Step <= 0 {
-		o.Step = time.Minute
-	}
 	if o.DefaultQuotas.MaxSeries <= 0 {
 		o.DefaultQuotas.MaxSeries = 1000
 	}
@@ -94,28 +78,11 @@ func (o Options) withDefaults() Options {
 	if o.DefaultQuotas.Burst <= 0 {
 		o.DefaultQuotas.Burst = 100
 	}
-	if o.Scan.Threshold == 0 {
-		o.Scan.Threshold = 0.001
-	}
-	if o.Scan.Windows.Historic == 0 {
-		o.Scan.Windows.Historic = 5 * time.Hour
-		o.Scan.Windows.Analysis = 3 * time.Hour
-		o.Scan.Windows.Extended = time.Hour
-	}
 	if o.JobWorkers <= 0 {
 		o.JobWorkers = 2
 	}
-	if o.JournalCompactBytes <= 0 {
-		o.JournalCompactBytes = 1 << 20
-	}
-	if o.PollRetryAfter <= 0 {
-		o.PollRetryAfter = time.Second
-	}
 	if o.Clock == nil {
 		o.Clock = resilience.RealClock()
-	}
-	if o.TraceBuffer <= 0 {
-		o.TraceBuffer = 64
 	}
 	return o
 }
@@ -162,11 +129,11 @@ func NewServer(opts Options) (*Server, error) {
 		return nil, fmt.Errorf("controlplane: AdminKey required")
 	}
 	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(opts.TraceBuffer)
+	tracer := obs.NewTracer(obs.DefaultTraceCapacity)
 	obs.RegisterBuildInfo(reg, "fbdetect-server")
 
 	store, err := wal.OpenStore(filepath.Join(opts.DataDir, "tsdb"),
-		opts.Step, opts.WAL, opts.DB, reg)
+		step, opts.WAL, tsdb.Options{}, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -177,15 +144,14 @@ func NewServer(opts Options) (*Server, error) {
 		store.Close()
 		return nil, err
 	}
-	opStore, recovered, err := openOpStore(filepath.Join(opts.DataDir, "ops.journal"),
-		opts.JournalCompactBytes)
+	opStore, recovered, err := openOpStore(filepath.Join(opts.DataDir, "ops.journal"))
 	if err != nil {
 		tenants.Close()
 		store.Close()
 		return nil, err
 	}
 
-	pipe, err := core.NewPipeline(opts.Scan, store.DB, nil, nil)
+	pipe, err := core.NewPipeline(distributed.ServedConfig(), store.DB, nil, nil)
 	if err != nil {
 		opStore.Close()
 		tenants.Close()

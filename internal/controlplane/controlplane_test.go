@@ -446,7 +446,7 @@ func TestOperationAbandonedAfterRepeatedCrashes(t *testing.T) {
 	}
 	j.Close()
 
-	st, recovered, err := openOpStore(path, 1<<20)
+	st, recovered, err := openOpStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -185,6 +185,10 @@ type opParams struct {
 	Params json.RawMessage `json:"params,omitempty"`
 }
 
+// pollRetryAfter is the Retry-After hint attached to non-terminal
+// /operations/{id} responses.
+const pollRetryAfter = time.Second
+
 // serveCreateOperation accepts a job, journals it, enqueues it, and
 // answers 202 with Location: /operations/{id} — the Heketi async-op
 // contract: the caller polls the Location, honoring Retry-After, until
@@ -213,7 +217,7 @@ func (s *Server) serveCreateOperation(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("Location", "/operations/"+op.ID)
-		w.Header().Set("Retry-After", distributed.RetryAfterSeconds(s.opts.PollRetryAfter))
+		w.Header().Set("Retry-After", distributed.RetryAfterSeconds(pollRetryAfter))
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusAccepted)
 		json.NewEncoder(w).Encode(op)
@@ -231,7 +235,7 @@ func (s *Server) serveGetOperation(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !op.Status.Terminal() {
-		w.Header().Set("Retry-After", distributed.RetryAfterSeconds(s.opts.PollRetryAfter))
+		w.Header().Set("Retry-After", distributed.RetryAfterSeconds(pollRetryAfter))
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(op)

@@ -56,13 +56,15 @@ const maxOpAttempts = 3
 // keeps (oldest evicted first). In-flight operations are always kept.
 const opRetention = 512
 
+// journalCompactBytes triggers operation-journal compaction.
+const journalCompactBytes = 1 << 20
+
 // OpStore is the journaled operation table.
 type OpStore struct {
-	mu           sync.Mutex
-	journal      *wal.Journal
-	byID         map[string]*Operation
-	order        []string // IDs in creation order
-	compactBytes int64
+	mu      sync.Mutex
+	journal *wal.Journal
+	byID    map[string]*Operation
+	order   []string // IDs in creation order
 
 	ops      map[string]*obs.Counter // by status; nil-safe when uninstrumented
 	inflight *obs.Gauge
@@ -72,8 +74,8 @@ type OpStore struct {
 // Recovered non-terminal operations are reset to pending with an
 // incremented attempt count; Recovered lists them in creation order for
 // the queue to resubmit.
-func openOpStore(path string, compactBytes int64) (*OpStore, []*Operation, error) {
-	os := &OpStore{byID: make(map[string]*Operation), compactBytes: compactBytes}
+func openOpStore(path string) (*OpStore, []*Operation, error) {
+	os := &OpStore{byID: make(map[string]*Operation)}
 	j, _, err := wal.OpenJournal(path, func(payload []byte) error {
 		var op Operation
 		if err := json.Unmarshal(payload, &op); err != nil {
@@ -136,7 +138,7 @@ func (s *OpStore) journalLocked(op *Operation) error {
 	if err := s.journal.Append(payload); err != nil {
 		return err
 	}
-	if s.journal.Size() > s.compactBytes {
+	if s.journal.Size() > journalCompactBytes {
 		s.compactLocked()
 	}
 	return nil

@@ -84,7 +84,7 @@ func (s *Server) runBackfill(ctx context.Context, op *Operation) (json.RawMessag
 		p.Entity = "host0"
 	}
 	if p.StepSec <= 0 {
-		p.StepSec = int(s.opts.Step / time.Second)
+		p.StepSec = int(step / time.Second)
 	}
 	if p.Base == 0 {
 		p.Base = 100

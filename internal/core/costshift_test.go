@@ -2,8 +2,11 @@ package core
 
 import (
 	"testing"
+	"time"
 
+	"fbdetect/internal/fleet"
 	"fbdetect/internal/stacktrace"
+	"fbdetect/internal/timeseries"
 	"fbdetect/internal/tsdb"
 )
 
@@ -159,5 +162,58 @@ func TestCostDomainCost(t *testing.T) {
 	d := CostDomain{Name: "test", Subroutines: map[string]bool{"b": true}}
 	if got := d.Cost(ss); !approx(got, 0.3, 1e-9) {
 		t.Errorf("Cost = %v", got)
+	}
+}
+
+func TestPipelineEndpointCostShiftIntegration(t *testing.T) {
+	// Endpoint series only: a handler split is filtered by the pipeline's
+	// endpoint-prefix cost-shift stage.
+	tree := pipelineTree(t)
+	cfg := fleet.Config{
+		Name: "web", Servers: 1000, Step: time.Minute,
+		BaseCPU: 0.5, BaseThroughput: 100, Tree: tree, Seed: 31,
+	}
+	svc, err := fleet.NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	changeAt := t0.Add(7 * time.Hour)
+	svc.ScheduleChange(fleet.ScheduledChange{
+		At: changeAt,
+		Effect: func(tr *fleet.Tree) error {
+			return tr.ShiftWeight("Layout::measure", "Layout::paint", 6)
+		},
+	})
+	endpoints := []fleet.EndpointSpec{
+		{Name: "/render/measure", Subroutines: []string{"Layout::measure"}, CostNoise: 0.01},
+		{Name: "/render/paint", Subroutines: []string{"Layout::paint"}, CostNoise: 0.01},
+	}
+	db := tsdb.New(time.Minute)
+	end := t0.Add(9 * time.Hour)
+	if err := svc.EmitEndpoints(db, endpoints, t0, end); err != nil {
+		t.Fatal(err)
+	}
+	pcfg := Config{
+		Threshold:         0.05,
+		RelativeThreshold: true,
+		Windows: timeseries.WindowConfig{
+			Historic: 5 * time.Hour, Analysis: 3 * time.Hour, Extended: time.Hour,
+		},
+	}
+	p, err := NewPipeline(pcfg, db, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Scan("web", end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res.Reported {
+		if r.Entity == "endpoint:/render/paint" {
+			t.Errorf("endpoint cost shift reported by pipeline: %v", r)
+		}
+	}
+	if res.Funnel.ChangePoints == 0 {
+		t.Error("the shifted endpoint should produce a change point upstream")
 	}
 }

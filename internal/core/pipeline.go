@@ -62,7 +62,6 @@ type Pipeline struct {
 	domains     []DomainDetector
 	merger      *SameRegressionMerger
 	pairwise    *PairwiseDeduper
-	planned     *PlannedChangeRegistry
 	checkpoints *checkpointCache // per-series detector checkpoints; nil = disabled
 	obs         *pipelineObs     // nil until Instrument; nil-safe hooks
 

@@ -33,7 +33,6 @@ var stages = [...]stage{
 	{name: StageLongTerm, count: func(f *Funnel) *int { return &f.LongTermChangePoints }, source: true,
 		enabled: func(p *Pipeline) bool { return p.cfg.LongTerm }},
 	{name: StageThreshold, count: func(f *Funnel) *int { return &f.AfterThreshold }, run: (*Pipeline).passThreshold},
-	{run: (*Pipeline).dropPlanned},
 	{name: StageSameMerger, count: func(f *Funnel) *int { return &f.AfterSameMerger }, commit: true, run: (*Pipeline).dropSeen},
 	{run: (*Pipeline).gatherSamples},
 	{name: StageSOMDedup, count: func(f *Funnel) *int { return &f.AfterSOMDedup }, run: (*Pipeline).somRepresentatives},
@@ -74,13 +73,6 @@ func filter(in []*Regression, keep func(*Regression) bool) []*Regression {
 // re-checking them is harmless and keeps the funnel uniform.
 func (p *Pipeline) passThreshold(_ *serviceDetect, in []*Regression) []*Regression {
 	return filter(in, func(r *Regression) bool { return PassesThreshold(p.cfg, r) })
-}
-
-// dropPlanned drops regressions whose change point lands inside a
-// registered planned window (§8 future work): they are expected. A
-// pipeline without a registry explains nothing.
-func (p *Pipeline) dropPlanned(_ *serviceDetect, in []*Regression) []*Regression {
-	return filter(in, func(r *Regression) bool { return p.planned.Explains(r) == nil })
 }
 
 // dropSeen is stage 5, the SameRegressionMerger; it records what it keeps.

@@ -25,6 +25,7 @@ import (
 	"fbdetect/internal/core"
 	"fbdetect/internal/obs"
 	"fbdetect/internal/resilience"
+	"fbdetect/internal/timeseries"
 )
 
 // ScanRequest asks a worker to scan one service at a scan time.
@@ -84,6 +85,21 @@ const (
 	MetricCoordHedgeWins    = "fbdetect_coordinator_hedge_wins_total"
 	MetricCoordBreakerSkips = "fbdetect_coordinator_breaker_skips_total"
 )
+
+// ServedConfig is the detection config of the served stack: the
+// pipeline fbdetect-worker scans with and the one fbdetect-server runs
+// every tenant scan through. Its windows span 9 h, so a scan finds
+// change points once 9 h of a service's data have been ingested.
+func ServedConfig() core.Config {
+	return core.Config{
+		Threshold: 0.001,
+		Windows: timeseries.WindowConfig{
+			Historic: 5 * time.Hour,
+			Analysis: 3 * time.Hour,
+			Extended: time.Hour,
+		},
+	}
+}
 
 // Worker serves scan requests against a local pipeline.
 type Worker struct {
@@ -242,8 +258,6 @@ type Options struct {
 	// RequestTimeout bounds each individual scan attempt (default 60s;
 	// a worker-local scan of a big service is seconds of work).
 	RequestTimeout time.Duration
-	// MaxConcurrent caps ScanAll's fan-out (default 16).
-	MaxConcurrent int
 	// Breaker configures the per-worker circuit breakers.
 	Breaker resilience.BreakerConfig
 	// Clock drives backoff, hedging, and breaker cooldowns; tests pass
@@ -260,9 +274,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RequestTimeout == 0 {
 		o.RequestTimeout = 60 * time.Second
-	}
-	if o.MaxConcurrent <= 0 {
-		o.MaxConcurrent = 16
 	}
 	if o.Clock == nil {
 		o.Clock = resilience.RealClock()
@@ -483,7 +494,10 @@ func (c *Coordinator) postScan(ctx context.Context, url, service string, scanTim
 	return &sr, nil
 }
 
-// ScanAll fans a scan of every service out (at most MaxConcurrent in
+// maxConcurrent caps ScanAll's fan-out.
+const maxConcurrent = 16
+
+// ScanAll fans a scan of every service out (at most maxConcurrent in
 // flight) and merges the responses. Per-service errors never abort the
 // sweep, and a service only lands in Failed after its retry and
 // failover budget is spent: every failing service is recorded in the
@@ -500,7 +514,7 @@ func (c *Coordinator) ScanAllContext(ctx context.Context, services []string, sca
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	var scanErrs []error
-	sem := make(chan struct{}, c.opts.MaxConcurrent)
+	sem := make(chan struct{}, maxConcurrent)
 	for _, svc := range services {
 		wg.Add(1)
 		sem <- struct{}{}

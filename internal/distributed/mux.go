@@ -6,7 +6,7 @@ import (
 	"fbdetect/internal/obs"
 )
 
-// NewMux builds the full serving surface of a scan worker binary:
+// NewMux builds the scan and operator routes of a scan worker:
 //
 //	/scan           the Worker, wrapped in the standard HTTP middleware
 //	/metrics        Prometheus text format
@@ -31,8 +31,8 @@ func NewMux(w *Worker, reg *obs.Registry, tracer *obs.Tracer) *http.ServeMux {
 //	/profiles       raw pprof / folded-stack profiles folded into
 //	                per-subroutine gCPU points
 //
-// used by workers running with a durable data dir, where series arrive
-// over HTTP instead of from a CSV loaded at startup.
+// the full serving surface of fbdetect-worker, whose series arrive over
+// HTTP into its durable store.
 func NewIngestMux(w *Worker, ing *IngestHandler, prof *ProfilesHandler, reg *obs.Registry, tracer *obs.Tracer) *http.ServeMux {
 	mux := NewMux(w, reg, tracer)
 	mux.Handle("/ingest", obs.Middleware(reg, "/ingest", ing))

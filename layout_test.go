@@ -2,14 +2,19 @@ package fbdetect
 
 // Tests of the repository's layout: which packages a shipped binary
 // links, that DESIGN.md's module inventory names every internal package,
-// and that the README's knob inventory names every Config field.
+// that the README's knob inventory names every Config field, and that
+// its flag tables name every flag of the served binaries.
 
 import (
+	"go/ast"
 	"go/build"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -58,7 +63,7 @@ func TestImportGraph(t *testing.T) {
 	}{
 		{"cmd/fbdetect-server", "internal/controlplane",
 			append(experimentOnly, "internal/fleet", "internal/tracing")},
-		{"cmd/fbdetect-worker", "internal/distributed", experimentOnly},
+		{"cmd/fbdetect-worker", "internal/distributed", append(experimentOnly, simulators...)},
 		{".", "internal/core", append(simulators, "internal/egads",
 			"internal/experiments", "internal/evalharness")},
 	}
@@ -190,6 +195,90 @@ func TestConfigKnobsDocumented(t *testing.T) {
 	for r := range rows {
 		if _, ok := knobs[r]; !ok {
 			t.Errorf("the README's knob table names %s, which is not a Config field", r)
+		}
+	}
+}
+
+// binaryFlags returns the names of the flags main.go in dir defines
+// through flag.X("name", ...) calls.
+func binaryFlags(t *testing.T, dir string) []string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(dir, "main.go"), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+			return true
+		}
+		if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			name, err := strconv.Unquote(lit.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			names = append(names, name)
+		}
+		return true
+	})
+	return names
+}
+
+// The README section of each served binary has a flag table with
+// exactly one row per flag its main.go defines, and every row names one.
+func TestServedFlagsDocumented(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowRE := regexp.MustCompile("^ *`-([a-z-]+)` *$")
+	headingRE := regexp.MustCompile("\n##+ ")
+	for _, c := range []struct{ dir, section string }{
+		{"cmd/fbdetect-worker", "### Durability & recovery"},
+		{"cmd/fbdetect-server", "### Running the control plane"},
+	} {
+		_, section, ok := strings.Cut(string(readme), "\n"+c.section+"\n")
+		if !ok {
+			t.Fatalf("README.md has no %q section", c.section)
+		}
+		// The next heading ends the section; a "# comment" in a shell
+		// block does not.
+		if loc := headingRE.FindStringIndex(section); loc != nil {
+			section = section[:loc[0]]
+		}
+		rows := map[string]int{}
+		for _, line := range strings.Split(section, "\n") {
+			cells := strings.Split(line, "|")
+			if len(cells) < 3 {
+				continue
+			}
+			if m := rowRE.FindStringSubmatch(cells[1]); m != nil {
+				rows[m[1]]++
+			}
+		}
+		flags := binaryFlags(t, c.dir)
+		if len(flags) == 0 {
+			t.Fatalf("%s: found no flags", c.dir)
+		}
+		defined := map[string]bool{}
+		for _, f := range flags {
+			defined[f] = true
+			if rows[f] != 1 {
+				t.Errorf("%s flag -%s has %d rows in the README's %q flag table, want 1", c.dir, f, rows[f], c.section)
+			}
+		}
+		for r := range rows {
+			if !defined[r] {
+				t.Errorf("the README's %q flag table names -%s, which %s does not define", c.section, r, c.dir)
+			}
 		}
 	}
 }

@@ -49,13 +49,13 @@ scan() { # port outfile — normalizes the self-reported worker name
 echo "== starting control and crash workers"
 start_control_worker() {
     "$WORK/worker" -listen "127.0.0.1:$CONTROL_PORT" -data-dir "$WORK/control" \
-        -wal-sync always -hours $HOURS &>>"$WORK/control.log" &
+        -wal-sync always &>>"$WORK/control.log" &
     CONTROL_PID=$!
 }
 start_control_worker
 start_crash_worker() {
     "$WORK/worker" -listen "127.0.0.1:$CRASH_PORT" -data-dir "$WORK/crash" \
-        -wal-sync always -fsync-delay 40ms -hours $HOURS &>>"$WORK/crash.log" &
+        -wal-sync always -fsync-delay 40ms &>>"$WORK/crash.log" &
     CRASH_PID=$!
     wait_up "$CRASH_PORT"
 }
