@@ -6,7 +6,7 @@
 //     series-quota and rate-limit enforced, durable via the WAL store
 //   - POST /profiles   — raw CPU profiles folded into gCPU series
 //   - POST /scan       — a detection scan of one tenant service
-//   - POST /operations — async jobs (backfill, sweep):
+//   - POST /operations — async jobs (backfill):
 //     202 + Location: /operations/{id}, poll honoring Retry-After
 //   - /admin/tenants   — tenant registration and listing, behind -admin-key
 //

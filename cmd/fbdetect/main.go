@@ -19,7 +19,6 @@ import (
 	"fbdetect/internal/obs"
 	"fbdetect/internal/pprofparse"
 	"fbdetect/internal/report"
-	"fbdetect/internal/resilience"
 	"fbdetect/internal/stacktrace"
 )
 
@@ -52,15 +51,9 @@ func main() {
 
 		// Coordinator mode: fan a sweep out over fbdetect-worker processes
 		// through the resilience layer instead of scanning locally.
-		workers        = flag.String("workers", "", "comma-separated worker base URLs; runs a distributed sweep instead of a local scan")
-		services       = flag.String("services", "fleetsim", "comma-separated services to sweep in -workers mode")
-		scanTimeFlag   = flag.String("scan-time", "", "RFC3339 scan time in -workers mode (default: simulated start + -hours)")
-		retryAttempts  = flag.Int("retry-attempts", 3, "per-worker scan attempts in -workers mode")
-		retryBase      = flag.Duration("retry-base", 50*time.Millisecond, "base retry backoff in -workers mode")
-		hedgeDelay     = flag.Duration("hedge-delay", 0, "duplicate a scan request not answered within this delay (0 = off)")
-		breakerTrip    = flag.Int("breaker-threshold", 5, "consecutive failures that trip a worker's circuit breaker")
-		breakerCool    = flag.Duration("breaker-cooldown", 30*time.Second, "how long a tripped breaker stays open")
-		requestTimeout = flag.Duration("request-timeout", 60*time.Second, "per-attempt scan request deadline")
+		workers      = flag.String("workers", "", "comma-separated worker base URLs; runs a distributed sweep instead of a local scan")
+		services     = flag.String("services", "fleetsim", "comma-separated services to sweep in -workers mode")
+		scanTimeFlag = flag.String("scan-time", "", "RFC3339 scan time in -workers mode (default: simulated start + -hours)")
 	)
 	flag.Parse()
 	if *version {
@@ -69,16 +62,7 @@ func main() {
 	}
 
 	if *workers != "" {
-		runCoordinator(*workers, *services, *scanTimeFlag, *hours, distributed.Options{
-			Retry: resilience.Policy{
-				MaxAttempts: *retryAttempts, BaseDelay: *retryBase,
-			},
-			HedgeDelay:     *hedgeDelay,
-			RequestTimeout: *requestTimeout,
-			Breaker: resilience.BreakerConfig{
-				FailureThreshold: *breakerTrip, Cooldown: *breakerCool,
-			},
-		})
+		runCoordinator(*workers, *services, *scanTimeFlag, *hours)
 		return
 	}
 	if *input != "" {
@@ -204,10 +188,10 @@ func main() {
 }
 
 // runCoordinator sweeps services across remote fbdetect-worker processes
-// with retries, breaker-gated failover, and optional hedging, then
-// prints the merged report. Partial failures do not abort the sweep;
-// services that stayed failed after every avenue are listed.
-func runCoordinator(workerList, serviceList, scanTimeStr string, hours int, opts distributed.Options) {
+// with retries and breaker-gated failover, then prints the merged
+// report. Partial failures do not abort the sweep; services that stayed
+// failed after every avenue are listed.
+func runCoordinator(workerList, serviceList, scanTimeStr string, hours int) {
 	urls := splitNonEmpty(workerList)
 	services := splitNonEmpty(serviceList)
 	if len(urls) == 0 || len(services) == 0 {
@@ -221,7 +205,7 @@ func runCoordinator(workerList, serviceList, scanTimeStr string, hours int, opts
 		check(err)
 	}
 
-	coord, err := distributed.NewCoordinatorWithOptions(urls, nil, opts)
+	coord, err := distributed.NewCoordinator(urls, nil)
 	check(err)
 	fmt.Printf("sweeping %d service(s) over %d worker(s) at %s ...\n",
 		len(services), len(urls), scanTime.Format(time.RFC3339))

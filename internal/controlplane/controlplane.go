@@ -3,7 +3,7 @@
 // namespacing of metric series into the shared sharded TSDB, per-tenant
 // quotas and token-bucket rate limits on the data plane
 // (/ingest, /profiles, /scan), and an async-operation framework
-// (backfill, sweep) whose job state is journaled through the WAL so
+// (backfill) whose job state is journaled through the WAL so
 // in-flight operations survive a SIGKILL. Every tenant's points and
 // scans run on the server's own store and its embedded
 // distributed.Worker; the server drives no worker ring.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -344,13 +345,12 @@ func TestOperationValidation(t *testing.T) {
 	if rr.Code != http.StatusBadRequest {
 		t.Errorf("bad json = %d, want 400", rr.Code)
 	}
-	// A sweep of a service the tenant never wrote fails terminally, not
-	// silently.
+	// A backfill its runner rejects fails terminally, not silently.
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	cli := &Client{Base: srv.URL, Key: tn.Key}
-	_, loc, err := cli.SubmitOperation(context.Background(), OpKindSweep,
-		sweepParams{Service: "never-written"})
+	_, loc, err := cli.SubmitOperation(context.Background(), OpKindBackfill,
+		backfillParams{Service: "web", Metric: "cpu", Count: 0})
 	if err != nil {
 		t.Fatalf("SubmitOperation: %v", err)
 	}
@@ -358,7 +358,7 @@ func TestOperationValidation(t *testing.T) {
 	defer cancel()
 	done, err := cli.WaitOperation(ctx, loc)
 	if done == nil || done.Status != OpFailed {
-		t.Fatalf("sweep of an unknown service: op %+v err %v, want failed terminal state", done, err)
+		t.Fatalf("backfill of zero points: op %+v err %v, want failed terminal state", done, err)
 	}
 	if !resilience.IsPermanent(err) {
 		t.Errorf("failed op error should be Permanent, got %v", err)
@@ -579,50 +579,56 @@ func TestAdminAPI(t *testing.T) {
 	}
 }
 
-func TestSweepOperation(t *testing.T) {
+// TestOperationsDoNotConsumeAlerts: the pipeline reports a regression
+// once and mutes every later scan that sees it, so an operation that
+// scanned a tenant's service would file the tenant's alert where no one
+// reads it. After an operation request naming the service, accepted or
+// refused, the tenant's /scan still reports the regression.
+func TestOperationsDoNotConsumeAlerts(t *testing.T) {
 	s, clk := newTestServer(t, nil)
 	tn := register(t, s, "team-a", Quotas{})
 
-	// Seed a series with a clear step so the sweep has something to
-	// count at low thresholds.
+	// 12 h of minutely N(100, 1) points, +10 from 2 h before the scan.
 	now := clk.Now()
-	start := now.Add(-6 * time.Hour)
-	var b strings.Builder
-	for i := 0; i < 360; i++ {
-		v := 100.0
-		if i >= 270 {
-			v = 120.0
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]float64, 720)
+	for i := range vals {
+		vals[i] = 100 + rng.NormFloat64()
+		if i >= len(vals)-120 {
+			vals[i] += 10
 		}
-		fmt.Fprintf(&b, `{"metric":%q,"time":%q,"value":%g}`+"\n",
-			tsdb.ID("web", "host0", "lat"), start.Add(time.Duration(i)*time.Minute).Format(time.RFC3339), v)
 	}
-	if rr := doJSON(s, "POST", "/ingest", tn.Key, b.String()); rr.Code != http.StatusOK {
+	if rr := doJSON(s, "POST", "/ingest", tn.Key,
+		ingestBody("web", "host0", "cpu", now.Add(-12*time.Hour), time.Minute, vals...)); rr.Code != http.StatusOK {
 		t.Fatalf("ingest = %d: %s", rr.Code, rr.Body)
 	}
 
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	cli := &Client{Base: srv.URL, Key: tn.Key}
-	_, loc, err := cli.SubmitOperation(context.Background(), OpKindSweep, sweepParams{
-		Service: "web", ScanTime: now, Thresholds: []float64{0.001, 0.5},
-	})
-	if err != nil {
+	_, loc, err := cli.SubmitOperation(context.Background(), "sweep",
+		map[string]any{"service": "web", "scan_time": now})
+	if err == nil {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if _, err := cli.WaitOperation(ctx, loc); err != nil {
+			t.Fatalf("WaitOperation: %v", err)
+		}
+	} else if !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "unknown operation kind") {
+		t.Fatalf("sweep submission = %v, want accepted or 400 unknown operation kind", err)
+	}
+
+	rr := doJSON(s, "POST", "/scan", tn.Key,
+		fmt.Sprintf(`{"service":"web","scan_time":%q}`, now.Format(time.RFC3339)))
+	if rr.Code != http.StatusOK {
+		t.Fatalf("scan = %d: %s", rr.Code, rr.Body)
+	}
+	var resp distributed.ScanResponse
+	if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	done, err := cli.WaitOperation(ctx, loc)
-	if err != nil {
-		t.Fatalf("WaitOperation: %v", err)
-	}
-	var result struct {
-		Curve []sweepPoint `json:"curve"`
-	}
-	if err := json.Unmarshal(done.Result, &result); err != nil || len(result.Curve) != 2 {
-		t.Fatalf("sweep result %s (err %v), want 2-rung curve", done.Result, err)
-	}
-	if result.Curve[0].Reported < result.Curve[1].Reported {
-		t.Errorf("floor curve not monotone: %+v", result.Curve)
+	if len(resp.Reported) != 1 {
+		t.Errorf("scan after a sweep reported %d regressions, want 1 (funnel %+v)", len(resp.Reported), resp.Funnel)
 	}
 }
 

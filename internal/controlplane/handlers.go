@@ -154,29 +154,24 @@ func (s *Server) serveProfiles(w http.ResponseWriter, r *http.Request) {
 // serveScan runs a pipeline scan of one tenant service through the
 // worker's own /scan lifecycle. The service name is namespaced before it
 // reaches the pipeline, so a tenant can only ever scan (or learn the
-// existence of) its own series.
+// existence of) its own series, and the namespace is stripped from the
+// response.
 func (s *Server) serveScan(w http.ResponseWriter, r *http.Request) {
 	st := tenantOf(r)
 	s.rateLimit(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.worker.ServeScan(w, r, func(ctx context.Context, service string, scanTime time.Time) (*distributed.ScanResponse, error) {
-			return s.scanTenantService(ctx, st, service, scanTime)
+			resp, err := s.worker.Scan(ctx, namespaceService(st.ID, service), scanTime)
+			if err != nil {
+				return nil, err
+			}
+			for i := range resp.Reported {
+				r := &resp.Reported[i]
+				r.Service = unnamespaceService(st.ID, r.Service)
+				r.Metric = strings.Replace(r.Metric, namespaceService(st.ID, ""), "", 1)
+			}
+			return resp, nil
 		})
 	})).ServeHTTP(w, r)
-}
-
-// scanTenantService scans one tenant service through the shared worker
-// (serialized on its mutex) and strips the namespace from the response.
-func (s *Server) scanTenantService(ctx context.Context, st *tenantState, service string, scanTime time.Time) (*distributed.ScanResponse, error) {
-	resp, err := s.worker.Scan(ctx, namespaceService(st.ID, service), scanTime)
-	if err != nil {
-		return nil, err
-	}
-	for i := range resp.Reported {
-		r := &resp.Reported[i]
-		r.Service = unnamespaceService(st.ID, r.Service)
-		r.Metric = strings.Replace(r.Metric, namespaceService(st.ID, ""), "", 1)
-	}
-	return resp, nil
 }
 
 // opParams is the POST /operations request body.

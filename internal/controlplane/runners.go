@@ -4,26 +4,19 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
-	"sort"
 	"time"
 
 	"fbdetect/internal/tsdb"
 )
 
-// Built-in operation kinds.
-const (
-	// OpKindBackfill writes a deterministic synthetic series (optionally
-	// with a step change) through the tenant's quota-enforced store —
-	// the bulk-load path, and the crash drill's workhorse: its writes
-	// are idempotent TSDB appends, so a SIGKILL mid-backfill re-runs to
-	// the same final state.
-	OpKindBackfill = "backfill"
-	// OpKindSweep scans one tenant service and reports, for a ladder of
-	// thresholds, how many regressions each floor would surface — the
-	// floor-curve sweep used to pick a deployment threshold.
-	OpKindSweep = "sweep"
-)
+// OpKindBackfill, the one operation kind, writes a deterministic
+// synthetic series (optionally with a step change) through the tenant's
+// quota-enforced store — the bulk-load path, and the crash drill's
+// workhorse: its writes are idempotent TSDB appends, so a SIGKILL
+// mid-backfill re-runs to the same final state. No operation scans: a
+// scan files what it reports in the pipeline's cross-scan memory, so
+// its report must go to the caller of /scan and nowhere else.
+const OpKindBackfill = "backfill"
 
 // Backfill abuse bounds: one operation may not write more points or
 // sleep longer per batch than these, so a hostile (or fuzzed) request
@@ -33,10 +26,9 @@ const (
 	maxBackfillThrottleMS = 10_000
 )
 
-// registerRunners installs the built-in operation kinds.
+// registerRunners installs the built-in operation kind.
 func (s *Server) registerRunners() {
 	s.queue.register(OpKindBackfill, s.runBackfill)
-	s.queue.register(OpKindSweep, s.runSweep)
 }
 
 // backfillParams parameterizes one backfill operation.
@@ -145,61 +137,5 @@ func (s *Server) runBackfill(ctx context.Context, op *Operation) (json.RawMessag
 		"series":  string(id),
 		"start":   start.UTC().Format(time.RFC3339),
 		"end":     start.Add(time.Duration(p.Count-1) * step).UTC().Format(time.RFC3339),
-	})
-}
-
-// sweepParams parameterizes one floor-curve sweep.
-type sweepParams struct {
-	Service    string    `json:"service"`
-	ScanTime   time.Time `json:"scan_time"`
-	Thresholds []float64 `json:"thresholds"`
-}
-
-// sweepPoint is one rung of the resulting floor curve.
-type sweepPoint struct {
-	Threshold float64 `json:"threshold"`
-	Reported  int     `json:"reported"`
-}
-
-// runSweep scans the tenant's service once (through the shared worker,
-// serialized with HTTP /scan on the pipeline mutex) and counts how many
-// reported regressions clear each candidate threshold.
-func (s *Server) runSweep(ctx context.Context, op *Operation) (json.RawMessage, error) {
-	var p sweepParams
-	if err := json.Unmarshal(op.Params, &p); err != nil {
-		return nil, fmt.Errorf("bad sweep params: %w", err)
-	}
-	if p.Service == "" {
-		return nil, fmt.Errorf("sweep requires service")
-	}
-	if p.ScanTime.IsZero() {
-		p.ScanTime = s.now()
-	}
-	if len(p.Thresholds) == 0 {
-		p.Thresholds = []float64{0.0005, 0.001, 0.005, 0.01, 0.05}
-	}
-	st := s.tenants.get(op.Tenant)
-	if st == nil {
-		return nil, fmt.Errorf("tenant %s no longer exists", op.Tenant)
-	}
-	resp, err := s.scanTenantService(ctx, st, p.Service, p.ScanTime)
-	if err != nil {
-		return nil, err
-	}
-	sort.Float64s(p.Thresholds)
-	curve := make([]sweepPoint, len(p.Thresholds))
-	for i, th := range p.Thresholds {
-		n := 0
-		for _, r := range resp.Reported {
-			if math.Abs(r.Relative) >= th {
-				n++
-			}
-		}
-		curve[i] = sweepPoint{Threshold: th, Reported: n}
-	}
-	return json.Marshal(map[string]any{
-		"service": p.Service,
-		"curve":   curve,
-		"funnel":  resp.Funnel,
 	})
 }

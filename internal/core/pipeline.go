@@ -290,9 +290,10 @@ func (p *Pipeline) Scan(service string, scanTime time.Time) (*ScanResult, error)
 
 // ScanContext is Scan with a caller-controlled context, checked between
 // series and once more before the SameRegressionMerger records anything:
-// when a coordinator cancels a scan (its hedged twin won, or the sweep
-// was aborted) the worker stops burning CPU on an answer nobody will
-// read, without leaving state that would make a retry miss regressions.
+// when a coordinator cancels a scan (its attempt deadline passed, or the
+// sweep was aborted) the worker stops burning CPU on an answer nobody
+// will read, without leaving state that would make a retry miss
+// regressions.
 //
 // A scan is two halves: detectService runs the per-metric detection
 // stages, which touch no cross-scan state, and finalizeService the

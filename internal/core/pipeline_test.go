@@ -321,8 +321,8 @@ func TestScanConcurrencyDeterministic(t *testing.T) {
 
 func TestScanContextCanceled(t *testing.T) {
 	// A canceled context stops the scan instead of producing results: the
-	// distributed worker relies on this to abandon work when a hedged twin
-	// already answered.
+	// distributed worker relies on this to abandon work whose caller has
+	// given up.
 	tree := pipelineTree(t)
 	svc := pipelineService(t, tree, 23)
 	db := tsdb.New(time.Minute)

@@ -81,8 +81,6 @@ const (
 	MetricCoordScanSeconds  = "fbdetect_coordinator_scan_duration_seconds"
 	MetricCoordRetries      = "fbdetect_coordinator_retries_total"
 	MetricCoordFailovers    = "fbdetect_coordinator_failovers_total"
-	MetricCoordHedges       = "fbdetect_coordinator_hedges_total"
-	MetricCoordHedgeWins    = "fbdetect_coordinator_hedge_wins_total"
 	MetricCoordBreakerSkips = "fbdetect_coordinator_breaker_skips_total"
 )
 
@@ -201,18 +199,19 @@ func (w *Worker) ServeScan(rw http.ResponseWriter, req *http.Request, scan ScanF
 var ErrUnknownService = errors.New("distributed: unknown service")
 
 // Scan runs one worker-local pipeline scan. ServeHTTP is its HTTP form;
-// in-process callers like the control plane's async sweep jobs call it
-// directly and share the pipeline mutex with the HTTP surface.
+// the control plane's tenant /scan calls it directly and shares the
+// pipeline mutex with the HTTP surface.
 func (w *Worker) Scan(ctx context.Context, service string, scanTime time.Time) (*ScanResponse, error) {
 	if !w.pipeline.HasService(service) {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownService, service)
 	}
 	scanStart := time.Now()
 	w.mu.Lock()
-	// ctx flows into the pipeline: when the coordinator cancels (a hedged
-	// twin won, or the sweep was aborted) the scan stops between series,
-	// or before the merger records anything; past that point it runs to
-	// completion rather than leave candidates undecided.
+	// ctx flows into the pipeline: when the caller gives up (the
+	// coordinator's attempt deadline passed, or its sweep was aborted)
+	// the scan stops between series, or before the merger records
+	// anything; past that point it runs to completion rather than leave
+	// candidates undecided.
 	res, err := w.pipeline.ScanContext(ctx, service, scanTime)
 	w.mu.Unlock()
 	if err != nil {
@@ -245,54 +244,31 @@ func (w *Worker) wireResponse(res *core.ScanResult) ScanResponse {
 	return resp
 }
 
-// Options tunes the coordinator's resilience layer. Zero fields take
-// defaults.
-type Options struct {
-	// Retry is the per-worker retry budget for transient failures
-	// (network errors, 5xx, 429; default resilience.DefaultPolicy).
-	Retry resilience.Policy
-	// HedgeDelay, when positive, launches a duplicate request against
-	// the same worker if the first hasn't answered within the delay —
-	// the tail-latency defense for slow shards. 0 disables hedging.
-	HedgeDelay time.Duration
-	// RequestTimeout bounds each individual scan attempt (default 60s;
-	// a worker-local scan of a big service is seconds of work).
-	RequestTimeout time.Duration
-	// Breaker configures the per-worker circuit breakers.
-	Breaker resilience.BreakerConfig
-	// Clock drives backoff, hedging, and breaker cooldowns; tests pass
-	// a resilience.FakeClock so nothing really sleeps.
-	Clock resilience.Clock
-	// Seed feeds the jitter rng, so backoff schedules are reproducible.
-	Seed int64
-}
-
-// withDefaults fills zero fields.
-func (o Options) withDefaults() Options {
-	if o.Retry.MaxAttempts == 0 {
-		o.Retry = resilience.DefaultPolicy()
-	}
-	if o.RequestTimeout == 0 {
-		o.RequestTimeout = 60 * time.Second
-	}
-	if o.Clock == nil {
-		o.Clock = resilience.RealClock()
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
+// The coordinator's resilience settings. Transient failures (network
+// errors, 5xx, 429) retry under resilience.DefaultPolicy; each attempt
+// gets requestTimeout, since a worker-local scan of a big service is
+// seconds of work; a worker's breaker trips after breakerThreshold
+// consecutive failures and admits a half-open probe after
+// breakerCooldown; jitterSeed makes the backoff schedule reproducible.
+const (
+	requestTimeout   = 60 * time.Second
+	breakerThreshold = 5
+	breakerCooldown  = 30 * time.Second
+	jitterSeed       = 1
+)
 
 // Coordinator assigns services to workers by consistent hash and fans
 // scans out over HTTP through a resilience layer: retry with backoff
-// and jitter for transient failures, a circuit breaker per worker,
-// failover to ring peers in breaker order, and optional hedged
-// requests — a service only lands in Failed once every avenue is spent.
+// and jitter for transient failures, a circuit breaker per worker, and
+// failover to ring peers in breaker order — a service only lands in
+// Failed once every avenue is spent. Each attempt is one request: a
+// worker's pipeline reports a regression once, so the response to the
+// request that found it is the only copy. A retry of an attempt that
+// failed after the worker scanned (the deadline passed, or the
+// connection reset mid-response) re-scans and reports nothing new.
 type Coordinator struct {
 	workers []*worker // fixed at construction, in hash-ring order
 	client  *http.Client
-	opts    Options
 	retry   *resilience.Retryer
 
 	// metric handles; nil-safe when uninstrumented
@@ -301,8 +277,6 @@ type Coordinator struct {
 	duration     *obs.Histogram
 	retries      *obs.Counter
 	failovers    *obs.Counter
-	hedges       *obs.Counter
-	hedgeWins    *obs.Counter
 	breakerSkips *obs.Counter
 }
 
@@ -322,10 +296,6 @@ func (c *Coordinator) Instrument(reg *obs.Registry) {
 		"Scan attempts retried after a transient failure.", nil)
 	c.failovers = reg.NewCounter(MetricCoordFailovers,
 		"Scans that succeeded on a worker other than the hash-owned primary.", nil)
-	c.hedges = reg.NewCounter(MetricCoordHedges,
-		"Hedged (duplicate) requests launched against slow workers.", nil)
-	c.hedgeWins = reg.NewCounter(MetricCoordHedgeWins,
-		"Hedged requests that answered before the original.", nil)
 	c.breakerSkips = reg.NewCounter(MetricCoordBreakerSkips,
 		"Worker attempts skipped because the circuit breaker was open.", nil)
 	for _, w := range c.workers {
@@ -334,49 +304,37 @@ func (c *Coordinator) Instrument(reg *obs.Registry) {
 }
 
 // NewCoordinator returns a coordinator over the given worker base URLs
-// (e.g. "http://10.0.0.1:8080") with default Options. client may be nil
-// (http.DefaultClient).
+// (e.g. "http://10.0.0.1:8080"). client may be nil (http.DefaultClient).
+// The worker list is fixed for the coordinator's life; its order is the
+// hash ring's.
 func NewCoordinator(workerURLs []string, client *http.Client) (*Coordinator, error) {
-	return NewCoordinatorWithOptions(workerURLs, client, Options{})
+	return newCoordinator(workerURLs, client, resilience.RealClock())
 }
 
-// NewCoordinatorWithOptions returns a coordinator with explicit
-// resilience options (zero fields take defaults). The worker list is
-// fixed for the coordinator's life; its order is the hash ring's.
-func NewCoordinatorWithOptions(workerURLs []string, client *http.Client, opts Options) (*Coordinator, error) {
+// newCoordinator is NewCoordinator on clock, which drives backoff and
+// breaker cooldowns; tests pass a resilience.FakeClock so nothing
+// really sleeps.
+func newCoordinator(workerURLs []string, client *http.Client, clock resilience.Clock) (*Coordinator, error) {
 	if len(workerURLs) == 0 {
 		return nil, fmt.Errorf("distributed: at least one worker required")
 	}
 	if client == nil {
 		client = http.DefaultClient
 	}
-	opts = opts.withDefaults()
 	c := &Coordinator{
 		client: client,
-		opts:   opts,
-		retry:  resilience.NewRetryer(opts.Retry, opts.Clock, opts.Seed),
+		retry:  resilience.NewRetryer(resilience.DefaultPolicy(), clock, jitterSeed),
 	}
+	breaker := resilience.BreakerConfig{FailureThreshold: breakerThreshold, Cooldown: breakerCooldown}
 	for _, u := range workerURLs {
-		c.workers = append(c.workers, &worker{url: u, breaker: resilience.NewBreaker(opts.Breaker, opts.Clock)})
+		c.workers = append(c.workers, &worker{url: u, breaker: resilience.NewBreaker(breaker, clock)})
 	}
 	c.retry.OnRetry = func(int, time.Duration, error) { c.retries.Inc() }
 	return c, nil
 }
 
-// WorkerFor returns the worker URL owning a service. Assignment is stable
-// for a fixed worker list, so a service's cross-scan deduplication state
-// stays on one worker.
-func (c *Coordinator) WorkerFor(service string) string {
-	return c.workers[c.owner(service)].url
-}
-
-// Scan sends one service's scan to its owning worker, with retries,
-// breaker gating, and failover to ring peers.
-func (c *Coordinator) Scan(service string, scanTime time.Time) (*ScanResponse, error) {
-	return c.ScanContext(context.Background(), service, scanTime)
-}
-
-// ScanContext is Scan with a caller-controlled context.
+// ScanContext sends one service's scan to its owning worker, with
+// retries, breaker gating, and failover to ring peers.
 func (c *Coordinator) ScanContext(ctx context.Context, service string, scanTime time.Time) (*ScanResponse, error) {
 	c.scans.Inc()
 	start := time.Now()
@@ -418,12 +376,11 @@ func (c *Coordinator) scanFailover(ctx context.Context, service string, scanTime
 	return nil, errors.Join(errs...)
 }
 
-// scanWorker runs the retry/hedge loop against one worker, feeding
-// every attempt's outcome into the worker's breaker. An attempt whose
-// own context is done — a hedge's loser, or a scan its caller canceled
-// — records nothing.
+// scanWorker runs the retry loop against one worker, feeding every
+// attempt's outcome into the worker's breaker. An attempt whose own
+// context is done — a scan its caller canceled — records nothing.
 func (c *Coordinator) scanWorker(ctx context.Context, w *worker, service string, scanTime time.Time) (*ScanResponse, error) {
-	attempt := func(ctx context.Context) (*ScanResponse, error) {
+	return resilience.Do(ctx, c.retry, func(ctx context.Context) (*ScanResponse, error) {
 		// Re-check between retries: this worker's own failures may have
 		// tripped the breaker, in which case failover beats persistence.
 		if w.breaker.State() == resilience.StateOpen {
@@ -438,21 +395,7 @@ func (c *Coordinator) scanWorker(ctx context.Context, w *worker, service string,
 			w.breaker.Failure()
 		}
 		return resp, err
-	}
-	do := attempt
-	if c.opts.HedgeDelay > 0 {
-		do = func(ctx context.Context) (*ScanResponse, error) {
-			v, stats, err := resilience.Hedge(ctx, c.opts.Clock, c.opts.HedgeDelay, attempt)
-			if stats.Launched {
-				c.hedges.Inc()
-			}
-			if stats.Won {
-				c.hedgeWins.Inc()
-			}
-			return v, err
-		}
-	}
-	return resilience.Do(ctx, c.retry, do)
+	})
 }
 
 // postScan issues one /scan POST with the per-attempt deadline. Non-200
@@ -463,11 +406,8 @@ func (c *Coordinator) postScan(ctx context.Context, url, service string, scanTim
 	if err != nil {
 		return nil, resilience.Permanent(err)
 	}
-	if c.opts.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.opts.RequestTimeout)
-		defer cancel()
-	}
+	ctx, cancel := context.WithTimeout(ctx, requestTimeout)
+	defer cancel()
 	target := url + "/scan"
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target, bytes.NewReader(body))
 	if err != nil {

@@ -1,6 +1,7 @@
 package distributed
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -66,6 +67,11 @@ func buildWorker(t *testing.T, name, service string, seed int64, inject bool) (*
 	return NewWorker(name, p), end
 }
 
+// ownerURL returns the URL of the worker that owns service on c's ring.
+func ownerURL(c *Coordinator, service string) string {
+	return c.workers[c.owner(service)].url
+}
+
 func TestWorkerScanOverHTTP(t *testing.T) {
 	w, end := buildWorker(t, "w1", "svc-a", 1, true)
 	srv := httptest.NewServer(w)
@@ -75,7 +81,7 @@ func TestWorkerScanOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := coord.Scan("svc-a", end)
+	resp, err := coord.ScanContext(context.Background(), "svc-a", end)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,16 +158,16 @@ func TestCoordinatorShardsAndMerges(t *testing.T) {
 		return c
 	}
 	coord := newCoord(srvA.URL, srvB.URL)
-	// WorkerFor is hash-based; find which URL svc-a hashes to, and build
+	// Ownership is hash-based; find which URL svc-a hashes to, and build
 	// the worker list so the hash routes correctly.
-	if coord.WorkerFor("svc-a") != srvA.URL {
+	if ownerURL(coord, "svc-a") != srvA.URL {
 		// Rebuild workers so svc-a lands on srvA and svc-b on the other.
 		coord = newCoord(srvB.URL, srvA.URL)
-		if coord.WorkerFor("svc-a") != srvA.URL {
+		if ownerURL(coord, "svc-a") != srvA.URL {
 			t.Skip("hash routes both services to one worker in this configuration")
 		}
 	}
-	if coord.WorkerFor("svc-b") == srvA.URL {
+	if ownerURL(coord, "svc-b") == srvA.URL {
 		// svc-b must go to wb for the data to exist; if the hash disagrees
 		// the deployment would co-locate them — emulate by skipping.
 		t.Skip("hash co-locates services; routing exercised in TestWorkerScanOverHTTP")
@@ -197,9 +203,9 @@ func TestCoordinatorStableAssignment(t *testing.T) {
 	}
 	// "beta" and "gamma" hash to 2³¹ or above.
 	for _, svc := range []string{"frontfaas", "beta", "gamma"} {
-		first := coord.WorkerFor(svc)
+		first := ownerURL(coord, svc)
 		for i := 0; i < 10; i++ {
-			if coord.WorkerFor(svc) != first {
+			if ownerURL(coord, svc) != first {
 				t.Fatalf("assignment of %q not stable", svc)
 			}
 		}
@@ -211,7 +217,7 @@ func TestCoordinatorWorkerDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := coord.Scan("svc", t0); err == nil {
+	if _, err := coord.ScanContext(context.Background(), "svc", t0); err == nil {
 		t.Error("dead worker should error")
 	}
 	merged, err := coord.ScanAll([]string{"svc"}, t0)

@@ -1,6 +1,7 @@
 package distributed
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -79,7 +80,7 @@ func TestWorkerMetricsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord.Instrument(reg)
-	resp, err := coord.Scan("svc-a", end)
+	resp, err := coord.ScanContext(context.Background(), "svc-a", end)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,17 +260,17 @@ func TestScanAllAggregatesErrors(t *testing.T) {
 		return c
 	}
 	coord := newCoord(srv.URL, dead)
-	if coord.WorkerFor("svc-a") != srv.URL {
+	if ownerURL(coord, "svc-a") != srv.URL {
 		coord = newCoord(dead, srv.URL)
 	}
-	if coord.WorkerFor("svc-a") != srv.URL {
+	if ownerURL(coord, "svc-a") != srv.URL {
 		t.Fatal("cannot route svc-a to the live worker")
 	}
 	// Find two service names that hash to the dead worker.
 	var deadSvcs []string
 	for i := 0; len(deadSvcs) < 2 && i < 1000; i++ {
 		name := fmt.Sprintf("ghost-%d", i)
-		if coord.WorkerFor(name) == dead {
+		if ownerURL(coord, name) == dead {
 			deadSvcs = append(deadSvcs, name)
 		}
 	}

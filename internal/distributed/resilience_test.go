@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -35,7 +34,7 @@ func mustHost(t *testing.T, rawurl string) string {
 	return u.Host
 }
 
-// ownerIndex mirrors Coordinator.WorkerFor's hash so tests can place
+// ownerIndex mirrors Coordinator.owner's hash so tests can place
 // services before any coordinator exists.
 func ownerIndex(service string, workers int) int {
 	h := fnv.New32a()
@@ -104,9 +103,7 @@ func TestScanAllRetriesTransientFaults(t *testing.T) {
 	clock := resilience.NewFakeClock(t0).AutoAdvance()
 	ft := resilience.NewFaultTransport(1, nil, nil).
 		FailFirst(mustHost(t, srv.URL), 2, http.StatusInternalServerError)
-	coord, err := NewCoordinatorWithOptions([]string{srv.URL}, &http.Client{Transport: ft}, Options{
-		Clock: clock, Seed: 7,
-	})
+	coord, err := newCoordinator([]string{srv.URL}, &http.Client{Transport: ft}, clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +137,7 @@ func TestScanAllRetriesTransientFaults(t *testing.T) {
 	if got := metricValue(t, m, fmt.Sprintf(`%s{worker=%q}`, MetricBreakerFailures, srv.URL)); got != 2 {
 		t.Errorf("breaker failures = %v, want 2", got)
 	}
-	// Two failures are under the default threshold: still closed.
+	// Two failures are under breakerThreshold: still closed.
 	if got := metricValue(t, m, fmt.Sprintf(`%s{worker=%q}`, MetricBreakerState, srv.URL)); got != 0 {
 		t.Errorf("breaker state = %v, want 0 (closed)", got)
 	}
@@ -150,8 +147,9 @@ func TestScanAllRetriesTransientFaults(t *testing.T) {
 }
 
 // TestScanFailsOverToHealthyPeer drops every request to the hash-owned
-// primary: the retry budget is spent there, then the service lands on
-// the replica peer and the failover counter says so.
+// primary: the retry budget is spent there (under breakerThreshold, so
+// every attempt is sent), then the service lands on the replica peer
+// and the failover counter says so.
 func TestScanFailsOverToHealthyPeer(t *testing.T) {
 	wa, end := buildWorker(t, "wa", "svc-f", 5, false)
 	wb, _ := buildWorker(t, "wb", "svc-f", 6, false)
@@ -172,26 +170,23 @@ func TestScanFailsOverToHealthyPeer(t *testing.T) {
 	ft := resilience.NewFaultTransport(1, nil, nil).Rule(resilience.FaultRule{
 		Host: mustHost(t, primary), Action: resilience.FaultAction{Drop: true},
 	})
-	coord, err := NewCoordinatorWithOptions(urls, &http.Client{Transport: ft}, Options{
-		Retry: resilience.Policy{MaxAttempts: 2, BaseDelay: 10 * time.Millisecond,
-			MaxDelay: 100 * time.Millisecond, Multiplier: 2, Jitter: 0.5},
-		Clock: clock, Seed: 2,
-	})
+	coord, err := newCoordinator(urls, &http.Client{Transport: ft}, clock)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
 	coord.Instrument(reg)
+	attempts := resilience.DefaultPolicy().MaxAttempts
 
-	resp, err := coord.Scan("svc-f", end)
+	resp, err := coord.ScanContext(context.Background(), "svc-f", end)
 	if err != nil {
 		t.Fatalf("Scan with dead primary = %v, want failover success", err)
 	}
 	if resp.Worker != names[peer] {
 		t.Errorf("served by %q, want peer %q", resp.Worker, names[peer])
 	}
-	if got := ft.Requests(mustHost(t, primary)); got != 2 {
-		t.Errorf("primary saw %d attempts, want 2 (retry budget)", got)
+	if got := ft.Requests(mustHost(t, primary)); got != attempts {
+		t.Errorf("primary saw %d attempts, want %d (retry budget)", got, attempts)
 	}
 	if got := ft.Requests(mustHost(t, peer)); got != 1 {
 		t.Errorf("peer saw %d attempts, want 1", got)
@@ -199,17 +194,19 @@ func TestScanFailsOverToHealthyPeer(t *testing.T) {
 	if got := reg.NewCounter(MetricCoordFailovers, "", nil).Value(); got != 1 {
 		t.Errorf("failovers = %v, want 1", got)
 	}
-	if got := reg.NewCounter(MetricCoordRetries, "", nil).Value(); got != 1 {
-		t.Errorf("retries = %v, want 1", got)
+	if got := reg.NewCounter(MetricCoordRetries, "", nil).Value(); got != float64(attempts-1) {
+		t.Errorf("retries = %v, want %d", got, attempts-1)
 	}
-	if got := reg.NewCounter(MetricBreakerFailures, "", obs.Labels{"worker": primary}).Value(); got != 2 {
-		t.Errorf("primary breaker failures = %v, want 2", got)
+	if got := reg.NewCounter(MetricBreakerFailures, "", obs.Labels{"worker": primary}).Value(); got != float64(attempts) {
+		t.Errorf("primary breaker failures = %v, want %d", got, attempts)
 	}
 }
 
 // TestBreakerTripsSkipsAndReopens walks one worker's breaker through its
-// whole life: trip after the failure threshold, skip while open, a
-// half-open probe after cooldown, and re-open when the probe fails.
+// whole life: trip after breakerThreshold failures, skip while open, a
+// half-open probe after breakerCooldown, and re-open when the probe
+// fails. Once a retry loop's own failures trip the breaker, its
+// remaining attempts are not sent.
 func TestBreakerTripsSkipsAndReopens(t *testing.T) {
 	// The server is never reached: every request is dropped in transit.
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
@@ -217,36 +214,42 @@ func TestBreakerTripsSkipsAndReopens(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	clock := resilience.NewFakeClock(t0) // manual: MaxAttempts 1 never sleeps
+	clock := resilience.NewFakeClock(t0).AutoAdvance()
 	ft := resilience.NewFaultTransport(1, nil, nil).Rule(resilience.FaultRule{
 		Host: mustHost(t, srv.URL), Action: resilience.FaultAction{Drop: true},
 	})
-	coord, err := NewCoordinatorWithOptions([]string{srv.URL}, &http.Client{Transport: ft}, Options{
-		Retry: resilience.Policy{MaxAttempts: 1, BaseDelay: time.Millisecond,
-			MaxDelay: time.Millisecond, Multiplier: 1, Jitter: 0},
-		Breaker: resilience.BreakerConfig{FailureThreshold: 2, Cooldown: time.Minute},
-		Clock:   clock, Seed: 3,
-	})
+	coord, err := newCoordinator([]string{srv.URL}, &http.Client{Transport: ft}, clock)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
 	coord.Instrument(reg)
+	ctx := context.Background()
 	stateGauge := func() float64 {
 		return reg.NewGauge(MetricBreakerState, "", obs.Labels{"worker": srv.URL}).Value()
 	}
 	transitions := func(to string) float64 {
 		return reg.NewCounter(MetricBreakerTransitions, "", obs.Labels{"worker": srv.URL, "to": to}).Value()
 	}
+	failures := func() float64 {
+		return reg.NewCounter(MetricBreakerFailures, "", obs.Labels{"worker": srv.URL}).Value()
+	}
 
-	// Two failures reach the threshold and trip the breaker.
-	for i := 0; i < 2; i++ {
-		if _, err := coord.Scan("svc", t0); err == nil {
+	// Failed scans, each a retry loop, reach the threshold and trip the
+	// breaker; the attempt after the trip is not sent.
+	for i := 0; stateGauge() != 2; i++ {
+		if i == breakerThreshold {
+			t.Fatalf("breaker state = %v after %d failed scans, want 2 (open)", stateGauge(), i)
+		}
+		if _, err := coord.ScanContext(ctx, "svc", t0); err == nil {
 			t.Fatalf("scan %d should fail: requests are dropped", i+1)
 		}
 	}
-	if got := stateGauge(); got != 2 {
-		t.Fatalf("breaker state = %v, want 2 (open)", got)
+	if got := failures(); got != breakerThreshold {
+		t.Errorf("breaker failures at the trip = %v, want %d", got, breakerThreshold)
+	}
+	if got := ft.Requests(mustHost(t, srv.URL)); got != breakerThreshold {
+		t.Errorf("requests sent = %d, want %d (none after the trip)", got, breakerThreshold)
 	}
 	if got := transitions("open"); got != 1 {
 		t.Errorf("open transitions = %v, want 1", got)
@@ -254,7 +257,7 @@ func TestBreakerTripsSkipsAndReopens(t *testing.T) {
 
 	// While open the worker is not even attempted.
 	before := ft.Requests(mustHost(t, srv.URL))
-	_, err = coord.Scan("svc", t0)
+	_, err = coord.ScanContext(ctx, "svc", t0)
 	if err == nil || !strings.Contains(err.Error(), "circuit open") {
 		t.Fatalf("open-breaker scan error = %v, want circuit open", err)
 	}
@@ -266,8 +269,9 @@ func TestBreakerTripsSkipsAndReopens(t *testing.T) {
 	}
 
 	// After the cooldown a half-open probe goes out; its failure re-opens.
-	clock.Advance(time.Minute)
-	if _, err := coord.Scan("svc", t0); err == nil {
+	clock.Advance(breakerCooldown)
+	before = ft.Requests(mustHost(t, srv.URL))
+	if _, err := coord.ScanContext(ctx, "svc", t0); err == nil {
 		t.Fatal("probe scan should fail: requests are still dropped")
 	}
 	if got := transitions("half_open"); got != 1 {
@@ -279,8 +283,11 @@ func TestBreakerTripsSkipsAndReopens(t *testing.T) {
 	if got := stateGauge(); got != 2 {
 		t.Errorf("breaker state = %v, want 2 (open again)", got)
 	}
-	if got := reg.NewCounter(MetricBreakerFailures, "", obs.Labels{"worker": srv.URL}).Value(); got != 3 {
-		t.Errorf("breaker failures = %v, want 3", got)
+	if got := ft.Requests(mustHost(t, srv.URL)) - before; got != 1 {
+		t.Errorf("half-open scan sent %d requests, want 1 (the probe)", got)
+	}
+	if got := failures(); got != breakerThreshold+1 {
+		t.Errorf("breaker failures = %v, want %d", got, breakerThreshold+1)
 	}
 }
 
@@ -306,15 +313,12 @@ func TestFailoverOrderBreakerOnly(t *testing.T) {
 		{"fleetsim", "http://a", []string{"http://b", "http://c", "http://a"}},
 		{"delta", "http://c", []string{"http://b", "http://a", "http://c"}},
 	} {
-		coord, err := NewCoordinatorWithOptions(urls, nil, Options{
-			Breaker: resilience.BreakerConfig{FailureThreshold: 1},
-			Clock:   resilience.NewFakeClock(t0),
-		})
+		coord, err := newCoordinator(urls, nil, resilience.NewFakeClock(t0))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range coord.workers {
-			if w.url == tc.tripped {
+			for i := 0; w.url == tc.tripped && i < breakerThreshold; i++ {
 				w.breaker.Failure()
 			}
 		}
@@ -325,82 +329,9 @@ func TestFailoverOrderBreakerOnly(t *testing.T) {
 		if !slices.Equal(got, tc.want) {
 			t.Errorf("candidates(%q) with %q open = %v, want %v", tc.service, tc.tripped, got, tc.want)
 		}
-		if owner := coord.WorkerFor(tc.service); tc.tripped == "" && owner != tc.want[0] {
-			t.Errorf("WorkerFor(%q) = %s, want %s", tc.service, owner, tc.want[0])
+		if owner := ownerURL(coord, tc.service); tc.tripped == "" && owner != tc.want[0] {
+			t.Errorf("owner of %q = %s, want %s", tc.service, owner, tc.want[0])
 		}
-	}
-}
-
-// TestScanHedgesSlowWorker hangs the first request: after HedgeDelay on
-// the fake clock a duplicate goes out, wins, and cancels the hung
-// original. No real time passes waiting on the slow request.
-func TestScanHedgesSlowWorker(t *testing.T) {
-	w, end := buildWorker(t, "w1", "svc-h", 8, false)
-	srv := httptest.NewServer(w)
-	defer srv.Close()
-
-	clock := resilience.NewFakeClock(t0) // manual: only the hedge timer waits
-	hung := make(chan struct{})
-	ft := resilience.NewFaultTransport(1, nil, nil).Rule(resilience.FaultRule{
-		Host: mustHost(t, srv.URL), Count: 1,
-		Action:  resilience.FaultAction{Hang: true},
-		OnApply: func(int) { close(hung) },
-	})
-	// The hedge goes out only once the original hangs, so the first
-	// request through the transport is the hung one; hungReturned closes
-	// when its round trip comes back canceled.
-	var requests atomic.Int32
-	hungReturned := make(chan struct{})
-	client := &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
-		first := requests.Add(1) == 1
-		resp, err := ft.RoundTrip(req)
-		if first {
-			close(hungReturned)
-		}
-		return resp, err
-	})}
-	coord, err := NewCoordinatorWithOptions([]string{srv.URL}, client, Options{
-		Retry: resilience.Policy{MaxAttempts: 1, BaseDelay: time.Millisecond,
-			MaxDelay: time.Millisecond, Multiplier: 1, Jitter: 0},
-		HedgeDelay: 200 * time.Millisecond,
-		Clock:      clock, Seed: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	coord.Instrument(reg)
-
-	type result struct {
-		resp *ScanResponse
-		err  error
-	}
-	done := make(chan result, 1)
-	go func() {
-		resp, err := coord.Scan("svc-h", end)
-		done <- result{resp, err}
-	}()
-	<-hung                                // the original request is hanging in transit
-	clock.BlockUntil(1)                   // the hedge timer is armed
-	clock.Advance(200 * time.Millisecond) // fire it
-
-	res := <-done
-	if res.err != nil {
-		t.Fatalf("hedged scan = %v, want hedge win", res.err)
-	}
-	if res.resp.Worker != "w1" {
-		t.Errorf("served by %q, want w1", res.resp.Worker)
-	}
-	if got := reg.NewCounter(MetricCoordHedges, "", nil).Value(); got != 1 {
-		t.Errorf("hedges = %v, want 1", got)
-	}
-	if got := reg.NewCounter(MetricCoordHedgeWins, "", nil).Value(); got != 1 {
-		t.Errorf("hedge wins = %v, want 1", got)
-	}
-	// The canceled loser is no verdict on the worker.
-	<-hungReturned
-	if got := reg.NewCounter(MetricBreakerFailures, "", obs.Labels{"worker": srv.URL}).Value(); got != 0 {
-		t.Errorf("breaker failures after a hedge win = %v, want 0", got)
 	}
 }
 
@@ -413,33 +344,34 @@ func TestCanceledProbeFreesHalfOpenBreaker(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	clock := resilience.NewFakeClock(t0) // manual: MaxAttempts 1 never sleeps
+	clock := resilience.NewFakeClock(t0).AutoAdvance()
 	hung := make(chan struct{})
 	ft := resilience.NewFaultTransport(1, nil, nil).
 		Rule(resilience.FaultRule{ // trips the breaker
-			Host: mustHost(t, srv.URL), Count: 1, Action: resilience.FaultAction{Drop: true},
+			Host: mustHost(t, srv.URL), Count: breakerThreshold, Action: resilience.FaultAction{Drop: true},
 		}).
 		Rule(resilience.FaultRule{ // holds the half-open probe until canceled
 			Host: mustHost(t, srv.URL), Count: 1, Action: resilience.FaultAction{Hang: true},
 			OnApply: func(int) { close(hung) },
 		})
-	coord, err := NewCoordinatorWithOptions([]string{srv.URL}, &http.Client{Transport: ft}, Options{
-		Retry: resilience.Policy{MaxAttempts: 1, BaseDelay: time.Millisecond,
-			MaxDelay: time.Millisecond, Multiplier: 1, Jitter: 0},
-		Breaker: resilience.BreakerConfig{FailureThreshold: 1, Cooldown: time.Minute},
-		Clock:   clock, Seed: 6,
-	})
+	coord, err := newCoordinator([]string{srv.URL}, &http.Client{Transport: ft}, clock)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
 	coord.Instrument(reg)
 	failures := reg.NewCounter(MetricBreakerFailures, "", obs.Labels{"worker": srv.URL})
+	state := reg.NewGauge(MetricBreakerState, "", obs.Labels{"worker": srv.URL})
 
-	if _, err := coord.Scan("svc", t0); err == nil {
-		t.Fatal("first scan should fail: its request is dropped")
+	for i := 0; state.Value() != 2; i++ {
+		if i == breakerThreshold {
+			t.Fatalf("breaker state = %v after %d failed scans, want 2 (open)", state.Value(), i)
+		}
+		if _, err := coord.ScanContext(context.Background(), "svc", t0); err == nil {
+			t.Fatal("scan should fail: its requests are dropped")
+		}
 	}
-	clock.Advance(time.Minute) // cooldown over: the next scan is the probe
+	clock.Advance(breakerCooldown) // cooldown over: the next scan is the probe
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -452,18 +384,18 @@ func TestCanceledProbeFreesHalfOpenBreaker(t *testing.T) {
 	if err := <-done; err == nil {
 		t.Fatal("canceled probe scan reported success")
 	}
-	if got := failures.Value(); got != 1 {
-		t.Errorf("breaker failures = %v, want 1 (the trip only)", got)
+	if got := failures.Value(); got != breakerThreshold {
+		t.Errorf("breaker failures = %v, want %d (the trip only)", got, breakerThreshold)
 	}
 
-	resp, err := coord.Scan("svc", t0)
+	resp, err := coord.ScanContext(context.Background(), "svc", t0)
 	if err != nil {
 		t.Fatalf("scan after a canceled probe = %v, want it admitted", err)
 	}
 	if resp.Worker != "w1" {
 		t.Errorf("served by %q, want w1", resp.Worker)
 	}
-	if got := reg.NewGauge(MetricBreakerState, "", obs.Labels{"worker": srv.URL}).Value(); got != 0 {
+	if got := state.Value(); got != 0 {
 		t.Errorf("breaker state = %v, want 0 (closed by the probe)", got)
 	}
 }
@@ -507,12 +439,7 @@ func TestScanAllSurvivesWorkerDeathMidSweep(t *testing.T) {
 			}
 		},
 	})
-	coord, err := NewCoordinatorWithOptions([]string{srvA.URL, srvB.URL}, &http.Client{Transport: ft}, Options{
-		Retry: resilience.Policy{MaxAttempts: 3, BaseDelay: 50 * time.Millisecond,
-			MaxDelay: time.Second, Multiplier: 2, Jitter: 0.5},
-		Breaker: resilience.BreakerConfig{FailureThreshold: 2, Cooldown: time.Minute},
-		Clock:   clock, Seed: 5,
-	})
+	coord, err := newCoordinator([]string{srvA.URL, srvB.URL}, &http.Client{Transport: ft}, clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,8 +463,8 @@ func TestScanAllSurvivesWorkerDeathMidSweep(t *testing.T) {
 	if got := reg.NewCounter(MetricCoordFailovers, "", nil).Value(); got < 1 {
 		t.Errorf("failovers = %v, want >= 1", got)
 	}
-	if got := reg.NewCounter(MetricBreakerFailures, "", obs.Labels{"worker": srvA.URL}).Value(); got < 2 {
-		t.Errorf("dead worker breaker failures = %v, want >= 2", got)
+	if got := reg.NewCounter(MetricBreakerFailures, "", obs.Labels{"worker": srvA.URL}).Value(); got < breakerThreshold {
+		t.Errorf("dead worker breaker failures = %v, want >= %d", got, breakerThreshold)
 	}
 	if got := reg.NewCounter(MetricBreakerTransitions, "",
 		obs.Labels{"worker": srvA.URL, "to": "open"}).Value(); got < 1 {

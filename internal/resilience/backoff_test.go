@@ -127,7 +127,7 @@ func TestRetryHonorsContextCancel(t *testing.T) {
 
 func TestFakeClockManualAdvance(t *testing.T) {
 	clock := NewFakeClock(t0)
-	ch := clock.After(100 * time.Millisecond)
+	ch := clock.after(100 * time.Millisecond)
 	select {
 	case <-ch:
 		t.Fatal("timer fired before Advance")

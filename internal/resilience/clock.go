@@ -1,13 +1,13 @@
 // Package resilience makes the distributed scan path survive the
 // failures a fleet-scale detector meets in production: transient worker
-// errors (retry with exponential backoff + jitter), persistently sick
-// workers (per-worker circuit breakers), and slow shards (hedged
-// requests). Everything is driven through a Clock abstraction and a
-// deterministic fault-injection transport so failover, breaker
-// trip/half-open/reset, and hedging are all testable without real
-// sleeps — the detector's own reliability is part of what the paper's
-// production deployment has to guarantee (§5.1 runs the scan fan-out on
-// a serverless platform where individual executions fail routinely).
+// errors (retry with exponential backoff + jitter) and persistently sick
+// workers (per-worker circuit breakers). Everything is driven through a
+// Clock abstraction and a deterministic fault-injection transport so
+// retries, failover and breaker trip/half-open/reset are all testable
+// without real sleeps — the detector's own reliability is part of what
+// the paper's production deployment has to guarantee (§5.1 runs the
+// scan fan-out on a serverless platform where individual executions
+// fail routinely).
 package resilience
 
 import (
@@ -16,15 +16,13 @@ import (
 	"time"
 )
 
-// Clock abstracts wall time so retry backoff, breaker cooldowns, and
-// hedge timers can run against virtual time in tests.
+// Clock abstracts wall time so retry backoff and breaker cooldowns can
+// run against virtual time in tests.
 type Clock interface {
 	Now() time.Time
 	// Sleep blocks for d or until ctx is done, returning ctx.Err() in
 	// the latter case.
 	Sleep(ctx context.Context, d time.Duration) error
-	// After returns a channel that fires once d has elapsed.
-	After(d time.Duration) <-chan time.Time
 }
 
 // realClock is the production Clock.
@@ -49,19 +47,15 @@ func (realClock) Sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
-// fakeWaiter is one pending After/Sleep on a FakeClock.
+// fakeWaiter is one pending Sleep on a FakeClock.
 type fakeWaiter struct {
 	at time.Time
 	ch chan time.Time
 }
 
-// FakeClock is a manually advanced Clock. Timers created by After/Sleep
-// fire when Advance moves the clock past their deadline; BlockUntil
-// lets a test wait for the code under test to register its timers
-// before advancing, which makes timer-driven paths (hedging, breaker
-// cooldowns) fully deterministic with no real sleeps.
+// FakeClock is a manually advanced Clock. A Sleep returns when Advance
+// moves the clock past its deadline, which makes timer-driven paths
+// (backoff, breaker cooldowns) fully deterministic with no real sleeps.
 //
 // With AutoAdvance enabled the clock instead jumps forward immediately
 // whenever anything waits on it, recording the requested durations —
@@ -69,7 +63,6 @@ type fakeWaiter struct {
 // on the virtual timeline" without choreographing Advance calls.
 type FakeClock struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
 	now     time.Time
 	auto    bool
 	slept   []time.Duration
@@ -78,9 +71,7 @@ type FakeClock struct {
 
 // NewFakeClock returns a FakeClock reading now.
 func NewFakeClock(now time.Time) *FakeClock {
-	c := &FakeClock{now: now}
-	c.cond = sync.NewCond(&c.mu)
-	return c
+	return &FakeClock{now: now}
 }
 
 // AutoAdvance switches the clock to auto mode (see type doc) and
@@ -110,8 +101,8 @@ func (c *FakeClock) Slept() time.Duration {
 	return total
 }
 
-// After returns a channel firing when the virtual clock passes now+d.
-func (c *FakeClock) After(d time.Duration) <-chan time.Time {
+// after returns a channel firing when the virtual clock passes now+d.
+func (c *FakeClock) after(d time.Duration) <-chan time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ch := make(chan time.Time, 1)
@@ -126,7 +117,6 @@ func (c *FakeClock) After(d time.Duration) <-chan time.Time {
 		return ch
 	}
 	c.waiters = append(c.waiters, &fakeWaiter{at: c.now.Add(d), ch: ch})
-	c.cond.Broadcast()
 	return ch
 }
 
@@ -136,7 +126,7 @@ func (c *FakeClock) Sleep(ctx context.Context, d time.Duration) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	ch := c.After(d)
+	ch := c.after(d)
 	select {
 	case <-ch:
 		return nil
@@ -160,15 +150,4 @@ func (c *FakeClock) Advance(d time.Duration) {
 		}
 	}
 	c.waiters = kept
-}
-
-// BlockUntil waits until at least n timers are pending on the clock —
-// the rendezvous a test uses before Advance so the code under test has
-// definitely reached its timed wait.
-func (c *FakeClock) BlockUntil(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for len(c.waiters) < n {
-		c.cond.Wait()
-	}
 }

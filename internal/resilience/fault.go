@@ -17,8 +17,7 @@ type FaultAction struct {
 	// the worker process died.
 	Drop bool
 	// Hang blocks until the request's context is canceled — a worker
-	// that accepted the connection and went silent. The natural victim
-	// for hedging: the hedge's win cancels the hung primary.
+	// that accepted the connection and went silent.
 	Hang bool
 	// Delay sleeps on the transport's clock before forwarding.
 	Delay time.Duration
@@ -61,7 +60,7 @@ func (e *DroppedError) Error() string {
 // FaultTransport is a deterministic fault-injecting http.RoundTripper:
 // it drops, hangs, delays, or rewrites selected requests on a seeded
 // schedule and forwards the rest to the wrapped transport. It is how
-// the failover, breaker, and hedging paths are exercised in tests
+// the retry, failover, and breaker paths are exercised in tests
 // without flaky real-network failures.
 type FaultTransport struct {
 	next  http.RoundTripper
