@@ -4,7 +4,7 @@ FUZZTIME ?= 10s
 # Packages that define Fuzz* targets (go can only fuzz one package at a time).
 FUZZ_PKGS = . ./internal/stacktrace ./internal/wal ./internal/pprofparse ./internal/evalharness/replay ./internal/timeseries ./internal/popshift ./internal/controlplane ./internal/stats ./internal/stl
 
-.PHONY: build test test-386 vet race lint examples fuzz-smoke bench-obs bench bench-gate bench-baseline bench-e2e-test bench-e2e eval eval-gate eval-baseline eval-replay eval-replay-baseline crashtest server-smoke profdiff-demo check
+.PHONY: build test test-386 vet race lint examples fuzz-smoke bench-obs bench bench-gate bench-baseline bench-e2e-test bench-e2e eval eval-gate eval-baseline eval-replay eval-replay-baseline reports-check crashtest server-smoke profdiff-demo check
 
 build:
 	$(GO) build ./...
@@ -165,6 +165,13 @@ eval-replay:
 eval-replay-baseline:
 	$(GO) run ./cmd/fbdetect ci -data $(REPLAY_DATA) -write-baseline REPLAY_baseline.json -margin 0.05
 
+# Regenerate EVAL_report.json and REPLAY_report.json and require both to
+# match the committed files byte for byte. Both reports are deterministic,
+# so a change that claims unchanged detection output must leave them as
+# they are; a deliberate detection change commits the regenerated reports.
+reports-check: eval eval-replay
+	git diff --exit-code EVAL_report.json REPLAY_report.json
+
 # Crash-recovery drill with the real binaries: SIGKILL a durable worker
 # mid-ingest, restart it, and require its recovered /scan response to be
 # byte-identical to an uninterrupted control worker's.
@@ -184,4 +191,4 @@ server-smoke:
 profdiff-demo:
 	bash scripts/profdiff_demo.sh
 
-check: build vet lint test race examples bench-e2e-test
+check: build vet lint test race examples bench-e2e-test reports-check

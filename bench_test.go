@@ -1,4 +1,4 @@
-package fbdetect
+package fbdetect_test
 
 // This file holds one benchmark per table and figure of the paper's
 // evaluation, as required by DESIGN.md's per-experiment index. Each
@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"fbdetect"
 	"fbdetect/internal/experiments"
 	"fbdetect/internal/fleet"
 )
@@ -158,20 +159,20 @@ func BenchmarkPipeline(b *testing.B) {
 		At:     start.Add(7 * time.Hour),
 		Effect: func(tr *fleet.Tree) error { return tr.ScaleSelfWeight("serialize", 1.3) },
 	})
-	db := NewDB(time.Minute)
+	db := fbdetect.NewDB(time.Minute)
 	end := start.Add(9 * time.Hour)
 	if err := svc.Run(db, nil, start, end); err != nil {
 		b.Fatal(err)
 	}
-	cfg := Config{
+	cfg := fbdetect.Config{
 		Threshold: 0.001,
-		Windows: WindowConfig{
+		Windows: fbdetect.WindowConfig{
 			Historic: 5 * time.Hour, Analysis: 3 * time.Hour, Extended: time.Hour,
 		},
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det, err := NewDetector(cfg, db, nil, fleet.SamplesOf(svc, 1e5))
+		det, err := fbdetect.NewDetector(cfg, db, nil, fleet.SamplesOf(svc, 1e5))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -261,11 +262,11 @@ func BenchmarkDetectionDelay(b *testing.B) {
 // paper's "hundreds of servers" detection tier.
 func BenchmarkScanManyMetrics(b *testing.B) {
 	const nMetrics = 1000
-	db := NewDB(time.Minute)
+	db := fbdetect.NewDB(time.Minute)
 	start := time.Date(2024, 8, 1, 0, 0, 0, 0, time.UTC)
 	rng := rand.New(rand.NewSource(1))
 	for m := 0; m < nMetrics; m++ {
-		id := ID("big", fmt.Sprintf("sub_%04d", m), "gcpu")
+		id := fbdetect.ID("big", fmt.Sprintf("sub_%04d", m), "gcpu")
 		base := 0.001 * (1 + rng.Float64())
 		for i := 0; i < 540; i++ {
 			v := base + rng.NormFloat64()*base*0.02
@@ -274,16 +275,16 @@ func BenchmarkScanManyMetrics(b *testing.B) {
 			}
 		}
 	}
-	cfg := Config{
+	cfg := fbdetect.Config{
 		Threshold: 0.0001,
-		Windows: WindowConfig{
+		Windows: fbdetect.WindowConfig{
 			Historic: 5 * time.Hour, Analysis: 3 * time.Hour, Extended: time.Hour,
 		},
 	}
 	end := start.Add(9 * time.Hour)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det, err := NewDetector(cfg, db, nil, nil)
+		det, err := fbdetect.NewDetector(cfg, db, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -301,11 +302,11 @@ func BenchmarkScanManyMetrics(b *testing.B) {
 // and therefore always scan cold.
 func BenchmarkScanThroughput(b *testing.B) {
 	const nMetrics = 500
-	db := NewDB(time.Minute)
+	db := fbdetect.NewDB(time.Minute)
 	start := time.Date(2024, 8, 1, 0, 0, 0, 0, time.UTC)
 	rng := rand.New(rand.NewSource(7))
 	for m := 0; m < nMetrics; m++ {
-		id := ID("warm", fmt.Sprintf("sub_%04d", m), "gcpu")
+		id := fbdetect.ID("warm", fmt.Sprintf("sub_%04d", m), "gcpu")
 		base := 0.001 * (1 + rng.Float64())
 		amp := base * 0.1 * rng.Float64() // some metrics mildly seasonal
 		for i := 0; i < 540; i++ {
@@ -315,14 +316,14 @@ func BenchmarkScanThroughput(b *testing.B) {
 			}
 		}
 	}
-	cfg := Config{
+	cfg := fbdetect.Config{
 		Threshold: 0.0001,
 		LongTerm:  true, // every metric pays the decomposition path
-		Windows: WindowConfig{
+		Windows: fbdetect.WindowConfig{
 			Historic: 5 * time.Hour, Analysis: 3 * time.Hour, Extended: time.Hour,
 		},
 	}
-	det, err := NewDetector(cfg, db, nil, nil)
+	det, err := fbdetect.NewDetector(cfg, db, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -341,14 +342,14 @@ func BenchmarkScanThroughput(b *testing.B) {
 
 // warmFleet seeds the 500-metric fleet BenchmarkScanThroughput and its
 // no-checkpoint control share, and returns a detector over it.
-func warmFleet(b *testing.B, cfg Config) (*Detector, time.Time) {
+func warmFleet(b *testing.B, cfg fbdetect.Config) (*fbdetect.Detector, time.Time) {
 	b.Helper()
 	const nMetrics = 500
-	db := NewDB(time.Minute)
+	db := fbdetect.NewDB(time.Minute)
 	start := time.Date(2024, 8, 1, 0, 0, 0, 0, time.UTC)
 	rng := rand.New(rand.NewSource(7))
 	for m := 0; m < nMetrics; m++ {
-		id := ID("warm", fmt.Sprintf("sub_%04d", m), "gcpu")
+		id := fbdetect.ID("warm", fmt.Sprintf("sub_%04d", m), "gcpu")
 		base := 0.001 * (1 + rng.Float64())
 		amp := base * 0.1 * rng.Float64() // some metrics mildly seasonal
 		for i := 0; i < 540; i++ {
@@ -358,7 +359,7 @@ func warmFleet(b *testing.B, cfg Config) (*Detector, time.Time) {
 			}
 		}
 	}
-	det, err := NewDetector(cfg, db, nil, nil)
+	det, err := fbdetect.NewDetector(cfg, db, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -371,10 +372,10 @@ func warmFleet(b *testing.B, cfg Config) (*Detector, time.Time) {
 // every warm scan re-reads, re-detects and re-decomposes each series. The
 // bench gate requires BenchmarkScanThroughput to beat this by at least 5x.
 func BenchmarkScanThroughputNoCheckpoint(b *testing.B) {
-	cfg := Config{
+	cfg := fbdetect.Config{
 		Threshold: 0.0001,
 		LongTerm:  true,
-		Windows: WindowConfig{
+		Windows: fbdetect.WindowConfig{
 			Historic: 5 * time.Hour, Analysis: 3 * time.Hour, Extended: time.Hour,
 		},
 		CheckpointCacheSize: -1,
@@ -398,14 +399,14 @@ func BenchmarkScanThroughputNoCheckpoint(b *testing.B) {
 // re-read plus full re-detection of every series.
 func BenchmarkWarmScanIncremental(b *testing.B) {
 	const nMetrics = 100
-	db := NewDB(time.Minute)
+	db := fbdetect.NewDB(time.Minute)
 	start := time.Date(2024, 8, 1, 0, 0, 0, 0, time.UTC)
 	rng := rand.New(rand.NewSource(11))
-	ids := make([]MetricID, nMetrics)
+	ids := make([]fbdetect.MetricID, nMetrics)
 	bases := make([]float64, nMetrics)
 	amps := make([]float64, nMetrics)
 	for m := 0; m < nMetrics; m++ {
-		ids[m] = ID("warm", fmt.Sprintf("sub_%04d", m), "gcpu")
+		ids[m] = fbdetect.ID("warm", fmt.Sprintf("sub_%04d", m), "gcpu")
 		bases[m] = 0.001 * (1 + rng.Float64())
 		amps[m] = bases[m] * 0.1 * rng.Float64()
 	}
@@ -419,14 +420,14 @@ func BenchmarkWarmScanIncremental(b *testing.B) {
 			}
 		}
 	}
-	cfg := Config{
+	cfg := fbdetect.Config{
 		Threshold: 0.0001,
 		LongTerm:  true,
-		Windows: WindowConfig{
+		Windows: fbdetect.WindowConfig{
 			Historic: 5 * time.Hour, Analysis: 3 * time.Hour, Extended: time.Hour,
 		},
 	}
-	det, err := NewDetector(cfg, db, nil, nil)
+	det, err := fbdetect.NewDetector(cfg, db, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

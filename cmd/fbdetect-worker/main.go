@@ -39,7 +39,6 @@ func main() {
 		dataDir       = flag.String("data-dir", "", "directory of the WAL+snapshot store, recovered at startup (required)")
 		walSync       = flag.String("wal-sync", "batch", "WAL sync policy: always, batch, or never")
 		snapshotEvery = flag.Duration("snapshot-every", 0, "snapshot the store and compact the WAL at this interval (0 = only on shutdown)")
-		profileTopK   = flag.Int("profile-top-k", 0, "cap on subroutines tracked per uploaded profile via POST /profiles (0 = default 200)")
 		fsyncDelay    = flag.Duration("fsync-delay", 0, "fault injection: artificial delay added to every WAL fsync, widening the crash window for recovery tests")
 		version       = flag.Bool("version", false, "print version and exit")
 	)
@@ -85,7 +84,7 @@ func main() {
 	worker.Instrument(reg)
 	ingest := distributed.NewIngestHandler(store, distributed.IngestOptions{})
 	ingest.Instrument(reg)
-	profiles := distributed.NewProfilesHandler(store, distributed.ProfilesOptions{TopK: *profileTopK})
+	profiles := distributed.NewProfilesHandler(store, distributed.ProfilesOptions{})
 	profiles.Instrument(reg)
 	handler := distributed.NewIngestMux(worker, ingest, profiles, reg, tracer)
 

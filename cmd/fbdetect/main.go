@@ -19,7 +19,6 @@ import (
 	"fbdetect/internal/obs"
 	"fbdetect/internal/pprofparse"
 	"fbdetect/internal/report"
-	"fbdetect/internal/stacktrace"
 )
 
 func main() {
@@ -253,8 +252,7 @@ func runProfDiff(args []string) {
 	load := func(path string) *fbdetect.SampleSet {
 		data, err := os.ReadFile(path)
 		check(err)
-		ss, format, err := pprofparse.ReadAny(data, "", pprofparse.ConvertOptions{},
-			stacktrace.FoldedOptions{})
+		ss, format, err := pprofparse.ReadAny(data, "")
 		if err != nil {
 			log.Fatalf("%s: %v", path, err)
 		}

@@ -26,23 +26,18 @@ type jsonConfig struct {
 	MetricThresholds map[string]float64 `json:"metric_thresholds"`
 	MetricRelative   map[string]bool    `json:"metric_relative"`
 	WentAway         struct {
-		SAXBuckets         int     `json:"sax_buckets"`
-		SAXValidityPct     float64 `json:"sax_validity_pct"`
-		NewPatternFraction float64 `json:"new_pattern_fraction"`
-		TrendCoefficient   float64 `json:"trend_coefficient"`
+		SAXBuckets     int     `json:"sax_buckets"`
+		SAXValidityPct float64 `json:"sax_validity_pct"`
 	} `json:"went_away"`
 	Seasonality struct {
 		ZThreshold float64 `json:"z_threshold"`
 		Strength   float64 `json:"strength"`
 	} `json:"seasonality"`
 	CostShift struct {
-		MaxDomainCostRatio       float64 `json:"max_domain_cost_ratio"`
-		NegligibleChangeFraction float64 `json:"negligible_change_fraction"`
+		MaxDomainCostRatio float64 `json:"max_domain_cost_ratio"`
 	} `json:"cost_shift"`
 	RootCause struct {
-		Lookback string  `json:"lookback"`
 		MinScore float64 `json:"min_score"`
-		TopK     int     `json:"top_k"`
 	} `json:"root_cause"`
 }
 
@@ -82,15 +77,10 @@ func ParseConfig(r io.Reader) (Config, error) {
 	cfg.Windows.Extended = parse("windows.extended", jc.Windows.Extended)
 	cfg.WentAway.SAXBuckets = jc.WentAway.SAXBuckets
 	cfg.WentAway.SAXValidityPct = jc.WentAway.SAXValidityPct
-	cfg.WentAway.NewPatternFraction = jc.WentAway.NewPatternFraction
-	cfg.WentAway.TrendCoefficient = jc.WentAway.TrendCoefficient
 	cfg.Seasonality.ZThreshold = jc.Seasonality.ZThreshold
 	cfg.Seasonality.Strength = jc.Seasonality.Strength
 	cfg.CostShift.MaxDomainCostRatio = jc.CostShift.MaxDomainCostRatio
-	cfg.CostShift.NegligibleChangeFraction = jc.CostShift.NegligibleChangeFraction
-	cfg.RootCause.Lookback = parse("root_cause.lookback", jc.RootCause.Lookback)
 	cfg.RootCause.MinScore = jc.RootCause.MinScore
-	cfg.RootCause.TopK = jc.RootCause.TopK
 	if err != nil {
 		return Config{}, err
 	}

@@ -24,7 +24,7 @@ func FuzzParseConfig(f *testing.F) {
 	f.Add(`{"alpha": 0.05, "windows": {"historic": "10h", "analysis": "1h"}}`)
 	f.Add(`{"alpha": 2, "windows": {"historic": "10h", "analysis": "1h"}}`)
 	f.Add(`{"metric_thresholds": {"cpu": 0.02}, "metric_relative": {"cpu": true}, "windows": {"historic": "10h", "analysis": "1h"}}`)
-	f.Add(`{"root_cause": {"top_k": -3}, "windows": {"historic": "10h", "analysis": "1h"}}`)
+	f.Add(`{"root_cause": {"min_score": -3}, "windows": {"historic": "10h", "analysis": "1h"}}`)
 	knobs := configKnobs()
 	f.Fuzz(func(t *testing.T, s string) {
 		cfg, err := ParseConfig(strings.NewReader(s))

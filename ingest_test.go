@@ -20,7 +20,8 @@ func TestParseConfig(t *testing.T) {
 		"windows": {"historic": "240h", "analysis": "4h", "extended": "6h"},
 		"long_term": true,
 		"went_away": {"sax_buckets": 30, "sax_validity_pct": 5},
-		"root_cause": {"lookback": "48h", "top_k": 5}
+		"cost_shift": {"max_domain_cost_ratio": 500},
+		"root_cause": {"min_score": 0.5}
 	}`
 	cfg, err := ParseConfig(strings.NewReader(in))
 	if err != nil {
@@ -38,8 +39,30 @@ func TestParseConfig(t *testing.T) {
 	if cfg.WentAway.SAXBuckets != 30 || cfg.WentAway.SAXValidityPct != 5 {
 		t.Errorf("went away = %+v", cfg.WentAway)
 	}
-	if cfg.RootCause.Lookback != 48*time.Hour || cfg.RootCause.TopK != 5 {
+	if cfg.CostShift.MaxDomainCostRatio != 500 {
+		t.Errorf("cost shift = %+v", cfg.CostShift)
+	}
+	if cfg.RootCause.MinScore != 0.5 {
 		t.Errorf("root cause = %+v", cfg.RootCause)
+	}
+}
+
+// The JSON keys of the went-away, cost-shift and root-cause parameters
+// now fixed in code are gone: a config file that sets one fails to load
+// instead of silently running with a value it did not ask for.
+func TestParseConfigRejectsFixedParameters(t *testing.T) {
+	for _, key := range []string{
+		`"went_away": {"new_pattern_fraction": 0.9}`,
+		`"went_away": {"trend_coefficient": 2}`,
+		`"cost_shift": {"negligible_change_fraction": 0.1}`,
+		`"root_cause": {"lookback": "48h"}`,
+		`"root_cause": {"top_k": 5}`,
+	} {
+		in := `{"windows": {"historic": "1h", "analysis": "1h"}, ` + key + `}`
+		_, err := ParseConfig(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("%s: err = %v, want an unknown-field error", key, err)
+		}
 	}
 }
 
@@ -51,7 +74,7 @@ func TestParseConfigErrors(t *testing.T) {
 		"missing window":            `{"threshold": 0.1}`,
 		"negative":                  `{"threshold": -1, "windows": {"historic": "1h", "analysis": "1h"}}`,
 		"alpha above 1":             `{"alpha": 2, "windows": {"historic": "1h", "analysis": "1h"}}`,
-		"negative top_k":            `{"root_cause": {"top_k": -3}, "windows": {"historic": "1h", "analysis": "1h"}}`,
+		"negative min_score":        `{"root_cause": {"min_score": -3}, "windows": {"historic": "1h", "analysis": "1h"}}`,
 		"negative sax_buckets":      `{"went_away": {"sax_buckets": -1}, "windows": {"historic": "1h", "analysis": "1h"}}`,
 		"negative metric threshold": `{"metric_thresholds": {"cpu": -1}, "windows": {"historic": "1h", "analysis": "1h"}}`,
 	}

@@ -35,35 +35,40 @@ type BatchDetector interface {
 	Segment(xs []float64) []BatchPoint
 }
 
+// The batch families' fixed parameters.
+const (
+	// batchAlpha is the significance level of the likelihood-ratio test
+	// that validates each CUSUM split and annotates every kept cut.
+	batchAlpha = 0.01
+	// cusumMaxChangePoints bounds CUSUMBatch's recursion.
+	cusumMaxChangePoints = 16
+	// dpMaxSegments bounds DPBatch's segmentation (16 change points),
+	// dpMinSegment is the minimum points per segment, and dpMinGain the
+	// relative loss reduction a split must achieve to be kept.
+	dpMaxSegments = 17
+	dpMinSegment  = 5
+	dpMinGain     = 0.25
+)
+
 // CUSUMBatch adapts the production single-change-point CUSUM+EM detector
 // (Detect) to whole-series segmentation by recursive bisection: locate
 // and validate the best change point, then recurse into both halves
-// until the likelihood-ratio test stops rejecting.
-type CUSUMBatch struct {
-	// Opts configures the per-split CUSUM+EM detection; zero values take
-	// DefaultOptions.
-	Opts Options
-	// MaxChangePoints bounds the recursion (default 16).
-	MaxChangePoints int
-}
+// until the likelihood-ratio test stops rejecting or
+// cusumMaxChangePoints are found.
+type CUSUMBatch struct{}
 
 // Name implements BatchDetector.
-func (d CUSUMBatch) Name() string { return "cusum" }
+func (CUSUMBatch) Name() string { return "cusum" }
 
 // Segment implements BatchDetector by binary segmentation over Detect.
-func (d CUSUMBatch) Segment(xs []float64) []BatchPoint {
-	opts := d.Opts.withDefaults()
-	max := d.MaxChangePoints
-	if max <= 0 {
-		max = 16
-	}
+func (CUSUMBatch) Segment(xs []float64) []BatchPoint {
 	var cuts []int
 	var rec func(lo, hi int)
 	rec = func(lo, hi int) {
-		if len(cuts) >= max || hi-lo < 2*opts.MinSegment {
+		if len(cuts) >= cusumMaxChangePoints || hi-lo < 2*minSegment {
 			return
 		}
-		r := Detect(xs[lo:hi], opts)
+		r := Detect(xs[lo:hi], Options{Alpha: batchAlpha})
 		if !r.Found {
 			return
 		}
@@ -73,50 +78,26 @@ func (d CUSUMBatch) Segment(xs []float64) []BatchPoint {
 		rec(cut, hi)
 	}
 	rec(0, len(xs))
-	return batchPoints(xs, cuts, opts.Alpha)
+	return batchPoints(xs, cuts)
 }
 
 // DPBatch runs the dynamic-programming normal-loss segmentation
-// (MultiSplit) as a batch detector family.
-type DPBatch struct {
-	// MaxSegments bounds the segmentation (default 17, i.e. 16 change
-	// points); MinSegment is the minimum points per segment (default 5);
-	// MinGain the relative loss reduction a split must achieve to be kept
-	// (default 0.25).
-	MaxSegments int
-	MinSegment  int
-	MinGain     float64
-	// Alpha is the significance level used to annotate each kept cut with
-	// a likelihood-ratio p-value (default 0.01; annotation only, the DP
-	// family accepts cuts on loss gain).
-	Alpha float64
-}
+// (MultiSplit) as a batch detector family. It accepts cuts on loss gain;
+// the likelihood-ratio p-value on each is annotation only.
+type DPBatch struct{}
 
 // Name implements BatchDetector.
-func (d DPBatch) Name() string { return "dp" }
+func (DPBatch) Name() string { return "dp" }
 
 // Segment implements BatchDetector over MultiSplit.
-func (d DPBatch) Segment(xs []float64) []BatchPoint {
-	maxSeg, minSeg, minGain, alpha := d.MaxSegments, d.MinSegment, d.MinGain, d.Alpha
-	if maxSeg <= 0 {
-		maxSeg = 17
-	}
-	if minSeg <= 0 {
-		minSeg = 5
-	}
-	if minGain <= 0 {
-		minGain = 0.25
-	}
-	if alpha <= 0 || alpha >= 1 {
-		alpha = 0.01
-	}
-	return batchPoints(xs, MultiSplit(xs, maxSeg, minSeg, minGain), alpha)
+func (DPBatch) Segment(xs []float64) []BatchPoint {
+	return batchPoints(xs, MultiSplit(xs, dpMaxSegments, dpMinSegment, dpMinGain))
 }
 
 // batchPoints annotates sorted cut indices with neighbor-segment deltas
 // and a likelihood-ratio significance computed within the enclosing
 // segment pair, the common report shape every family returns.
-func batchPoints(xs []float64, cuts []int, alpha float64) []BatchPoint {
+func batchPoints(xs []float64, cuts []int) []BatchPoint {
 	if len(cuts) == 0 {
 		return nil
 	}
@@ -128,7 +109,7 @@ func batchPoints(xs []float64, cuts []int, alpha float64) []BatchPoint {
 		if cut <= lo || cut >= hi {
 			continue
 		}
-		lr := stats.LikelihoodRatioTest(xs[lo:hi], cut-lo, alpha)
+		lr := stats.LikelihoodRatioTest(xs[lo:hi], cut-lo, batchAlpha)
 		p := BatchPoint{
 			Index: cut,
 			Delta: stats.Mean(xs[cut:hi]) - stats.Mean(xs[lo:cut]),

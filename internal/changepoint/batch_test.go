@@ -53,13 +53,14 @@ func TestCUSUMBatchQuietSeries(t *testing.T) {
 }
 
 func TestCUSUMBatchMaxChangePoints(t *testing.T) {
+	// Thirty clean steps: the recursion stops at cusumMaxChangePoints.
 	steps := map[int]float64{}
-	for i := 20; i < 200; i += 20 {
+	for i := 20; i < 620; i += 20 {
 		steps[i] = 10
 	}
-	xs := batchStepSeries(220, 100, 0.3, 4, steps)
-	if pts := (CUSUMBatch{MaxChangePoints: 2}).Segment(xs); len(pts) > 2 {
-		t.Errorf("MaxChangePoints=2 returned %d points", len(pts))
+	xs := batchStepSeries(640, 100, 0.3, 4, steps)
+	if pts := (CUSUMBatch{}).Segment(xs); len(pts) != cusumMaxChangePoints {
+		t.Errorf("30 steps returned %d points, want the cap %d", len(pts), cusumMaxChangePoints)
 	}
 }
 
@@ -101,7 +102,7 @@ func TestBatchPointsSkipsDegenerateCuts(t *testing.T) {
 	// Constant series: MultiSplit returns nothing, and batchPoints on an
 	// empty cut list stays nil.
 	xs := make([]float64, 40)
-	if pts := batchPoints(xs, nil, 0.01); pts != nil {
+	if pts := batchPoints(xs, nil); pts != nil {
 		t.Errorf("batchPoints(nil cuts) = %+v", pts)
 	}
 	// A constant series with a forced cut: infinite LR statistics must be
@@ -109,7 +110,7 @@ func TestBatchPointsSkipsDegenerateCuts(t *testing.T) {
 	for i := range xs {
 		xs[i] = 7
 	}
-	pts := batchPoints(xs, []int{20}, 0.01)
+	pts := batchPoints(xs, []int{20})
 	if len(pts) != 1 || pts[0].Delta != 0 {
 		t.Fatalf("batchPoints = %+v", pts)
 	}

@@ -30,7 +30,7 @@ func BenchmarkDetect1k(b *testing.B) {
 	xs := benchSeries(1000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Detect(xs, DefaultOptions())
+		Detect(xs, Options{})
 	}
 }
 
@@ -38,7 +38,7 @@ func BenchmarkDetect10k(b *testing.B) {
 	xs := benchSeries(10000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Detect(xs, DefaultOptions())
+		Detect(xs, Options{})
 	}
 }
 

@@ -34,7 +34,7 @@ func TestCUSUMShort(t *testing.T) {
 func TestDetectStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	xs := step(rng, 400, 200, 50, 50.5, 0.2)
-	res := Detect(xs, DefaultOptions())
+	res := Detect(xs, Options{})
 	if !res.Found {
 		t.Fatalf("expected change point, p = %v", res.PValue)
 	}
@@ -55,7 +55,7 @@ func TestDetectTinyRelativeShift(t *testing.T) {
 	// detectable.
 	rng := rand.New(rand.NewSource(3))
 	xs := step(rng, 2000, 1000, 0.001, 0.00105, 0.0002)
-	res := Detect(xs, DefaultOptions())
+	res := Detect(xs, Options{})
 	if !res.Found {
 		t.Fatalf("tiny regression missed, p = %v", res.PValue)
 	}
@@ -70,7 +70,7 @@ func TestDetectNoChange(t *testing.T) {
 	const trials = 200
 	for i := 0; i < trials; i++ {
 		xs := step(rng, 150, 150, 10, 10, 1) // no change
-		if Detect(xs, DefaultOptions()).Found {
+		if Detect(xs, Options{}).Found {
 			falsePositives++
 		}
 	}
@@ -84,7 +84,7 @@ func TestDetectNoChange(t *testing.T) {
 }
 
 func TestDetectShortSeries(t *testing.T) {
-	if res := Detect([]float64{1, 2, 3}, DefaultOptions()); res.Found {
+	if res := Detect([]float64{1, 2, 3}, Options{}); res.Found {
 		t.Error("3-point series should not detect")
 	}
 }
@@ -94,7 +94,7 @@ func TestDetectConstantSeries(t *testing.T) {
 	for i := range xs {
 		xs[i] = 5
 	}
-	if res := Detect(xs, DefaultOptions()); res.Found {
+	if res := Detect(xs, Options{}); res.Found {
 		t.Error("constant series should not detect")
 	}
 }
@@ -109,15 +109,14 @@ func TestDetectConstantStep(t *testing.T) {
 			xs[i] = 2
 		}
 	}
-	res := Detect(xs, DefaultOptions())
+	res := Detect(xs, Options{})
 	if !res.Found || res.Index != 50 {
 		t.Errorf("noiseless step: found=%v index=%d", res.Found, res.Index)
 	}
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.Alpha != 0.01 || o.MaxIterations != 10 || o.MinSegment != 2 {
+	if o := (Options{}).withDefaults(); o.Alpha != 0.01 {
 		t.Errorf("defaults = %+v", o)
 	}
 	o2 := Options{Alpha: 1.5}.withDefaults()

@@ -114,31 +114,23 @@ type Options struct {
 	// Alpha is the significance level of the likelihood-ratio test
 	// validating a candidate change point. The paper uses 0.01.
 	Alpha float64
-	// MaxIterations bounds the CUSUM+EM refinement loop ("until it
-	// converges ... or until it uses up the computation time").
-	MaxIterations int
-	// MinSegment is the minimum number of points required on each side of
-	// a change point. Defaults to 2.
-	MinSegment int
-}
-
-// DefaultOptions returns the production defaults.
-func DefaultOptions() Options {
-	return Options{Alpha: 0.01, MaxIterations: 10, MinSegment: 2}
 }
 
 func (o Options) withDefaults() Options {
 	if o.Alpha <= 0 || o.Alpha >= 1 {
 		o.Alpha = 0.01
 	}
-	if o.MaxIterations <= 0 {
-		o.MaxIterations = 10
-	}
-	if o.MinSegment < 2 {
-		o.MinSegment = 2
-	}
 	return o
 }
+
+const (
+	// maxIterations bounds the CUSUM+EM refinement loop ("until it
+	// converges ... or until it uses up the computation time").
+	maxIterations = 10
+	// minSegment is the minimum number of points on each side of a
+	// change point.
+	minSegment = 2
+)
 
 // Detect locates the most likely single change point in xs using the
 // iterative CUSUM+EM procedure of paper §5.2.1 and validates it with the
@@ -156,32 +148,32 @@ func Detect(xs []float64, opts Options) Result {
 func DetectScratch(xs []float64, opts Options, buf *[]float64) Result {
 	opts = opts.withDefaults()
 	n := len(xs)
-	if n < 2*opts.MinSegment {
+	if n < 2*minSegment {
 		return Result{PValue: 1}
 	}
 	return refine(xs, CUSUM(xs), opts, buf)
 }
 
 // refine is the rest of DetectScratch after the CUSUM estimate t: the EM
-// iterations, the clamp to MinSegment and the likelihood-ratio test. opts
-// must be defaulted and len(xs) at least 2·MinSegment.
+// iterations, the clamp to minSegment and the likelihood-ratio test. opts
+// must be defaulted and len(xs) at least 2·minSegment.
 func refine(xs []float64, t int, opts Options, buf *[]float64) Result {
 	n := len(xs)
 	if t == 0 {
 		return Result{PValue: 1}
 	}
-	for iter := 0; iter < opts.MaxIterations; iter++ {
+	for iter := 0; iter < maxIterations; iter++ {
 		next := emRefine(xs, t, buf)
 		if next == t {
 			break
 		}
 		t = next
 	}
-	if t < opts.MinSegment {
-		t = opts.MinSegment
+	if t < minSegment {
+		t = minSegment
 	}
-	if t > n-opts.MinSegment {
-		t = n - opts.MinSegment
+	if t > n-minSegment {
+		t = n - minSegment
 	}
 	lr := stats.LikelihoodRatioTest(xs, t, opts.Alpha)
 	m1, m2 := splitMeans(xs, t)

@@ -20,18 +20,18 @@ import (
 // SST, its statistic is n·log(SST/(SST−SSB(t))), and its after-mean
 // exceeds its before-mean exactly when S_t < 0. The test rejects only
 // above the χ²₂ critical value c, i.e. only when SSB(t) > SST·(1−e^(−c/n)).
-// A window whose largest SSB over the splits the test can see, [MinSegment,
-// n−MinSegment] with S_t < 0, stays below that with a margin for the
+// A window whose largest SSB over the splits the test can see, [minSegment,
+// n−minSegment] with S_t < 0, stays below that with a margin for the
 // rounding of both computations is screened. Windows with a zero or
 // non-finite SST, or a level so far above their spread that rounding
 // could decide the test, are never screened.
 func DetectIncrease(xs []float64, opts Options, buf *[]float64) (res Result, screened bool) {
 	opts = opts.withDefaults()
 	n := len(xs)
-	if n < 2*opts.MinSegment {
+	if n < 2*minSegment {
 		return Result{PValue: 1}, false
 	}
-	t, quiet := cusumScreen(xs, opts.MinSegment, criticalValue(opts.Alpha))
+	t, quiet := cusumScreen(xs, criticalValue(opts.Alpha))
 	if quiet {
 		return Result{PValue: 1}, true
 	}
@@ -40,9 +40,9 @@ func DetectIncrease(xs []float64, opts Options, buf *[]float64) (res Result, scr
 
 // cusumScreen is CUSUM's pass — the same mean, partial sums and argmax,
 // so t is CUSUM(xs) — extended with the sums the screen needs. quiet
-// reports that no split with S_t < 0 in [minSeg, n−minSeg] can reach the
+// reports that no split with S_t < 0 in [minSegment, n−minSegment] can reach the
 // statistic c.
-func cusumScreen(xs []float64, minSeg int, c float64) (t int, quiet bool) {
+func cusumScreen(xs []float64, c float64) (t int, quiet bool) {
 	n := len(xs)
 	mean := stats.Mean(xs)
 	best, bestIdx := 0.0, 0
@@ -54,7 +54,7 @@ func cusumScreen(xs []float64, minSeg int, c float64) (t int, quiet bool) {
 		if a := math.Abs(s); a > best {
 			best, bestIdx = a, i+1
 		}
-		if split := i + 1; s < 0 && split >= minSeg && split <= n-minSeg {
+		if split := i + 1; s < 0 && split >= minSegment && split <= n-minSegment {
 			if v := s * s / float64(split*(n-split)); v > ssb {
 				ssb = v
 			}

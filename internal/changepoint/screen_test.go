@@ -163,11 +163,11 @@ func TestScreenTakesSlowPathOnDegenerateWindows(t *testing.T) {
 		{"level far above spread", []float64{1e9, 1e9 + 1e-6, 1e9, 1e9 + 1e-6, 1e9, 1e9 + 1e-6, 1e9, 1e9}},
 	} {
 		var buf []float64
-		got, screened := DetectIncrease(tc.xs, DefaultOptions(), &buf)
+		got, screened := DetectIncrease(tc.xs, Options{}, &buf)
 		if screened {
 			t.Errorf("%s: screened", tc.name)
 		}
-		if want := DetectScratch(tc.xs, DefaultOptions(), &buf); !sameResult(got, want) {
+		if want := DetectScratch(tc.xs, Options{}, &buf); !sameResult(got, want) {
 			t.Errorf("%s: %+v, DetectScratch %+v", tc.name, got, want)
 		}
 	}

@@ -145,21 +145,3 @@ func (c *Client) WaitOperation(ctx context.Context, location string) (*Operation
 		}
 	}
 }
-
-// RegisterTenant registers a tenant through the admin API (the client's
-// Key must be the admin key) and returns it, API key included.
-func (c *Client) RegisterTenant(ctx context.Context, name string, q Quotas) (Tenant, error) {
-	resp, err := c.do(ctx, http.MethodPost, "/admin/tenants", registerTenantRequest{Name: name, Quotas: q})
-	if err != nil {
-		return Tenant{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return Tenant{}, readError(resp)
-	}
-	var t Tenant
-	if err := json.NewDecoder(resp.Body).Decode(&t); err != nil {
-		return Tenant{}, err
-	}
-	return t, nil
-}

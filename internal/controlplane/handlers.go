@@ -19,15 +19,6 @@ type ctxKey int
 
 const tenantKey ctxKey = 0
 
-// TenantFrom returns the authenticated tenant of an in-flight request.
-func TenantFrom(ctx context.Context) (Tenant, bool) {
-	st, ok := ctx.Value(tenantKey).(*tenantState)
-	if !ok {
-		return Tenant{}, false
-	}
-	return st.Tenant, true
-}
-
 // apiKey extracts the bearer credential: "Authorization: Bearer <key>"
 // preferred, "X-API-Key: <key>" accepted.
 func apiKey(r *http.Request) string {

@@ -79,19 +79,6 @@ type WentAwayConfig struct {
 	// (paper defaults: N=20, X=3%).
 	SAXBuckets     int
 	SAXValidityPct float64
-	// NewPatternFraction is the fraction of post-regression points that
-	// must fall in historically invalid buckets for the post-regression
-	// window to count as a new pattern.
-	NewPatternFraction float64
-	// TrendCoefficient is the sensitivity coefficient applied to the MAD
-	// regression threshold (paper default 1.5).
-	TrendCoefficient float64
-	// GoneAwayTailPoints is how many trailing points the final sanity
-	// check examines (0 derives it as 10% of the post window).
-	GoneAwayTailPoints int
-	// GoneAwayRecoveryFraction: the regression is considered gone when
-	// the tail mean has fallen below Before + fraction*Delta.
-	GoneAwayRecoveryFraction float64
 }
 
 func (c WentAwayConfig) withDefaults() WentAwayConfig {
@@ -100,15 +87,6 @@ func (c WentAwayConfig) withDefaults() WentAwayConfig {
 	}
 	if c.SAXValidityPct == 0 {
 		c.SAXValidityPct = 3
-	}
-	if c.NewPatternFraction == 0 {
-		c.NewPatternFraction = 0.5
-	}
-	if c.TrendCoefficient == 0 {
-		c.TrendCoefficient = 1.5
-	}
-	if c.GoneAwayRecoveryFraction == 0 {
-		c.GoneAwayRecoveryFraction = 0.25
 	}
 	return c
 }
@@ -141,18 +119,11 @@ type CostShiftConfig struct {
 	// significantly larger" rule; its example is 20% domain cost vs a
 	// 0.005% regression, a ratio of 4000).
 	MaxDomainCostRatio float64
-	// NegligibleChangeFraction: the regression is a cost shift when the
-	// domain's cost change is below this fraction of the regression's
-	// cost change.
-	NegligibleChangeFraction float64
 }
 
 func (c CostShiftConfig) withDefaults() CostShiftConfig {
 	if c.MaxDomainCostRatio == 0 {
 		c.MaxDomainCostRatio = 2000
-	}
-	if c.NegligibleChangeFraction == 0 {
-		c.NegligibleChangeFraction = 0.25
 	}
 	return c
 }
@@ -163,7 +134,7 @@ func (c CostShiftConfig) withDefaults() CostShiftConfig {
 // build without the stage.
 type PopShiftConfig struct {
 	// Enabled turns the stage on. Off by default. The diagnosis runs at
-	// popshift.Config's defaults.
+	// the popshift package's fixed decision constants.
 	Enabled bool
 }
 
@@ -175,25 +146,14 @@ type DedupConfig struct {
 
 // RootCauseConfig tunes root-cause analysis (paper §5.6).
 type RootCauseConfig struct {
-	// Lookback is how far before the change point to search for candidate
-	// changes (default 24h).
-	Lookback time.Duration
 	// MinScore is the confidence bar below which FBDetect suggests no
 	// root cause.
 	MinScore float64
-	// TopK is how many candidates to report (paper evaluates top-3).
-	TopK int
 }
 
 func (c RootCauseConfig) withDefaults() RootCauseConfig {
-	if c.Lookback == 0 {
-		c.Lookback = 24 * time.Hour
-	}
 	if c.MinScore == 0 {
 		c.MinScore = 0.35
-	}
-	if c.TopK == 0 {
-		c.TopK = 3
 	}
 	return c
 }
@@ -231,17 +191,10 @@ func (c Config) Validate() error {
 		{"RerunInterval", float64(c.RerunInterval)},
 		{"WentAway.SAXBuckets", float64(c.WentAway.SAXBuckets)},
 		{"WentAway.SAXValidityPct", c.WentAway.SAXValidityPct},
-		{"WentAway.NewPatternFraction", c.WentAway.NewPatternFraction},
-		{"WentAway.TrendCoefficient", c.WentAway.TrendCoefficient},
-		{"WentAway.GoneAwayTailPoints", float64(c.WentAway.GoneAwayTailPoints)},
-		{"WentAway.GoneAwayRecoveryFraction", c.WentAway.GoneAwayRecoveryFraction},
 		{"Seasonality.Strength", c.Seasonality.Strength},
 		{"Seasonality.ZThreshold", c.Seasonality.ZThreshold},
 		{"CostShift.MaxDomainCostRatio", c.CostShift.MaxDomainCostRatio},
-		{"CostShift.NegligibleChangeFraction", c.CostShift.NegligibleChangeFraction},
-		{"RootCause.Lookback", float64(c.RootCause.Lookback)},
 		{"RootCause.MinScore", c.RootCause.MinScore},
-		{"RootCause.TopK", float64(c.RootCause.TopK)},
 	} {
 		if !(k.v >= 0) {
 			return fmt.Errorf("core: %s must be >= 0, got %v", k.name, k.v)

@@ -88,6 +88,10 @@ type CostShiftVerdict struct {
 	Domain string
 }
 
+// negligibleChangeFraction: a regression is a cost shift when a domain's
+// cost change is below this fraction of the regression's cost change.
+const negligibleChangeFraction = 0.25
+
 // CheckCostShift decides whether a subroutine-level gCPU regression is a
 // cost shift (paper §5.4). For each candidate domain it applies the
 // paper's three rules: a domain absent before the regression cannot
@@ -124,7 +128,7 @@ func CheckCostShift(cfg CostShiftConfig, detectors []DomainDetector, r *Regressi
 			}
 			expected := r.Delta * headroom
 			domainDelta := dom.Cost(after) - costBefore
-			if math.Abs(domainDelta) < cfg.NegligibleChangeFraction*expected {
+			if math.Abs(domainDelta) < negligibleChangeFraction*expected {
 				return CostShiftVerdict{IsCostShift: true, Domain: dom.Name}
 			}
 		}

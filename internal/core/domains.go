@@ -52,7 +52,7 @@ func (d CommitDomains) Domains(r *Regression, before *stacktrace.SampleSet) []Co
 	}
 	lookback := d.Lookback
 	if lookback <= 0 {
-		lookback = 24 * time.Hour
+		lookback = rootCauseLookback
 	}
 	var out []CostDomain
 	from := r.ChangePointTime.Add(-lookback)
@@ -94,6 +94,7 @@ func CheckEndpointCostShift(cfg CostShiftConfig, db *tsdb.DB, r *Regression, win
 	// Sum sibling endpoint series (same prefix) around the change point.
 	var beforeSum, afterSum float64
 	siblings := 0
+	var sc tsdb.Scratch
 	for _, id := range db.Metrics(r.Service) {
 		_, entity, metric := id.Parts()
 		if metric != "endpoint_cost" || !strings.HasPrefix(entity, prefix) {
@@ -103,10 +104,14 @@ func CheckEndpointCostShift(cfg CostShiftConfig, db *tsdb.DB, r *Regression, win
 			strings.TrimPrefix(entity, prefix) != domainPrefix {
 			continue
 		}
-		series, err := db.Query(id, scanTime.Add(-windows.Total()), scanTime)
+		view, err := db.View(id, scanTime.Add(-windows.Total()), scanTime, &sc)
+		if err == nil {
+			err = view.Materialize(0, view.N)
+		}
 		if err != nil {
 			continue
 		}
+		series := view.Series()
 		cp := series.IndexOf(r.ChangePointTime)
 		if cp <= 0 || cp >= series.Len() {
 			continue
@@ -125,7 +130,7 @@ func CheckEndpointCostShift(cfg CostShiftConfig, db *tsdb.DB, r *Regression, win
 		return CostShiftVerdict{}
 	}
 	domainDelta := afterSum - beforeSum
-	if abs(domainDelta) < cfg.NegligibleChangeFraction*r.Delta {
+	if abs(domainDelta) < negligibleChangeFraction*r.Delta {
 		return CostShiftVerdict{IsCostShift: true, Domain: "endpoint-prefix:" + domainPrefix}
 	}
 	return CostShiftVerdict{}

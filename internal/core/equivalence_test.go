@@ -188,10 +188,11 @@ func TestScanEquivalenceCheckpointsOnly(t *testing.T) {
 }
 
 func TestQueryViewScanMatchesQueryScan(t *testing.T) {
-	// The pipeline reads through QueryViewStamped; re-reading every
-	// scanned window through the copying Query must yield identical
-	// series. This pins the view read path to the copying one on live
-	// fleet data.
+	// The pipeline reads windows through a View. Every scanned window,
+	// read as a View materialised whole, must equal the same span cut
+	// from the whole series (Full), whose chunks all decode in place
+	// rather than straddling the window's edges. This pins the windowed
+	// read path to the whole one on live fleet data.
 	cfg := pipelineConfig()
 	p, services, _, end := equivalenceFixture(t, cfg)
 	from := end.Add(-cfg.Windows.Total())
@@ -202,17 +203,18 @@ func TestQueryViewScanMatchesQueryScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			copied, err := p.db.Query(id, from, end)
+			full, err := p.db.Full(id)
 			if err != nil {
 				t.Fatal(err)
 			}
+			copied := full.Slice(from, end)
 			if view.Len() != copied.Len() || !view.Start.Equal(copied.Start) {
-				t.Fatalf("%s: view %d@%v != query %d@%v",
+				t.Fatalf("%s: view %d@%v != full %d@%v",
 					id, view.Len(), view.Start, copied.Len(), copied.Start)
 			}
 			for i := range copied.Values {
 				if view.Values[i] != copied.Values[i] {
-					t.Fatalf("%s[%d]: view %v != query %v", id, i, view.Values[i], copied.Values[i])
+					t.Fatalf("%s[%d]: view %v != full %v", id, i, view.Values[i], copied.Values[i])
 				}
 			}
 			checked++

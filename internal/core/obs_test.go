@@ -314,7 +314,7 @@ func TestScreenedCounter(t *testing.T) {
 	}
 	want := 0
 	for _, id := range p.alertableMetrics("websvc") {
-		s, err := p.db.Query(id, end.Add(-p.cfg.Windows.Total()), end)
+		s, _, err := p.db.QueryViewStamped(id, end.Add(-p.cfg.Windows.Total()), end, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -58,12 +58,16 @@ func (p *Pipeline) alertableMetrics(service string) []tsdb.MetricID {
 }
 
 // windowMoments computes mean, sample variance, and count of a series
-// over [from, to). Queries that fail or return no points yield ok=false.
+// over [from, to). Reads that fail or return no points yield ok=false.
 func windowMoments(db *tsdb.DB, id tsdb.MetricID, from, to time.Time) (mean, variance float64, n int, ok bool) {
-	s, err := db.Query(id, from, to)
-	if err != nil || s.Len() == 0 {
+	view, err := db.View(id, from, to, nil)
+	if err == nil {
+		err = view.Materialize(0, view.N)
+	}
+	if err != nil || view.N == 0 {
 		return 0, 0, 0, false
 	}
+	s := view.Series()
 	for _, v := range s.Values {
 		mean += v
 	}
@@ -157,11 +161,6 @@ func (p *Pipeline) checkPopShift(r *Regression, scanTime time.Time) *PopulationS
 			stats = append(stats, c.stat)
 		}
 	}
-	cfg := popshift.Config{}.WithDefaults()
-	if len(stats) < cfg.MinStrata {
-		return nil
-	}
-
 	// The metric's own detection threshold is the bar the behavior term
 	// must stay under; relative thresholds convert via the candidate's
 	// pre-change mean.
@@ -169,7 +168,7 @@ func (p *Pipeline) checkPopShift(r *Regression, scanTime time.Time) *PopulationS
 	if relative {
 		threshold *= math.Abs(r.Before)
 	}
-	v := popshift.Diagnose(stats, threshold, cfg)
+	v := popshift.Diagnose(stats, threshold)
 	if !v.IsShift {
 		return nil
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"time"
 
 	"fbdetect/internal/changelog"
 	"fbdetect/internal/stacktrace"
@@ -12,6 +13,16 @@ import (
 // rootCauseWeights weigh AnalyzeRootCause's three factors: attribution,
 // text similarity and correlation.
 var rootCauseWeights = [3]float64{0.6, 0.25, 0.15}
+
+const (
+	// rootCauseLookback is how far before the change point root-cause
+	// analysis searches for candidate changes; it also searches a quarter
+	// of it after.
+	rootCauseLookback = 24 * time.Hour
+	// rootCauseTopK is how many candidates it reports (the paper
+	// evaluates top-3).
+	rootCauseTopK = 3
+)
 
 // AnalyzeRootCause ranks candidate changes for a regression (paper §5.6)
 // and fills r.RootCauses with the top-K candidates whose combined score
@@ -33,10 +44,10 @@ func AnalyzeRootCause(cfg RootCauseConfig, log *changelog.Log, r *Regression,
 	if log == nil {
 		return
 	}
-	from := r.ChangePointTime.Add(-cfg.Lookback)
+	from := r.ChangePointTime.Add(-rootCauseLookback)
 	// Include changes deployed slightly after the estimated change point;
 	// change-point estimates carry noise.
-	to := r.ChangePointTime.Add(cfg.Lookback / 4)
+	to := r.ChangePointTime.Add(rootCauseLookback / 4)
 	candidates := log.Between(r.Service, from, to)
 	if len(candidates) == 0 {
 		return
@@ -63,8 +74,8 @@ func AnalyzeRootCause(cfg RootCauseConfig, log *changelog.Log, r *Regression,
 	if scored[0].Score < cfg.MinScore {
 		return // not confident enough to suggest a root cause
 	}
-	if len(scored) > cfg.TopK {
-		scored = scored[:cfg.TopK]
+	if len(scored) > rootCauseTopK {
+		scored = scored[:rootCauseTopK]
 	}
 	r.RootCauses = scored
 }

@@ -163,7 +163,7 @@ func TestAnalyzeRootCauseTopK(t *testing.T) {
 			DeployedAt:  r.ChangePointTime.Add(-time.Duration(i+1) * time.Hour),
 		})
 	}
-	AnalyzeRootCause(RootCauseConfig{TopK: 3, MinScore: 0.05}, &log, r, before, after)
+	AnalyzeRootCause(RootCauseConfig{MinScore: 0.05}, &log, r, before, after)
 	if len(r.RootCauses) > 3 {
 		t.Errorf("top-k not applied: %d candidates", len(r.RootCauses))
 	}

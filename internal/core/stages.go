@@ -100,13 +100,12 @@ func (p *Pipeline) gatherSamples(d *serviceDetect, fresh []*Regression) []*Regre
 		d.popularity = d.before.GCPUAll()
 	}
 	if p.log != nil {
-		lookback := p.cfg.RootCause.Lookback
 		for _, r := range fresh {
 			if r.Entity == "" {
 				continue
 			}
 			for _, c := range p.log.TouchingSubroutine(d.service, r.Entity,
-				r.ChangePointTime.Add(-lookback), r.ChangePointTime.Add(lookback/4)) {
+				r.ChangePointTime.Add(-rootCauseLookback), r.ChangePointTime.Add(rootCauseLookback/4)) {
 				r.RootCauses = append(r.RootCauses, RootCauseCandidate{ChangeID: c.ID})
 			}
 		}

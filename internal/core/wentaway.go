@@ -8,6 +8,20 @@ import (
 	"fbdetect/internal/stats"
 )
 
+// The went-away predicate's fixed parameters (paper §5.2.2).
+const (
+	// newPatternFraction is the fraction of post-regression points that
+	// must fall in historically invalid buckets for the post-regression
+	// window to count as a new pattern.
+	newPatternFraction = 0.5
+	// trendCoefficient is the sensitivity coefficient applied to the MAD
+	// regression threshold (paper: 1.5).
+	trendCoefficient = 1.5
+	// goneAwayRecoveryFraction: the regression is considered gone when
+	// the tail mean has fallen below Before + fraction*Delta.
+	goneAwayRecoveryFraction = 0.25
+)
+
 // WentAwayTerms is a set of terms of the went-away predicate.
 type WentAwayTerms uint8
 
@@ -135,17 +149,17 @@ func checkWentAway(cfg WentAwayConfig, r *Regression, sc *wentAwayScratch) WentA
 
 	var v WentAwayVerdict
 	switch {
-	case newPattern(cfg, enc, histWord, postWord, post, sliceCounts):
+	case newPattern(enc, histWord, postWord, post, sliceCounts):
 		v.NewPattern = true
 		v.Skipped = TermGoneAway | TermSignificantRegression | TermLastingTrend
-	case regressionGoneAway(cfg, post, r):
+	case regressionGoneAway(post, r):
 		v.GoneAway = true
 		v.Skipped = TermSignificantRegression | TermLastingTrend
 	case !significantRegression(histWord, postWord.SliceInto(postAnalysisCounts, 0, len(postAnalysis)), hist, post, &sc.sel):
 		v.Skipped = TermLastingTrend
 	default:
 		v.SignificantRegression = true
-		v.LastingTrend = lastingTrend(cfg, analysis, post, r.ChangePoint)
+		v.LastingTrend = lastingTrend(analysis, post, r.ChangePoint)
 	}
 	v.Keep = v.NewPattern ||
 		(v.SignificantRegression && v.LastingTrend && !v.GoneAway)
@@ -159,13 +173,13 @@ func checkWentAway(cfg WentAwayConfig, r *Regression, sc *wentAwayScratch) WentA
 // the tail of the window — a long transient whose letters are historically
 // invalid but which has recovered by the window's end is not a new
 // pattern, it is a transient (the situation Figure 1(c) illustrates).
-func newPattern(cfg WentAwayConfig, enc *sax.Encoder, histWord, postWord sax.Word, post []float64, tailCounts []int) bool {
-	if postWord.InvalidFraction(histWord) < cfg.NewPatternFraction {
+func newPattern(enc *sax.Encoder, histWord, postWord sax.Word, post []float64, tailCounts []int) bool {
+	if postWord.InvalidFraction(histWord) < newPatternFraction {
 		return false
 	}
-	tail := tailLen(cfg, len(post))
+	tail := tailLen(len(post))
 	tailWord := postWord.SliceInto(tailCounts, len(post)-tail, len(post))
-	if tailWord.InvalidFraction(histWord) < cfg.NewPatternFraction {
+	if tailWord.InvalidFraction(histWord) < newPatternFraction {
 		return false
 	}
 	lowest := histWord.MinValidLetter()
@@ -176,12 +190,9 @@ func newPattern(cfg WentAwayConfig, enc *sax.Encoder, histWord, postWord sax.Wor
 }
 
 // tailLen returns the number of trailing points the gone-away and
-// new-pattern checks examine.
-func tailLen(cfg WentAwayConfig, postLen int) int {
-	tail := cfg.GoneAwayTailPoints
-	if tail <= 0 {
-		tail = postLen / 10
-	}
+// new-pattern checks examine: 10% of the post window, at least 3.
+func tailLen(postLen int) int {
+	tail := postLen / 10
 	if tail < 3 {
 		tail = 3
 	}
@@ -215,7 +226,7 @@ func significantRegression(histWord, postAnalysisWord sax.Word, hist, post []flo
 // trend. Mann-Kendall runs on both the post-regression window and the
 // entire analysis window; the Theil-Sen slope of the lower-sloped trending
 // window is compared against the MAD-based regression threshold.
-func lastingTrend(cfg WentAwayConfig, analysis, post []float64, cp int) bool {
+func lastingTrend(analysis, post []float64, cp int) bool {
 	mkPost := stats.MannKendall(post, 0.05)
 	mkAll := stats.MannKendall(analysis, 0.05)
 	if mkPost.Trend != stats.TrendIncreasing && mkAll.Trend != stats.TrendIncreasing {
@@ -238,14 +249,14 @@ func lastingTrend(cfg WentAwayConfig, analysis, post []float64, cp int) bool {
 			rise = riseP
 		}
 	}
-	threshold := cfg.TrendCoefficient * stats.MAD(analysis[:cp]) * stats.NormalityConstant
+	threshold := trendCoefficient * stats.MAD(analysis[:cp]) * stats.NormalityConstant
 	return rise >= threshold
 }
 
 // regressionGoneAway is the final sanity check: the last few data points
 // have recovered toward the pre-regression level.
-func regressionGoneAway(cfg WentAwayConfig, post []float64, r *Regression) bool {
-	tail := tailLen(cfg, len(post))
+func regressionGoneAway(post []float64, r *Regression) bool {
+	tail := tailLen(len(post))
 	tailMean := stats.Mean(post[len(post)-tail:])
-	return tailMean <= r.Before+cfg.GoneAwayRecoveryFraction*r.Delta
+	return tailMean <= r.Before+goneAwayRecoveryFraction*r.Delta
 }

@@ -44,22 +44,22 @@ func oracleCheckWentAway(cfg WentAwayConfig, r *Regression) WentAwayVerdict {
 	postAnalysisWord := enc.Encode(analysis[r.ChangePoint:])
 
 	v := WentAwayVerdict{}
-	v.NewPattern = oracleNewPattern(cfg, enc, histWord, postWord, post)
+	v.NewPattern = oracleNewPattern(enc, histWord, postWord, post)
 	v.SignificantRegression = oracleSignificantRegression(histWord, postAnalysisWord, hist, post)
-	v.LastingTrend = oracleLastingTrend(cfg, analysis, post, r.ChangePoint)
-	v.GoneAway = oracleRegressionGoneAway(cfg, post, r)
+	v.LastingTrend = oracleLastingTrend(analysis, post, r.ChangePoint)
+	v.GoneAway = oracleRegressionGoneAway(post, r)
 	v.Keep = v.NewPattern ||
 		(v.SignificantRegression && v.LastingTrend && !v.GoneAway)
 	return v
 }
 
-func oracleNewPattern(cfg WentAwayConfig, enc *sax.Encoder, histWord, postWord sax.Word, post []float64) bool {
-	if postWord.InvalidFraction(histWord) < cfg.NewPatternFraction {
+func oracleNewPattern(enc *sax.Encoder, histWord, postWord sax.Word, post []float64) bool {
+	if postWord.InvalidFraction(histWord) < newPatternFraction {
 		return false
 	}
-	tail := tailLen(cfg, len(post))
+	tail := tailLen(len(post))
 	tailWord := enc.Encode(post[len(post)-tail:])
-	if tailWord.InvalidFraction(histWord) < cfg.NewPatternFraction {
+	if tailWord.InvalidFraction(histWord) < newPatternFraction {
 		return false
 	}
 	lowest := histWord.MinValidLetter()
@@ -82,7 +82,7 @@ func oracleSignificantRegression(histWord, postAnalysisWord sax.Word, hist, post
 	return p90Post > stats.Percentile(prevDay, 90)
 }
 
-func oracleLastingTrend(cfg WentAwayConfig, analysis, post []float64, cp int) bool {
+func oracleLastingTrend(analysis, post []float64, cp int) bool {
 	mkPost := stats.MannKendall(post, 0.05)
 	mkAll := stats.MannKendall(analysis, 0.05)
 	if mkPost.Trend != stats.TrendIncreasing && mkAll.Trend != stats.TrendIncreasing {
@@ -101,14 +101,14 @@ func oracleLastingTrend(cfg WentAwayConfig, analysis, post []float64, cp int) bo
 			rise = riseP
 		}
 	}
-	threshold := cfg.TrendCoefficient * stats.MAD(analysis[:cp]) * stats.NormalityConstant
+	threshold := trendCoefficient * stats.MAD(analysis[:cp]) * stats.NormalityConstant
 	return rise >= threshold
 }
 
-func oracleRegressionGoneAway(cfg WentAwayConfig, post []float64, r *Regression) bool {
-	tail := tailLen(cfg, len(post))
+func oracleRegressionGoneAway(post []float64, r *Regression) bool {
+	tail := tailLen(len(post))
 	tailMean := stats.Mean(post[len(post)-tail:])
-	return tailMean <= r.Before+cfg.GoneAwayRecoveryFraction*r.Delta
+	return tailMean <= r.Before+goneAwayRecoveryFraction*r.Delta
 }
 
 // wentAwayCase is one generated candidate: three windows and a change
@@ -331,13 +331,12 @@ func TestWentAwayLazyMatchesEagerOracle(t *testing.T) {
 }
 
 // TestWentAwayLazyMatchesOracleOnCustomConfig repeats the comparison under
-// non-default SAX and tail settings, which move the cheap exits.
+// non-default SAX settings, which move the cheap exits, and the default.
 func TestWentAwayLazyMatchesOracleOnCustomConfig(t *testing.T) {
 	cfgs := []WentAwayConfig{
 		{SAXBuckets: 5, SAXValidityPct: 10},
-		{SAXBuckets: 64, SAXValidityPct: 0.5, NewPatternFraction: 0.9},
-		{GoneAwayTailPoints: 40, GoneAwayRecoveryFraction: 0.6},
-		{GoneAwayTailPoints: 1000, TrendCoefficient: 0.2},
+		{SAXBuckets: 64, SAXValidityPct: 0.5},
+		{},
 	}
 	rng := rand.New(rand.NewSource(22))
 	for i := 0; i < 480; i++ {

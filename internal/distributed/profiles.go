@@ -232,8 +232,7 @@ func (h *ProfilesHandler) parse(raw []byte, contentType string) (*stacktrace.Sam
 		ss, err := p.SampleSet(pprofparse.ConvertOptions{})
 		return ss, format, profTime, err
 	}
-	ss, _, err := pprofparse.ReadAny(raw, contentType, pprofparse.ConvertOptions{},
-		stacktrace.FoldedOptions{})
+	ss, _, err := pprofparse.ReadAny(raw, contentType)
 	return ss, format, profTime, err
 }
 

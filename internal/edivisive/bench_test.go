@@ -12,7 +12,7 @@ func BenchmarkEDivisive(b *testing.B) {
 	b.ResetTimer()
 	var found int
 	for i := 0; i < b.N; i++ {
-		found = len(Detect(xs, Options{}))
+		found = len(Detect(xs))
 	}
 	if found != 2 {
 		b.Fatalf("detected %d change points, want 2", found)

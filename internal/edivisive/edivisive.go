@@ -23,55 +23,24 @@ import (
 	"fbdetect/internal/stats"
 )
 
-// Options configures Detect.
-type Options struct {
-	// Significance is the permutation-test p-value at or below which a
+// Detect's fixed parameters.
+const (
+	// significance is the permutation-test p-value at or below which a
 	// candidate split is accepted (Hunter ships 0.05).
-	Significance float64
-	// Permutations is the number of random shuffles per significance
-	// test. The smallest achievable p-value is 1/(Permutations+1), so
+	significance = 0.05
+	// permutations is the number of random shuffles per significance
+	// test. The smallest achievable p-value is 1/(permutations+1), so
 	// 199 permutations resolve p = 0.005.
-	Permutations int
-	// MinSegment is the minimum number of points on each side of a
+	permutations = 199
+	// minSegment is the minimum number of points on each side of a
 	// change point (and in every segment of the final segmentation).
-	MinSegment int
-	// MaxChangePoints bounds the hierarchical estimation.
-	MaxChangePoints int
-	// Seed makes the permutation test deterministic; same series, same
-	// options, same seed => identical output.
-	Seed int64
-}
-
-// DefaultOptions returns the CI-mode defaults.
-func DefaultOptions() Options {
-	return Options{
-		Significance:    0.05,
-		Permutations:    199,
-		MinSegment:      5,
-		MaxChangePoints: 16,
-		Seed:            1,
-	}
-}
-
-func (o Options) withDefaults() Options {
-	d := DefaultOptions()
-	if o.Significance <= 0 || o.Significance >= 1 {
-		o.Significance = d.Significance
-	}
-	if o.Permutations <= 0 {
-		o.Permutations = d.Permutations
-	}
-	if o.MinSegment < 2 {
-		o.MinSegment = d.MinSegment
-	}
-	if o.MaxChangePoints <= 0 {
-		o.MaxChangePoints = d.MaxChangePoints
-	}
-	if o.Seed == 0 {
-		o.Seed = d.Seed
-	}
-	return o
-}
+	minSegment = 5
+	// maxChangePoints bounds the hierarchical estimation.
+	maxChangePoints = 16
+	// permSeed seeds the permutation test, so the same series always
+	// gives the same output.
+	permSeed = 1
+)
 
 // ChangePoint is one validated E-divisive change point.
 type ChangePoint struct {
@@ -177,38 +146,37 @@ func qScan(xs []float64, minSeg int, scratch *rows) (tau int, q float64) {
 }
 
 // permTest estimates the significance of an observed best-split Q on xs
-// by shuffling the segment perms times and counting how often a random
-// ordering achieves at least the observed divergence. The returned
-// p-value is (1+exceed)/(1+perms), never exactly zero.
-func permTest(xs []float64, observed float64, minSeg, perms int, rng *rand.Rand, scratch *rows, buf []float64) (float64, []float64) {
+// by shuffling the segment permutations times and counting how often a
+// random ordering achieves at least the observed divergence. The returned
+// p-value is (1+exceed)/(1+permutations), never exactly zero.
+func permTest(xs []float64, observed float64, rng *rand.Rand, scratch *rows, buf []float64) (float64, []float64) {
 	buf = append(buf[:0], xs...)
 	exceed := 0
-	for r := 0; r < perms; r++ {
+	for r := 0; r < permutations; r++ {
 		rng.Shuffle(len(buf), func(i, j int) { buf[i], buf[j] = buf[j], buf[i] })
-		if _, q := qScan(buf, minSeg, scratch); q >= observed {
+		if _, q := qScan(buf, minSegment, scratch); q >= observed {
 			exceed++
 		}
 	}
-	return float64(exceed+1) / float64(perms+1), buf
+	return float64(exceed+1) / float64(permutations+1), buf
 }
 
 // Detect runs hierarchical E-divisive estimation over xs: repeatedly
 // locate the strongest remaining split across all current segments,
 // accept it if its within-segment permutation test is significant, and
 // recurse until the strongest candidate fails the test (the conditional
-// stopping rule of Matteson & James) or MaxChangePoints is reached.
+// stopping rule of Matteson & James) or maxChangePoints is reached.
 // Change points come back in increasing index order with deltas taken
 // between neighboring final segments.
-func Detect(xs []float64, opts Options) []ChangePoint {
-	return detect(xs, opts, nil)
+func Detect(xs []float64) []ChangePoint {
+	return detect(xs, nil)
 }
 
 // detect is Detect with an optional prebuilt row-sum state for the full
 // span (the Stream's maintained rows), which spares the first-level
 // O(n²) rebuild.
-func detect(xs []float64, opts Options, full *rows) []ChangePoint {
-	opts = opts.withDefaults()
-	rng := rand.New(rand.NewSource(opts.Seed))
+func detect(xs []float64, full *rows) []ChangePoint {
+	rng := rand.New(rand.NewSource(permSeed))
 	var scratch rows
 	var buf []float64
 
@@ -227,16 +195,16 @@ func detect(xs []float64, opts Options, full *rows) []ChangePoint {
 		}
 		return segs
 	}
-	for len(cuts) < opts.MaxChangePoints {
+	for len(cuts) < maxChangePoints {
 		bestQ, bestSeg, bestTau := 0.0, -1, 0
 		var bestSpan [2]int
 		for si, sg := range segments() {
 			var tau int
 			var q float64
 			if full != nil && sg[0] == 0 && sg[1] == len(xs) {
-				tau, q = bestSplit(full.left, full.right, opts.MinSegment)
+				tau, q = bestSplit(full.left, full.right, minSegment)
 			} else {
-				tau, q = qScan(xs[sg[0]:sg[1]], opts.MinSegment, &scratch)
+				tau, q = qScan(xs[sg[0]:sg[1]], minSegment, &scratch)
 			}
 			if tau != 0 && (bestSeg < 0 || q > bestQ) {
 				bestQ, bestSeg, bestTau, bestSpan = q, si, tau, sg
@@ -246,9 +214,8 @@ func detect(xs []float64, opts Options, full *rows) []ChangePoint {
 			break
 		}
 		var p float64
-		p, buf = permTest(xs[bestSpan[0]:bestSpan[1]], bestQ,
-			opts.MinSegment, opts.Permutations, rng, &scratch, buf)
-		if p > opts.Significance {
+		p, buf = permTest(xs[bestSpan[0]:bestSpan[1]], bestQ, rng, &scratch, buf)
+		if p > significance {
 			break
 		}
 		cut := bestSpan[0] + bestTau
@@ -282,16 +249,14 @@ func detect(xs []float64, opts Options, full *rows) []ChangePoint {
 // Detector adapts Detect to the changepoint.BatchDetector interface so
 // the replay harness can score E-divisive means alongside the CUSUM and
 // DP families.
-type Detector struct {
-	Opts Options
-}
+type Detector struct{}
 
 // Name implements changepoint.BatchDetector.
 func (Detector) Name() string { return "edivisive" }
 
 // Segment implements changepoint.BatchDetector.
-func (d Detector) Segment(xs []float64) []changepoint.BatchPoint {
-	cps := Detect(xs, d.Opts)
+func (Detector) Segment(xs []float64) []changepoint.BatchPoint {
+	cps := Detect(xs)
 	out := make([]changepoint.BatchPoint, len(cps))
 	for i, cp := range cps {
 		out[i] = changepoint.BatchPoint{

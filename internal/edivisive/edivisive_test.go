@@ -26,7 +26,7 @@ func stepSeries(n int, base, noise float64, seed int64, steps map[int]float64) [
 
 func TestDetectSingleStep(t *testing.T) {
 	xs := stepSeries(80, 100, 0.5, 7, map[int]float64{40: 5})
-	cps := Detect(xs, Options{})
+	cps := Detect(xs)
 	if len(cps) != 1 {
 		t.Fatalf("Detect = %d change points, want 1: %+v", len(cps), cps)
 	}
@@ -47,7 +47,7 @@ func TestDetectSingleStep(t *testing.T) {
 
 func TestDetectTwoSteps(t *testing.T) {
 	xs := stepSeries(150, 200, 1, 3, map[int]float64{50: 12, 100: -8})
-	cps := Detect(xs, Options{})
+	cps := Detect(xs)
 	if len(cps) != 2 {
 		t.Fatalf("Detect = %d change points, want 2: %+v", len(cps), cps)
 	}
@@ -73,7 +73,7 @@ func TestDetectTwoSteps(t *testing.T) {
 func TestDetectNoChange(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 11} {
 		xs := stepSeries(120, 50, 1, seed, nil)
-		if cps := Detect(xs, Options{}); len(cps) != 0 {
+		if cps := Detect(xs); len(cps) != 0 {
 			t.Errorf("seed %d: Detect on pure noise = %+v, want none", seed, cps)
 		}
 	}
@@ -84,7 +84,7 @@ func TestDetectConstantSeries(t *testing.T) {
 	for i := range xs {
 		xs[i] = 42
 	}
-	if cps := Detect(xs, Options{}); len(cps) != 0 {
+	if cps := Detect(xs); len(cps) != 0 {
 		t.Errorf("Detect on constants = %+v, want none", cps)
 	}
 }
@@ -92,7 +92,7 @@ func TestDetectConstantSeries(t *testing.T) {
 func TestDetectShortSeries(t *testing.T) {
 	for n := 0; n < 10; n++ {
 		xs := stepSeries(n, 10, 0.1, 1, map[int]float64{n / 2: 100})
-		if cps := Detect(xs, Options{}); len(cps) != 0 {
+		if cps := Detect(xs); len(cps) != 0 {
 			t.Errorf("n=%d: Detect = %+v, want none (below 2*MinSegment)", n, cps)
 		}
 	}
@@ -103,38 +103,42 @@ func TestDetectNonFiniteInput(t *testing.T) {
 	xs[5] = math.NaN()
 	xs[45] = math.Inf(1)
 	// NaN/Inf poison the energy sums; the contract is simply no panic.
-	Detect(xs, Options{})
+	Detect(xs)
 }
 
 func TestDetectDeterministic(t *testing.T) {
 	xs := stepSeries(100, 30, 2, 5, map[int]float64{60: 4})
-	a := Detect(xs, Options{Seed: 9})
-	b := Detect(xs, Options{Seed: 9})
+	a := Detect(xs)
+	b := Detect(xs)
 	if !reflect.DeepEqual(a, b) {
-		t.Errorf("same seed, different results:\n%+v\n%+v", a, b)
+		t.Errorf("same series, different results:\n%+v\n%+v", a, b)
 	}
 }
 
 func TestDetectRespectsMinSegment(t *testing.T) {
 	// Step right at the edge: the reported index must stay at least
-	// MinSegment from both ends.
+	// minSegment from both ends.
 	xs := stepSeries(60, 10, 0.1, 2, map[int]float64{2: 50})
-	for _, cp := range Detect(xs, Options{MinSegment: 8}) {
-		if cp.Index < 8 || cp.Index > len(xs)-8 {
-			t.Errorf("Index %d violates MinSegment 8", cp.Index)
+	cps := Detect(xs)
+	if len(cps) == 0 {
+		t.Fatal("edge step not detected at all")
+	}
+	for _, cp := range cps {
+		if cp.Index < minSegment || cp.Index > len(xs)-minSegment {
+			t.Errorf("Index %d violates minSegment %d", cp.Index, minSegment)
 		}
 	}
 }
 
 func TestDetectMaxChangePoints(t *testing.T) {
+	// Thirty clean steps: the estimation stops at maxChangePoints.
 	steps := map[int]float64{}
-	for i := 20; i < 200; i += 20 {
+	for i := 20; i < 620; i += 20 {
 		steps[i] = 10
 	}
-	xs := stepSeries(220, 100, 0.3, 4, steps)
-	cps := Detect(xs, Options{MaxChangePoints: 3})
-	if len(cps) > 3 {
-		t.Errorf("MaxChangePoints=3 returned %d points", len(cps))
+	xs := stepSeries(640, 100, 0.3, 4, steps)
+	if cps := Detect(xs); len(cps) != maxChangePoints {
+		t.Errorf("30 steps returned %d points, want the cap %d", len(cps), maxChangePoints)
 	}
 }
 
@@ -158,8 +162,8 @@ func TestStreamMatchesBatch(t *testing.T) {
 		t.Errorf("BestSplit = (%d, %v), fresh scan = (%d, %v)", gotTau, gotQ, wantTau, wantQ)
 	}
 
-	want := Detect(xs, Options{})
-	got := s.Detect(Options{})
+	want := Detect(xs)
+	got := s.Detect()
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Stream.Detect:\n%+v\nbatch Detect:\n%+v", got, want)
 	}

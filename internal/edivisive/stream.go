@@ -54,13 +54,13 @@ func (s *Stream) Values() []float64 {
 // Callers deciding whether to alert should still validate the candidate
 // with Detect (permutation significance); BestSplit is the cheap
 // per-append screen.
-func (s *Stream) BestSplit(minSegment int) (tau int, q float64) {
-	return bestSplit(s.left, s.right, minSegment)
+func (s *Stream) BestSplit(minSeg int) (tau int, q float64) {
+	return bestSplit(s.left, s.right, minSeg)
 }
 
 // Detect runs the full hierarchical detection (including permutation
 // testing) over the buffered series. The first-level scan reuses the
 // maintained rows; deeper levels recompute within their segments.
-func (s *Stream) Detect(opts Options) []ChangePoint {
-	return detect(s.xs, opts, &rows{left: s.left, right: s.right})
+func (s *Stream) Detect() []ChangePoint {
+	return detect(s.xs, &rows{left: s.left, right: s.right})
 }

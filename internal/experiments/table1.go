@@ -4,42 +4,33 @@ import (
 	"fmt"
 	"time"
 
+	"fbdetect"
 	"fbdetect/internal/core"
 	"fbdetect/internal/timeseries"
 	"fbdetect/internal/tsdb"
 )
 
-// Table1Spec mirrors one row of the paper's Table 1.
+// Table1Spec is one row of the paper's Table 1: its preset configuration
+// (fbdetect.Presets) and the metric baseline the scenario runs at.
 type Table1Spec struct {
-	Name      string
-	Threshold float64
-	Relative  bool
-	Historic  time.Duration
-	Analysis  time.Duration
-	Extended  time.Duration
-	Baseline  float64 // metric baseline the scenario runs at
+	fbdetect.Config
+	Baseline float64
 }
 
+// table1Baselines are the scenario baselines, in Presets' row order:
+// gCPU workloads run at a subroutine baseline well above their threshold;
+// CT rows monitor relative series at baseline 1.
+var table1Baselines = []float64{0.30, 0.001, 0.05, 0.005, 0.01, 0.01, 0.02, 0.02, 0.05, 1, 1, 1}
+
 // Table1Specs returns the twelve rows of Table 1 with the scenario
-// baselines used for reproduction: gCPU workloads run at a subroutine
-// baseline well above their threshold; CT rows monitor relative series at
-// baseline 1.
+// baselines used for reproduction.
 func Table1Specs() []Table1Spec {
-	day := 24 * time.Hour
-	return []Table1Spec{
-		{"FrontFaaS (large)", 0.03, false, 10 * day, 3 * time.Hour, 0, 0.30},
-		{"FrontFaaS (small)", 0.00005, false, 10 * day, 4 * time.Hour, 6 * time.Hour, 0.001},
-		{"PythonFaaS (large)", 0.005, false, 10 * day, 6 * time.Hour, 0, 0.05},
-		{"PythonFaaS (small)", 0.0003, false, 10 * day, 6 * time.Hour, 6 * time.Hour, 0.005},
-		{"TAO (FrontFaaS)", 0.0005, false, 10 * day, 4 * time.Hour, day, 0.01},
-		{"TAO (non-FrontFaaS)", 0.0005, false, 10 * day, day, 6 * time.Hour, 0.01},
-		{"AdServing (short)", 0.002, false, 10 * day, day, 12 * time.Hour, 0.02},
-		{"AdServing (long)", 0.001, false, 16 * day, 9 * day, 0, 0.02},
-		{"Invoicer (short)", 0.005, false, 14 * day, day, day, 0.05},
-		{"CT-supply (short)", 0.05, true, 7 * day, day, day, 1},
-		{"CT-supply (long)", 0.05, true, 10 * day, 7 * day, day, 1},
-		{"CT-demand", 0.05, true, 7 * day, day, 0, 1},
+	presets := fbdetect.Presets()
+	specs := make([]Table1Spec, len(presets))
+	for i, c := range presets {
+		specs[i] = Table1Spec{Config: c, Baseline: table1Baselines[i]}
 	}
+	return specs
 }
 
 // Table1Row is the reproduction outcome for one configuration.
@@ -58,12 +49,12 @@ func (r Table1Result) String() string {
 	var rows [][]string
 	for _, row := range r.Rows {
 		unit := "abs"
-		if row.Spec.Relative {
+		if row.Spec.RelativeThreshold {
 			unit = "rel"
 		}
 		measured := "-"
 		if row.Detected {
-			if row.Spec.Relative {
+			if row.Spec.RelativeThreshold {
 				measured = fmtPct(row.MeasuredDelta / row.Spec.Baseline)
 			} else {
 				measured = fmtPct(row.MeasuredDelta)
@@ -100,25 +91,25 @@ func RunTable1(seed int64) Table1Result {
 func runTable1Row(seed int64, spec Table1Spec) Table1Row {
 	rng := newRng(seed)
 	// Compress windows to a manageable number of points.
-	total := spec.Historic + spec.Analysis + spec.Extended
-	step := total / 1000
+	w := spec.Windows
+	step := w.Total() / 1000
 	if step < time.Minute {
 		step = time.Minute
 	}
-	histN := int(spec.Historic / step)
-	anaN := int(spec.Analysis / step)
-	extN := int(spec.Extended / step)
+	histN := int(w.Historic / step)
+	anaN := int(w.Analysis / step)
+	extN := int(w.Extended / step)
 	if anaN < 40 {
 		// Keep the analysis window statistically meaningful after
 		// compression.
 		anaN = 40
 	}
-	if extN == 0 && spec.Extended > 0 {
+	if extN == 0 && w.Extended > 0 {
 		extN = 20
 	}
 
 	injected := 1.5 * spec.Threshold
-	if spec.Relative {
+	if spec.RelativeThreshold {
 		injected *= spec.Baseline // convert to an absolute shift
 	}
 	noise := injected / 4
@@ -144,7 +135,7 @@ func runTable1Row(seed int64, spec Table1Spec) Table1Row {
 	cfg := core.Config{
 		Name:              spec.Name,
 		Threshold:         spec.Threshold,
-		RelativeThreshold: spec.Relative,
+		RelativeThreshold: spec.RelativeThreshold,
 		Windows: timeseries.WindowConfig{
 			Historic: time.Duration(histN) * step,
 			Analysis: time.Duration(anaN) * step,

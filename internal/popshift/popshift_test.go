@@ -159,7 +159,7 @@ func TestDiagnoseVerdicts(t *testing.T) {
 		{Stratum: Stratum{Gen: "a"}, PreWeight: 0.7, PostWeight: 0.3, PreMean: 0.10, PostMean: 0.10, PreVar: 1e-6, PostVar: 1e-6, PreN: 100, PostN: 100},
 		{Stratum: Stratum{Gen: "b"}, PreWeight: 0.3, PostWeight: 0.7, PreMean: 0.20, PostMean: 0.20, PreVar: 1e-6, PostVar: 1e-6, PreN: 100, PostN: 100},
 	}
-	if v := Diagnose(pure, 0.01, Config{}); !v.IsShift {
+	if v := Diagnose(pure, 0.01); !v.IsShift {
 		t.Fatalf("pure composition not diagnosed as shift: %+v", v)
 	}
 
@@ -167,13 +167,13 @@ func TestDiagnoseVerdicts(t *testing.T) {
 		{Stratum: Stratum{Gen: "a"}, PreWeight: 0.7, PostWeight: 0.3, PreMean: 0.10, PostMean: 0.15, PreVar: 1e-6, PostVar: 1e-6, PreN: 100, PostN: 100},
 		{Stratum: Stratum{Gen: "b"}, PreWeight: 0.3, PostWeight: 0.7, PreMean: 0.20, PostMean: 0.25, PreVar: 1e-6, PostVar: 1e-6, PreN: 100, PostN: 100},
 	}
-	if v := Diagnose(step, 0.01, Config{}); v.IsShift {
+	if v := Diagnose(step, 0.01); v.IsShift {
 		t.Fatalf("uniform step wrongly suppressed: %+v", v)
 	}
 
 	// One stratum: must abstain.
 	single := pure[:1]
-	if v := Diagnose(single, 0.01, Config{}); v.IsShift {
+	if v := Diagnose(single, 0.01); v.IsShift {
 		t.Fatalf("single stratum wrongly diagnosed: %+v", v)
 	}
 
@@ -182,7 +182,7 @@ func TestDiagnoseVerdicts(t *testing.T) {
 		{Stratum: Stratum{Gen: "a"}, PreWeight: 0.5, PostWeight: 0.5, PreMean: 0.10, PostMean: 0.12},
 		{Stratum: Stratum{Gen: "b"}, PreWeight: 0.5, PostWeight: 0.5, PreMean: 0.20, PostMean: 0.22},
 	}
-	if v := Diagnose(still, 0.5, Config{}); v.IsShift {
+	if v := Diagnose(still, 0.5); v.IsShift {
 		t.Fatalf("static mix wrongly diagnosed as shift: %+v", v)
 	}
 }
@@ -194,7 +194,7 @@ func TestDiagnoseBiasTest(t *testing.T) {
 		{Stratum: Stratum{Gen: "a"}, PreWeight: 0.7, PostWeight: 0.3, PreMean: 0.100, PostMean: 0.104, PreVar: 1e-10, PostVar: 1e-10, PreN: 1000, PostN: 1000},
 		{Stratum: Stratum{Gen: "b"}, PreWeight: 0.3, PostWeight: 0.7, PreMean: 0.200, PostMean: 0.204, PreVar: 1e-10, PostVar: 1e-10, PreN: 1000, PostN: 1000},
 	}
-	v := Diagnose(stats, 0.05, Config{})
+	v := Diagnose(stats, 0.05)
 	if v.IsShift {
 		t.Fatalf("bias test failed to veto: %+v", v)
 	}

@@ -49,17 +49,16 @@ func mixChange(stats []StratumStat) float64 {
 // the mix moved enough to be diagnosable at all.
 func TestPropertyPureCompositionAlwaysShift(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	cfg := Config{}.WithDefaults()
 	tried := 0
 	for i := 0; i < 2000; i++ {
 		stats := randomStats(rng)
-		if mixChange(stats) < cfg.MinMixChange {
+		if mixChange(stats) < minMixChange {
 			continue // below the stage's own diagnosability floor
 		}
 		tried++
 		// Any positive threshold: behavior is exactly zero.
 		threshold := 1e-6 + rng.Float64()*0.1
-		v := Diagnose(stats, threshold, cfg)
+		v := Diagnose(stats, threshold)
 		if !v.IsShift {
 			t.Fatalf("iter %d: pure composition not a shift (reason %q)\nstats: %+v\ndecomp: %+v",
 				i, v.Reason, stats, v.Decomp)
@@ -79,7 +78,6 @@ func TestPropertyPureCompositionAlwaysShift(t *testing.T) {
 // underneath it.
 func TestPropertyUniformStepNeverShift(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	cfg := Config{}.WithDefaults()
 	for i := 0; i < 2000; i++ {
 		stats := randomStats(rng)
 		step := 0.01 + rng.Float64()*0.2
@@ -93,7 +91,7 @@ func TestPropertyUniformStepNeverShift(t *testing.T) {
 		// must refuse to suppress (BehaviorPre == step exactly, since
 		// normalized pre weights sum to one).
 		threshold := math.Abs(step) * (0.1 + 0.89*rng.Float64())
-		v := Diagnose(stats, threshold, cfg)
+		v := Diagnose(stats, threshold)
 		if v.IsShift {
 			t.Fatalf("iter %d: uniform step %v suppressed as shift\nstats: %+v\ndecomp: %+v",
 				i, step, stats, v.Decomp)

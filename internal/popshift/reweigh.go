@@ -95,36 +95,22 @@ func Reweigh(stats []StratumStat) Decomposition {
 	return d
 }
 
-// Config tunes the composition-vs-behavior decision.
-type Config struct {
-	// MinStrata is the minimum number of observed strata required to
+// The composition-vs-behavior decision's fixed parameters.
+const (
+	// minStrata is the minimum number of observed strata required to
 	// attempt a diagnosis; with fewer the stage abstains (a candidate
-	// cannot be "explained by mix" without a mix). Default 2.
-	MinStrata int
-	// MinMixChange is the minimum total-variation distance between the
+	// cannot be "explained by mix" without a mix).
+	minStrata = 2
+	// minMixChange is the minimum total-variation distance between the
 	// pre and post mixes for a shift verdict; below it the population
-	// barely moved and the delta must be behavior. Default 0.02.
-	MinMixChange float64
-	// ZThreshold is the bias-test multiplier: when the behavior term
-	// exceeds ZThreshold standard errors it is statistically
-	// distinguishable from zero and the verdict is behavior even if
-	// the term is below the metric threshold. Default 3.
-	ZThreshold float64
-}
-
-// WithDefaults fills unset fields.
-func (c Config) WithDefaults() Config {
-	if c.MinStrata <= 0 {
-		c.MinStrata = 2
-	}
-	if c.MinMixChange <= 0 {
-		c.MinMixChange = 0.02
-	}
-	if c.ZThreshold <= 0 {
-		c.ZThreshold = 3
-	}
-	return c
-}
+	// barely moved and the delta must be behavior.
+	minMixChange = 0.02
+	// zThreshold is the bias-test multiplier: when the behavior term
+	// exceeds zThreshold standard errors it is statistically
+	// distinguishable from zero and the verdict is behavior even if the
+	// term is below the metric threshold.
+	zThreshold = 3
+)
 
 // Verdict is the outcome of diagnosing one candidate regression.
 type Verdict struct {
@@ -142,22 +128,21 @@ type Verdict struct {
 // enough strata were observed, the mix actually moved, and the behavior
 // term (under BOTH the pre and post mixes — a real regression moves
 // both) stays below the metric's own detection threshold and within
-// ZThreshold standard errors of zero. threshold is in the metric's
+// zThreshold standard errors of zero. threshold is in the metric's
 // units (callers convert relative thresholds using the pre-window
 // mean).
-func Diagnose(stats []StratumStat, threshold float64, cfg Config) Verdict {
-	cfg = cfg.WithDefaults()
+func Diagnose(stats []StratumStat, threshold float64) Verdict {
 	d := Reweigh(stats)
 	v := Verdict{Decomp: d}
 	behaviorMax := math.Max(math.Abs(d.BehaviorPre), math.Abs(d.BehaviorPost))
 	switch {
-	case d.Strata < cfg.MinStrata:
+	case d.Strata < minStrata:
 		v.Reason = "too few strata observed"
-	case d.MixChange < cfg.MinMixChange:
+	case d.MixChange < minMixChange:
 		v.Reason = "population mix did not move"
 	case threshold > 0 && behaviorMax >= threshold:
 		v.Reason = "behavior term exceeds detection threshold"
-	case d.SE > 0 && behaviorMax > cfg.ZThreshold*d.SE:
+	case d.SE > 0 && behaviorMax > zThreshold*d.SE:
 		v.Reason = "behavior term significant under bias test"
 	default:
 		v.IsShift = true

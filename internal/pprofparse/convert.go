@@ -10,17 +10,14 @@ import (
 )
 
 // ConvertOptions tunes Profile→SampleSet conversion. The zero value picks
-// the profile's default (or last) sample type and normalizes frames.
+// the profile's default (or last) sample type. Frames are always
+// normalized (NormalizeFrame).
 type ConvertOptions struct {
 	// SampleType selects which sample value to weight stacks by, matched
 	// against the profile's sample-type names (e.g. "cpu", "samples").
 	// Empty picks the profile's declared default, falling back to the last
 	// type — for CPU profiles that is cpu/nanoseconds.
 	SampleType string
-
-	// KeepRaw disables frame normalization: subroutine names stay exactly
-	// as the profile spells them (full import paths, no class extraction).
-	KeepRaw bool
 
 	// MaxDepth keeps only the MaxDepth frames nearest the root (0 =
 	// unlimited). FBDetect's gCPU only asks "does the subroutine appear
@@ -72,11 +69,7 @@ func (p *Profile) trace(locIDs []uint64, opts ConvertOptions) stacktrace.Trace {
 			if name == "" {
 				continue
 			}
-			if opts.KeepRaw {
-				tr = append(tr, stacktrace.Frame{Subroutine: name})
-			} else {
-				tr = append(tr, NormalizeFrame(name))
-			}
+			tr = append(tr, NormalizeFrame(name))
 		}
 	}
 	if opts.MaxDepth > 0 && len(tr) > opts.MaxDepth {

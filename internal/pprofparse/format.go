@@ -60,19 +60,19 @@ func DetectFormat(data []byte, contentType string) string {
 }
 
 // ReadAny parses profile bytes in either wire format into a SampleSet,
-// reporting which format was detected. folded tunes the folded-text line
-// cap; opts tunes the pprof conversion.
-func ReadAny(data []byte, contentType string, opts ConvertOptions, folded stacktrace.FoldedOptions) (*stacktrace.SampleSet, string, error) {
+// reporting which format was detected. A pprof profile converts at
+// ConvertOptions' zero value.
+func ReadAny(data []byte, contentType string) (*stacktrace.SampleSet, string, error) {
 	switch format := DetectFormat(data, contentType); format {
 	case FormatPprof:
 		p, err := Parse(data)
 		if err != nil {
 			return nil, format, err
 		}
-		ss, err := p.SampleSet(opts)
+		ss, err := p.SampleSet(ConvertOptions{})
 		return ss, format, err
 	default:
-		ss, err := stacktrace.ReadFoldedOptions(bytes.NewReader(data), folded)
+		ss, err := stacktrace.ReadFolded(bytes.NewReader(data))
 		if err != nil {
 			return nil, FormatFolded, fmt.Errorf("pprofparse: not a pprof profile and folded parse failed: %w", err)
 		}

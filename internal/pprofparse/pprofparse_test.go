@@ -7,8 +7,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"fbdetect/internal/stacktrace"
 )
 
 // TestParseRealProfile decodes the committed runtime/pprof CPU profile
@@ -352,7 +350,7 @@ func TestReadAnyBothFormats(t *testing.T) {
 	b.Add([]string{"main.main", "pkg.hot"}, 9)
 	b.Add([]string{"main.main", "pkg.cold"}, 1)
 
-	ss, format, err := ReadAny(b.Profile().MarshalGzip(), "", ConvertOptions{}, stacktrace.FoldedOptions{})
+	ss, format, err := ReadAny(b.Profile().MarshalGzip(), "")
 	if err != nil || format != FormatPprof {
 		t.Fatalf("pprof: format=%s err=%v", format, err)
 	}
@@ -360,7 +358,7 @@ func TestReadAnyBothFormats(t *testing.T) {
 		t.Errorf("pprof gCPU(pkg.hot) = %v", g)
 	}
 
-	ss, format, err = ReadAny([]byte("main.main;pkg.hot 9\nmain.main;pkg.cold 1\n"), "", ConvertOptions{}, stacktrace.FoldedOptions{})
+	ss, format, err = ReadAny([]byte("main.main;pkg.hot 9\nmain.main;pkg.cold 1\n"), "")
 	if err != nil || format != FormatFolded {
 		t.Fatalf("folded: format=%s err=%v", format, err)
 	}

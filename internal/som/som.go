@@ -24,24 +24,21 @@ type Options struct {
 	// Rows and Cols set the grid size; if either is 0 the grid defaults to
 	// L x L with L = ceil(n^(1/4)).
 	Rows, Cols int
-	// Epochs is the number of passes over the data (default 10).
-	Epochs int
-	// InitialLearningRate decays linearly to near zero (default 0.5).
-	InitialLearningRate float64
 	// Seed seeds weight initialization and input shuffling.
 	Seed int64
 }
+
+const (
+	// epochs is the number of training passes over the data.
+	epochs = 10
+	// initialLearningRate decays linearly to near zero over training.
+	initialLearningRate = 0.5
+)
 
 func (o Options) withDefaults(n int) Options {
 	if o.Rows <= 0 || o.Cols <= 0 {
 		l := GridSize(n)
 		o.Rows, o.Cols = l, l
-	}
-	if o.Epochs <= 0 {
-		o.Epochs = 10
-	}
-	if o.InitialLearningRate <= 0 {
-		o.InitialLearningRate = 0.5
 	}
 	return o
 }
@@ -90,14 +87,14 @@ func Train(vectors [][]float64, opts Options) (*Map, error) {
 	}
 
 	initialRadius := float64(maxInt(opts.Rows, opts.Cols)) / 2
-	totalSteps := opts.Epochs * n
+	totalSteps := epochs * n
 	step := 0
 	order := rng.Perm(n)
-	for epoch := 0; epoch < opts.Epochs; epoch++ {
+	for epoch := 0; epoch < epochs; epoch++ {
 		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, vi := range order {
 			frac := float64(step) / float64(totalSteps)
-			lr := opts.InitialLearningRate * (1 - frac)
+			lr := initialLearningRate * (1 - frac)
 			radius := 1 + initialRadius*(1-frac)
 			m.update(vectors[vi], lr, radius)
 			step++

@@ -9,19 +9,11 @@ import (
 	"strings"
 )
 
-// DefaultMaxLineBytes is the folded-line length cap ReadFolded applies
-// when FoldedOptions.MaxLineBytes is unset (1 MiB — thousands of frames,
-// far beyond any real stack).
-const DefaultMaxLineBytes = 1 << 20
-
-// FoldedOptions tunes ReadFoldedOptions. The zero value matches
-// ReadFolded's defaults.
-type FoldedOptions struct {
-	// MaxLineBytes caps one folded line (default DefaultMaxLineBytes).
-	// Lines beyond it fail with a "folded line N too long" error naming
-	// the offending line instead of bufio's opaque "token too long".
-	MaxLineBytes int
-}
+// maxLineBytes caps one folded line (1 MiB — thousands of frames, far
+// beyond any real stack). Longer lines fail with a "folded line N too
+// long" error naming the offending line instead of bufio's opaque "token
+// too long".
+const maxLineBytes = 1 << 20
 
 // ReadFolded parses collapsed ("folded") stack traces — the interchange
 // format emitted by perf/pprof flame-graph tooling and by this
@@ -34,22 +26,9 @@ type FoldedOptions struct {
 // This is the integration point for feeding real profiler output (e.g.
 // from pprof or perf script | stackcollapse) into FBDetect.
 func ReadFolded(r io.Reader) (*SampleSet, error) {
-	return ReadFoldedOptions(r, FoldedOptions{})
-}
-
-// ReadFoldedOptions is ReadFolded with explicit limits.
-func ReadFoldedOptions(r io.Reader, opts FoldedOptions) (*SampleSet, error) {
-	maxLine := opts.MaxLineBytes
-	if maxLine <= 0 {
-		maxLine = DefaultMaxLineBytes
-	}
 	ss := NewSampleSet()
 	scanner := bufio.NewScanner(r)
-	initial := 64 * 1024
-	if initial > maxLine {
-		initial = maxLine
-	}
-	scanner.Buffer(make([]byte, 0, initial), maxLine)
+	scanner.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
 	lineNo := 0
 	for scanner.Scan() {
 		lineNo++
@@ -65,8 +44,8 @@ func ReadFoldedOptions(r io.Reader, opts FoldedOptions) (*SampleSet, error) {
 	}
 	if err := scanner.Err(); err != nil {
 		if errors.Is(err, bufio.ErrTooLong) {
-			return nil, fmt.Errorf("stacktrace: folded line %d too long (limit %d bytes; raise FoldedOptions.MaxLineBytes)",
-				lineNo+1, maxLine)
+			return nil, fmt.Errorf("stacktrace: folded line %d too long (limit %d bytes)",
+				lineNo+1, maxLineBytes)
 		}
 		return nil, fmt.Errorf("stacktrace: reading folded stacks: %w", err)
 	}

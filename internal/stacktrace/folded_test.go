@@ -150,28 +150,29 @@ func TestReadFoldedCRLF(t *testing.T) {
 	}
 }
 
-// TestReadFoldedLineCap: over-long lines fail with a clear, numbered
-// error instead of bufio's opaque "token too long", and the cap is
-// adjustable.
+// TestReadFoldedLineCap: a line over the 1 MiB cap fails with a clear,
+// numbered error instead of bufio's opaque "token too long", and a line
+// just under it parses.
 func TestReadFoldedLineCap(t *testing.T) {
-	long := "ok 1\n" + strings.Repeat("x", 300) + ";leaf 2\n"
-	_, err := ReadFoldedOptions(strings.NewReader(long), FoldedOptions{MaxLineBytes: 128})
+	long := "ok 1\n" + strings.Repeat("x", maxLineBytes) + ";leaf 2\n"
+	_, err := ReadFolded(strings.NewReader(long))
 	if err == nil {
 		t.Fatal("expected line-too-long error")
 	}
 	msg := err.Error()
-	if !strings.Contains(msg, "line 2") || !strings.Contains(msg, "too long") || !strings.Contains(msg, "128") {
-		t.Errorf("error %q should name line 2 and the 128-byte limit", msg)
+	if !strings.Contains(msg, "line 2") || !strings.Contains(msg, "too long") || !strings.Contains(msg, "1048576") {
+		t.Errorf("error %q should name line 2 and the 1048576-byte limit", msg)
 	}
 	if strings.Contains(msg, "token too long") {
 		t.Errorf("error %q leaks bufio internals", msg)
 	}
-	// The same input parses once the cap is raised.
-	ss, err := ReadFoldedOptions(strings.NewReader(long), FoldedOptions{MaxLineBytes: 1024})
+	// A line that fits the cap, newline included, parses.
+	fits := "ok 1\n" + strings.Repeat("x", maxLineBytes-len(";leaf 2\n")) + ";leaf 2\n"
+	ss, err := ReadFolded(strings.NewReader(fits))
 	if err != nil {
-		t.Fatalf("raised cap: %v", err)
+		t.Fatalf("line at the cap: %v", err)
 	}
 	if ss.Total() != 3 {
-		t.Errorf("raised cap: total = %v, want 3", ss.Total())
+		t.Errorf("line at the cap: total = %v, want 3", ss.Total())
 	}
 }

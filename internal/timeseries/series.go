@@ -6,7 +6,6 @@ package timeseries
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 )
 
@@ -96,19 +95,6 @@ func (s *Series) Clone() *Series {
 // Append adds values to the end of the series.
 func (s *Series) Append(values ...float64) {
 	s.Values = append(s.Values, values...)
-}
-
-// AppendRepeat appends n copies of v, growing the backing array at most
-// once — the bulk form gap filling uses so a long-gapped series costs one
-// allocation instead of O(gap) appends.
-func (s *Series) AppendRepeat(v float64, n int) {
-	if n <= 0 {
-		return
-	}
-	s.Values = slices.Grow(s.Values, n)
-	for i := 0; i < n; i++ {
-		s.Values = append(s.Values, v)
-	}
 }
 
 func (s *Series) String() string {

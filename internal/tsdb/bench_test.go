@@ -16,8 +16,8 @@ func BenchmarkAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryWindow measures the read path every copying reader
-// takes: Query is a View materialised whole into fresh buffers, here
+// BenchmarkQueryWindow measures the read path every one-off reader
+// takes: a View materialised whole into fresh buffers, here
 // 1000 points out of nine sealed chunks, the first and last in part.
 func BenchmarkQueryWindow(b *testing.B) {
 	db := New(time.Minute)
@@ -30,7 +30,7 @@ func BenchmarkQueryWindow(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(id, from, to); err != nil {
+		if _, err := query(db, id, from, to); err != nil {
 			b.Fatal(err)
 		}
 	}

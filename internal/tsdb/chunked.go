@@ -230,7 +230,7 @@ func (v View) Materialize(lo, hi int) error {
 		return nil
 	}
 	// This is the package's one chunk walk: every read of sealed data —
-	// Query, Full, Prune's rebuild, the scan's views — is a view
+	// Full, Prune's rebuild, the scan's views — is a view
 	// materialised here.
 	cs := sc.chunkSize
 	for k := (lo - sc.first) / cs; k < len(sc.pinned) && sc.first+k*cs < hi; k++ {

@@ -72,11 +72,11 @@ func TestChunkedMatchesRaw(t *testing.T) {
 	var sc Scratch
 	for _, sp := range spans {
 		from, to := t0.Add(time.Duration(sp[0])*time.Minute), t0.Add(time.Duration(sp[1])*time.Minute)
-		cq, err := chunked.Query(id, from, to)
+		cq, err := query(chunked, id, from, to)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rq, err := raw.Query(id, from, to)
+		rq, err := query(raw, id, from, to)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +272,7 @@ func TestRestoreRoundTripsThroughChunks(t *testing.T) {
 	if err := db2.Append(id, t0.Add(500*time.Minute), 42); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := db2.Query(id, t0.Add(500*time.Minute), t0.Add(501*time.Minute)); err != nil || v.Values[0] != 42 {
+	if v, err := query(db2, id, t0.Add(500*time.Minute), t0.Add(501*time.Minute)); err != nil || v.Values[0] != 42 {
 		t.Fatalf("post-restore append: %v %v", v, err)
 	}
 }

@@ -374,13 +374,6 @@ func (db *DB) Restore(id MetricID, s *timeseries.Series) {
 	sh.series[id] = &entry{data: c, epoch: nextEpoch()}
 }
 
-// Query returns a copy of the metric's series restricted to [from, to), or
-// an error if the metric is unknown.
-func (db *DB) Query(id MetricID, from, to time.Time) (*timeseries.Series, error) {
-	s, _, err := db.QueryViewStamped(id, from, to, nil)
-	return s, err
-}
-
 // Full returns a copy of the metric's complete series.
 func (db *DB) Full(id MetricID) (*timeseries.Series, error) {
 	sh := db.shardFor(id)

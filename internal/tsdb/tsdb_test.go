@@ -3,9 +3,24 @@ package tsdb
 import (
 	"testing"
 	"time"
+
+	"fbdetect/internal/timeseries"
 )
 
 var t0 = time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
+
+// query reads id's window [from, to) as a one-off reader does: a View on
+// fresh buffers, materialised whole.
+func query(db *DB, id MetricID, from, to time.Time) (*timeseries.Series, error) {
+	v, err := db.View(id, from, to, nil)
+	if err == nil {
+		err = v.Materialize(0, v.N)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return v.Series(), nil
+}
 
 func TestIDRoundTrip(t *testing.T) {
 	id := ID("frontfaas", "feed_render", "gcpu")
@@ -32,7 +47,7 @@ func TestAppendAndQuery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s, err := db.Query(id, t0.Add(2*time.Minute), t0.Add(5*time.Minute))
+	s, err := query(db, id, t0.Add(2*time.Minute), t0.Add(5*time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +90,7 @@ func TestAppendGapFilling(t *testing.T) {
 
 func TestQueryUnknown(t *testing.T) {
 	db := New(time.Minute)
-	if _, err := db.Query(ID("x", "y", "z"), t0, t0.Add(time.Hour)); err == nil {
+	if _, err := query(db, ID("x", "y", "z"), t0, t0.Add(time.Hour)); err == nil {
 		t.Error("unknown metric should error")
 	}
 	if _, err := db.Full(ID("x", "y", "z")); err == nil {
@@ -92,7 +107,7 @@ func TestQueryReturnsCopy(t *testing.T) {
 	s.Values[0] = 99
 	s2, _ := db.Full(id)
 	if s2.Values[0] != 1 {
-		t.Error("Query leaked internal storage")
+		t.Error("Full leaked internal storage")
 	}
 }
 
@@ -190,7 +205,7 @@ func TestQueryViewMatchesQuery(t *testing.T) {
 		db.Append(id, t0.Add(time.Duration(i)*time.Minute), float64(i))
 	}
 	from, to := t0.Add(3*time.Minute), t0.Add(11*time.Minute)
-	copied, err := db.Query(id, from, to)
+	copied, err := query(db, id, from, to)
 	if err != nil {
 		t.Fatal(err)
 	}

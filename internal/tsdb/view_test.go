@@ -18,9 +18,10 @@ func nanFill(sc *Scratch) {
 
 // A window spanning six sealed chunks (the first of them only in part)
 // and most of the head, materialised in two steps split at every (lo, hi): after Materialize(lo, hi) exactly the asked-for range
-// is guaranteed, after the rest everything is, and both equal Query. The
-// buffer is poisoned before every view, so a point that was never decoded
-// cannot pass for one that was.
+// is guaranteed, after the rest everything is, and both equal a fresh
+// view read whole, which holds the appended values. The buffer is
+// poisoned before every view, so a point that was never decoded cannot
+// pass for one that was.
 func TestMaterializeEverySplitEqualsQuery(t *testing.T) {
 	const cs = 20
 	db := NewWithOptions(time.Minute, Options{ChunkSize: cs})
@@ -33,13 +34,18 @@ func TestMaterializeEverySplitEqualsQuery(t *testing.T) {
 	// Chunk 0 is outside; the window starts 7 points into chunk 1, covers
 	// chunks 2-6 whole, and ends 9 points into the 13-point head.
 	from, to := t0.Add((cs+7)*time.Minute), t0.Add((7*cs+9)*time.Minute)
-	want, err := db.Query(id, from, to)
+	want, err := query(db, id, from, to)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := want.Len()
 	if n != 6*cs+2 {
 		t.Fatalf("window holds %d points", n)
+	}
+	for k, v := range want.Values {
+		if i := cs + 7 + k; v != float64(i*i%977)/1e3 {
+			t.Fatalf("window point %d = %v, appended %v", k, v, float64(i*i%977)/1e3)
+		}
 	}
 	same := func(got, want []float64, lo, hi int, what string) {
 		t.Helper()
@@ -122,7 +128,7 @@ func TestPinnedViewSurvivesSealAndPrune(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := db.Query(id, at(3), at(n0))
+	want, err := query(db, id, at(3), at(n0))
 	if err != nil {
 		t.Fatal(err)
 	}
