@@ -82,7 +82,7 @@ bench-obs:
 BENCH_GATE = BenchmarkPipeline$$|BenchmarkScanThroughput$$|BenchmarkScanThroughputNoCheckpoint$$|BenchmarkWarmScanIncremental$$
 BENCH_TSDB = BenchmarkAppendParallel$$|BenchmarkAppendParallelSingleLock$$|BenchmarkAppendBatch$$|BenchmarkChunkAppend$$|BenchmarkChunkIterate$$|BenchmarkQueryWindow$$
 BENCH_PPROF = BenchmarkPprofParse$$
-BENCH_EDIV = BenchmarkEDivisive$$|BenchmarkEDivisiveStreamAppend$$
+BENCH_EDIV = BenchmarkEDivisive$$
 # The per-series kernels of a sliding sweep: the change-point stage on a
 # quiet window, the went-away decision per candidate shape, and the
 # statistics and smooths behind went-away and the period search. Each

@@ -146,28 +146,48 @@ func FuzzSAXEncoder(f *testing.F) {
 			return
 		}
 		xs := fuzzSeries(data)
-		enc, err := sax.NewEncoderForData(xs)
+		// Size the range over the finite points, widened by 1e-12 as
+		// the went-away detector widens it, then encode every point: NaN
+		// and Inf clamp to the edge buckets.
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, x := range xs {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				continue
+			}
+			lo, hi = min(lo, x), max(hi, x)
+		}
+		enc, err := sax.NewEncoder(sax.DefaultBuckets, sax.DefaultValidityPct, lo, hi+1e-12)
 		if err != nil {
-			return // no finite data, nothing to encode
+			return // no finite data, or a range too wide or too narrow to split
 		}
-		lo, hi := enc.Range()
-		if math.IsNaN(lo) || math.IsNaN(hi) || hi <= lo {
-			t.Fatalf("encoder accepted degenerate range [%v, %v]", lo, hi)
+		b := enc.Buckets()
+		if lo0, hiN := enc.LetterLowerBound(0), enc.LetterLowerBound(b); math.IsNaN(lo0) || math.IsNaN(hiN) || hiN <= lo0 {
+			t.Fatalf("encoder accepted degenerate range [%v, %v]", lo0, hiN)
 		}
-		word := enc.Encode(xs)
+		word := enc.EncodeInto(make([]int, len(xs)), make([]int, b), xs)
 		for i, l := range word.Letters {
-			if l < 0 || l >= enc.Buckets() {
+			if l < 0 || l >= b {
 				t.Fatalf("letter %d at point %d (value %v) outside [0, %d)",
-					l, i, xs[i], enc.Buckets())
+					l, i, xs[i], b)
 			}
 		}
 		_ = word.String() // must not index outside the alphabet
-		_ = word.ValidLetters()
-		if word.MaxLetter() >= enc.Buckets() {
+		for l := 0; l < b; l++ {
+			_ = word.Valid(l)
+		}
+		if word.MaxLetter() >= b {
 			t.Fatalf("MaxLetter %d outside bucket range", word.MaxLetter())
 		}
-		if ref := enc.Encode(xs[:len(xs)/2]); word.InvalidFraction(ref) < 0 ||
-			word.InvalidFraction(ref) > 1 {
+		half := len(xs) / 2
+		ref := enc.EncodeInto(make([]int, half), make([]int, b), xs[:half])
+		sub := word.SliceInto(make([]int, b), 0, half)
+		for l := 0; l < b; l++ {
+			if sub.Counts[l] != ref.Counts[l] {
+				t.Fatalf("SliceInto count of letter %d = %d, EncodeInto of the same points = %d",
+					l, sub.Counts[l], ref.Counts[l])
+			}
+		}
+		if word.InvalidFraction(ref) < 0 || word.InvalidFraction(ref) > 1 {
 			t.Fatalf("InvalidFraction outside [0, 1]")
 		}
 	})

@@ -84,13 +84,6 @@ func (l *Log) Record(c *Change) {
 	l.changes[i] = c
 }
 
-// Len returns the number of recorded changes.
-func (l *Log) Len() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.changes)
-}
-
 // Between returns changes deployed in [from, to), optionally restricted to
 // a service ("" matches all), ordered by deploy time.
 func (l *Log) Between(service string, from, to time.Time) []*Change {

@@ -4,9 +4,9 @@
 // quotas and token-bucket rate limits on the data plane
 // (/ingest, /profiles, /scan), and an async-operation framework
 // (backfill) whose job state is journaled through the WAL so
-// in-flight operations survive a SIGKILL. Every tenant's points and
-// scans run on the server's own store and its embedded
-// distributed.Worker; the server drives no worker ring.
+// in-flight operations survive a SIGKILL. Every tenant's points land in
+// the server's own store, and its scans run through a pipeline of its
+// own; the server drives no worker ring.
 //
 // The paper's FBDetect runs as an always-on production service over
 // hundreds of thousands of hosts; this package is the reproduction's
@@ -88,7 +88,7 @@ func (o Options) withDefaults() Options {
 }
 
 // Server is the control plane: a durable store, the tenant table, the
-// journaled operation queue and the embedded scan pipeline, all behind
+// journaled operation queue and one scan pipeline per tenant, all behind
 // one authenticated mux.
 type Server struct {
 	opts    Options
@@ -99,13 +99,12 @@ type Server struct {
 	tenants *TenantStore
 	ops     *OpStore
 	queue   *queue
-	pipe    *core.Pipeline
-	worker  *distributed.Worker
 	mux     *http.ServeMux
 
 	// Per-tenant data-plane handlers, built lazily: each tenant gets
 	// its own in-flight semaphores, so one tenant saturating its ingest
-	// slots draws 429s without queueing another tenant's batches.
+	// slots draws 429s without queueing another tenant's batches, and
+	// its own pipeline, so one tenant's reports never mute another's.
 	handlersMu sync.Mutex
 	handlers   map[string]tenantHandlers
 
@@ -151,15 +150,6 @@ func NewServer(opts Options) (*Server, error) {
 		return nil, err
 	}
 
-	pipe, err := core.NewPipeline(distributed.ServedConfig(), store.DB, nil, nil)
-	if err != nil {
-		opStore.Close()
-		tenants.Close()
-		store.Close()
-		return nil, err
-	}
-	pipe.Instrument(reg, tracer)
-
 	s := &Server{
 		opts:    opts,
 		clock:   opts.Clock,
@@ -168,12 +158,9 @@ func NewServer(opts Options) (*Server, error) {
 		store:   store,
 		tenants: tenants,
 		ops:     opStore,
-		pipe:    pipe,
-		worker:  distributed.NewWorker("control-plane", pipe),
 
 		handlers: make(map[string]tenantHandlers),
 	}
-	s.worker.Instrument(reg)
 	opStore.Instrument(reg)
 	s.tenantsGauge = reg.NewGauge(MetricTenants, "Registered tenants.", nil)
 	s.tenantsGauge.Set(float64(len(tenants.List())))
@@ -305,31 +292,46 @@ func (t tenantStore) AppendBatch(pts []tsdb.Point) (int, error) {
 	return t.s.store.AppendBatch(nspts)
 }
 
-// tenantHandlers is one tenant's data plane over its namespacing store.
+// tenantHandlers is one tenant's data plane over its namespacing store,
+// and the worker that scans with the tenant's own pipeline: a pipeline's
+// cross-scan memory (what it reported, which regressions it grouped)
+// then holds one tenant's regressions only.
 type tenantHandlers struct {
 	ingest   *distributed.IngestHandler
 	profiles *distributed.ProfilesHandler
+	scan     *distributed.Worker
 }
 
-// handlersOf returns (building on first use) the tenant's handlers.
-func (s *Server) handlersOf(st *tenantState) tenantHandlers {
+// handlersOf returns (building on first use) the handlers of the
+// request's tenant. If they cannot be built it answers 500 and reports
+// false.
+func (s *Server) handlersOf(w http.ResponseWriter, r *http.Request) (tenantHandlers, bool) {
+	st := tenantOf(r)
 	s.handlersMu.Lock()
 	defer s.handlersMu.Unlock()
 	h, ok := s.handlers[st.ID]
 	if !ok {
+		pipe, err := core.NewPipeline(distributed.ServedConfig(), s.store.DB, nil, nil)
+		if err != nil {
+			http.Error(w, "building the tenant's pipeline: "+err.Error(), http.StatusInternalServerError)
+			return tenantHandlers{}, false
+		}
 		store := tenantStore{s: s, st: st}
 		h = tenantHandlers{
 			ingest:   distributed.NewIngestHandler(store, distributed.IngestOptions{}),
 			profiles: distributed.NewProfilesHandler(store, distributed.ProfilesOptions{}),
+			scan:     distributed.NewWorker("control-plane", pipe),
 		}
-		// Handler metrics are registry-global: every tenant's handlers
-		// share the same counter handles (the registry dedups by name
-		// and labels), so instrumenting each one is idempotent.
+		// Metrics are registry-global: every tenant's handlers, worker
+		// and pipeline share the same counter handles (the registry
+		// dedups by name and labels), so instrumenting each is idempotent.
 		h.ingest.Instrument(s.reg)
 		h.profiles.Instrument(s.reg)
+		h.scan.Instrument(s.reg)
+		pipe.Instrument(s.reg, s.tracer)
 		s.handlers[st.ID] = h
 	}
-	return h
+	return h, true
 }
 
 // quotaRejected bumps the tenant's quota-rejection counter.

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -70,6 +71,55 @@ func doJSON(s *Server, method, path, key, body string) *httptest.ResponseRecorde
 	rr := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rr, req)
 	return rr
+}
+
+// submitOp POSTs an operation of kind with params as the tenant behind
+// key. A 202 carries the accepted operation and the Location to poll.
+func submitOp(t *testing.T, s *Server, key, kind string, params any) (*httptest.ResponseRecorder, Operation) {
+	t.Helper()
+	raw, err := json.Marshal(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(opParams{Kind: kind, Params: raw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr := doJSON(s, "POST", "/operations", key, string(body))
+	var op Operation
+	if rr.Code == http.StatusAccepted {
+		if err := json.Unmarshal(rr.Body.Bytes(), &op); err != nil {
+			t.Fatalf("202 body %s: %v", rr.Body, err)
+		}
+	}
+	return rr, op
+}
+
+// waitOp polls loc until the operation is terminal and returns it. Every
+// non-terminal answer must carry a Retry-After hint.
+func waitOp(t *testing.T, s *Server, key, loc string) Operation {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		rr := doJSON(s, "GET", loc, key, "")
+		if rr.Code != http.StatusOK {
+			t.Fatalf("poll %s = %d: %s", loc, rr.Code, rr.Body)
+		}
+		var op Operation
+		if err := json.Unmarshal(rr.Body.Bytes(), &op); err != nil {
+			t.Fatalf("poll body %s: %v", rr.Body, err)
+		}
+		if op.Status.Terminal() {
+			return op
+		}
+		if rr.Header().Get("Retry-After") == "" {
+			t.Fatalf("non-terminal operation %s polled without Retry-After", op.ID)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("operation %s still %s after 10s", op.ID, op.Status)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 func TestRegisterIngestScanRoundTrip(t *testing.T) {
@@ -289,25 +339,17 @@ func TestAsyncBackfillLifecycle(t *testing.T) {
 	s, _ := newTestServer(t, nil)
 	tn := register(t, s, "team-a", Quotas{})
 
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	cli := &Client{Base: srv.URL, Key: tn.Key}
-
-	op, loc, err := cli.SubmitOperation(context.Background(), OpKindBackfill, backfillParams{
+	sub, op := submitOp(t, s, tn.Key, OpKindBackfill, backfillParams{
 		Service: "web", Metric: "cpu", Count: 120, StepAt: 90, Factor: 1.2,
 	})
-	if err != nil {
-		t.Fatalf("SubmitOperation: %v", err)
+	if sub.Code != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", sub.Code, sub.Body)
 	}
+	loc := sub.Header().Get("Location")
 	if loc != "/operations/"+op.ID {
 		t.Errorf("Location = %q, want /operations/%s", loc, op.ID)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	done, err := cli.WaitOperation(ctx, loc)
-	if err != nil {
-		t.Fatalf("WaitOperation: %v", err)
-	}
+	done := waitOp(t, s, tn.Key, loc)
 	if done.Status != OpSucceeded {
 		t.Fatalf("status = %s (%s), want succeeded", done.Status, done.Error)
 	}
@@ -346,22 +388,17 @@ func TestOperationValidation(t *testing.T) {
 		t.Errorf("bad json = %d, want 400", rr.Code)
 	}
 	// A backfill its runner rejects fails terminally, not silently.
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	cli := &Client{Base: srv.URL, Key: tn.Key}
-	_, loc, err := cli.SubmitOperation(context.Background(), OpKindBackfill,
+	sub, _ := submitOp(t, s, tn.Key, OpKindBackfill,
 		backfillParams{Service: "web", Metric: "cpu", Count: 0})
-	if err != nil {
-		t.Fatalf("SubmitOperation: %v", err)
+	if sub.Code != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", sub.Code, sub.Body)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	done, err := cli.WaitOperation(ctx, loc)
-	if done == nil || done.Status != OpFailed {
-		t.Fatalf("backfill of zero points: op %+v err %v, want failed terminal state", done, err)
+	done := waitOp(t, s, tn.Key, sub.Header().Get("Location"))
+	if done.Status != OpFailed {
+		t.Fatalf("backfill of zero points: op %+v, want failed terminal state", done)
 	}
-	if !resilience.IsPermanent(err) {
-		t.Errorf("failed op error should be Permanent, got %v", err)
+	if done.Error == "" {
+		t.Errorf("failed op %s records no reason", done.ID)
 	}
 }
 
@@ -603,19 +640,15 @@ func TestOperationsDoNotConsumeAlerts(t *testing.T) {
 		t.Fatalf("ingest = %d: %s", rr.Code, rr.Body)
 	}
 
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	cli := &Client{Base: srv.URL, Key: tn.Key}
-	_, loc, err := cli.SubmitOperation(context.Background(), "sweep",
+	sub, _ := submitOp(t, s, tn.Key, "sweep",
 		map[string]any{"service": "web", "scan_time": now})
-	if err == nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if _, err := cli.WaitOperation(ctx, loc); err != nil {
-			t.Fatalf("WaitOperation: %v", err)
+	switch {
+	case sub.Code == http.StatusAccepted:
+		if done := waitOp(t, s, tn.Key, sub.Header().Get("Location")); done.Status != OpSucceeded {
+			t.Fatalf("sweep ended %s: %s", done.Status, done.Error)
 		}
-	} else if !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "unknown operation kind") {
-		t.Fatalf("sweep submission = %v, want accepted or 400 unknown operation kind", err)
+	case sub.Code != http.StatusBadRequest || !strings.Contains(sub.Body.String(), "unknown operation kind"):
+		t.Fatalf("sweep submission = %d %s, want accepted or 400 unknown operation kind", sub.Code, sub.Body)
 	}
 
 	rr := doJSON(s, "POST", "/scan", tn.Key,
@@ -630,6 +663,62 @@ func TestOperationsDoNotConsumeAlerts(t *testing.T) {
 	if len(resp.Reported) != 1 {
 		t.Errorf("scan after a sweep reported %d regressions, want 1 (funnel %+v)", len(resp.Reported), resp.Funnel)
 	}
+}
+
+// TestTenantsDoNotSuppressEachOther: two tenants each ingest an
+// identically shaped step on their own web/host0/cpu, with different
+// noise. Each tenant's scan reports its own regression: one tenant's
+// reports never mute another's. A concurrent re-scan by both then
+// reports nothing new, each tenant's pipeline remembering its own.
+func TestTenantsDoNotSuppressEachOther(t *testing.T) {
+	s, clk := newTestServer(t, nil)
+	now := clk.Now()
+	scan := fmt.Sprintf(`{"service":"web","scan_time":%q}`, now.Format(time.RFC3339))
+	var keys []string
+	for i, name := range []string{"team-a", "team-b"} {
+		tn := register(t, s, name, Quotas{})
+		keys = append(keys, tn.Key)
+		// 12 h of minutely N(100, 1) points, +10 over the last 2 h.
+		rng := rand.New(rand.NewSource(int64(i + 1)))
+		vals := make([]float64, 720)
+		for j := range vals {
+			vals[j] = 100 + rng.NormFloat64()
+			if j >= len(vals)-120 {
+				vals[j] += 10
+			}
+		}
+		if rr := doJSON(s, "POST", "/ingest", tn.Key,
+			ingestBody("web", "host0", "cpu", now.Add(-12*time.Hour), time.Minute, vals...)); rr.Code != http.StatusOK {
+			t.Fatalf("%s ingest = %d: %s", name, rr.Code, rr.Body)
+		}
+		rr := doJSON(s, "POST", "/scan", tn.Key, scan)
+		if rr.Code != http.StatusOK {
+			t.Fatalf("%s scan = %d: %s", name, rr.Code, rr.Body)
+		}
+		var resp distributed.ScanResponse
+		if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Reported) != 1 {
+			t.Errorf("%s reported %d regressions, want 1 (funnel %+v)", name, len(resp.Reported), resp.Funnel)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for _, key := range keys {
+		wg.Add(1)
+		go func(key string) {
+			defer wg.Done()
+			rr := doJSON(s, "POST", "/scan", key, scan)
+			var resp distributed.ScanResponse
+			if err := json.Unmarshal(rr.Body.Bytes(), &resp); rr.Code != http.StatusOK || err != nil {
+				t.Errorf("concurrent re-scan = %d (%v): %s", rr.Code, err, rr.Body)
+			} else if len(resp.Reported) != 0 {
+				t.Errorf("concurrent re-scan reported %d regressions again, want 0", len(resp.Reported))
+			}
+		}(key)
+	}
+	wg.Wait()
 }
 
 func TestDebugSurface(t *testing.T) {

@@ -134,24 +134,32 @@ func tenantOf(r *http.Request) *tenantState {
 // namespacing store, so tenant A saturating its ingest slots draws 429s
 // itself without queueing tenant B.
 func (s *Server) serveIngest(w http.ResponseWriter, r *http.Request) {
-	s.rateLimit(s.handlersOf(tenantOf(r)).ingest).ServeHTTP(w, r)
+	if h, ok := s.handlersOf(w, r); ok {
+		s.rateLimit(h.ingest).ServeHTTP(w, r)
+	}
 }
 
 // serveProfiles is /profiles with the same per-tenant isolation.
 func (s *Server) serveProfiles(w http.ResponseWriter, r *http.Request) {
-	s.rateLimit(s.handlersOf(tenantOf(r)).profiles).ServeHTTP(w, r)
+	if h, ok := s.handlersOf(w, r); ok {
+		s.rateLimit(h.profiles).ServeHTTP(w, r)
+	}
 }
 
-// serveScan runs a pipeline scan of one tenant service through the
-// worker's own /scan lifecycle. The service name is namespaced before it
-// reaches the pipeline, so a tenant can only ever scan (or learn the
-// existence of) its own series, and the namespace is stripped from the
-// response.
+// serveScan runs a scan of one tenant service with the tenant's own
+// pipeline, through the worker's /scan lifecycle. The service name is
+// namespaced before it reaches the pipeline, so a tenant can only ever
+// scan (or learn the existence of) its own series, and the namespace is
+// stripped from the response.
 func (s *Server) serveScan(w http.ResponseWriter, r *http.Request) {
 	st := tenantOf(r)
+	h, ok := s.handlersOf(w, r)
+	if !ok {
+		return
+	}
 	s.rateLimit(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.worker.ServeScan(w, r, func(ctx context.Context, service string, scanTime time.Time) (*distributed.ScanResponse, error) {
-			resp, err := s.worker.Scan(ctx, namespaceService(st.ID, service), scanTime)
+		h.scan.ServeScan(w, r, func(ctx context.Context, service string, scanTime time.Time) (*distributed.ScanResponse, error) {
+			resp, err := h.scan.Scan(ctx, namespaceService(st.ID, service), scanTime)
 			if err != nil {
 				return nil, err
 			}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"fbdetect/internal/som"
@@ -292,12 +291,4 @@ func sharesRootCause(a, b *Regression) bool {
 		}
 	}
 	return false
-}
-
-// SortGroupsBySize orders groups largest first; reporting UIs list the
-// biggest blast-radius groups at the top.
-func SortGroupsBySize(groups []*RegressionGroup) {
-	sort.SliceStable(groups, func(i, j int) bool {
-		return len(groups[i].Members) > len(groups[j].Members)
-	})
 }

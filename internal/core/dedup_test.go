@@ -176,13 +176,3 @@ func TestPairwiseDedupSharedRootCauseBoost(t *testing.T) {
 		t.Error("shared root cause should pull regressions together")
 	}
 }
-
-func TestSortGroupsBySize(t *testing.T) {
-	g1 := &RegressionGroup{ID: 0, Members: make([]*Regression, 1)}
-	g2 := &RegressionGroup{ID: 1, Members: make([]*Regression, 3)}
-	groups := []*RegressionGroup{g1, g2}
-	SortGroupsBySize(groups)
-	if groups[0] != g2 {
-		t.Error("largest group should come first")
-	}
-}

@@ -37,12 +37,10 @@ func (MetadataDomains) Domains(r *Regression, before *stacktrace.SampleSet) []Co
 // CommitDomains groups all subroutines modified by one code commit (paper
 // §5.4: "a further detector groups all subroutines modified by a code
 // commit"): if a commit rearranged work among the subroutines it touched
-// without changing their total, the regression is a cost shift.
+// without changing their total, the regression is a cost shift. The
+// commit search spans the root-cause window around the change point.
 type CommitDomains struct {
 	Log *changelog.Log
-	// Lookback bounds the commit search around the change point
-	// (default 24h).
-	Lookback time.Duration
 }
 
 // Domains implements DomainDetector.
@@ -50,13 +48,9 @@ func (d CommitDomains) Domains(r *Regression, before *stacktrace.SampleSet) []Co
 	if d.Log == nil {
 		return nil
 	}
-	lookback := d.Lookback
-	if lookback <= 0 {
-		lookback = rootCauseLookback
-	}
 	var out []CostDomain
-	from := r.ChangePointTime.Add(-lookback)
-	to := r.ChangePointTime.Add(lookback / 4)
+	from := r.ChangePointTime.Add(-rootCauseLookback)
+	to := r.ChangePointTime.Add(rootCauseLookback / 4)
 	for _, c := range d.Log.TouchingSubroutine(r.Service, r.Entity, from, to) {
 		if len(c.Subroutines) < 2 {
 			continue // a single-subroutine commit cannot shift internally

@@ -207,7 +207,7 @@ func TestQueryViewScanMatchesQueryScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			copied := full.Slice(from, end)
+			copied := full.SliceIndex(full.IndexOf(from), full.IndexOf(end))
 			if view.Len() != copied.Len() || !view.Start.Equal(copied.Start) {
 				t.Fatalf("%s: view %d@%v != full %d@%v",
 					id, view.Len(), view.Start, copied.Len(), copied.Start)

@@ -18,22 +18,3 @@ func BenchmarkEDivisive(b *testing.B) {
 		b.Fatalf("detected %d change points, want 2", found)
 	}
 }
-
-// BenchmarkEDivisiveStreamAppend measures the incremental per-run cost:
-// one Append plus the O(n) BestSplit screen at a steady series length,
-// the operation a CI pipeline pays on every new benchmark result.
-func BenchmarkEDivisiveStreamAppend(b *testing.B) {
-	warm := stepSeries(500, 150, 1.2, 23, nil)
-	s := NewStream(warm...)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Append(150 + float64(i%7))
-		s.BestSplit(5)
-		if s.Len() > 600 {
-			b.StopTimer()
-			s = NewStream(warm...)
-			b.StartTimer()
-		}
-	}
-}

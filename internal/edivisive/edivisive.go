@@ -9,9 +9,7 @@
 //
 // The package also carries the commit-attribution layer (attribute.go)
 // that maps detected change points back to candidate commits/pushes with
-// confidence windows, and a Stream (stream.go) that maintains the
-// detector's pairwise-distance state incrementally so appending one
-// benchmark run costs O(n) instead of the O(n²) from-scratch rebuild.
+// confidence windows.
 package edivisive
 
 import (
@@ -169,13 +167,6 @@ func permTest(xs []float64, observed float64, rng *rand.Rand, scratch *rows, buf
 // Change points come back in increasing index order with deltas taken
 // between neighboring final segments.
 func Detect(xs []float64) []ChangePoint {
-	return detect(xs, nil)
-}
-
-// detect is Detect with an optional prebuilt row-sum state for the full
-// span (the Stream's maintained rows), which spares the first-level
-// O(n²) rebuild.
-func detect(xs []float64, full *rows) []ChangePoint {
 	rng := rand.New(rand.NewSource(permSeed))
 	var scratch rows
 	var buf []float64
@@ -199,13 +190,7 @@ func detect(xs []float64, full *rows) []ChangePoint {
 		bestQ, bestSeg, bestTau := 0.0, -1, 0
 		var bestSpan [2]int
 		for si, sg := range segments() {
-			var tau int
-			var q float64
-			if full != nil && sg[0] == 0 && sg[1] == len(xs) {
-				tau, q = bestSplit(full.left, full.right, minSegment)
-			} else {
-				tau, q = qScan(xs[sg[0]:sg[1]], minSegment, &scratch)
-			}
+			tau, q := qScan(xs[sg[0]:sg[1]], minSegment, &scratch)
 			if tau != 0 && (bestSeg < 0 || q > bestQ) {
 				bestQ, bestSeg, bestTau, bestSpan = q, si, tau, sg
 			}

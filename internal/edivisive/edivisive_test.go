@@ -142,59 +142,6 @@ func TestDetectMaxChangePoints(t *testing.T) {
 	}
 }
 
-func TestStreamMatchesBatch(t *testing.T) {
-	xs := stepSeries(90, 75, 1.5, 8, map[int]float64{55: 6})
-	s := NewStream()
-	for _, x := range xs {
-		s.Append(x)
-	}
-	if s.Len() != len(xs) {
-		t.Fatalf("Len = %d, want %d", s.Len(), len(xs))
-	}
-	if got := s.Values(); !reflect.DeepEqual(got, xs) {
-		t.Fatalf("Values() != input")
-	}
-
-	var scratch rows
-	wantTau, wantQ := qScan(xs, 5, &scratch)
-	gotTau, gotQ := s.BestSplit(5)
-	if gotTau != wantTau || math.Abs(gotQ-wantQ) > 1e-9*math.Abs(wantQ) {
-		t.Errorf("BestSplit = (%d, %v), fresh scan = (%d, %v)", gotTau, gotQ, wantTau, wantQ)
-	}
-
-	want := Detect(xs)
-	got := s.Detect()
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Stream.Detect:\n%+v\nbatch Detect:\n%+v", got, want)
-	}
-}
-
-func TestStreamIncrementalScan(t *testing.T) {
-	// Screen after every append: the candidate must appear only once the
-	// step has enough support, and the rows must stay consistent with a
-	// from-scratch build at every length.
-	rng := rand.New(rand.NewSource(12))
-	s := NewStream()
-	for i := 0; i < 70; i++ {
-		v := 10 + rng.NormFloat64()*0.2
-		if i >= 40 {
-			v += 3
-		}
-		s.Append(v)
-		var scratch rows
-		wantTau, wantQ := qScan(s.xs, 5, &scratch)
-		gotTau, gotQ := s.BestSplit(5)
-		if gotTau != wantTau || math.Abs(gotQ-wantQ) > 1e-9+1e-9*math.Abs(wantQ) {
-			t.Fatalf("after %d appends: BestSplit = (%d, %v), want (%d, %v)",
-				i+1, gotTau, gotQ, wantTau, wantQ)
-		}
-	}
-	tau, _ := s.BestSplit(5)
-	if tau < 38 || tau > 42 {
-		t.Errorf("final BestSplit tau = %d, want ~40", tau)
-	}
-}
-
 func TestDetectorImplementsBatchDetector(t *testing.T) {
 	var d changepoint.BatchDetector = Detector{}
 	if d.Name() != "edivisive" {

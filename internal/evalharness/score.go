@@ -297,12 +297,3 @@ func (r *Report) WriteJSONFile(path string) error {
 	}
 	return f.Close()
 }
-
-// ReadReport loads a report written by WriteJSON.
-func ReadReport(rd io.Reader) (*Report, error) {
-	var rep Report
-	if err := json.NewDecoder(rd).Decode(&rep); err != nil {
-		return nil, err
-	}
-	return &rep, nil
-}

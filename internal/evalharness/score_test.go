@@ -2,6 +2,7 @@ package evalharness
 
 import (
 	"bytes"
+	"encoding/json"
 	"path/filepath"
 	"testing"
 	"time"
@@ -226,8 +227,8 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadReport(&buf)
-	if err != nil {
+	var got Report
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Suite != rep.Suite || got.Seed != rep.Seed || got.Precision != rep.Precision {

@@ -38,16 +38,6 @@ func BenchmarkExpectedSamples(b *testing.B) {
 	}
 }
 
-func BenchmarkDrawSamples10k(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	tree := Generate(rng, 500, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tree.DrawSamples(rng, 10000)
-	}
-}
-
 func BenchmarkTreeClone(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	tree := Generate(rng, 500, 4)

@@ -176,17 +176,6 @@ func (t *Tree) GCPUMetadata(metadata string) float64 {
 	return annotated / total
 }
 
-// SetMetadata annotates the named subroutine's frames, mirroring the
-// production SetFrameMetadata API (paper §3).
-func (t *Tree) SetMetadata(name, metadata string) error {
-	n := t.byName[name]
-	if n == nil {
-		return fmt.Errorf("fleet: unknown subroutine %q", name)
-	}
-	n.Metadata = metadata
-	return nil
-}
-
 // ScaleSelfWeight multiplies the named subroutine's self weight by factor,
 // modeling a code change that makes the subroutine cheaper or more
 // expensive. It returns an error for unknown subroutines or negative

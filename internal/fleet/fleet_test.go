@@ -237,22 +237,6 @@ func TestExpectedSamples(t *testing.T) {
 	}
 }
 
-func TestDrawSamplesConvergeToGCPU(t *testing.T) {
-	tree := smallTree(t)
-	rng := rand.New(rand.NewSource(2))
-	ss := tree.DrawSamples(rng, 20000)
-	if ss.Total() != 20000 {
-		t.Fatalf("total = %v", ss.Total())
-	}
-	for _, sub := range []string{"render", "fetch", "Cache::get"} {
-		want := tree.GCPU(sub)
-		got := ss.GCPU(sub)
-		if math.Abs(got-want) > 0.02 {
-			t.Errorf("drawn gCPU(%s) = %v, want ~%v", sub, got, want)
-		}
-	}
-}
-
 func TestIssueActive(t *testing.T) {
 	is := DefaultIssue(LoadSpike, t0, time.Hour)
 	if !is.Active(t0) || !is.Active(t0.Add(30*time.Minute)) {
@@ -376,10 +360,11 @@ func TestServiceChangeShiftsGCPU(t *testing.T) {
 		t.Errorf("cpu did not rise: %v -> %v", cb, ca)
 	}
 	// The change was recorded with service and deploy time filled in.
-	if log.Len() != 1 {
-		t.Fatalf("log has %d changes", log.Len())
+	recs := log.Between("", time.Time{}, t0.AddDate(100, 0, 0)) // the whole log
+	if len(recs) != 1 {
+		t.Fatalf("log has %d changes", len(recs))
 	}
-	rec := log.Between("svc", t0, t0.Add(2*time.Hour))[0]
+	rec := recs[0]
 	if rec.Service != "svc" || !rec.DeployedAt.Equal(changeAt) || rec.ID != "D123" {
 		t.Errorf("recorded change = %+v", rec)
 	}

@@ -43,19 +43,6 @@ func TestGCPUMetadata(t *testing.T) {
 	}
 }
 
-func TestSetMetadata(t *testing.T) {
-	tree := metaTree(t)
-	if err := tree.SetMetadata("misc", "bg:cleanup"); err != nil {
-		t.Fatal(err)
-	}
-	if got := tree.GCPUMetadata("bg:cleanup"); math.Abs(got-0.15) > 1e-9 {
-		t.Errorf("after SetMetadata: %v", got)
-	}
-	if err := tree.SetMetadata("ghost", "x"); err == nil {
-		t.Error("unknown subroutine accepted")
-	}
-}
-
 func TestExpectedSamplesCarryMetadata(t *testing.T) {
 	tree := metaTree(t)
 	ss := tree.ExpectedSamples(1000)

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"math/rand"
 	"time"
 
 	"fbdetect/internal/stacktrace"
@@ -65,61 +64,4 @@ func (t *Tree) ExpectedSamples(totalSamples float64) *stacktrace.SampleSet {
 	}
 	walk(t.Root, nil)
 	return ss
-}
-
-// DrawSamples draws n random stack-trace samples from the tree's
-// self-weight distribution, modeling what the fleet-wide profilers capture
-// in one collection interval.
-func (t *Tree) DrawSamples(rng *rand.Rand, n int) *stacktrace.SampleSet {
-	ss := stacktrace.NewSampleSet()
-	total := t.TotalWeight()
-	if total == 0 || n <= 0 {
-		return ss
-	}
-	// Build the cumulative distribution over nodes once.
-	type entry struct {
-		node *Node
-		cum  float64
-	}
-	var entries []entry
-	cum := 0.0
-	var walk func(n *Node)
-	walk = func(nd *Node) {
-		if nd.SelfWeight > 0 {
-			cum += nd.SelfWeight
-			entries = append(entries, entry{nd, cum})
-		}
-		for _, c := range nd.Children {
-			walk(c)
-		}
-	}
-	walk(t.Root)
-	for i := 0; i < n; i++ {
-		x := rng.Float64() * total
-		// Binary search the cumulative table.
-		lo, hi := 0, len(entries)-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if entries[mid].cum < x {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		ss.Add(t.tracePath(entries[lo].node), 1)
-	}
-	return ss
-}
-
-func (t *Tree) tracePath(n *Node) stacktrace.Trace {
-	var rev []*Node
-	for ; n != nil; n = n.parent {
-		rev = append(rev, n)
-	}
-	tr := make(stacktrace.Trace, len(rev))
-	for i, nd := range rev {
-		tr[len(rev)-1-i] = stacktrace.Frame{Subroutine: nd.Name, Class: nd.Class,
-			Metadata: nd.Metadata}
-	}
-	return tr
 }

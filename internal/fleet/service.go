@@ -171,9 +171,6 @@ func NewService(cfg Config) (*Service, error) {
 // Name returns the service name.
 func (s *Service) Name() string { return s.cfg.Name }
 
-// Config returns the service configuration.
-func (s *Service) Config() Config { return s.cfg }
-
 // ScheduleChange registers a change to apply at ch.At. Changes may be
 // scheduled in any order, but must be scheduled before the simulation
 // reads (via Run, TreeAt, or ExpectedSamplesBetween) past their deploy

@@ -13,7 +13,6 @@ package kraken
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -200,16 +199,4 @@ func (s *Service) Run(db *tsdb.DB, from, to time.Time) error {
 		}
 	}
 	return nil
-}
-
-// InverseSupply converts a supply series value into "demand pressure":
-// CT-supply regressions are throughput drops, but the FBDetect pipeline
-// treats increases as regressions, so callers monitor the negated series.
-// InverseSupply maps a max-throughput reading into a monitorable value
-// (reference / value), which rises when capacity drops.
-func InverseSupply(reference, value float64) float64 {
-	if value <= 0 || reference <= 0 {
-		return math.Inf(1)
-	}
-	return reference / value
 }

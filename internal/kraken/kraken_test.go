@@ -124,12 +124,3 @@ func TestRunEmitsSupplyAndDemand(t *testing.T) {
 		t.Errorf("demand rise ratio = %v, want ~1.15", ratio)
 	}
 }
-
-func TestInverseSupply(t *testing.T) {
-	if got := InverseSupply(1000, 900); math.Abs(got-1000.0/900) > 1e-9 {
-		t.Errorf("InverseSupply = %v", got)
-	}
-	if !math.IsInf(InverseSupply(1000, 0), 1) {
-		t.Error("zero supply should map to +inf pressure")
-	}
-}

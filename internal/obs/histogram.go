@@ -127,11 +127,3 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	}
 	return s.Buckets[n-1].UpperBound
 }
-
-// Mean returns the average observation (NaN when empty).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return math.NaN()
-	}
-	return s.Sum / float64(s.Count)
-}

@@ -88,7 +88,7 @@ func RetryAfterHint(err error) (time.Duration, bool) {
 }
 
 // permanentError marks an error that retrying cannot fix (a 404, a
-// malformed request); Retryer.Do stops immediately on one.
+// malformed request); Do stops immediately on one.
 type permanentError struct{ err error }
 
 func (e *permanentError) Error() string { return e.err.Error() }
@@ -134,16 +134,6 @@ func (r *Retryer) delay(retry int) time.Duration {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.Policy.Delay(retry, r.rng)
-}
-
-// Do runs f until it succeeds, returns a Permanent error, the attempt
-// budget is spent, or ctx is done. The returned error is the last
-// attempt's (unwrapped from Permanent).
-func (r *Retryer) Do(ctx context.Context, f func(ctx context.Context) error) error {
-	_, err := Do(ctx, r, func(ctx context.Context) (struct{}, error) {
-		return struct{}{}, f(ctx)
-	})
-	return err
 }
 
 // Do runs f under r's policy and returns its value. (A package-level

@@ -75,7 +75,7 @@ func TestRetryExhaustsBudget(t *testing.T) {
 	r := NewRetryer(Policy{MaxAttempts: 3, BaseDelay: time.Millisecond}, clock, 1)
 	calls := 0
 	boom := errors.New("boom")
-	err := r.Do(context.Background(), func(context.Context) error { calls++; return boom })
+	_, err := Do(context.Background(), r, func(context.Context) (struct{}, error) { calls++; return struct{}{}, boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -89,9 +89,9 @@ func TestRetryStopsOnPermanent(t *testing.T) {
 	r := NewRetryer(Policy{MaxAttempts: 5, BaseDelay: time.Millisecond}, clock, 1)
 	calls := 0
 	notFound := errors.New("404 not found")
-	err := r.Do(context.Background(), func(context.Context) error {
+	_, err := Do(context.Background(), r, func(context.Context) (struct{}, error) {
 		calls++
-		return Permanent(notFound)
+		return struct{}{}, Permanent(notFound)
 	})
 	if !errors.Is(err, notFound) {
 		t.Fatalf("err = %v, want the unwrapped permanent error", err)
@@ -112,10 +112,10 @@ func TestRetryHonorsContextCancel(t *testing.T) {
 	r := NewRetryer(Policy{MaxAttempts: 10, BaseDelay: time.Millisecond}, clock, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	err := r.Do(ctx, func(context.Context) error {
+	_, err := Do(ctx, r, func(context.Context) (struct{}, error) {
 		calls++
 		cancel()
-		return errors.New("failing while canceled")
+		return struct{}{}, errors.New("failing while canceled")
 	})
 	if err == nil {
 		t.Fatal("want error after cancel")

@@ -40,12 +40,12 @@ func TestRetryerHonorsRetryAfterHint(t *testing.T) {
 	r := NewRetryer(Policy{MaxAttempts: 3, BaseDelay: 50 * time.Millisecond,
 		MaxDelay: time.Minute, Multiplier: 2}, clock, 1)
 	calls := 0
-	err := r.Do(context.Background(), func(ctx context.Context) error {
+	_, err := Do(context.Background(), r, func(ctx context.Context) (struct{}, error) {
 		calls++
 		if calls < 3 {
-			return RetryAfter(errors.New("busy"), 7*time.Second)
+			return struct{}{}, RetryAfter(errors.New("busy"), 7*time.Second)
 		}
-		return nil
+		return struct{}{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,9 +60,9 @@ func TestRetryerCapsRetryAfterHint(t *testing.T) {
 	r := NewRetryer(Policy{MaxAttempts: 2, BaseDelay: 50 * time.Millisecond,
 		MaxDelay: 2 * time.Second, Multiplier: 2}, clock, 1)
 	calls := 0
-	r.Do(context.Background(), func(ctx context.Context) error {
+	Do(context.Background(), r, func(ctx context.Context) (struct{}, error) {
 		calls++
-		return RetryAfter(errors.New("busy"), time.Hour)
+		return struct{}{}, RetryAfter(errors.New("busy"), time.Hour)
 	})
 	if calls != 2 {
 		t.Fatalf("calls = %d, want 2", calls)

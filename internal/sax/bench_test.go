@@ -11,14 +11,12 @@ func BenchmarkEncode1k(b *testing.B) {
 	for i := range xs {
 		xs[i] = rng.NormFloat64()
 	}
-	enc, err := NewEncoderForData(xs)
-	if err != nil {
-		b.Fatal(err)
-	}
+	enc := encoderFor(b, xs)
+	letters, counts := make([]int, len(xs)), make([]int, enc.Buckets())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enc.Encode(xs)
+		enc.EncodeInto(letters, counts, xs)
 	}
 }
 
@@ -32,7 +30,7 @@ func BenchmarkInvalidFraction(b *testing.B) {
 	for i := range post {
 		post[i] = rng.NormFloat64() + 3
 	}
-	enc, _ := NewEncoderForData(append(append([]float64{}, hist...), post...))
+	enc := encoderFor(b, append(append([]float64{}, hist...), post...))
 	hw := enc.Encode(hist)
 	pw := enc.Encode(post)
 	b.ResetTimer()

@@ -70,41 +70,8 @@ func NewEncoder(n int, validityPct, lo, hi float64) (*Encoder, error) {
 	}, nil
 }
 
-// NewEncoderForData returns an encoder whose range spans the min/max of the
-// finite values in the given data with the default production parameters.
-// It returns an error if the data holds no finite value (nothing to
-// discretize); NaN and Inf points are ignored when sizing the range and
-// clamp to the edge buckets when encoded.
-func NewEncoderForData(data []float64) (*Encoder, error) {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			continue
-		}
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if lo > hi {
-		return nil, fmt.Errorf("sax: no finite data")
-	}
-	if hi == lo {
-		// Give the single value a tiny symmetric range so a constant series
-		// encodes into one bucket rather than failing.
-		eps := math.Abs(lo)*1e-9 + 1e-12
-		lo, hi = lo-eps, hi+eps
-	}
-	return NewEncoder(DefaultBuckets, DefaultValidityPct, lo, hi)
-}
-
 // Buckets returns the number of buckets.
 func (e *Encoder) Buckets() int { return e.buckets }
-
-// Range returns the encoder's [lo, hi] value range.
-func (e *Encoder) Range() (lo, hi float64) { return e.lo, e.hi }
 
 // Letter returns the bucket index (0-based) for v, clamping out-of-range
 // values. NaN maps to the first bucket: every comparison against it is
@@ -158,13 +125,6 @@ func (e *Encoder) EncodeInto(letters, counts []int, xs []float64) Word {
 	return Word{Letters: letters, Counts: counts, enc: e}
 }
 
-// Slice returns the word of points [i, j) of w: what Encode would return
-// for that stretch of the encoded series, without re-encoding it. The
-// letters are shared with w.
-func (w Word) Slice(i, j int) Word {
-	return w.SliceInto(make([]int, len(w.Counts)), i, j)
-}
-
 // SliceInto is Slice counting into counts[:len(w.Counts)], which it zeroes
 // first; the word references it.
 func (w Word) SliceInto(counts []int, i, j int) Word {
@@ -190,17 +150,6 @@ func (w Word) Valid(l int) bool {
 		count = w.Counts[l]
 	}
 	return float64(count)/float64(n)*100 >= w.enc.validityPct
-}
-
-// ValidLetters returns the sorted set of valid letters.
-func (w Word) ValidLetters() []int {
-	var out []int
-	for l := 0; l < w.enc.buckets; l++ {
-		if w.Valid(l) {
-			out = append(out, l)
-		}
-	}
-	return out
 }
 
 // MaxValidLetter returns the largest valid letter, or -1 if none is valid.

@@ -6,6 +6,27 @@ import (
 	"testing/quick"
 )
 
+// encoderFor builds the encoder the went-away detector builds for xs:
+// the production bucket count and validity over [min, max], widened by
+// 1e-12 so the maximum falls inside the last bucket.
+func encoderFor(tb testing.TB, xs []float64) *Encoder {
+	tb.Helper()
+	lo, hi := xs[0], xs[0]
+	for _, x := range xs {
+		if x < lo {
+			lo = x
+		}
+		if x > hi {
+			hi = x
+		}
+	}
+	enc, err := NewEncoder(DefaultBuckets, DefaultValidityPct, lo, hi+1e-12)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return enc
+}
+
 func TestNewEncoderValidation(t *testing.T) {
 	if _, err := NewEncoder(1, 3, 0, 1); err == nil {
 		t.Error("1 bucket should fail")
@@ -84,10 +105,6 @@ func TestValidity(t *testing.T) {
 	if w.Valid(2) {
 		t.Error("empty bucket should be invalid")
 	}
-	vl := w.ValidLetters()
-	if len(vl) != 2 || vl[0] != 0 || vl[1] != 1 {
-		t.Errorf("ValidLetters = %v", vl)
-	}
 	if w.MaxValidLetter() != 1 || w.MinValidLetter() != 0 {
 		t.Errorf("Max/MinValidLetter = %d/%d", w.MaxValidLetter(), w.MinValidLetter())
 	}
@@ -130,30 +147,6 @@ func TestInvalidFraction(t *testing.T) {
 	}
 }
 
-func TestNewEncoderForData(t *testing.T) {
-	if _, err := NewEncoderForData(nil); err == nil {
-		t.Error("empty data should fail")
-	}
-	enc, err := NewEncoderForData([]float64{5, 5, 5})
-	if err != nil {
-		t.Fatalf("constant data should work: %v", err)
-	}
-	if l := enc.Letter(5); l < 0 || l >= enc.Buckets() {
-		t.Errorf("constant letter out of bounds: %d", l)
-	}
-	enc2, err := NewEncoderForData([]float64{1, 9, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := enc2.Range()
-	if lo != 1 || hi != 9 {
-		t.Errorf("range = [%v, %v]", lo, hi)
-	}
-	if enc2.Buckets() != DefaultBuckets {
-		t.Errorf("buckets = %d", enc2.Buckets())
-	}
-}
-
 func TestOutlierRobustness(t *testing.T) {
 	// A single extreme outlier should not make its bucket valid at 3%.
 	rng := rand.New(rand.NewSource(1))
@@ -162,10 +155,7 @@ func TestOutlierRobustness(t *testing.T) {
 		xs[i] = 50 + rng.Float64()
 	}
 	xs[100] = 1000
-	enc, err := NewEncoderForData(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := encoderFor(t, xs)
 	w := enc.Encode(xs)
 	outlierBucket := enc.Letter(1000)
 	if w.Valid(outlierBucket) {
@@ -184,7 +174,7 @@ func TestStringRendering(t *testing.T) {
 	}
 }
 
-// TestSliceMatchesEncode: a sub-word taken from encoded letters is the
+// TestSliceMatchesEncode: a sub-word SliceInto takes from encoded letters is the
 // word Encode returns for the same stretch of the series — letters,
 // counts, validity and every derived letter — for prefixes, suffixes,
 // the whole word and the empty word.
@@ -197,14 +187,11 @@ func TestSliceMatchesEncode(t *testing.T) {
 			xs[i] += 4
 		}
 	}
-	enc, err := NewEncoderForData(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := encoderFor(t, xs)
 	whole := enc.Encode(xs)
 	ref := enc.Encode(xs[:100])
 	for _, r := range [][2]int{{0, 240}, {0, 180}, {216, 240}, {60, 61}, {17, 17}, {239, 240}} {
-		got, want := whole.Slice(r[0], r[1]), enc.Encode(xs[r[0]:r[1]])
+		got, want := whole.SliceInto(make([]int, enc.Buckets()), r[0], r[1]), enc.Encode(xs[r[0]:r[1]])
 		if len(got.Letters) != len(want.Letters) || len(got.Counts) != len(want.Counts) {
 			t.Fatalf("[%d,%d): %d letters / %d counts, want %d / %d", r[0], r[1],
 				len(got.Letters), len(got.Counts), len(want.Letters), len(want.Counts))

@@ -65,16 +65,6 @@ func (t Trace) String() string {
 	return strings.Join(names, "->")
 }
 
-// Contains reports whether the trace includes the subroutine.
-func (t Trace) Contains(subroutine string) bool {
-	for _, f := range t {
-		if f.Subroutine == subroutine {
-			return true
-		}
-	}
-	return false
-}
-
 // ContainsAny reports whether the trace includes any of the subroutines.
 func (t Trace) ContainsAny(subroutines map[string]bool) bool {
 	for _, f := range t {

@@ -148,22 +148,3 @@ func AutocorrelationSignificance(n int) float64 {
 	}
 	return 1.96 / math.Sqrt(float64(n))
 }
-
-// CosineSimilarity returns the cosine of the angle between vectors a and b
-// over their first min(len) components, or 0 if either has zero norm.
-func CosineSimilarity(a, b []float64) float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	var dot, na, nb float64
-	for i := 0; i < n; i++ {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / math.Sqrt(na*nb)
-}

@@ -164,12 +164,3 @@ func Max(xs []float64) float64 {
 	}
 	return m
 }
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}

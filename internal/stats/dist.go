@@ -13,15 +13,6 @@ func NormalCDF(x, mu, sigma float64) float64 {
 	return 0.5 * math.Erfc(-(x-mu)/(sigma*math.Sqrt2))
 }
 
-// NormalPDF returns the density of N(mu, sigma^2) at x.
-func NormalPDF(x, mu, sigma float64) float64 {
-	if sigma <= 0 {
-		return 0
-	}
-	z := (x - mu) / sigma
-	return math.Exp(-0.5*z*z) / (sigma * math.Sqrt(2*math.Pi))
-}
-
 // NormalQuantile returns the value x such that NormalCDF(x, 0, 1) = p,
 // using the Acklam rational approximation (relative error < 1.15e-9).
 func NormalQuantile(p float64) float64 {
@@ -138,23 +129,4 @@ func gammaContinuedFraction(a, x float64) float64 {
 		}
 	}
 	return math.Exp(-x+a*math.Log(x)-lg) * h
-}
-
-// StudentTCriticalApprox returns an approximate two-sided critical value for
-// Student's t distribution with df degrees of freedom at significance alpha,
-// using the Cornish-Fisher style expansion around the normal quantile. For
-// the large sample sizes FBDetect operates on (df >> 30) this is accurate to
-// well under 0.1%.
-func StudentTCriticalApprox(df int, alpha float64) float64 {
-	if df <= 0 {
-		return math.Inf(1)
-	}
-	z := NormalQuantile(1 - alpha/2)
-	n := float64(df)
-	z3 := z * z * z
-	z5 := z3 * z * z
-	z7 := z5 * z * z
-	// Peiser's expansion of t quantiles in terms of normal quantiles.
-	return z + (z3+z)/(4*n) + (5*z5+16*z3+3*z)/(96*n*n) +
-		(3*z7+19*z5+17*z3-15*z)/(384*n*n*n)
 }

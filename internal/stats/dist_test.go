@@ -67,35 +67,3 @@ func TestChiSquaredCDFMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestStudentTCriticalApprox(t *testing.T) {
-	// Known two-sided critical values.
-	cases := []struct {
-		df    int
-		alpha float64
-		want  float64
-		tol   float64
-	}{
-		{30, 0.05, 2.042, 0.01},
-		{100, 0.05, 1.984, 0.005},
-		{1000, 0.01, 2.581, 0.005},
-		{10, 0.05, 2.228, 0.02},
-	}
-	for _, c := range cases {
-		if got := StudentTCriticalApprox(c.df, c.alpha); !almostEqual(got, c.want, c.tol) {
-			t.Errorf("tcrit(df=%d, alpha=%v) = %v, want %v", c.df, c.alpha, got, c.want)
-		}
-	}
-}
-
-func TestNormalPDFIntegratesToCDF(t *testing.T) {
-	// Trapezoidal integration of the pdf should approximate the cdf.
-	const dx = 0.001
-	sum := 0.0
-	for x := -8.0; x < 1.0; x += dx {
-		sum += dx * (NormalPDF(x, 0, 1) + NormalPDF(x+dx, 0, 1)) / 2
-	}
-	if !almostEqual(sum, NormalCDF(1, 0, 1), 1e-4) {
-		t.Errorf("integral %v vs CDF %v", sum, NormalCDF(1, 0, 1))
-	}
-}

@@ -103,21 +103,6 @@ func LinearFit(xs []float64) (intercept, slope, rmse float64) {
 	return intercept, slope, rmse
 }
 
-// Normalize returns xs scaled to zero mean and unit variance. A constant
-// series maps to all zeros.
-func Normalize(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	m, v := MeanVariance(xs)
-	sd := math.Sqrt(v)
-	if sd == 0 {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = (x - m) / sd
-	}
-	return out
-}
-
 // MinMaxNormalize returns xs scaled into [0, 1]. A constant series maps to
 // all zeros.
 func MinMaxNormalize(xs []float64) []float64 {

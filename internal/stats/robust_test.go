@@ -88,21 +88,6 @@ func TestLinearFitDegenerate(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	norm := Normalize(xs)
-	m, v := MeanVariance(norm)
-	if !almostEqual(m, 0, 1e-12) || !almostEqual(v, 1, 1e-12) {
-		t.Errorf("normalized mean/var = %v, %v", m, v)
-	}
-	constant := Normalize([]float64{3, 3, 3})
-	for _, x := range constant {
-		if x != 0 {
-			t.Errorf("constant series should normalize to zeros, got %v", constant)
-		}
-	}
-}
-
 func TestMinMaxNormalize(t *testing.T) {
 	out := MinMaxNormalize([]float64{10, 20, 30})
 	want := []float64{0, 0.5, 1}
@@ -183,17 +168,5 @@ func TestDominantSeasonLagWhiteNoise(t *testing.T) {
 	_, corr := DominantSeasonLag(xs, 2, 200)
 	if corr > 3*AutocorrelationSignificance(len(xs)) {
 		t.Errorf("white noise corr = %v, unexpectedly high", corr)
-	}
-}
-
-func TestCosineSimilarity(t *testing.T) {
-	if got := CosineSimilarity([]float64{1, 0}, []float64{1, 0}); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("identical vectors: %v", got)
-	}
-	if got := CosineSimilarity([]float64{1, 0}, []float64{0, 1}); !almostEqual(got, 0, 1e-12) {
-		t.Errorf("orthogonal vectors: %v", got)
-	}
-	if got := CosineSimilarity([]float64{0, 0}, []float64{1, 1}); got != 0 {
-		t.Errorf("zero vector: %v", got)
 	}
 }

@@ -137,18 +137,6 @@ func (s *Store) AssocAdd(a Assoc) error {
 	return nil
 }
 
-// AssocGet returns the association (id1, atype, id2) if present.
-func (s *Store) AssocGet(id1 ObjectID, atype string, id2 ObjectID) (Assoc, bool) {
-	s.mu.RLock()
-	defer func() { s.mu.RUnlock(); s.count(atype, OpAssocGet) }()
-	for _, a := range s.assocs[assocKey{id1, atype}] {
-		if a.ID2 == id2 {
-			return a, true
-		}
-	}
-	return Assoc{}, false
-}
-
 // AssocRange returns up to limit newest associations of (id1, atype)
 // starting at offset.
 func (s *Store) AssocRange(id1 ObjectID, atype string, offset, limit int) []Assoc {
@@ -188,27 +176,5 @@ func (s *Store) TypeCounts() map[string]map[OpKind]int64 {
 		}
 		out[t] = m
 	}
-	return out
-}
-
-// ResetCounts zeroes the counters and returns the previous values, used
-// by the metrics emitter to bucket counts per time step.
-func (s *Store) ResetCounts() map[string]map[OpKind]int64 {
-	s.countMu.Lock()
-	defer s.countMu.Unlock()
-	out := s.counts
-	s.counts = map[string]map[OpKind]int64{}
-	return out
-}
-
-// DataTypes returns the data types seen so far, sorted.
-func (s *Store) DataTypes() []string {
-	s.countMu.Lock()
-	defer s.countMu.Unlock()
-	out := make([]string, 0, len(s.counts))
-	for t := range s.counts {
-		out = append(out, t)
-	}
-	sort.Strings(out)
 	return out
 }

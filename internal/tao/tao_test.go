@@ -57,12 +57,6 @@ func TestAssocOrderingNewestFirst(t *testing.T) {
 	if n := s.AssocCount(1, "friend"); n != 5 {
 		t.Errorf("count = %d", n)
 	}
-	if _, ok := s.AssocGet(1, "friend", 12); !ok {
-		t.Error("AssocGet missed")
-	}
-	if _, ok := s.AssocGet(1, "friend", 99); ok {
-		t.Error("AssocGet found ghost")
-	}
 	if err := s.AssocAdd(Assoc{ID1: 1}); err == nil {
 		t.Error("untyped assoc accepted")
 	}
@@ -91,16 +85,8 @@ func TestTypeCountsAndReset(t *testing.T) {
 	if counts["friend"][OpAssocAdd] != 1 {
 		t.Errorf("friend counts = %v", counts["friend"])
 	}
-	types := s.DataTypes()
-	if len(types) != 2 || types[0] != "friend" {
-		t.Errorf("types = %v", types)
-	}
-	prev := s.ResetCounts()
-	if prev["user"][OpObjGet] != 2 {
-		t.Error("reset did not return previous counts")
-	}
-	if len(s.TypeCounts()) != 0 {
-		t.Error("counts not reset")
+	if len(counts) != 2 {
+		t.Errorf("data types = %d, want 2 (user, friend)", len(counts))
 	}
 }
 

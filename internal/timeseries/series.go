@@ -4,7 +4,6 @@
 package timeseries
 
 import (
-	"errors"
 	"fmt"
 	"time"
 )
@@ -53,14 +52,8 @@ func (s *Series) IndexOf(t time.Time) int {
 	return i
 }
 
-// Slice returns the sub-series covering [from, to). The returned series
-// shares the underlying values.
-func (s *Series) Slice(from, to time.Time) *Series {
-	out := s.slice(from, to)
-	return &out
-}
-
-// slice is Slice by value, for callers that place the header themselves.
+// slice returns the sub-series covering [from, to), by value, for callers
+// that place the header themselves. It shares the underlying values.
 func (s *Series) slice(from, to time.Time) Series {
 	i, j := s.IndexOf(from), s.IndexOf(to)
 	if j < i {
@@ -92,70 +85,7 @@ func (s *Series) Clone() *Series {
 	return &Series{Start: s.Start, Step: s.Step, Values: vs}
 }
 
-// Append adds values to the end of the series.
-func (s *Series) Append(values ...float64) {
-	s.Values = append(s.Values, values...)
-}
-
 func (s *Series) String() string {
 	return fmt.Sprintf("Series[start=%s step=%s n=%d]",
 		s.Start.Format(time.RFC3339), s.Step, len(s.Values))
-}
-
-// ErrStepMismatch is returned by operations that require series with equal
-// steps and aligned starts.
-var ErrStepMismatch = errors.New("timeseries: step or alignment mismatch")
-
-// Average returns the pointwise average of the given series, which must all
-// share the same step and start. The result has the length of the shortest
-// input. Averaging per-server series is how FBDetect reduces noise with
-// fleet size (paper Figure 2).
-func Average(series []*Series) (*Series, error) {
-	if len(series) == 0 {
-		return &Series{}, nil
-	}
-	first := series[0]
-	n := first.Len()
-	for _, s := range series[1:] {
-		if s.Step != first.Step || !s.Start.Equal(first.Start) {
-			return nil, ErrStepMismatch
-		}
-		if s.Len() < n {
-			n = s.Len()
-		}
-	}
-	out := make([]float64, n)
-	for _, s := range series {
-		for i := 0; i < n; i++ {
-			out[i] += s.Values[i]
-		}
-	}
-	inv := 1 / float64(len(series))
-	for i := range out {
-		out[i] *= inv
-	}
-	return &Series{Start: first.Start, Step: first.Step, Values: out}, nil
-}
-
-// Downsample returns a new series whose step is factor times larger, with
-// each output point the mean of factor consecutive input points. A trailing
-// partial bucket is averaged over however many points it holds.
-func (s *Series) Downsample(factor int) *Series {
-	if factor <= 1 || len(s.Values) == 0 {
-		return s.Clone()
-	}
-	n := (len(s.Values) + factor - 1) / factor
-	out := make([]float64, 0, n)
-	for i := 0; i < len(s.Values); i += factor {
-		j := i + factor
-		if j > len(s.Values) {
-			j = len(s.Values)
-		}
-		sum := 0.0
-		for _, v := range s.Values[i:j] {
-			sum += v
-		}
-		out = append(out, sum/float64(j-i))
-	}
-	return &Series{Start: s.Start, Step: s.Step * time.Duration(factor), Values: out}
 }

@@ -1,9 +1,7 @@
 package timeseries
 
 import (
-	"math"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -41,7 +39,7 @@ func TestIndexOfClamping(t *testing.T) {
 
 func TestSlice(t *testing.T) {
 	s := mkSeries(0, 1, 2, 3, 4, 5)
-	sub := s.Slice(t0.Add(2*time.Minute), t0.Add(5*time.Minute))
+	sub := s.slice(t0.Add(2*time.Minute), t0.Add(5*time.Minute))
 	if sub.Len() != 3 || sub.Values[0] != 2 || sub.Values[2] != 4 {
 		t.Errorf("Slice = %v", sub.Values)
 	}
@@ -49,7 +47,7 @@ func TestSlice(t *testing.T) {
 		t.Errorf("Slice start = %v", sub.Start)
 	}
 	// inverted range -> empty
-	if s.Slice(t0.Add(5*time.Minute), t0.Add(2*time.Minute)).Len() != 0 {
+	if inv := s.slice(t0.Add(5*time.Minute), t0.Add(2*time.Minute)); inv.Len() != 0 {
 		t.Error("inverted slice should be empty")
 	}
 }
@@ -70,110 +68,6 @@ func TestCloneIndependence(t *testing.T) {
 	c.Values[0] = 99
 	if s.Values[0] != 1 {
 		t.Error("Clone shares storage")
-	}
-}
-
-func TestAverage(t *testing.T) {
-	a := mkSeries(1, 2, 3)
-	b := mkSeries(3, 4, 5)
-	avg, err := Average([]*Series{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2, 3, 4}
-	for i := range want {
-		if avg.Values[i] != want[i] {
-			t.Errorf("avg[%d] = %v, want %v", i, avg.Values[i], want[i])
-		}
-	}
-}
-
-func TestAverageLengthMismatch(t *testing.T) {
-	a := mkSeries(1, 2, 3, 4)
-	b := mkSeries(3, 4)
-	avg, err := Average([]*Series{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if avg.Len() != 2 {
-		t.Errorf("avg len = %d, want 2 (shortest)", avg.Len())
-	}
-}
-
-func TestAverageStepMismatch(t *testing.T) {
-	a := mkSeries(1, 2)
-	b := New(t0, time.Second, []float64{1, 2})
-	if _, err := Average([]*Series{a, b}); err != ErrStepMismatch {
-		t.Errorf("err = %v, want ErrStepMismatch", err)
-	}
-	c := New(t0.Add(time.Minute), time.Minute, []float64{1, 2})
-	if _, err := Average([]*Series{a, c}); err != ErrStepMismatch {
-		t.Errorf("misaligned start: err = %v", err)
-	}
-}
-
-func TestAverageEmpty(t *testing.T) {
-	avg, err := Average(nil)
-	if err != nil || avg.Len() != 0 {
-		t.Errorf("Average(nil) = %v, %v", avg, err)
-	}
-}
-
-func TestDownsample(t *testing.T) {
-	s := mkSeries(1, 3, 5, 7, 9)
-	d := s.Downsample(2)
-	want := []float64{2, 6, 9} // last bucket is partial
-	if d.Len() != 3 {
-		t.Fatalf("len = %d", d.Len())
-	}
-	for i := range want {
-		if d.Values[i] != want[i] {
-			t.Errorf("d[%d] = %v, want %v", i, d.Values[i], want[i])
-		}
-	}
-	if d.Step != 2*time.Minute {
-		t.Errorf("step = %v", d.Step)
-	}
-}
-
-func TestDownsamplePreservesMeanApproximately(t *testing.T) {
-	f := func(raw []float64) bool {
-		vals := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) && math.Abs(v) < 1e9 {
-				vals = append(vals, v)
-			}
-		}
-		if len(vals)%2 != 0 || len(vals) == 0 {
-			return true // only check exact halving
-		}
-		s := mkSeries(vals...)
-		d := s.Downsample(2)
-		var m1, m2 float64
-		for _, v := range s.Values {
-			m1 += v
-		}
-		m1 /= float64(s.Len())
-		for _, v := range d.Values {
-			m2 += v
-		}
-		m2 /= float64(d.Len())
-		return math.Abs(m1-m2) < 1e-6*(1+math.Abs(m1))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDownsampleFactorOne(t *testing.T) {
-	s := mkSeries(1, 2, 3)
-	d := s.Downsample(1)
-	if d.Len() != 3 || d.Step != s.Step {
-		t.Error("factor 1 should be a clone")
-	}
-	d.Values[0] = 42
-	if s.Values[0] == 42 {
-		t.Error("Downsample(1) shares storage")
 	}
 }
 
@@ -237,10 +131,6 @@ func TestWindowsJoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ae := ws.AnalysisAndExtended()
-	if ae.Len() != 4 || ae.Values[0] != 2 {
-		t.Errorf("AnalysisAndExtended = %v", ae.Values)
-	}
 	full := ws.Full()
 	if full.Len() != 6 || full.Values[5] != 5 {
 		t.Errorf("Full = %v", full.Values)
@@ -251,7 +141,7 @@ func TestWindowsJoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ws2.AnalysisAndExtended(); got.Len() != 3 {
-		t.Errorf("no-extended AnalysisAndExtended len = %d", got.Len())
+	if got := ws2.Full(); got.Len() != 6 {
+		t.Errorf("no-extended Full len = %d", got.Len())
 	}
 }

@@ -48,9 +48,9 @@ type Windows struct {
 	Extended *Series // empty series if the config has no extended window
 
 	// joined is the contiguous [historic..extended] span of the source
-	// series, recorded by Cut so Full and AnalysisAndExtended can return
-	// zero-copy sub-slices instead of re-concatenating the windows. Nil for
-	// hand-assembled Windows, which fall back to copying.
+	// series, recorded by Cut so Full can return it zero-copy instead of
+	// re-concatenating the windows. Nil for hand-assembled Windows, which
+	// fall back to copying.
 	joined *Series
 }
 
@@ -112,23 +112,6 @@ func (ws Windows) Clone() Windows {
 		out.Extended = ws.Extended.Clone()
 	}
 	return out
-}
-
-// AnalysisAndExtended returns the analysis and extended windows joined into
-// one series; detectors that look past the analysis window use this view.
-// Windows produced by Cut share the source series' values (zero-copy);
-// treat the result as read-only.
-func (ws Windows) AnalysisAndExtended() *Series {
-	if ws.Extended == nil || ws.Extended.Len() == 0 {
-		return ws.Analysis
-	}
-	if ws.joined != nil {
-		return ws.joined.SliceIndex(ws.Historic.Len(), ws.joined.Len())
-	}
-	vals := make([]float64, 0, ws.Analysis.Len()+ws.Extended.Len())
-	vals = append(vals, ws.Analysis.Values...)
-	vals = append(vals, ws.Extended.Values...)
-	return &Series{Start: ws.Analysis.Start, Step: ws.Analysis.Step, Values: vals}
 }
 
 // Full returns all three windows joined into one series. Windows produced

@@ -13,7 +13,6 @@ package tracing
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -138,34 +137,4 @@ func (a *Aggregator) Snapshot() []EndpointStats {
 	a.stats = map[string]*EndpointStats{}
 	sort.Slice(out, func(i, j int) bool { return out[i].Endpoint < out[j].Endpoint })
 	return out
-}
-
-// PrefixGroup returns the endpoints sharing the given name prefix — the
-// endpoint-prefix cost domain of paper §5.4 ("another [detector]
-// considers endpoints with matching name prefixes").
-func PrefixGroup(endpoints []string, prefix string) []string {
-	var out []string
-	for _, e := range endpoints {
-		if strings.HasPrefix(e, prefix) {
-			out = append(out, e)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// CommonPrefix returns the longest "/"-separated path prefix shared by
-// two endpoint names, used to derive prefix domains automatically.
-func CommonPrefix(a, b string) string {
-	as := strings.Split(a, "/")
-	bs := strings.Split(b, "/")
-	n := len(as)
-	if len(bs) < n {
-		n = len(bs)
-	}
-	i := 0
-	for i < n && as[i] == bs[i] {
-		i++
-	}
-	return strings.Join(as[:i], "/")
 }

@@ -117,28 +117,3 @@ func TestAggregatorConcurrent(t *testing.T) {
 		t.Errorf("concurrent totals wrong: %+v", snap)
 	}
 }
-
-func TestPrefixGroup(t *testing.T) {
-	endpoints := []string{"/feed/home", "/feed/profile", "/ads/click", "/feed/home"}
-	got := PrefixGroup(endpoints, "/feed")
-	if len(got) != 3 || got[0] != "/feed/home" {
-		t.Errorf("PrefixGroup = %v", got)
-	}
-	if got := PrefixGroup(endpoints, "/nope"); len(got) != 0 {
-		t.Errorf("no-match group = %v", got)
-	}
-}
-
-func TestCommonPrefix(t *testing.T) {
-	cases := []struct{ a, b, want string }{
-		{"/feed/home", "/feed/profile", "/feed"},
-		{"/feed/home", "/ads/click", ""},
-		{"/feed/home/x", "/feed/home/y", "/feed/home"},
-		{"/same", "/same", "/same"},
-	}
-	for _, c := range cases {
-		if got := CommonPrefix(c.a, c.b); got != c.want {
-			t.Errorf("CommonPrefix(%q, %q) = %q, want %q", c.a, c.b, got, c.want)
-		}
-	}
-}

@@ -175,9 +175,9 @@ type ViewStamp struct {
 // stamp, copies the share held by the mutable head and pins the sealed
 // chunks that overlap the rest; Materialize then decodes just the chunks a
 // reader is about to touch, outside the store's locks. Whatever happens to
-// the series afterwards (appends that seal more chunks, Prune, Restore,
-// Drop), the view keeps yielding the bytes it was opened on, under the
-// stamp it was opened with.
+// the series afterwards (appends that seal more chunks, Prune, Restore),
+// the view keeps yielding the bytes it was opened on, under the stamp it
+// was opened with.
 type View struct {
 	Start time.Time // time of the window's first point
 	N     int       // points in the window

@@ -223,22 +223,6 @@ func (sh *shard) indexAdd(id MetricID) {
 	sh.byService[svc] = ids
 }
 
-// indexRemove deletes id from its service's index. Caller holds sh.mu.
-func (sh *shard) indexRemove(id MetricID) {
-	svc := id.service()
-	ids := sh.byService[svc]
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	if i >= len(ids) || ids[i] != id {
-		return
-	}
-	ids = append(ids[:i], ids[i+1:]...)
-	if len(ids) == 0 {
-		delete(sh.byService, svc)
-	} else {
-		sh.byService[svc] = ids
-	}
-}
-
 // appendLocked adds one point to the shard, creating the series on first
 // sight and gap-filling as Append documents. stale points (at or before
 // the series end) are either rejected or skipped per lenient. Caller
@@ -435,18 +419,6 @@ func (db *DB) NumMetrics(service string) int {
 // Len returns the number of stored series.
 func (db *DB) Len() int {
 	return db.NumMetrics("")
-}
-
-// Drop removes a metric's series.
-func (db *DB) Drop(id MetricID) {
-	sh := db.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.series[id]; !ok {
-		return
-	}
-	delete(sh.series, id)
-	sh.indexRemove(id)
 }
 
 // Prune discards points older than the retention horizon for every series,

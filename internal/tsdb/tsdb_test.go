@@ -134,16 +134,6 @@ func TestMetricsFilter(t *testing.T) {
 	}
 }
 
-func TestDrop(t *testing.T) {
-	db := New(time.Minute)
-	id := ID("a", "b", "c")
-	db.Append(id, t0, 1)
-	db.Drop(id)
-	if db.Len() != 0 {
-		t.Error("Drop failed")
-	}
-}
-
 func TestPrune(t *testing.T) {
 	db := New(time.Minute)
 	id := ID("a", "b", "c")
@@ -247,31 +237,6 @@ func TestQueryViewStableUnderAppendAndPrune(t *testing.T) {
 		if view.Values[i] != float64(i) {
 			t.Fatalf("view[%d] = %v after append+prune, want %v", i, view.Values[i], float64(i))
 		}
-	}
-}
-
-func TestNumMetricsAndIndexAfterDrop(t *testing.T) {
-	db := New(time.Minute)
-	db.Append(ID("a", "x", "m"), t0, 1)
-	db.Append(ID("a", "y", "m"), t0, 1)
-	db.Append(ID("b", "z", "m"), t0, 1)
-	if n := db.NumMetrics("a"); n != 2 {
-		t.Errorf("NumMetrics(a) = %d", n)
-	}
-	if n := db.NumMetrics(""); n != 3 {
-		t.Errorf("NumMetrics() = %d", n)
-	}
-	db.Drop(ID("a", "x", "m"))
-	if n := db.NumMetrics("a"); n != 1 {
-		t.Errorf("NumMetrics(a) after drop = %d", n)
-	}
-	got := db.Metrics("a")
-	if len(got) != 1 || got[0] != ID("a", "y", "m") {
-		t.Errorf("Metrics(a) after drop = %v", got)
-	}
-	db.Drop(ID("b", "z", "m"))
-	if n := db.NumMetrics("b"); n != 0 {
-		t.Errorf("NumMetrics(b) after drop = %d", n)
 	}
 }
 

@@ -1,9 +1,7 @@
 package wal
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -52,7 +50,7 @@ func OpenJournal(path string, apply func(payload []byte) error) (*Journal, Repla
 	}
 	off := 0
 	for off < len(data) {
-		payload, size, derr := decodeJournalRecord(data[off:])
+		payload, size, derr := frame(data[off:], journalMaxPayload)
 		if derr != nil {
 			// Torn tail: drop everything from the first bad record and
 			// truncate so appends resume from intact state.
@@ -98,7 +96,7 @@ func (j *Journal) Append(payload []byte) error {
 	if len(payload) == 0 || len(payload) > journalMaxPayload {
 		return fmt.Errorf("wal: journal payload must be 1..%d bytes, got %d", journalMaxPayload, len(payload))
 	}
-	rec := appendJournalRecord(nil, payload)
+	rec := appendFrame(append(make([]byte, recordHeaderSize, recordHeaderSize+len(payload)), payload...), 0)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
@@ -145,7 +143,8 @@ func (j *Journal) Rewrite(payloads [][]byte) error {
 			os.Remove(tmp)
 			return fmt.Errorf("wal: journal payload must be 1..%d bytes, got %d", journalMaxPayload, len(p))
 		}
-		buf = appendJournalRecord(buf, p)
+		start := len(buf)
+		buf = appendFrame(append(append(buf, make([]byte, recordHeaderSize)...), p...), start)
 	}
 	if _, err := f.Write(buf); err != nil {
 		f.Close()
@@ -188,37 +187,4 @@ func (j *Journal) Close() error {
 		err = cerr
 	}
 	return err
-}
-
-// appendJournalRecord frames payload onto b:
-// [4B payload length][4B CRC-32C of payload][payload], little-endian —
-// the same layout as the point WAL, minus the kind byte (the journal is
-// payload-agnostic; its owner defines the schema).
-func appendJournalRecord(b, payload []byte) []byte {
-	start := len(b)
-	b = append(b, make([]byte, recordHeaderSize)...)
-	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[start+4:], crc32.Checksum(payload, castagnoli))
-	return append(b, payload...)
-}
-
-// decodeJournalRecord parses the record at the head of b, returning the
-// payload and total bytes consumed. Truncation or checksum mismatch is an
-// error; the caller treats it as a torn tail.
-func decodeJournalRecord(b []byte) (payload []byte, size int, err error) {
-	if len(b) < recordHeaderSize {
-		return nil, 0, fmt.Errorf("wal: truncated journal record header (%d bytes)", len(b))
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	if n < 1 || n > journalMaxPayload {
-		return nil, 0, fmt.Errorf("wal: implausible journal payload length %d", n)
-	}
-	if len(b) < recordHeaderSize+n {
-		return nil, 0, fmt.Errorf("wal: truncated journal payload (%d of %d bytes)", len(b)-recordHeaderSize, n)
-	}
-	payload = b[recordHeaderSize : recordHeaderSize+n]
-	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(b[4:]); got != want {
-		return nil, 0, fmt.Errorf("wal: journal record checksum mismatch (got %08x, want %08x)", got, want)
-	}
-	return payload, recordHeaderSize + n, nil
 }

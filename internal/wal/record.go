@@ -85,7 +85,9 @@ func checkBatch(pts []tsdb.Point) error {
 }
 
 // appendFrame frames the payload that starts recordHeaderSize bytes after
-// start in b: it fills in the length and checksum there.
+// start in b: it fills in the length and checksum there. The point WAL
+// and the journal share this framing, [4B payload length][4B CRC-32C of
+// payload][payload], little-endian, and differ only in the payload cap.
 func appendFrame(b []byte, start int) []byte {
 	payload := b[start+recordHeaderSize:]
 	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
@@ -149,16 +151,17 @@ search:
 	}
 }
 
-// frame checks the framing of the record at the head of b and returns its
-// payload and total size. Truncation, an implausible length and a
-// checksum mismatch are errors; the caller decides whether that means a
-// torn tail (stop replay) or corruption (fail recovery).
-func frame(b []byte) (payload []byte, size int, err error) {
+// frame checks the framing of the record at the head of b, whose payload
+// holds at most maxPayload bytes, and returns its payload and total size.
+// Truncation, an implausible length and a checksum mismatch are errors;
+// the caller decides whether that means a torn tail (stop replay) or
+// corruption (fail recovery).
+func frame(b []byte, maxPayload int) (payload []byte, size int, err error) {
 	if len(b) < recordHeaderSize {
 		return nil, 0, fmt.Errorf("wal: truncated record header (%d bytes)", len(b))
 	}
 	payloadLen := int(binary.LittleEndian.Uint32(b))
-	if payloadLen < 1 || payloadLen > maxRecordPayload {
+	if payloadLen < 1 || payloadLen > maxPayload {
 		return nil, 0, fmt.Errorf("wal: implausible record payload length %d", payloadLen)
 	}
 	if len(b) < recordHeaderSize+payloadLen {
@@ -188,7 +191,7 @@ func (d *decoder) reset() { d.slots = d.slots[:0] }
 // next decodes the record at the head of b, returning its points (valid
 // until the next call) and its size.
 func (d *decoder) next(b []byte) (pts []tsdb.Point, size int, err error) {
-	payload, size, err := frame(b)
+	payload, size, err := frame(b, maxRecordPayload)
 	if err != nil {
 		return nil, 0, err
 	}
