@@ -62,7 +62,7 @@ func main() {
 	}
 	counts := store.TypeCounts()
 	fmt.Printf("store executed %d object gets and %d assoc ranges for 'post'\n",
-		counts["post"][0], counts["post"][3])
+		counts["post"][tao.OpObjGet], counts["post"][tao.OpAssocRange])
 
 	det, err := fbdetect.NewDetector(fbdetect.Config{
 		Threshold:         0.1, // 10% relative

@@ -1,13 +1,14 @@
 package distributed
 
 import (
+	"cmp"
 	"net/http"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"fbdetect/internal/obs"
 	"fbdetect/internal/pprofparse"
-	"fbdetect/internal/stacktrace"
 	"fbdetect/internal/tsdb"
 )
 
@@ -186,7 +187,7 @@ func (h *ProfilesHandler) open(req *http.Request) (decodeBody, *rejection) {
 // decode parses the upload and maps it onto gCPU points for service.
 func (h *ProfilesHandler) decode(raw []byte, contentType, service string, explicitTime time.Time) (batch, *rejection) {
 	parseStart := time.Now()
-	ss, format, profTime, err := h.parse(raw, contentType)
+	all, format, profTime, err := h.parse(raw, contentType)
 	if err != nil {
 		return batch{}, &rejection{ProfilesReasonBadProfile, "bad profile: " + err.Error()}
 	}
@@ -203,7 +204,7 @@ func (h *ProfilesHandler) decode(raw []byte, contentType, service string, explic
 		t = h.now().UTC()
 	}
 
-	pts, capped := gcpuPoints(service, t, ss, h.topK)
+	pts, capped := gcpuPoints(service, t, all, h.topK)
 	return batch{pts: pts, ack: func(appended int) any {
 		h.accepted[format].Inc()
 		h.subroutines.Observe(float64(len(pts)))
@@ -215,10 +216,11 @@ func (h *ProfilesHandler) decode(raw []byte, contentType, service string, explic
 	}}, nil
 }
 
-// parse decodes the upload in either wire format, returning the sample
-// set, detected format, and the profile's own collection time (zero for
-// folded text, which carries none).
-func (h *ProfilesHandler) parse(raw []byte, contentType string) (*stacktrace.SampleSet, string, time.Time, error) {
+// parse decodes the upload in either wire format, returning each
+// subroutine's gCPU, the detected format, and the profile's own
+// collection time (zero for folded text, which carries none). A pprof
+// profile folds straight into gCPU; folded text goes through a SampleSet.
+func (h *ProfilesHandler) parse(raw []byte, contentType string) ([]pprofparse.GCPU, string, time.Time, error) {
 	var profTime time.Time
 	format := pprofparse.DetectFormat(raw, contentType)
 	if format == pprofparse.FormatPprof {
@@ -229,39 +231,42 @@ func (h *ProfilesHandler) parse(raw []byte, contentType string) (*stacktrace.Sam
 		if p.TimeNanos > 0 {
 			profTime = time.Unix(0, p.TimeNanos).UTC()
 		}
-		ss, err := p.SampleSet(pprofparse.ConvertOptions{})
-		return ss, format, profTime, err
+		all, _, err := p.Fold(pprofparse.ConvertOptions{})
+		return all, format, profTime, err
 	}
 	ss, _, err := pprofparse.ReadAny(raw, contentType)
-	return ss, format, profTime, err
+	if err != nil {
+		return nil, format, profTime, err
+	}
+	gcpu := ss.GCPUAll()
+	all := make([]pprofparse.GCPU, 0, len(gcpu))
+	for sub, v := range gcpu {
+		all = append(all, pprofparse.GCPU{Subroutine: sub, Value: v})
+	}
+	return all, format, profTime, nil
 }
 
-// gcpuPoints maps a profile's sample set onto per-subroutine gCPU points
-// for one time bucket, keeping the topK highest-gCPU subroutines
-// (deterministic: ties break by name). Reports whether the cap dropped
-// any.
-func gcpuPoints(service string, t time.Time, ss *stacktrace.SampleSet, topK int) ([]tsdb.Point, bool) {
-	all := ss.GCPUAll()
-	subs := make([]string, 0, len(all))
-	for sub := range all {
-		subs = append(subs, sub)
-	}
-	sort.Slice(subs, func(i, j int) bool {
-		if all[subs[i]] != all[subs[j]] {
-			return all[subs[i]] > all[subs[j]]
+// gcpuPoints maps a profile's per-subroutine gCPU onto points for one
+// time bucket, keeping the topK highest-gCPU subroutines (deterministic:
+// ties break by name). Reports whether the cap dropped any. It reorders
+// all.
+func gcpuPoints(service string, t time.Time, all []pprofparse.GCPU, topK int) ([]tsdb.Point, bool) {
+	slices.SortFunc(all, func(a, b pprofparse.GCPU) int {
+		if c := cmp.Compare(b.Value, a.Value); c != 0 {
+			return c
 		}
-		return subs[i] < subs[j]
+		return strings.Compare(a.Subroutine, b.Subroutine)
 	})
 	capped := false
-	if topK > 0 && len(subs) > topK {
-		subs, capped = subs[:topK], true
+	if topK > 0 && len(all) > topK {
+		all, capped = all[:topK], true
 	}
-	// Points sort by metric ID so AppendBatch's per-shard bucketing sees
-	// a deterministic order regardless of map iteration.
-	sort.Strings(subs)
-	pts := make([]tsdb.Point, 0, len(subs))
-	for _, sub := range subs {
-		pts = append(pts, tsdb.Point{ID: tsdb.ID(service, sub, "gcpu"), T: t, V: all[sub]})
+	// Points sort by subroutine so AppendBatch's per-shard bucketing sees
+	// a deterministic order.
+	slices.SortFunc(all, func(a, b pprofparse.GCPU) int { return strings.Compare(a.Subroutine, b.Subroutine) })
+	pts := make([]tsdb.Point, len(all))
+	for i, g := range all {
+		pts[i] = tsdb.Point{ID: tsdb.ID(service, g.Subroutine, "gcpu"), T: t, V: g.Value}
 	}
 	return pts, capped
 }

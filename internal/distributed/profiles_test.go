@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -105,6 +106,38 @@ func TestProfilesPprofUpload(t *testing.T) {
 	}
 	if got := reg.NewCounter(MetricProfilesSkipped, "", nil).Value(); got != 4 {
 		t.Fatalf("skipped counter = %v, want 4", got)
+	}
+
+	// A real runtime/pprof profile, with inlined and address-only frames:
+	// every acked point is the SampleSet's GCPUAll value, bit for bit.
+	real, err := os.ReadFile("../pprofparse/testdata/cpu.pb.gz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := pprofparse.Parse(real)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := p.SampleSet(pprofparse.ConvertOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ss.GCPUAll()
+	resp, res = postProfile(t, srv.URL, "service=realsvc", "", real)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("real profile: status %d", resp.StatusCode)
+	}
+	if res.Subroutines != len(want) || res.Appended != len(want) || res.Capped {
+		t.Fatalf("real profile: result %+v, want all %d subroutines appended", res, len(want))
+	}
+	for sub, v := range want {
+		s, err := db.Full(tsdb.ID("realsvc", sub, "gcpu"))
+		if err != nil {
+			t.Fatalf("real profile: %s not stored: %v", sub, err)
+		}
+		if s.Len() != 1 || s.Values[0] != v {
+			t.Fatalf("real profile: gCPU(%s) = %v, want exactly %v", sub, s.Values, v)
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // deterministic encoder output so the mutator starts from valid wire
 // bytes. The parser takes uploads straight off the network: it must never
 // panic, never over-read, and any profile it accepts must convert into a
-// sample set with in-range gCPU.
+// sample set with in-range gCPU, and fold to exactly that set's gCPU.
 func FuzzPprofParse(f *testing.F) {
 	if real, err := os.ReadFile("testdata/cpu.pb.gz"); err == nil {
 		f.Add(real)
@@ -44,10 +44,45 @@ func FuzzPprofParse(f *testing.F) {
 		if ss.Total() < 0 {
 			t.Fatal("negative total")
 		}
+		// The fold is the SampleSet's GCPUAll, bit for bit.
+		checkFold(t, p, ConvertOptions{})
 		// Accepted profiles must re-marshal and re-parse cleanly (the
 		// encoder only emits what the decoder accepts).
 		if _, err := Parse(p.Marshal()); err != nil {
 			t.Fatalf("re-parse of re-marshaled profile failed: %v", err)
 		}
 	})
+}
+
+// checkFold requires p.Fold(opts) to give exactly
+// p.SampleSet(opts).GCPUAll(): the same subroutines, each value and the
+// total equal with ==.
+func checkFold(t *testing.T, p *Profile, opts ConvertOptions) {
+	t.Helper()
+	ss, err := p.SampleSet(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fold, total, err := p.Fold(opts)
+	if err != nil {
+		t.Fatalf("SampleSet succeeded but Fold failed: %v", err)
+	}
+	want := ss.GCPUAll()
+	if total != ss.Total() {
+		t.Fatalf("fold total %v, SampleSet total %v", total, ss.Total())
+	}
+	if len(fold) != len(want) {
+		t.Fatalf("fold has %d subroutines, GCPUAll %d", len(fold), len(want))
+	}
+	seen := map[string]bool{}
+	for _, g := range fold {
+		w, ok := want[g.Subroutine]
+		if !ok || seen[g.Subroutine] {
+			t.Fatalf("fold subroutine %q: in GCPUAll %v, repeated %v", g.Subroutine, ok, seen[g.Subroutine])
+		}
+		seen[g.Subroutine] = true
+		if g.Value != w {
+			t.Fatalf("fold gCPU(%q) = %v, GCPUAll %v", g.Subroutine, g.Value, w)
+		}
+	}
 }

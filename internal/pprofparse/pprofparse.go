@@ -6,7 +6,8 @@
 // This is FBDetect's front door for real continuous-profiling data: a
 // parsed Profile converts into the stacktrace.SampleSet model (convert.go),
 // from which per-subroutine gCPU series are derived exactly as for the
-// fleet simulator's synthetic samples. The package also includes a
+// fleet simulator's synthetic samples, or folds straight into those gCPU
+// values (Profile.Fold) without building the sample set. The package also includes a
 // deterministic encoder (encode.go) so tests, goldens, and demos can
 // fabricate valid profiles without shelling out to a profiler.
 package pprofparse
@@ -14,8 +15,10 @@ package pprofparse
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // DefaultMaxDecompressed caps how far Parse will inflate a gzipped
@@ -81,11 +84,17 @@ type rawLine struct {
 	line   int64
 }
 
+// rawLocation's lines are lines[start:end] of the parse's shared line
+// slab.
 type rawLocation struct {
-	id      uint64
-	address uint64
-	lines   []rawLine
+	id         uint64
+	address    uint64
+	start, end int
 }
+
+// sampleEnd marks where one sample's location IDs and values end in the
+// parse's shared slabs; the next sample starts there.
+type sampleEnd struct{ locs, values int }
 
 // Parse decodes a pprof profile from data, transparently gunzipping (the
 // format runtime/pprof writes is always gzipped; raw protobuf is accepted
@@ -97,34 +106,92 @@ func Parse(data []byte) (*Profile, error) {
 // ParseLimit is Parse with an explicit decompressed-size cap.
 func ParseLimit(data []byte, maxDecompressed int64) (*Profile, error) {
 	if len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b {
-		zr, err := gzip.NewReader(bytes.NewReader(data))
+		raw, err := gunzip(data, maxDecompressed)
 		if err != nil {
-			return nil, fmt.Errorf("pprofparse: bad gzip header: %w", err)
-		}
-		raw, err := io.ReadAll(io.LimitReader(zr, maxDecompressed+1))
-		if err != nil {
-			return nil, fmt.Errorf("pprofparse: gunzip: %w", err)
-		}
-		if int64(len(raw)) > maxDecompressed {
-			return nil, fmt.Errorf("pprofparse: profile inflates beyond %d bytes", maxDecompressed)
+			return nil, err
 		}
 		data = raw
 	}
 	return parseUncompressed(data)
 }
 
+// gzipReader is a pooled gunzip state: the reader and the bytes.Reader it
+// reads from, so that emptying the latter unpins the upload from both.
+type gzipReader struct {
+	src bytes.Reader
+	zr  gzip.Reader
+}
+
+var gzipReaders sync.Pool
+
+// gunzip inflates data into one buffer, refusing to grow it past
+// maxDecompressed. The buffer is pre-sized from the gzip trailer's ISIZE,
+// which the sender controls: the hint is clamped to 16x the compressed
+// length and to the cap, so a forged trailer costs at most that much.
+func gunzip(data []byte, maxDecompressed int64) ([]byte, error) {
+	g, _ := gzipReaders.Get().(*gzipReader)
+	if g == nil {
+		g = new(gzipReader)
+	}
+	defer func() {
+		// Reset to an empty reader before pooling, so the pooled state
+		// holds no reference to this upload.
+		g.src.Reset(nil)
+		g.zr.Reset(&g.src)
+		gzipReaders.Put(g)
+	}()
+	g.src.Reset(data)
+	if err := g.zr.Reset(&g.src); err != nil {
+		return nil, fmt.Errorf("pprofparse: bad gzip header: %w", err)
+	}
+	hint := min(int64(binary.LittleEndian.Uint32(data[len(data)-4:])), 16*int64(len(data)), maxDecompressed)
+	// One byte past the hint, so that a correct hint ends on io.EOF
+	// without growing the buffer.
+	buf := make([]byte, 0, max(hint+1, 512))
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		room := int64(cap(buf) - len(buf))
+		room = min(room, maxDecompressed+1-int64(len(buf)))
+		n, err := g.zr.Read(buf[len(buf) : len(buf)+int(room)])
+		buf = buf[:len(buf)+n]
+		if int64(len(buf)) > maxDecompressed {
+			return nil, fmt.Errorf("pprofparse: profile inflates beyond %d bytes", maxDecompressed)
+		}
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("pprofparse: gunzip: %w", err)
+		}
+	}
+}
+
 func parseUncompressed(data []byte) (*Profile, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("pprofparse: empty profile")
 	}
+	// Variable-length parts land in shared slabs, carved up once the
+	// whole message is read: every sample's location IDs and values, every
+	// location's lines. String-table entries are substrings of one copy of
+	// data. A first pass counts the top-level fields to size them. The
+	// sample slabs are guesses (a location ID or value takes one or two
+	// bytes), capped by the bytes that would hold them: no sizing asks
+	// for more than a profile of that length could fill.
+	n := countFields(data)
 	var (
-		strtab       []string
+		strtab       = make([]string, 0, n.strings)
+		strdata      string
 		sampleTypes  []struct{ typ, unit int64 }
 		periodType   struct{ typ, unit int64 }
-		rawSamples   []Sample
-		rawLocs      []rawLocation
-		rawFuncs     []rawFunction
-		p            = &Profile{Locations: map[uint64]*Location{}}
+		sampleEnds   = make([]sampleEnd, 0, n.samples)
+		locIDs       = make([]uint64, 0, n.sampleBytes/2)
+		values       = make([]int64, 0, min(int64(n.samples)*int64(n.sampleTypes), int64(n.sampleBytes/2)))
+		rawLocs      = make([]rawLocation, 0, n.locations)
+		rawLines     = make([]rawLine, 0, n.locations)
+		rawFuncs     = make([]rawFunction, 0, n.functions)
+		p            = &Profile{}
 		defaultSTIdx int64
 	)
 	d := decoder{buf: data}
@@ -149,17 +216,18 @@ func parseUncompressed(data []byte) (*Profile, error) {
 			if err != nil {
 				return nil, err
 			}
-			s, err := parseSample(msg)
+			locIDs, values, err = parseSample(msg, locIDs, values)
 			if err != nil {
 				return nil, err
 			}
-			rawSamples = append(rawSamples, s)
+			sampleEnds = append(sampleEnds, sampleEnd{len(locIDs), len(values)})
 		case 4: // location
 			msg, err := expectBytes(&d, wire, "location")
 			if err != nil {
 				return nil, err
 			}
-			loc, err := parseLocation(msg)
+			var loc rawLocation
+			loc, rawLines, err = parseLocation(msg, rawLines)
 			if err != nil {
 				return nil, err
 			}
@@ -179,7 +247,10 @@ func parseUncompressed(data []byte) (*Profile, error) {
 			if err != nil {
 				return nil, err
 			}
-			strtab = append(strtab, string(msg))
+			if strdata == "" {
+				strdata = string(data)
+			}
+			strtab = append(strtab, strdata[d.pos-len(msg):d.pos])
 		case 9: // time_nanos
 			v, err := expectVarint(&d, wire, "time_nanos")
 			if err != nil {
@@ -264,15 +335,19 @@ func parseUncompressed(data []byte) (*Profile, error) {
 		}
 		funcs[fn.id] = fn
 	}
-	for _, rl := range rawLocs {
+	p.Locations = make(map[uint64]*Location, len(rawLocs))
+	locs := make([]Location, len(rawLocs))
+	lines := make([]Line, 0, len(rawLines))
+	for i, rl := range rawLocs {
 		if rl.id == 0 {
 			return nil, fmt.Errorf("pprofparse: location with id 0")
 		}
 		if _, dup := p.Locations[rl.id]; dup {
 			return nil, fmt.Errorf("pprofparse: duplicate location id %d", rl.id)
 		}
-		loc := &Location{ID: rl.id, Address: rl.address}
-		for _, ln := range rl.lines {
+		loc := &locs[i]
+		loc.ID, loc.Address = rl.id, rl.address
+		for _, ln := range rawLines[rl.start:rl.end] {
 			fn, ok := funcs[ln.funcID]
 			if !ok {
 				return nil, fmt.Errorf("pprofparse: location %d references unknown function %d", rl.id, ln.funcID)
@@ -285,11 +360,26 @@ func parseUncompressed(data []byte) (*Profile, error) {
 			if err != nil {
 				return nil, err
 			}
-			loc.Lines = append(loc.Lines, Line{Function: name, File: file, Line: ln.line})
+			lines = append(lines, Line{Function: name, File: file, Line: ln.line})
+		}
+		if n := rl.end - rl.start; n > 0 {
+			loc.Lines = lines[len(lines)-n : len(lines) : len(lines)]
 		}
 		p.Locations[rl.id] = loc
 	}
-	for _, s := range rawSamples {
+	if len(sampleEnds) > 0 {
+		p.Samples = make([]Sample, len(sampleEnds))
+	}
+	var from sampleEnd
+	for i, end := range sampleEnds {
+		s := &p.Samples[i]
+		if end.locs > from.locs {
+			s.LocationIDs = locIDs[from.locs:end.locs:end.locs]
+		}
+		if end.values > from.values {
+			s.Values = values[from.values:end.values:end.values]
+		}
+		from = end
 		if len(s.Values) != len(p.SampleTypes) {
 			return nil, fmt.Errorf("pprofparse: sample carries %d values, profile declares %d sample types",
 				len(s.Values), len(p.SampleTypes))
@@ -299,12 +389,53 @@ func parseUncompressed(data []byte) (*Profile, error) {
 				return nil, fmt.Errorf("pprofparse: sample references unknown location %d", id)
 			}
 		}
-		p.Samples = append(p.Samples, s)
 	}
 	if len(p.SampleTypes) == 0 && len(p.Samples) > 0 {
 		return nil, fmt.Errorf("pprofparse: samples without sample types")
 	}
 	return p, nil
+}
+
+// fieldCounts tallies a profile's top-level repeated fields.
+type fieldCounts struct {
+	sampleTypes, samples, sampleBytes, locations, functions, strings int
+}
+
+// countFields counts the top-level fields of a profile message, stopping
+// silently at the first malformed one: the parse proper reports it.
+func countFields(data []byte) fieldCounts {
+	var n fieldCounts
+	d := decoder{buf: data}
+	for !d.done() {
+		field, wire, err := d.tag()
+		if err != nil {
+			break
+		}
+		if wire != wireBytes {
+			if d.skip(wire) != nil {
+				break
+			}
+			continue
+		}
+		msg, err := d.bytes()
+		if err != nil {
+			break
+		}
+		switch field {
+		case 1:
+			n.sampleTypes++
+		case 2:
+			n.samples++
+			n.sampleBytes += len(msg)
+		case 4:
+			n.locations++
+		case 5:
+			n.functions++
+		case 6:
+			n.strings++
+		}
+	}
+	return n
 }
 
 // expectBytes reads a length-delimited field or errors with the field
@@ -361,40 +492,41 @@ func parseValueType(msg []byte) (struct{ typ, unit int64 }, error) {
 	return vt, nil
 }
 
-func parseSample(msg []byte) (Sample, error) {
-	var s Sample
+// parseSample appends one sample's location IDs and values to the shared
+// slabs.
+func parseSample(msg []byte, locIDs []uint64, values []int64) ([]uint64, []int64, error) {
 	d := decoder{buf: msg}
 	for !d.done() {
 		field, wire, err := d.tag()
 		if err != nil {
-			return s, fmt.Errorf("pprofparse: sample: %w", err)
+			return locIDs, values, fmt.Errorf("pprofparse: sample: %w", err)
 		}
 		switch field {
 		case 1: // location_id, packed or not
 			payload, single, err := repeatedPayload(&d, wire, "sample.location_id")
 			if err != nil {
-				return s, err
+				return locIDs, values, err
 			}
-			s.LocationIDs, err = packedUint64(s.LocationIDs, payload, wire, single)
+			locIDs, err = packedUint64(locIDs, payload, wire, single)
 			if err != nil {
-				return s, fmt.Errorf("pprofparse: sample.location_id: %w", err)
+				return locIDs, values, fmt.Errorf("pprofparse: sample.location_id: %w", err)
 			}
 		case 2: // value, packed or not
 			payload, single, err := repeatedPayload(&d, wire, "sample.value")
 			if err != nil {
-				return s, err
+				return locIDs, values, err
 			}
-			s.Values, err = packedInt64(s.Values, payload, wire, single)
+			values, err = packedInt64(values, payload, wire, single)
 			if err != nil {
-				return s, fmt.Errorf("pprofparse: sample.value: %w", err)
+				return locIDs, values, fmt.Errorf("pprofparse: sample.value: %w", err)
 			}
 		default: // labels skipped
 			if err := d.skip(wire); err != nil {
-				return s, fmt.Errorf("pprofparse: sample: %w", err)
+				return locIDs, values, fmt.Errorf("pprofparse: sample: %w", err)
 			}
 		}
 	}
-	return s, nil
+	return locIDs, values, nil
 }
 
 // repeatedPayload reads the raw payload of a repeated scalar field that
@@ -417,44 +549,46 @@ func repeatedPayload(d *decoder, wire int, what string) ([]byte, uint64, error) 
 	return nil, 0, fmt.Errorf("pprofparse: %s: unexpected wire type %d", what, wire)
 }
 
-func parseLocation(msg []byte) (rawLocation, error) {
-	var loc rawLocation
+// parseLocation appends one location's lines to the shared slab.
+func parseLocation(msg []byte, lines []rawLine) (rawLocation, []rawLine, error) {
+	loc := rawLocation{start: len(lines)}
 	d := decoder{buf: msg}
 	for !d.done() {
 		field, wire, err := d.tag()
 		if err != nil {
-			return loc, fmt.Errorf("pprofparse: location: %w", err)
+			return loc, lines, fmt.Errorf("pprofparse: location: %w", err)
 		}
 		switch field {
 		case 1:
 			v, err := expectVarint(&d, wire, "location.id")
 			if err != nil {
-				return loc, err
+				return loc, lines, err
 			}
 			loc.id = v
 		case 3:
 			v, err := expectVarint(&d, wire, "location.address")
 			if err != nil {
-				return loc, err
+				return loc, lines, err
 			}
 			loc.address = v
 		case 4:
 			msg, err := expectBytes(&d, wire, "location.line")
 			if err != nil {
-				return loc, err
+				return loc, lines, err
 			}
 			ln, err := parseLine(msg)
 			if err != nil {
-				return loc, err
+				return loc, lines, err
 			}
-			loc.lines = append(loc.lines, ln)
+			lines = append(lines, ln)
 		default: // mapping_id, is_folded skipped
 			if err := d.skip(wire); err != nil {
-				return loc, fmt.Errorf("pprofparse: location: %w", err)
+				return loc, lines, fmt.Errorf("pprofparse: location: %w", err)
 			}
 		}
 	}
-	return loc, nil
+	loc.end = len(lines)
+	return loc, lines, nil
 }
 
 func parseLine(msg []byte) (rawLine, error) {

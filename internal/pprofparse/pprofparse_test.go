@@ -3,9 +3,13 @@ package pprofparse
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -315,6 +319,35 @@ func TestParseLimitBomb(t *testing.T) {
 	if _, err := ParseLimit(buf.Bytes(), 64<<10); err == nil || !strings.Contains(err.Error(), "inflates beyond") {
 		t.Errorf("bomb: err = %v", err)
 	}
+
+	// The same 1 KiB upload with a trailer claiming 4 GiB (ISIZE
+	// 0xffffffff): the inflate buffer is sized from that hint, so the
+	// hint must not be trusted. Under the 64 KiB cap the answer is still
+	// "inflates beyond"; under the default 64 MiB cap the whole MiB
+	// inflates and the forged trailer fails the size check. Neither may
+	// allocate anywhere near what the trailer claims.
+	forged := bytes.Clone(buf.Bytes())
+	binary.LittleEndian.PutUint32(forged[len(forged)-4:], 0xffffffff)
+	for _, c := range []struct {
+		limit    int64
+		wantErr  string
+		maxAlloc uint64
+	}{
+		{64 << 10, "inflates beyond", 1 << 20},
+		{DefaultMaxDecompressed, "gunzip: gzip: invalid checksum", 8 << 20},
+	} {
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		_, err := ParseLimit(forged, c.limit)
+		runtime.ReadMemStats(&ms1)
+		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("forged trailer, cap %d: err = %v, want %q", c.limit, err, c.wantErr)
+		}
+		if got := ms1.TotalAlloc - ms0.TotalAlloc; got > c.maxAlloc {
+			t.Errorf("forged trailer, cap %d: allocated %d bytes for a %d-byte upload, want ≤ %d",
+				c.limit, got, len(forged), c.maxAlloc)
+		}
+	}
 }
 
 func TestDetectFormat(t *testing.T) {
@@ -365,4 +398,80 @@ func TestReadAnyBothFormats(t *testing.T) {
 	if g := ss.GCPU("pkg.hot"); math.Abs(g-0.9) > 1e-9 {
 		t.Errorf("folded gCPU(pkg.hot) = %v", g)
 	}
+}
+
+// TestFoldMatchesSampleSet: Fold gives SampleSet's GCPUAll bit for bit
+// on a real runtime/pprof profile (inlined and address-only frames), on
+// recursion, skipped samples and MaxDepth, and with location IDs too
+// sparse for the slice-indexed memo.
+func TestFoldMatchesSampleSet(t *testing.T) {
+	data, err := os.ReadFile("testdata/cpu.pb.gz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	real, err := Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFold(t, real, ConvertOptions{})
+	checkFold(t, real, ConvertOptions{SampleType: "samples", MaxDepth: 3})
+
+	b := NewBuilder("cpu", "nanoseconds")
+	b.Add([]string{"main.main", "pkg.rec", "pkg.rec", "pkg.leaf"}, 7)
+	b.Add([]string{"main.main", "pkg.skipped"}, 0)
+	b.Add([]string{"main.main", "app.(*S).Run", "pkg.leaf"}, 3)
+	b.Add([]string{"main.main", "pkg.rec"}, 1)
+	checkFold(t, b.Profile(), ConvertOptions{})
+	checkFold(t, b.Profile(), ConvertOptions{MaxDepth: 2})
+
+	sparse := &Profile{
+		SampleTypes: []ValueType{{Type: "cpu", Unit: "nanoseconds"}},
+		Locations: map[uint64]*Location{
+			1 << 40: {ID: 1 << 40, Lines: []Line{{Function: "main.main"}}},
+			7:       {ID: 7, Address: 0x10},
+			1 << 50: {ID: 1 << 50, Lines: []Line{{Function: "a/pkg.leaf"}, {Function: ""}, {Function: "b/pkg.mid"}}},
+		},
+		Samples: []Sample{
+			{LocationIDs: []uint64{1 << 50, 7, 1 << 40}, Values: []int64{5}},
+			{LocationIDs: []uint64{7}, Values: []int64{9}}, // address-only: no trace
+			{LocationIDs: []uint64{1 << 40}, Values: []int64{2}},
+		},
+	}
+	checkFold(t, sparse, ConvertOptions{})
+	fold, total, err := sparse.Fold(ConvertOptions{})
+	if err != nil || total != 7 || len(fold) != 3 {
+		t.Fatalf("sparse fold = %v, total %v, err %v; want 3 subroutines over 7", fold, total, err)
+	}
+}
+
+// TestParseConcurrent: parses running at once share the pooled gunzip
+// state; each must still decode its own upload.
+func TestParseConcurrent(t *testing.T) {
+	bodies := make([][]byte, 4)
+	for i := range bodies {
+		b := NewBuilder("cpu", "nanoseconds")
+		b.Add([]string{"main.main", fmt.Sprintf("pkg.f%d", i)}, int64(i+1))
+		bodies[i] = b.Profile().MarshalGzip()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 50; k++ {
+				i := (g + k) % len(bodies)
+				p, err := Parse(bodies[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				fold, total, err := p.Fold(ConvertOptions{})
+				if err != nil || total != float64(i+1) || len(fold) != 2 {
+					t.Errorf("body %d: fold %v, total %v, err %v", i, fold, total, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

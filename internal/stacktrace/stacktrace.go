@@ -126,11 +126,12 @@ func (ss *SampleSet) Add(t Trace, weight float64) {
 	idx := len(ss.samples)
 	ss.samples = append(ss.samples, Sample{Trace: t, Weight: weight})
 	ss.total += weight
-	seen := map[string]bool{}
 	for _, f := range t {
-		if !seen[f.Subroutine] {
-			seen[f.Subroutine] = true
-			ss.bySub[f.Subroutine] = append(ss.bySub[f.Subroutine], idx)
+		// A subroutine already listed for this sample ends its list with
+		// idx: recursion counts the sample once.
+		l := ss.bySub[f.Subroutine]
+		if n := len(l); n == 0 || l[n-1] != idx {
+			ss.bySub[f.Subroutine] = append(l, idx)
 		}
 	}
 }

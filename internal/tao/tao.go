@@ -41,13 +41,12 @@ type OpKind int
 const (
 	OpObjGet OpKind = iota
 	OpObjPut
-	OpAssocGet
 	OpAssocRange
 	OpAssocCount
 	OpAssocAdd
 )
 
-var opNames = [...]string{"obj_get", "obj_put", "assoc_get", "assoc_range", "assoc_count", "assoc_add"}
+var opNames = [...]string{"obj_get", "obj_put", "assoc_range", "assoc_count", "assoc_add"}
 
 func (k OpKind) String() string {
 	if int(k) < len(opNames) {

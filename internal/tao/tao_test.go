@@ -72,7 +72,7 @@ func TestAssocAddOutOfOrderTimes(t *testing.T) {
 	}
 }
 
-func TestTypeCountsAndReset(t *testing.T) {
+func TestTypeCounts(t *testing.T) {
 	s := NewStore()
 	s.ObjectPut(&Object{ID: 1, Type: "user"})
 	s.ObjectGet(1, "user")
