@@ -49,7 +49,8 @@ func main() {
 		version     = flag.Bool("version", false, "print version and exit")
 
 		// Coordinator mode: fan a sweep out over fbdetect-worker processes
-		// through the resilience layer instead of scanning locally.
+		// instead of scanning locally, each service asked of its hash
+		// owner first and then of each ring peer once.
 		workers      = flag.String("workers", "", "comma-separated worker base URLs; runs a distributed sweep instead of a local scan")
 		services     = flag.String("services", "fleetsim", "comma-separated services to sweep in -workers mode")
 		scanTimeFlag = flag.String("scan-time", "", "RFC3339 scan time in -workers mode (default: simulated start + -hours)")
@@ -186,10 +187,10 @@ func main() {
 	check(fbdetect.WriteScanReport(os.Stdout, res, &changes))
 }
 
-// runCoordinator sweeps services across remote fbdetect-worker processes
-// with retries and breaker-gated failover, then prints the merged
-// report. Partial failures do not abort the sweep; services that stayed
-// failed after every avenue are listed.
+// runCoordinator sweeps services across remote fbdetect-worker processes,
+// each service's scan walking the ring once from its owner, then prints
+// the merged report. Partial failures do not abort the sweep; services
+// that every worker failed are listed.
 func runCoordinator(workerList, serviceList, scanTimeStr string, hours int) {
 	urls := splitNonEmpty(workerList)
 	services := splitNonEmpty(serviceList)

@@ -2,8 +2,9 @@
 // the way production FBDetect runs on a serverless platform "scanning
 // different time series in parallel ... utilizing capacity equivalent to
 // hundreds of servers" (paper §5.1). A Worker wraps a local pipeline
-// behind an HTTP endpoint; a Coordinator owns the service-to-worker
-// assignment, fans scan requests out, and merges results.
+// behind an HTTP endpoint; a Coordinator hashes each service to an
+// owner worker, asks the ring peers in turn when the owner cannot answer,
+// fans scan requests out, and merges results.
 //
 // The wire format carries regression summaries (not raw windows): the
 // worker that detected a regression keeps its heavy state, and the
@@ -16,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"sort"
@@ -24,7 +26,6 @@ import (
 
 	"fbdetect/internal/core"
 	"fbdetect/internal/obs"
-	"fbdetect/internal/resilience"
 	"fbdetect/internal/timeseries"
 )
 
@@ -71,17 +72,11 @@ const (
 	ErrReasonCanceled       = "canceled"
 )
 
-// Worker and coordinator metric names.
+// Worker metric names.
 const (
 	MetricWorkerScans       = "fbdetect_worker_scans_total"
 	MetricWorkerScanErrors  = "fbdetect_worker_scan_errors_total"
 	MetricWorkerScanSeconds = "fbdetect_worker_scan_duration_seconds"
-	MetricCoordScans        = "fbdetect_coordinator_scans_total"
-	MetricCoordFailures     = "fbdetect_coordinator_scan_failures_total"
-	MetricCoordScanSeconds  = "fbdetect_coordinator_scan_duration_seconds"
-	MetricCoordRetries      = "fbdetect_coordinator_retries_total"
-	MetricCoordFailovers    = "fbdetect_coordinator_failovers_total"
-	MetricCoordBreakerSkips = "fbdetect_coordinator_breaker_skips_total"
 )
 
 // ServedConfig is the detection config of the served stack: the
@@ -207,8 +202,8 @@ func (w *Worker) Scan(ctx context.Context, service string, scanTime time.Time) (
 	}
 	scanStart := time.Now()
 	w.mu.Lock()
-	// ctx flows into the pipeline: when the caller gives up (the
-	// coordinator's attempt deadline passed, or its sweep was aborted)
+	// ctx flows into the pipeline: when the caller gives up (its request
+	// deadline passed, or its sweep was aborted)
 	// the scan stops between series, or before the merger records
 	// anything; past that point it runs to completion rather than leave
 	// candidates undecided.
@@ -244,63 +239,21 @@ func (w *Worker) wireResponse(res *core.ScanResult) ScanResponse {
 	return resp
 }
 
-// The coordinator's resilience settings. Transient failures (network
-// errors, 5xx, 429) retry under resilience.DefaultPolicy; each attempt
-// gets requestTimeout, since a worker-local scan of a big service is
-// seconds of work; a worker's breaker trips after breakerThreshold
-// consecutive failures and admits a half-open probe after
-// breakerCooldown; jitterSeed makes the backoff schedule reproducible.
-const (
-	requestTimeout   = 60 * time.Second
-	breakerThreshold = 5
-	breakerCooldown  = 30 * time.Second
-	jitterSeed       = 1
-)
+// requestTimeout bounds one worker's answer to one scan request: a
+// worker-local scan of a big service is seconds of work.
+const requestTimeout = 60 * time.Second
 
 // Coordinator assigns services to workers by consistent hash and fans
-// scans out over HTTP through a resilience layer: retry with backoff
-// and jitter for transient failures, a circuit breaker per worker, and
-// failover to ring peers in breaker order — a service only lands in
-// Failed once every avenue is spent. Each attempt is one request: a
-// worker's pipeline reports a regression once, so the response to the
-// request that found it is the only copy. A retry of an attempt that
-// failed after the worker scanned (the deadline passed, or the
-// connection reset mid-response) re-scans and reports nothing new.
+// scans out over HTTP. A scan walks the ring once, from the service's
+// owner through each peer in ring order. Any failure, a 404 ("I do not
+// hold this service") included, moves it to the next worker; a service
+// fails only when every worker has failed it. No worker is asked twice:
+// a worker's pipeline reports a regression once, so repeating a request
+// that failed after the worker scanned would answer with nothing, while
+// a peer has not seen the scan.
 type Coordinator struct {
-	workers []*worker // fixed at construction, in hash-ring order
-	client  *http.Client
-	retry   *resilience.Retryer
-
-	// metric handles; nil-safe when uninstrumented
-	scans        *obs.Counter
-	failures     *obs.Counter
-	duration     *obs.Histogram
-	retries      *obs.Counter
-	failovers    *obs.Counter
-	breakerSkips *obs.Counter
-}
-
-// Instrument publishes the coordinator's fan-out and resilience metrics,
-// and each worker's breaker metrics, to reg. Call before scanning.
-func (c *Coordinator) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	c.scans = reg.NewCounter(MetricCoordScans,
-		"Per-service scans dispatched to workers.", nil)
-	c.failures = reg.NewCounter(MetricCoordFailures,
-		"Per-service scans that failed after retries and failover.", nil)
-	c.duration = reg.NewHistogram(MetricCoordScanSeconds,
-		"Round-trip time of one dispatched scan, including retries.", nil, nil)
-	c.retries = reg.NewCounter(MetricCoordRetries,
-		"Scan attempts retried after a transient failure.", nil)
-	c.failovers = reg.NewCounter(MetricCoordFailovers,
-		"Scans that succeeded on a worker other than the hash-owned primary.", nil)
-	c.breakerSkips = reg.NewCounter(MetricCoordBreakerSkips,
-		"Worker attempts skipped because the circuit breaker was open.", nil)
-	for _, w := range c.workers {
-		w.instrument(reg)
-	}
+	urls   []string // fixed at construction, in hash-ring order
+	client *http.Client
 }
 
 // NewCoordinator returns a coordinator over the given worker base URLs
@@ -308,128 +261,70 @@ func (c *Coordinator) Instrument(reg *obs.Registry) {
 // The worker list is fixed for the coordinator's life; its order is the
 // hash ring's.
 func NewCoordinator(workerURLs []string, client *http.Client) (*Coordinator, error) {
-	return newCoordinator(workerURLs, client, resilience.RealClock())
-}
-
-// newCoordinator is NewCoordinator on clock, which drives backoff and
-// breaker cooldowns; tests pass a resilience.FakeClock so nothing
-// really sleeps.
-func newCoordinator(workerURLs []string, client *http.Client, clock resilience.Clock) (*Coordinator, error) {
 	if len(workerURLs) == 0 {
 		return nil, fmt.Errorf("distributed: at least one worker required")
 	}
 	if client == nil {
 		client = http.DefaultClient
 	}
-	c := &Coordinator{
-		client: client,
-		retry:  resilience.NewRetryer(resilience.DefaultPolicy(), clock, jitterSeed),
-	}
-	breaker := resilience.BreakerConfig{FailureThreshold: breakerThreshold, Cooldown: breakerCooldown}
-	for _, u := range workerURLs {
-		c.workers = append(c.workers, &worker{url: u, breaker: resilience.NewBreaker(breaker, clock)})
-	}
-	c.retry.OnRetry = func(int, time.Duration, error) { c.retries.Inc() }
-	return c, nil
+	return &Coordinator{urls: workerURLs, client: client}, nil
 }
 
-// ScanContext sends one service's scan to its owning worker, with
-// retries, breaker gating, and failover to ring peers.
+// owner returns the index of the worker that owns service on the hash
+// ring. The modulus is taken in uint32 so 32-bit platforms agree with
+// 64-bit ones on hashes of 2³¹ and above.
+func (c *Coordinator) owner(service string) int {
+	h := fnv.New32a()
+	h.Write([]byte(service))
+	return int(h.Sum32() % uint32(len(c.urls)))
+}
+
+// ScanContext asks each worker in ring order, from the service's owner,
+// to scan it, and returns the first answer. A done ctx stops the walk.
+// The error joins every asked worker's failure.
 func (c *Coordinator) ScanContext(ctx context.Context, service string, scanTime time.Time) (*ScanResponse, error) {
-	c.scans.Inc()
-	start := time.Now()
-	sr, err := c.scanFailover(ctx, service, scanTime)
-	c.duration.Observe(time.Since(start).Seconds())
-	if err != nil {
-		c.failures.Inc()
-	}
-	return sr, err
-}
-
-// scanFailover walks the service's failover candidates — hash-owned
-// primary first, then peers, breaker-open workers last — attempting
-// each (with per-worker retries) until one answers.
-func (c *Coordinator) scanFailover(ctx context.Context, service string, scanTime time.Time) (*ScanResponse, error) {
-	primary := c.workers[c.owner(service)]
+	start := c.owner(service)
 	var errs []error
-	for _, w := range c.candidates(service) {
-		if !w.breaker.Allow() {
-			c.breakerSkips.Inc()
-			errs = append(errs, fmt.Errorf("distributed: worker %s: circuit open", w.url))
-			continue
-		}
-		resp, err := c.scanWorker(ctx, w, service, scanTime)
+	for i := range c.urls {
+		url := c.urls[(start+i)%len(c.urls)]
+		resp, err := c.postScan(ctx, url, service, scanTime)
 		if err == nil {
-			if w != primary {
-				c.failovers.Inc()
-			}
 			return resp, nil
 		}
-		errs = append(errs, fmt.Errorf("distributed: worker %s: %w", w.url, err))
+		errs = append(errs, fmt.Errorf("distributed: worker %s: %w", url, err))
 		if ctx.Err() != nil {
-			// The caller gave up, which says nothing about the worker:
-			// hand back the probe slot a half-open breaker granted.
-			w.breaker.Release()
 			break
 		}
 	}
 	return nil, errors.Join(errs...)
 }
 
-// scanWorker runs the retry loop against one worker, feeding every
-// attempt's outcome into the worker's breaker. An attempt whose own
-// context is done — a scan its caller canceled — records nothing.
-func (c *Coordinator) scanWorker(ctx context.Context, w *worker, service string, scanTime time.Time) (*ScanResponse, error) {
-	return resilience.Do(ctx, c.retry, func(ctx context.Context) (*ScanResponse, error) {
-		// Re-check between retries: this worker's own failures may have
-		// tripped the breaker, in which case failover beats persistence.
-		if w.breaker.State() == resilience.StateOpen {
-			return nil, resilience.Permanent(fmt.Errorf("circuit opened during retries"))
-		}
-		resp, err := c.postScan(ctx, w.url, service, scanTime)
-		switch {
-		case err == nil:
-			w.breaker.Success()
-		case ctx.Err() == nil:
-			w.failures.Inc()
-			w.breaker.Failure()
-		}
-		return resp, err
-	})
-}
-
-// postScan issues one /scan POST with the per-attempt deadline. Non-200
-// statuses outside {5xx, 429} come back as Permanent: retrying a 404
-// only burns budget.
+// postScan issues one /scan POST under requestTimeout. Any status but
+// 200 is an error.
 func (c *Coordinator) postScan(ctx context.Context, url, service string, scanTime time.Time) (*ScanResponse, error) {
 	body, err := json.Marshal(ScanRequest{Service: service, ScanTime: scanTime})
 	if err != nil {
-		return nil, resilience.Permanent(err)
+		return nil, err
 	}
 	ctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
-	target := url + "/scan"
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/scan", bytes.NewReader(body))
 	if err != nil {
-		return nil, resilience.Permanent(err)
+		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("distributed: posting to %s: %w", target, err)
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		serr := fmt.Errorf("distributed: worker %s: %s: %s", target, resp.Status, bytes.TrimSpace(msg))
-		if resp.StatusCode < 500 && resp.StatusCode != http.StatusTooManyRequests {
-			return nil, resilience.Permanent(serr)
-		}
-		return nil, serr
+		return nil, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(msg))
 	}
 	var sr ScanResponse
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&sr); err != nil {
-		return nil, fmt.Errorf("distributed: decoding response: %w", err)
+		return nil, fmt.Errorf("decoding response: %w", err)
 	}
 	return &sr, nil
 }
@@ -439,11 +334,11 @@ const maxConcurrent = 16
 
 // ScanAll fans a scan of every service out (at most maxConcurrent in
 // flight) and merges the responses. Per-service errors never abort the
-// sweep, and a service only lands in Failed after its retry and
-// failover budget is spent: every failing service is recorded in the
-// merged response's Failed list (sorted) and in the joined error, while
-// completed services are listed in Scanned — so one dead worker costs
-// nothing as long as a healthy peer can cover its services.
+// sweep, and a service only lands in Failed once every worker has failed
+// it: every failing service is recorded in the merged response's Failed
+// list (sorted) and in the joined error, while completed services are
+// listed in Scanned — so one dead worker costs nothing as long as a
+// healthy peer can cover its services.
 func (c *Coordinator) ScanAll(services []string, scanTime time.Time) (*ScanResponse, error) {
 	return c.ScanAllContext(context.Background(), services, scanTime)
 }

@@ -69,7 +69,7 @@ func buildWorker(t *testing.T, name, service string, seed int64, inject bool) (*
 
 // ownerURL returns the URL of the worker that owns service on c's ring.
 func ownerURL(c *Coordinator, service string) string {
-	return c.workers[c.owner(service)].url
+	return c.urls[c.owner(service)]
 }
 
 func TestWorkerScanOverHTTP(t *testing.T) {

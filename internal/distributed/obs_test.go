@@ -79,7 +79,6 @@ func TestWorkerMetricsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord.Instrument(reg)
 	resp, err := coord.ScanContext(context.Background(), "svc-a", end)
 	if err != nil {
 		t.Fatal(err)
@@ -130,12 +129,9 @@ func TestWorkerMetricsEndToEnd(t *testing.T) {
 		t.Errorf("in-flight = %v, want 0", got)
 	}
 
-	// Worker, coordinator, and build-info metrics are present.
+	// Worker and build-info metrics are present.
 	if got := metricValue(t, m, "fbdetect_worker_scans_total"); got != 1 {
 		t.Errorf("worker scans = %v, want 1", got)
-	}
-	if got := metricValue(t, m, "fbdetect_coordinator_scans_total"); got != 1 {
-		t.Errorf("coordinator scans = %v, want 1", got)
 	}
 	found := false
 	for k := range m {
@@ -245,7 +241,7 @@ func TestWorkerErrorPathsCounted(t *testing.T) {
 
 // TestScanAllAggregatesErrors checks the sweep keeps going past dead
 // workers: healthy services still merge, every failing service is named
-// in Failed and in the joined error, and the failure counter counts them.
+// in Failed and in the joined error.
 func TestScanAllAggregatesErrors(t *testing.T) {
 	w, end := buildWorker(t, "w1", "svc-a", 3, true)
 	srv := httptest.NewServer(w)
@@ -277,9 +273,6 @@ func TestScanAllAggregatesErrors(t *testing.T) {
 	if len(deadSvcs) < 2 {
 		t.Fatal("hash never routed to the dead worker")
 	}
-	reg := obs.NewRegistry()
-	coord.Instrument(reg)
-
 	merged, err := coord.ScanAll(append([]string{"svc-a"}, deadSvcs...), end)
 	if err == nil {
 		t.Fatal("dead-worker services should surface an error")
@@ -301,11 +294,5 @@ func TestScanAllAggregatesErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), "service "+svc+":") {
 			t.Errorf("error does not name %s: %v", svc, err)
 		}
-	}
-	if got := reg.NewCounter(MetricCoordFailures, "", nil).Value(); got != 2 {
-		t.Errorf("failure counter = %v, want 2", got)
-	}
-	if got := reg.NewCounter(MetricCoordScans, "", nil).Value(); got != 3 {
-		t.Errorf("scan counter = %v, want 3", got)
 	}
 }

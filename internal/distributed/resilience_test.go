@@ -2,6 +2,7 @@ package distributed
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"net/http"
@@ -17,7 +18,6 @@ import (
 	"fbdetect/internal/changelog"
 	"fbdetect/internal/core"
 	"fbdetect/internal/fleet"
-	"fbdetect/internal/obs"
 	"fbdetect/internal/resilience"
 	"fbdetect/internal/timeseries"
 	"fbdetect/internal/tsdb"
@@ -88,68 +88,51 @@ func buildReplicatedWorker(t *testing.T, name string, services []string, seed in
 	return NewWorker(name, p), end
 }
 
-// TestScanAllRetriesTransientFaults is the acceptance path for the
-// resilience layer: a worker fails its first two requests via injected
-// faults, yet ScanAll returns a complete result with nothing in Failed,
-// and /metrics shows the retries and breaker failures that covered for
-// it. The fake clock proves no real time was slept on backoff.
-func TestScanAllRetriesTransientFaults(t *testing.T) {
-	w, end := buildWorker(t, "w1", "svc-a", 1, true)
-	reg := obs.NewRegistry()
-	w.Instrument(reg)
-	srv := httptest.NewServer(NewMux(w, reg, nil))
-	defer srv.Close()
+// TestNotFoundMovesToPeer is the coordinator's 404 case on a healthy
+// fleet: each of two workers holds only some services, so a worker
+// that lacks a service answers 404 and the scan moves to its peer. w1
+// holds one of the services it owns and w0 the other 15; serial scans
+// reach w1's own service last, after seven w1-owned services w0 served.
+// A 404 says "not here", not "sick", so every service is scanned by the
+// worker that holds it.
+func TestNotFoundMovesToPeer(t *testing.T) {
+	var byOwner [2][]string
+	for i := 0; len(byOwner[0]) < 8 || len(byOwner[1]) < 8; i++ {
+		name := fmt.Sprintf("held-%d", i)
+		if o := ownerIndex(name, 2); len(byOwner[o]) < 8 {
+			byOwner[o] = append(byOwner[o], name)
+		}
+	}
+	last := byOwner[1][7] // the one service w1 holds
+	onW0 := append(append([]string(nil), byOwner[0]...), byOwner[1][:7]...)
+	w0, end := buildReplicatedWorker(t, "w0", onW0, 30)
+	w1, _ := buildReplicatedWorker(t, "w1", []string{last}, 40)
+	srv0 := httptest.NewServer(w0)
+	defer srv0.Close()
+	srv1 := httptest.NewServer(w1)
+	defer srv1.Close()
 
-	clock := resilience.NewFakeClock(t0).AutoAdvance()
-	ft := resilience.NewFaultTransport(1, nil, nil).
-		FailFirst(mustHost(t, srv.URL), 2, http.StatusInternalServerError)
-	coord, err := newCoordinator([]string{srv.URL}, &http.Client{Transport: ft}, clock)
+	coord, err := NewCoordinator([]string{srv0.URL, srv1.URL}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord.Instrument(reg)
-
-	merged, err := coord.ScanAll([]string{"svc-a"}, end)
-	if err != nil {
-		t.Fatalf("ScanAll with transient faults = %v, want success after retries", err)
-	}
-	if len(merged.Failed) != 0 {
-		t.Errorf("Failed = %v, want empty", merged.Failed)
-	}
-	if !slices.Equal(merged.Scanned, []string{"svc-a"}) {
-		t.Errorf("Scanned = %v, want [svc-a]", merged.Scanned)
-	}
-	if len(merged.Reported) == 0 {
-		t.Error("retried scan lost the regression")
-	}
-	if got := ft.Requests(mustHost(t, srv.URL)); got != 3 {
-		t.Errorf("worker saw %d requests, want 3 (2 faulted + 1 real)", got)
-	}
-	// The backoff between attempts happened on the fake clock only.
-	if got := clock.Slept(); got <= 0 {
-		t.Error("no virtual backoff recorded; retries did not back off")
-	}
-
-	m := fetchMetrics(t, srv.URL)
-	if got := metricValue(t, m, MetricCoordRetries); got != 2 {
-		t.Errorf("%s = %v, want 2", MetricCoordRetries, got)
-	}
-	if got := metricValue(t, m, fmt.Sprintf(`%s{worker=%q}`, MetricBreakerFailures, srv.URL)); got != 2 {
-		t.Errorf("breaker failures = %v, want 2", got)
-	}
-	// Two failures are under breakerThreshold: still closed.
-	if got := metricValue(t, m, fmt.Sprintf(`%s{worker=%q}`, MetricBreakerState, srv.URL)); got != 0 {
-		t.Errorf("breaker state = %v, want 0 (closed)", got)
-	}
-	if got := metricValue(t, m, MetricCoordFailures); got != 0 {
-		t.Errorf("%s = %v, want 0", MetricCoordFailures, got)
+	for _, svc := range append(onW0, last) {
+		resp, err := coord.ScanContext(context.Background(), svc, end)
+		if err != nil {
+			t.Fatalf("scan of %s = %v, want it served by the worker that holds it", svc, err)
+		}
+		want := "w0"
+		if svc == last {
+			want = "w1"
+		}
+		if resp.Worker != want {
+			t.Errorf("%s served by %q, want %q", svc, resp.Worker, want)
+		}
 	}
 }
 
 // TestScanFailsOverToHealthyPeer drops every request to the hash-owned
-// primary: the retry budget is spent there (under breakerThreshold, so
-// every attempt is sent), then the service lands on the replica peer
-// and the failover counter says so.
+// primary: the scan asks it once, then lands on the replica peer.
 func TestScanFailsOverToHealthyPeer(t *testing.T) {
 	wa, end := buildWorker(t, "wa", "svc-f", 5, false)
 	wb, _ := buildWorker(t, "wb", "svc-f", 6, false)
@@ -166,17 +149,13 @@ func TestScanFailsOverToHealthyPeer(t *testing.T) {
 		peer = urls[1]
 	}
 
-	clock := resilience.NewFakeClock(t0).AutoAdvance()
 	ft := resilience.NewFaultTransport(1, nil, nil).Rule(resilience.FaultRule{
 		Host: mustHost(t, primary), Action: resilience.FaultAction{Drop: true},
 	})
-	coord, err := newCoordinator(urls, &http.Client{Transport: ft}, clock)
+	coord, err := NewCoordinator(urls, &http.Client{Transport: ft})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	coord.Instrument(reg)
-	attempts := resilience.DefaultPolicy().MaxAttempts
 
 	resp, err := coord.ScanContext(context.Background(), "svc-f", end)
 	if err != nil {
@@ -185,193 +164,81 @@ func TestScanFailsOverToHealthyPeer(t *testing.T) {
 	if resp.Worker != names[peer] {
 		t.Errorf("served by %q, want peer %q", resp.Worker, names[peer])
 	}
-	if got := ft.Requests(mustHost(t, primary)); got != attempts {
-		t.Errorf("primary saw %d attempts, want %d (retry budget)", got, attempts)
-	}
-	if got := ft.Requests(mustHost(t, peer)); got != 1 {
-		t.Errorf("peer saw %d attempts, want 1", got)
-	}
-	if got := reg.NewCounter(MetricCoordFailovers, "", nil).Value(); got != 1 {
-		t.Errorf("failovers = %v, want 1", got)
-	}
-	if got := reg.NewCounter(MetricCoordRetries, "", nil).Value(); got != float64(attempts-1) {
-		t.Errorf("retries = %v, want %d", got, attempts-1)
-	}
-	if got := reg.NewCounter(MetricBreakerFailures, "", obs.Labels{"worker": primary}).Value(); got != float64(attempts) {
-		t.Errorf("primary breaker failures = %v, want %d", got, attempts)
+	for _, u := range urls {
+		if got := ft.Requests(mustHost(t, u)); got != 1 {
+			t.Errorf("%s saw %d requests, want 1", names[u], got)
+		}
 	}
 }
 
-// TestBreakerTripsSkipsAndReopens walks one worker's breaker through its
-// whole life: trip after breakerThreshold failures, skip while open, a
-// half-open probe after breakerCooldown, and re-open when the probe
-// fails. Once a retry loop's own failures trip the breaker, its
-// remaining attempts are not sent.
-func TestBreakerTripsSkipsAndReopens(t *testing.T) {
-	// The server is never reached: every request is dropped in transit.
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer srv.Close()
-
-	clock := resilience.NewFakeClock(t0).AutoAdvance()
-	ft := resilience.NewFaultTransport(1, nil, nil).Rule(resilience.FaultRule{
-		Host: mustHost(t, srv.URL), Action: resilience.FaultAction{Drop: true},
-	})
-	coord, err := newCoordinator([]string{srv.URL}, &http.Client{Transport: ft}, clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	coord.Instrument(reg)
-	ctx := context.Background()
-	stateGauge := func() float64 {
-		return reg.NewGauge(MetricBreakerState, "", obs.Labels{"worker": srv.URL}).Value()
-	}
-	transitions := func(to string) float64 {
-		return reg.NewCounter(MetricBreakerTransitions, "", obs.Labels{"worker": srv.URL, "to": to}).Value()
-	}
-	failures := func() float64 {
-		return reg.NewCounter(MetricBreakerFailures, "", obs.Labels{"worker": srv.URL}).Value()
-	}
-
-	// Failed scans, each a retry loop, reach the threshold and trip the
-	// breaker; the attempt after the trip is not sent.
-	for i := 0; stateGauge() != 2; i++ {
-		if i == breakerThreshold {
-			t.Fatalf("breaker state = %v after %d failed scans, want 2 (open)", stateGauge(), i)
-		}
-		if _, err := coord.ScanContext(ctx, "svc", t0); err == nil {
-			t.Fatalf("scan %d should fail: requests are dropped", i+1)
-		}
-	}
-	if got := failures(); got != breakerThreshold {
-		t.Errorf("breaker failures at the trip = %v, want %d", got, breakerThreshold)
-	}
-	if got := ft.Requests(mustHost(t, srv.URL)); got != breakerThreshold {
-		t.Errorf("requests sent = %d, want %d (none after the trip)", got, breakerThreshold)
-	}
-	if got := transitions("open"); got != 1 {
-		t.Errorf("open transitions = %v, want 1", got)
-	}
-
-	// While open the worker is not even attempted.
-	before := ft.Requests(mustHost(t, srv.URL))
-	_, err = coord.ScanContext(ctx, "svc", t0)
-	if err == nil || !strings.Contains(err.Error(), "circuit open") {
-		t.Fatalf("open-breaker scan error = %v, want circuit open", err)
-	}
-	if got := ft.Requests(mustHost(t, srv.URL)); got != before {
-		t.Errorf("open breaker still sent a request (%d -> %d)", before, got)
-	}
-	if got := reg.NewCounter(MetricCoordBreakerSkips, "", nil).Value(); got != 1 {
-		t.Errorf("breaker skips = %v, want 1", got)
-	}
-
-	// After the cooldown a half-open probe goes out; its failure re-opens.
-	clock.Advance(breakerCooldown)
-	before = ft.Requests(mustHost(t, srv.URL))
-	if _, err := coord.ScanContext(ctx, "svc", t0); err == nil {
-		t.Fatal("probe scan should fail: requests are still dropped")
-	}
-	if got := transitions("half_open"); got != 1 {
-		t.Errorf("half_open transitions = %v, want 1", got)
-	}
-	if got := transitions("open"); got != 2 {
-		t.Errorf("open transitions = %v, want 2 (tripped, then re-opened)", got)
-	}
-	if got := stateGauge(); got != 2 {
-		t.Errorf("breaker state = %v, want 2 (open again)", got)
-	}
-	if got := ft.Requests(mustHost(t, srv.URL)) - before; got != 1 {
-		t.Errorf("half-open scan sent %d requests, want 1 (the probe)", got)
-	}
-	if got := failures(); got != breakerThreshold+1 {
-		t.Errorf("breaker failures = %v, want %d", got, breakerThreshold+1)
-	}
-}
-
-// TestFailoverOrderBreakerOnly pins the failover order over a 3-worker
-// ring: with every breaker closed it is the ring from the hash owner;
-// a tripped worker moves to the back and the others keep ring order.
+// TestScanWalksRingOnce pins the order a scan asks a 3-worker ring in —
+// the ring from the hash owner — and that a service every worker fails
+// asks each worker once (no retries), naming each in the error.
 // "beta", "gamma" and "fleetsim" hash to 2³¹ or above, where a signed
 // modulus on 32-bit platforms would pick another owner.
-func TestFailoverOrderBreakerOnly(t *testing.T) {
+func TestScanWalksRingOnce(t *testing.T) {
 	urls := []string{"http://a", "http://b", "http://c"}
 	for _, tc := range []struct {
 		service string
-		tripped string // worker whose breaker is open ("" = none)
 		want    []string
 	}{
-		{"alpha", "", []string{"http://c", "http://a", "http://b"}},
-		{"beta", "", []string{"http://c", "http://a", "http://b"}},
-		{"gamma", "", []string{"http://a", "http://b", "http://c"}},
-		{"fleetsim", "", []string{"http://b", "http://c", "http://a"}},
-		{"delta", "", []string{"http://b", "http://c", "http://a"}},
-		{"beta", "http://c", []string{"http://a", "http://b", "http://c"}},
-		{"gamma", "http://b", []string{"http://a", "http://c", "http://b"}},
-		{"fleetsim", "http://a", []string{"http://b", "http://c", "http://a"}},
-		{"delta", "http://c", []string{"http://b", "http://a", "http://c"}},
+		{"alpha", []string{"c", "a", "b"}},
+		{"beta", []string{"c", "a", "b"}},
+		{"gamma", []string{"a", "b", "c"}},
+		{"fleetsim", []string{"b", "c", "a"}},
+		{"delta", []string{"b", "c", "a"}},
 	} {
-		coord, err := newCoordinator(urls, nil, resilience.NewFakeClock(t0))
+		var asked []string
+		ft := resilience.NewFaultTransport(1, nil, nil)
+		for _, u := range urls {
+			host := mustHost(t, u)
+			ft.Rule(resilience.FaultRule{
+				Host:    host,
+				Action:  resilience.FaultAction{Status: http.StatusServiceUnavailable},
+				OnApply: func(int) { asked = append(asked, host) },
+			})
+		}
+		coord, err := NewCoordinator(urls, &http.Client{Transport: ft})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, w := range coord.workers {
-			for i := 0; w.url == tc.tripped && i < breakerThreshold; i++ {
-				w.breaker.Failure()
+		_, err = coord.ScanContext(context.Background(), tc.service, t0)
+		if err == nil {
+			t.Fatalf("scan of %q succeeded; every worker answers 503", tc.service)
+		}
+		if !slices.Equal(asked, tc.want) {
+			t.Errorf("%q asked %v, want %v", tc.service, asked, tc.want)
+		}
+		for _, u := range urls {
+			if got := ft.Requests(mustHost(t, u)); got != 1 {
+				t.Errorf("%q: %s saw %d requests, want 1", tc.service, u, got)
+			}
+			if !strings.Contains(err.Error(), "worker "+u+":") {
+				t.Errorf("%q: error does not name %s: %v", tc.service, u, err)
 			}
 		}
-		var got []string
-		for _, w := range coord.candidates(tc.service) {
-			got = append(got, w.url)
-		}
-		if !slices.Equal(got, tc.want) {
-			t.Errorf("candidates(%q) with %q open = %v, want %v", tc.service, tc.tripped, got, tc.want)
-		}
-		if owner := ownerURL(coord, tc.service); tc.tripped == "" && owner != tc.want[0] {
-			t.Errorf("owner of %q = %s, want %s", tc.service, owner, tc.want[0])
+		if owner := ownerURL(coord, tc.service); owner != "http://"+tc.want[0] {
+			t.Errorf("owner of %q = %s, want http://%s", tc.service, owner, tc.want[0])
 		}
 	}
 }
 
-// TestCanceledProbeFreesHalfOpenBreaker cancels the scan carrying a
-// half-open breaker's single probe: the cancellation charges nothing,
-// and the next scan is admitted as the probe and closes the breaker.
-func TestCanceledProbeFreesHalfOpenBreaker(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Write([]byte(`{"worker":"w1"}`))
-	}))
-	defer srv.Close()
-
-	clock := resilience.NewFakeClock(t0).AutoAdvance()
+// TestCanceledScanAsksNoFurtherWorker cancels a scan while its owner
+// holds the request: the scan returns the cancellation and never asks
+// the peer.
+func TestCanceledScanAsksNoFurtherWorker(t *testing.T) {
+	urls := []string{"http://a", "http://b"}
+	owner := urls[ownerIndex("svc", 2)]
+	peer := urls[1-ownerIndex("svc", 2)]
 	hung := make(chan struct{})
-	ft := resilience.NewFaultTransport(1, nil, nil).
-		Rule(resilience.FaultRule{ // trips the breaker
-			Host: mustHost(t, srv.URL), Count: breakerThreshold, Action: resilience.FaultAction{Drop: true},
-		}).
-		Rule(resilience.FaultRule{ // holds the half-open probe until canceled
-			Host: mustHost(t, srv.URL), Count: 1, Action: resilience.FaultAction{Hang: true},
-			OnApply: func(int) { close(hung) },
-		})
-	coord, err := newCoordinator([]string{srv.URL}, &http.Client{Transport: ft}, clock)
+	ft := resilience.NewFaultTransport(1, nil, nil).Rule(resilience.FaultRule{
+		Host: mustHost(t, owner), Action: resilience.FaultAction{Hang: true},
+		OnApply: func(int) { close(hung) },
+	})
+	coord, err := NewCoordinator(urls, &http.Client{Transport: ft})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	coord.Instrument(reg)
-	failures := reg.NewCounter(MetricBreakerFailures, "", obs.Labels{"worker": srv.URL})
-	state := reg.NewGauge(MetricBreakerState, "", obs.Labels{"worker": srv.URL})
-
-	for i := 0; state.Value() != 2; i++ {
-		if i == breakerThreshold {
-			t.Fatalf("breaker state = %v after %d failed scans, want 2 (open)", state.Value(), i)
-		}
-		if _, err := coord.ScanContext(context.Background(), "svc", t0); err == nil {
-			t.Fatal("scan should fail: its requests are dropped")
-		}
-	}
-	clock.Advance(breakerCooldown) // cooldown over: the next scan is the probe
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -381,22 +248,11 @@ func TestCanceledProbeFreesHalfOpenBreaker(t *testing.T) {
 	}()
 	<-hung
 	cancel()
-	if err := <-done; err == nil {
-		t.Fatal("canceled probe scan reported success")
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled scan = %v, want context.Canceled", err)
 	}
-	if got := failures.Value(); got != breakerThreshold {
-		t.Errorf("breaker failures = %v, want %d (the trip only)", got, breakerThreshold)
-	}
-
-	resp, err := coord.ScanContext(context.Background(), "svc", t0)
-	if err != nil {
-		t.Fatalf("scan after a canceled probe = %v, want it admitted", err)
-	}
-	if resp.Worker != "w1" {
-		t.Errorf("served by %q, want w1", resp.Worker)
-	}
-	if got := state.Value(); got != 0 {
-		t.Errorf("breaker state = %v, want 0 (closed by the probe)", got)
+	if got := ft.Requests(mustHost(t, peer)); got != 0 {
+		t.Errorf("peer saw %d requests after the cancel, want 0", got)
 	}
 }
 
@@ -404,7 +260,7 @@ func TestCanceledProbeFreesHalfOpenBreaker(t *testing.T) {
 // drill: two replicas split six services; after the doomed worker
 // serves one request it is killed (its server closed, its remaining
 // traffic dropped) mid-sweep. The merged sweep must still cover every
-// service, with the outage visible only in the resilience metrics.
+// service.
 func TestScanAllSurvivesWorkerDeathMidSweep(t *testing.T) {
 	// Three services per worker, placed by the coordinator's own hash.
 	var all []string
@@ -427,7 +283,6 @@ func TestScanAllSurvivesWorkerDeathMidSweep(t *testing.T) {
 	kill := func() { killOnce.Do(srvA.Close) }
 	defer kill()
 
-	clock := resilience.NewFakeClock(t0).AutoAdvance()
 	// Let one request through to worker A, then "kill" it: close its
 	// server and drop everything still addressed to it.
 	ft := resilience.NewFaultTransport(3, nil, nil).Rule(resilience.FaultRule{
@@ -439,12 +294,10 @@ func TestScanAllSurvivesWorkerDeathMidSweep(t *testing.T) {
 			}
 		},
 	})
-	coord, err := newCoordinator([]string{srvA.URL, srvB.URL}, &http.Client{Transport: ft}, clock)
+	coord, err := NewCoordinator([]string{srvA.URL, srvB.URL}, &http.Client{Transport: ft})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	coord.Instrument(reg)
 
 	merged, err := coord.ScanAll(all, end)
 	if err != nil {
@@ -457,20 +310,5 @@ func TestScanAllSurvivesWorkerDeathMidSweep(t *testing.T) {
 	sort.Strings(wantScanned)
 	if !slices.Equal(merged.Scanned, wantScanned) {
 		t.Errorf("Scanned = %v, want %v", merged.Scanned, wantScanned)
-	}
-
-	// The outage left its fingerprints in the metrics.
-	if got := reg.NewCounter(MetricCoordFailovers, "", nil).Value(); got < 1 {
-		t.Errorf("failovers = %v, want >= 1", got)
-	}
-	if got := reg.NewCounter(MetricBreakerFailures, "", obs.Labels{"worker": srvA.URL}).Value(); got < breakerThreshold {
-		t.Errorf("dead worker breaker failures = %v, want >= %d", got, breakerThreshold)
-	}
-	if got := reg.NewCounter(MetricBreakerTransitions, "",
-		obs.Labels{"worker": srvA.URL, "to": "open"}).Value(); got < 1 {
-		t.Errorf("dead worker never tripped its breaker (transitions = %v)", got)
-	}
-	if got := reg.NewCounter(MetricCoordFailures, "", nil).Value(); got != 0 {
-		t.Errorf("per-service failures = %v, want 0", got)
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // Policy shapes a retry loop: up to MaxAttempts tries with exponential
 // backoff between them, each delay widened by seeded jitter so a fleet
-// of coordinators retrying the same dead worker doesn't stampede it.
+// of clients retrying the same sick worker doesn't stampede it.
 type Policy struct {
 	MaxAttempts int           // total attempts, including the first (min 1)
 	BaseDelay   time.Duration // delay before the first retry
@@ -19,7 +19,7 @@ type Policy struct {
 	Jitter      float64       // fraction of each delay randomized in [0,1]
 }
 
-// DefaultPolicy is the coordinator's out-of-the-box retry budget: three
+// DefaultPolicy is a modest retry budget for an IngestClient: three
 // attempts, 50ms/100ms backoff, half-width jitter.
 func DefaultPolicy() Policy {
 	return Policy{MaxAttempts: 3, BaseDelay: 50 * time.Millisecond,
@@ -102,19 +102,11 @@ func Permanent(err error) error {
 	return &permanentError{err: err}
 }
 
-// IsPermanent reports whether err was marked with Permanent.
-func IsPermanent(err error) bool {
-	var pe *permanentError
-	return errors.As(err, &pe)
-}
-
 // Retryer runs functions under a Policy with a shared, seeded jitter
 // source. Safe for concurrent use.
 type Retryer struct {
 	Policy Policy
 	Clock  Clock
-	// OnRetry, when set, observes every scheduled retry (for metrics).
-	OnRetry func(retry int, delay time.Duration, err error)
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -172,9 +164,6 @@ func Do[T any](ctx context.Context, r *Retryer, f func(ctx context.Context) (T, 
 			if r.Policy.MaxDelay > 0 && d > r.Policy.MaxDelay {
 				d = r.Policy.MaxDelay
 			}
-		}
-		if r.OnRetry != nil {
-			r.OnRetry(attempt, d, err)
 		}
 		if err := r.Clock.Sleep(ctx, d); err != nil {
 			return zero, lastErr

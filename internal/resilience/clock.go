@@ -1,13 +1,11 @@
-// Package resilience makes the distributed scan path survive the
-// failures a fleet-scale detector meets in production: transient worker
-// errors (retry with exponential backoff + jitter) and persistently sick
-// workers (per-worker circuit breakers). Everything is driven through a
-// Clock abstraction and a deterministic fault-injection transport so
-// retries, failover and breaker trip/half-open/reset are all testable
-// without real sleeps — the detector's own reliability is part of what
-// the paper's production deployment has to guarantee (§5.1 runs the
-// scan fan-out on a serverless platform where individual executions
-// fail routinely).
+// Package resilience holds the retry loop ingest clients run against
+// transient worker errors (exponential backoff + jitter, honouring a
+// server's Retry-After), an injectable Clock, and a deterministic
+// fault-injecting HTTP transport, so retries, rate limits and ring walks
+// are testable without real sleeps or flaky networks — the detector's
+// own reliability is part of what the paper's production deployment has
+// to guarantee (§5.1 runs the scan fan-out on a serverless platform
+// where individual executions fail routinely).
 package resilience
 
 import (
@@ -16,7 +14,7 @@ import (
 	"time"
 )
 
-// Clock abstracts wall time so retry backoff and breaker cooldowns can
+// Clock abstracts wall time so retry backoff and rate-limit refills can
 // run against virtual time in tests.
 type Clock interface {
 	Now() time.Time
@@ -55,7 +53,7 @@ type fakeWaiter struct {
 
 // FakeClock is a manually advanced Clock. A Sleep returns when Advance
 // moves the clock past its deadline, which makes timer-driven paths
-// (backoff, breaker cooldowns) fully deterministic with no real sleeps.
+// (backoff, rate-limit refills) fully deterministic with no real sleeps.
 //
 // With AutoAdvance enabled the clock instead jumps forward immediately
 // whenever anything waits on it, recording the requested durations —

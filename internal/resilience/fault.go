@@ -60,8 +60,8 @@ func (e *DroppedError) Error() string {
 // FaultTransport is a deterministic fault-injecting http.RoundTripper:
 // it drops, hangs, delays, or rewrites selected requests on a seeded
 // schedule and forwards the rest to the wrapped transport. It is how
-// the retry, failover, and breaker paths are exercised in tests
-// without flaky real-network failures.
+// the coordinator's ring walk is exercised in tests without flaky
+// real-network failures.
 type FaultTransport struct {
 	next  http.RoundTripper
 	clock Clock
@@ -96,12 +96,6 @@ func (t *FaultTransport) Rule(r FaultRule) *FaultTransport {
 	defer t.mu.Unlock()
 	t.rules = append(t.rules, &faultRuleState{rule: r})
 	return t
-}
-
-// FailFirst is shorthand for "the first n requests to host answer with
-// status" — the canonical transient-failure schedule.
-func (t *FaultTransport) FailFirst(host string, n, status int) *FaultTransport {
-	return t.Rule(FaultRule{Host: host, Count: n, Action: FaultAction{Status: status, Body: "injected fault"}})
 }
 
 // Requests returns how many requests (faulted or forwarded) have been

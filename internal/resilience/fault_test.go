@@ -32,7 +32,9 @@ func TestFaultFailFirstSchedule(t *testing.T) {
 	defer srv.Close()
 	u, _ := url.Parse(srv.URL)
 
-	ft := NewFaultTransport(1, nil, nil).FailFirst(u.Host, 2, http.StatusInternalServerError)
+	ft := NewFaultTransport(1, nil, nil).Rule(FaultRule{
+		Host: u.Host, Count: 2, Action: FaultAction{Status: http.StatusInternalServerError},
+	})
 	for i := 0; i < 2; i++ {
 		code, err := get(t, ft, srv.URL)
 		if err != nil || code != http.StatusInternalServerError {

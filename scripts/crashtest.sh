@@ -14,7 +14,9 @@
 #
 # The two /scan responses must be identical modulo the worker's own name.
 # Both workers are then recovered once more and swept through the
-# coordinator (fbdetect -workers), which must report the regression.
+# coordinator (fbdetect -workers) over three URLs whose hash owner for the
+# service is a port nothing listens on: the scan must move on to the
+# recovered crash worker and report the regression.
 # (A single generation feeds both workers because the simulator is not
 # bit-deterministic across process runs.)
 set -euo pipefail
@@ -25,6 +27,7 @@ trap 'kill -9 $(jobs -p) 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
 CONTROL_PORT="${CONTROL_PORT:-18091}"
 CRASH_PORT="${CRASH_PORT:-18092}"
+DEAD_PORT="${DEAD_PORT:-18093}" # nothing listens here: the sweep's dead owner
 HOURS=9
 SCAN_REQ='{"service":"fleetsim","scan_time":"2024-08-01T09:00:00Z"}'
 
@@ -114,18 +117,30 @@ if ! cmp "$WORK/control.json" "$WORK/crash.json"; then
 fi
 echo "PASS: recovered scan identical to uninterrupted control ($(wc -c <"$WORK/control.json") bytes)"
 
-# Coordinator drill: fbdetect -workers sweeps the service over both
-# workers. A worker remembers what it already reported, so both are
+# Coordinator drill: fbdetect -workers sweeps the service over control,
+# a dead port and crash, in that ring order. fnv32a("fleetsim") % 3 == 1,
+# so the owner is the dead port and the scan moves on to its ring peer,
+# crash. A worker remembers what it already reported, so both workers are
 # SIGKILLed and recovered from their WALs first; the sweep is then the
-# first scan its owner serves and must report the regression again.
-echo "== sweeping both recovered workers through fbdetect -workers"
+# first scan crash serves and must report the regression again.
+echo "== sweeping the recovered workers through fbdetect -workers, dead owner first"
 kill -9 "$CONTROL_PID" "$CRASH_PID" 2>/dev/null || true
 wait "$CONTROL_PID" "$CRASH_PID" 2>/dev/null || true
 start_control_worker
 start_crash_worker
 wait_up "$CONTROL_PORT"
-go run ./cmd/fbdetect -workers "http://127.0.0.1:$CONTROL_PORT,http://127.0.0.1:$CRASH_PORT" \
+if curl -s "http://127.0.0.1:$DEAD_PORT/healthz" >/dev/null 2>&1; then
+    echo "FAIL: something listens on DEAD_PORT $DEAD_PORT; the drill needs a dead owner" >&2
+    exit 1
+fi
+go run ./cmd/fbdetect \
+    -workers "http://127.0.0.1:$CONTROL_PORT,http://127.0.0.1:$DEAD_PORT,http://127.0.0.1:$CRASH_PORT" \
     -services fleetsim -scan-time 2024-08-01T09:00:00Z >"$WORK/sweep.txt"
+worker_scans() { # port — successful scans the worker has served since it started
+    curl -sf "http://127.0.0.1:$1/metrics" | sed -n 's/^fbdetect_worker_scans_total \([0-9][0-9]*\)$/\1/p'
+}
+CRASH_SCANS="$(worker_scans "$CRASH_PORT")"
+CONTROL_SCANS="$(worker_scans "$CONTROL_PORT")"
 kill -9 "$CONTROL_PID" "$CRASH_PID" 2>/dev/null || true
 cat "$WORK/sweep.txt"
 REPORTED="$(sed -n 's/^\([0-9][0-9]*\) regression(s) reported:$/\1/p' "$WORK/sweep.txt")"
@@ -133,7 +148,11 @@ if ! grep -q '^scanned 1/1 service' "$WORK/sweep.txt" || [ -z "$REPORTED" ] || [
     echo "FAIL: coordinator sweep must scan 1/1 services and report a regression" >&2
     exit 1
 fi
-echo "PASS: coordinator sweep scanned 1/1 and reported $REPORTED regression(s)"
+if [ "$CRASH_SCANS" != 1 ] || [ "$CONTROL_SCANS" != 0 ]; then
+    echo "FAIL: the dead owner's ring peer (crash) must serve the scan; crash served $CRASH_SCANS, control $CONTROL_SCANS" >&2
+    exit 1
+fi
+echo "PASS: coordinator sweep skipped the dead owner, scanned 1/1 on crash and reported $REPORTED regression(s)"
 
 # ---------------------------------------------------------------------------
 # Control-plane drill: SIGKILL fbdetect-server mid-operation and require the
