@@ -78,11 +78,14 @@ bench-obs:
 # machine-independent and always enforced: warm checkpointed scans must
 # beat the no-checkpoint control by 5x (:any — an algorithmic win, no
 # cores needed), the chunked store must hold fleet-shaped data at
-# <= 2 bytes/point, and the WAL must log ingest-shaped batches at <= 8.
+# <= 2 bytes/point and /profiles-shaped gCPU series at <= 4.33 (3.93
+# measured on the 1e-9 grid plus 10%; raw floats XOR-encode at ~7.4),
+# and the WAL must log ingest-shaped batches at <= 8.
 BENCH_GATE = BenchmarkPipeline$$|BenchmarkScanThroughput$$|BenchmarkScanThroughputNoCheckpoint$$|BenchmarkWarmScanIncremental$$
 BENCH_TSDB = BenchmarkAppendParallel$$|BenchmarkAppendParallelSingleLock$$|BenchmarkAppendBatch$$|BenchmarkChunkAppend$$|BenchmarkChunkIterate$$|BenchmarkQueryWindow$$
 BENCH_PPROF = BenchmarkPprofParse$$
 BENCH_EDIV = BenchmarkEDivisive$$
+BENCH_PROFILES = BenchmarkProfileSeriesAppend$$
 # The per-series kernels of a sliding sweep: the change-point stage on a
 # quiet window, the went-away decision per candidate shape, and the
 # statistics and smooths behind went-away and the period search. Each
@@ -100,11 +103,12 @@ bench-gate:
 	$(GO) test -run - -bench '$(BENCH_TSDB)' -benchmem -benchtime 5x ./internal/tsdb/ | tee -a BENCH_current.txt
 	$(GO) test -run - -bench '$(BENCH_PPROF)' -benchmem -benchtime 5x ./internal/pprofparse/ | tee -a BENCH_current.txt
 	$(GO) test -run - -bench '$(BENCH_EDIV)' -benchmem -benchtime 5x ./internal/edivisive/ | tee -a BENCH_current.txt
+	$(GO) test -run - -bench '$(BENCH_PROFILES)' -benchmem -benchtime 5x ./internal/distributed/ | tee -a BENCH_current.txt
 	$(GO) test -run - -bench '$(BENCH_CORE)' -benchmem $(BENCH_CORE_PKGS) | tee -a BENCH_current.txt
 	$(GO) test -run - -bench '$(BENCH_WAL)' -benchmem ./internal/wal/ | tee -a BENCH_current.txt
 	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.txt -current BENCH_current.txt \
 		-speedup BenchmarkAppendParallelSingleLock:BenchmarkAppendParallel:2,BenchmarkScanThroughputNoCheckpoint:BenchmarkScanThroughput:5:any \
-		-bytes-per-point BenchmarkChunkAppend:2,BenchmarkWALAppend:8 $(BENCH_GATE_FLAGS)
+		-bytes-per-point BenchmarkChunkAppend:2,BenchmarkProfileSeriesAppend:4.33,BenchmarkWALAppend:8 $(BENCH_GATE_FLAGS)
 
 # Re-record the committed baseline (run on the reference machine after an
 # intentional performance change, and commit the result).

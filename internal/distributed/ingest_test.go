@@ -17,6 +17,11 @@ import (
 	"fbdetect/internal/wal"
 )
 
+// retryPolicy is the IngestClient retry budget these tests run under:
+// three attempts, 50ms/100ms backoff, half-width jitter.
+var retryPolicy = resilience.Policy{MaxAttempts: 3, BaseDelay: 50 * time.Millisecond,
+	MaxDelay: 2 * time.Second, Multiplier: 2, Jitter: 0.5}
+
 // ingestPoints builds a deterministic batch across two metrics.
 func ingestPoints(n int) []tsdb.Point {
 	pts := make([]tsdb.Point, 0, 2*n)
@@ -38,7 +43,7 @@ func TestIngestRoundTripAndIdempotentResend(t *testing.T) {
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
-	client := NewIngestClient(srv.URL, srv.Client(), resilience.DefaultPolicy(), nil, 1)
+	client := NewIngestClient(srv.URL, srv.Client(), retryPolicy, nil, 1)
 	pts := ingestPoints(30)
 	res, err := client.Send(context.Background(), pts)
 	if err != nil {
@@ -94,7 +99,7 @@ func TestIngestNonFiniteValues(t *testing.T) {
 		{ID: id, T: t0.Add(2 * time.Minute), V: math.Inf(1)},
 		{ID: id, T: t0.Add(3 * time.Minute), V: math.Inf(-1)},
 	}
-	client := NewIngestClient(srv.URL, srv.Client(), resilience.DefaultPolicy(), nil, 1)
+	client := NewIngestClient(srv.URL, srv.Client(), retryPolicy, nil, 1)
 	res, err := client.Send(context.Background(), pts)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +219,7 @@ func TestIngestOversizedBodyIsPermanent(t *testing.T) {
 		attempts++
 		return srv.Client().Transport.RoundTrip(req)
 	})}
-	client := NewIngestClient(srv.URL, countingClient, resilience.DefaultPolicy(),
+	client := NewIngestClient(srv.URL, countingClient, retryPolicy,
 		resilience.NewFakeClock(t0).AutoAdvance(), 1)
 	_, err := client.Send(context.Background(), ingestPoints(50))
 	if err == nil || !strings.Contains(err.Error(), "413") {
@@ -437,7 +442,7 @@ func TestIngestRejectsOverlongMetricID(t *testing.T) {
 		t.Errorf("bad_json rejections = %v, want 1", got)
 	}
 	pts := ingestPoints(5)
-	client := NewIngestClient(srv.URL, srv.Client(), resilience.DefaultPolicy(), nil, 1)
+	client := NewIngestClient(srv.URL, srv.Client(), retryPolicy, nil, 1)
 	if _, err := client.Send(context.Background(), pts); err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,11 @@ package distributed
 
 import (
 	"cmp"
+	"math"
 	"net/http"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"fbdetect/internal/obs"
@@ -33,6 +35,19 @@ const (
 	MetricProfilesSubroutines = "fbdetect_profiles_subroutines"
 	MetricProfilesParseSecs   = "fbdetect_profiles_parse_seconds"
 )
+
+// gcpuGrid is the decimal grid /profiles rounds gCPU to: the finest
+// decimal scale in the chunk codec's table (timeseries.ChunkScale(9)).
+// On it, sealed chunks and WAL point records store gCPU as scaled
+// integers rather than raw or XORed floats. A gCPU value is a sample
+// fraction s/n, and two distinct fractions differ by at least 1/n, far
+// above 1e-9 for any upload under 1e9 samples; the rounding error, at
+// most 5e-10, sits 1e5× below the paper's 0.005% detection floor.
+const gcpuGrid = 1e9
+
+// maxInternedIDs caps how many series IDs one handler keeps interned;
+// past it the cache starts over.
+const maxInternedIDs = 1 << 16
 
 // ProfilesOptions tunes POST /profiles. Zero fields take defaults.
 type ProfilesOptions struct {
@@ -105,6 +120,10 @@ type ProfilesResult struct {
 //	curl -X POST 'worker:8080/profiles?service=websvc&time=2024-08-01T09:00:00Z' \
 //	  --data-binary @cpu.pb.gz
 //
+// Each stored gCPU value is the profile's sample fraction rounded to the
+// 1e-9 grid (gcpuGrid), within 5e-10 of the exact value, so profile
+// series store and log as scaled integers.
+//
 // Backpressure matches /ingest: 413 for oversized bodies (split or trim
 // the profile, don't retry), 429 + Retry-After when too many uploads are
 // in flight.
@@ -112,6 +131,7 @@ type ProfilesHandler struct {
 	intake
 	topK int
 	now  func() time.Time
+	ids  seriesIDs
 
 	accepted    map[string]*obs.Counter // by format; nil when uninstrumented
 	subroutines *obs.Histogram
@@ -204,7 +224,7 @@ func (h *ProfilesHandler) decode(raw []byte, contentType, service string, explic
 		t = h.now().UTC()
 	}
 
-	pts, capped := gcpuPoints(service, t, all, h.topK)
+	pts, capped := h.gcpuPoints(service, t, all)
 	return batch{pts: pts, ack: func(appended int) any {
 		h.accepted[format].Inc()
 		h.subroutines.Observe(float64(len(pts)))
@@ -248,9 +268,9 @@ func (h *ProfilesHandler) parse(raw []byte, contentType string) ([]pprofparse.GC
 
 // gcpuPoints maps a profile's per-subroutine gCPU onto points for one
 // time bucket, keeping the topK highest-gCPU subroutines (deterministic:
-// ties break by name). Reports whether the cap dropped any. It reorders
-// all.
-func gcpuPoints(service string, t time.Time, all []pprofparse.GCPU, topK int) ([]tsdb.Point, bool) {
+// ties break by name) and rounding each value to gcpuGrid. Reports
+// whether the cap dropped any. It reorders all.
+func (h *ProfilesHandler) gcpuPoints(service string, t time.Time, all []pprofparse.GCPU) ([]tsdb.Point, bool) {
 	slices.SortFunc(all, func(a, b pprofparse.GCPU) int {
 		if c := cmp.Compare(b.Value, a.Value); c != 0 {
 			return c
@@ -258,15 +278,47 @@ func gcpuPoints(service string, t time.Time, all []pprofparse.GCPU, topK int) ([
 		return strings.Compare(a.Subroutine, b.Subroutine)
 	})
 	capped := false
-	if topK > 0 && len(all) > topK {
-		all, capped = all[:topK], true
+	if h.topK > 0 && len(all) > h.topK {
+		all, capped = all[:h.topK], true
 	}
 	// Points sort by subroutine so AppendBatch's per-shard bucketing sees
 	// a deterministic order.
 	slices.SortFunc(all, func(a, b pprofparse.GCPU) int { return strings.Compare(a.Subroutine, b.Subroutine) })
 	pts := make([]tsdb.Point, len(all))
+	h.ids.mu.Lock()
 	for i, g := range all {
-		pts[i] = tsdb.Point{ID: tsdb.ID(service, g.Subroutine, "gcpu"), T: t, V: g.Value}
+		pts[i] = tsdb.Point{ID: h.ids.get(service, g.Subroutine), T: t, V: math.Round(g.Value*gcpuGrid) / gcpuGrid}
 	}
+	h.ids.mu.Unlock()
 	return pts, capped
+}
+
+// seriesIDs interns the gCPU series IDs a handler has built, by service
+// and subroutine: a service's subroutines recur in every upload, so a
+// hit allocates nothing.
+type seriesIDs struct {
+	mu sync.Mutex
+	m  map[string]map[string]tsdb.MetricID // service → subroutine → ID
+	n  int                                 // IDs held, at most maxInternedIDs
+}
+
+// get returns the gCPU series ID of service's subroutine sub. The caller
+// holds mu.
+func (c *seriesIDs) get(service, sub string) tsdb.MetricID {
+	if id, ok := c.m[service][sub]; ok {
+		return id
+	}
+	if c.m == nil || c.n >= maxInternedIDs {
+		c.m, c.n = map[string]map[string]tsdb.MetricID{}, 0
+	}
+	subs := c.m[service]
+	if subs == nil {
+		subs = map[string]tsdb.MetricID{}
+		c.m[service] = subs
+	}
+	id := tsdb.ID(service, sub, "gcpu")
+	// sub may alias the upload's decoded bytes: keep a copy instead.
+	subs[strings.Clone(sub)] = id
+	c.n++
+	return id
 }

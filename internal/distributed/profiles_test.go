@@ -4,16 +4,21 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"fbdetect/internal/obs"
 	"fbdetect/internal/pprofparse"
+	"fbdetect/internal/timeseries"
 	"fbdetect/internal/tsdb"
+	"fbdetect/internal/wal"
 )
 
 // profileBody builds a gzipped pprof protobuf with a known shape:
@@ -358,5 +363,201 @@ func TestProfilesFallbackClock(t *testing.T) {
 	}
 	if !res.Time.Equal(now) {
 		t.Fatalf("time %v, want injected clock %v", res.Time, now)
+	}
+}
+
+// foldedOffGrid is folded text whose gCPU values are sevenths, which sit
+// on no decimal grid.
+const foldedOffGrid = "main;render 1\nmain;fetch 2\nmain;fetch;decode 4\n"
+
+// checkGCPUGrid fails unless every stored gCPU point of service lies on
+// the 1e-9 grid and within half a grid step of its exact value in exact
+// (subroutine → gCPU). It returns how many points it checked.
+func checkGCPUGrid(t *testing.T, db *tsdb.DB, service string, exact map[string]float64) int {
+	t.Helper()
+	n := 0
+	for _, id := range db.Metrics(service) {
+		_, sub, _ := id.Parts()
+		want, ok := exact[sub]
+		if !ok {
+			t.Fatalf("%s: stored, but not in the profile", id)
+		}
+		s, err := db.Full(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range s.Values {
+			if _, ok := timeseries.ScaledValue(v, 1e9); !ok {
+				t.Fatalf("%s = %v: not on the 1e-9 grid", id, v)
+			}
+			if d := math.Abs(v - want); d > 5e-10 {
+				t.Fatalf("%s = %v: %.3g from the exact gCPU %v", id, v, d, want)
+			}
+			n++
+		}
+	}
+	return n
+}
+
+// TestProfilesGCPUOnGrid: both wire formats store gCPU rounded to the
+// chunk codec's finest decimal scale, within 5e-10 of the exact sample
+// fraction, so profile series seal and log as scaled integers.
+func TestProfilesGCPUOnGrid(t *testing.T) {
+	if s, _ := timeseries.ChunkScale(9); s != gcpuGrid {
+		t.Fatalf("chunk scale 9 is %v, want the gCPU grid %v", s, gcpuGrid)
+	}
+	db := tsdb.New(time.Minute)
+	srv := profilesServer(t, db, ProfilesOptions{}, nil)
+	at := "&time=" + t0.Format(time.RFC3339)
+
+	body := benchShapedProfile(1, 1)
+	p, err := pprofparse.Parse(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fold, _, err := p.Fold(pprofparse.ConvertOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := map[string]float64{}
+	for _, g := range fold {
+		exact[g.Subroutine] = g.Value
+	}
+	if resp, _ := postProfile(t, srv.URL, "service=pprofsvc"+at, "", body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("pprof upload: status %d", resp.StatusCode)
+	}
+	if n := checkGCPUGrid(t, db, "pprofsvc", exact); n != 200 {
+		t.Fatalf("pprof upload: checked %d points, want the top-K 200", n)
+	}
+
+	ss, _, err := pprofparse.ReadAny([]byte(foldedOffGrid), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, _ := postProfile(t, srv.URL, "service=foldsvc"+at, "", []byte(foldedOffGrid)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("folded upload: status %d", resp.StatusCode)
+	}
+	if n := checkGCPUGrid(t, db, "foldsvc", ss.GCPUAll()); n != 4 {
+		t.Fatalf("folded upload: checked %d points, want 4", n)
+	}
+}
+
+// TestProfilesWALRoundTrip: profile series written through the durable
+// store, across a snapshot and the WAL after it, recover bit for bit and
+// on the gCPU grid.
+func TestProfilesWALRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *wal.Store {
+		store, err := wal.OpenStore(dir, time.Minute, wal.Options{Sync: wal.SyncNever}, tsdb.Options{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store
+	}
+	store := open()
+	h := NewProfilesHandler(store, ProfilesOptions{})
+	upload := func(i int, body []byte) {
+		at := t0.Add(time.Duration(i) * time.Minute).Format(time.RFC3339)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost,
+			"/profiles?service=svc&time="+at, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("upload %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	// 130 minutes seal one 120-point chunk per series; the snapshot
+	// holds the first 100 and the WAL the rest.
+	const minutes = 130
+	for i := 0; i < minutes; i++ {
+		if i == 100 {
+			if err := store.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		upload(i, benchShapedProfile(1, int64(i)))
+		upload(i, []byte(foldedOffGrid))
+	}
+	before := map[tsdb.MetricID]*timeseries.Series{}
+	for _, id := range store.DB.Metrics("svc") {
+		s, err := store.DB.Full(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range s.Values {
+			if _, ok := timeseries.ScaledValue(v, gcpuGrid); !ok {
+				t.Fatalf("%s holds %v, off the 1e-9 grid", id, v)
+			}
+		}
+		before[id] = s
+	}
+	if st := store.DB.StorageStats(); st.SealedChunks == 0 {
+		t.Fatal("no chunk sealed: the round trip never reached the chunk codec")
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store = open()
+	defer store.Close()
+	if got := store.DB.Metrics("svc"); len(got) != len(before) {
+		t.Fatalf("recovered %d series, want %d", len(got), len(before))
+	}
+	for id, want := range before {
+		got, err := store.DB.Full(id)
+		if err != nil {
+			t.Fatalf("%s not recovered: %v", id, err)
+		}
+		if got.Len() != want.Len() || !got.Start.Equal(want.Start) {
+			t.Fatalf("%s: recovered %d points from %v, want %d from %v",
+				id, got.Len(), got.Start, want.Len(), want.Start)
+		}
+		for i := range want.Values {
+			if math.Float64bits(got.Values[i]) != math.Float64bits(want.Values[i]) {
+				t.Fatalf("%s[%d]: recovered %v, want %v bit for bit", id, i, got.Values[i], want.Values[i])
+			}
+		}
+	}
+}
+
+// TestProfilesSeriesIDsInterned: uploads decoded at once, for several
+// services, name their points by the same IDs tsdb.ID builds, and the
+// cache starts over once it holds maxInternedIDs.
+func TestProfilesSeriesIDsInterned(t *testing.T) {
+	h := NewProfilesHandler(nil, ProfilesOptions{})
+	body := benchShapedProfile(1, 1)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		service := "svc" + strconv.Itoa(g%2)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				b, rej := h.decode(body, "", service, t0)
+				if rej != nil {
+					t.Error(rej.msg)
+					return
+				}
+				for _, p := range b.pts {
+					if _, sub, _ := p.ID.Parts(); p.ID != tsdb.ID(service, sub, "gcpu") {
+						t.Errorf("point ID %q, want %q", p.ID, tsdb.ID(service, sub, "gcpu"))
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if h.ids.n != 400 {
+		t.Fatalf("%d IDs interned, want 200 for each of 2 services", h.ids.n)
+	}
+
+	for i := h.ids.n; i < maxInternedIDs; i++ {
+		h.ids.get("fill", strconv.Itoa(i))
+	}
+	if h.ids.n != maxInternedIDs {
+		t.Fatalf("%d IDs interned, want the cap %d", h.ids.n, maxInternedIDs)
+	}
+	if id := h.ids.get("svc0", "new"); id != tsdb.ID("svc0", "new", "gcpu") || h.ids.n != 1 {
+		t.Fatalf("past the cap: ID %q with %d interned, want a fresh cache", id, h.ids.n)
 	}
 }

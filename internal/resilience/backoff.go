@@ -19,13 +19,6 @@ type Policy struct {
 	Jitter      float64       // fraction of each delay randomized in [0,1]
 }
 
-// DefaultPolicy is a modest retry budget for an IngestClient: three
-// attempts, 50ms/100ms backoff, half-width jitter.
-func DefaultPolicy() Policy {
-	return Policy{MaxAttempts: 3, BaseDelay: 50 * time.Millisecond,
-		MaxDelay: 2 * time.Second, Multiplier: 2, Jitter: 0.5}
-}
-
 // Delay returns the backoff before retry number retry (0-based), drawing
 // jitter from rng. Deterministic for a fixed rng state.
 func (p Policy) Delay(retry int, rng *rand.Rand) time.Duration {

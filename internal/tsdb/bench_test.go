@@ -148,8 +148,10 @@ func BenchmarkChunkIterate(b *testing.B) {
 }
 
 // quantizedValues builds a deterministic random walk on the decimal grid
-// k/1e5 — the shape sampled-profiler counters take after fleet-side
-// quantization.
+// k/1e5, the shape of sampled-profiler counters quantized to a decimal
+// grid. The served path that does so is /profiles, which rounds gCPU to
+// the finer 1e-9 grid (distributed.BenchmarkProfileSeriesAppend holds
+// that shape's storage cost).
 func quantizedValues(n int) []float64 {
 	vals := make([]float64, n)
 	k, state := 5000.0, uint64(0x9e3779b97f4a7c15)
